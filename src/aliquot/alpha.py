@@ -164,17 +164,15 @@ def alpha_upper_bound(
         blocks.append((start, end))
         start = end + 1
 
-    counts = [0]
-
     def eval_block(lo: int, hi: int):
         segs = list(iter_prime_segments(lo, hi, segment_size=block_size))
         primes = np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
         primes = primes[primes >= 3]
-        counts[0] += primes.size
         term_parts, tail_parts = _block_sums(primes, M)
         return (
             parts_to_certified(*term_parts),
             parts_to_certified(*tail_parts),
+            primes.size,
         )
 
     results = map_blocks(blocks, eval_block, workers)
@@ -193,7 +191,7 @@ def alpha_upper_bound(
         sums=sums,
         tail_total=tail_total,
         upper_bound=ub,
-        n_primes=counts[0],
+        n_primes=sum(r[2] for r in results),
         elapsed_seconds=time.time() - t0,
     )
 

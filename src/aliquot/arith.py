@@ -141,13 +141,33 @@ def _rho_brent(n: int, budget: list[int]) -> int | None:
     return None
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) in exact integer arithmetic, for n >= 1, k >= 2."""
+    if k == 2:
+        return math.isqrt(n)
+    # Newton's iteration decreases monotonically from any start at or
+    # above the root and stops at the floor of the root.
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _perfect_power_root(n: int) -> tuple[int, int] | None:
-    """(a, k) with a**k == n and k >= 2, or None."""
-    for k in range(2, n.bit_length() + 1):
-        a = round(n ** (1.0 / k))
-        for cand in (a - 1, a, a + 1):
-            if cand >= 2 and cand**k == n:
-                return cand, k
+    """(a, k) with a**k == n and k a prime >= 2, or None.
+
+    For n without prime factors below 2^16 (factorize's cofactors after
+    trial division), a root a would be at least 2^16, so only prime k up
+    to n.bit_length() // 16 can occur; a composite k = k1 * k2 shows up as
+    the prime k1 with root a**k2.
+    """
+    for k in range(2, n.bit_length() // 16 + 1):
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            a = _iroot(n, k)
+            if a**k == n:
+                return a, k
     return None
 
 

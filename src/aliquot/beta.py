@@ -28,6 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,11 +45,12 @@ from .numerics import (
     parts_to_certified,
     block_sum_parts,
 )
-from .primes import check_range, iter_factor_segments, primes_in_range
+from .primes import _dense_primes, check_range, iter_factor_segments, primes_in_range
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 DEFAULT_K2 = 64
 DEFAULT_NODE_BUDGET = 500_000
+_TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's final stage
 # Inflation applied to tail bounds whose constants were computed in floats.
 _FLOAT_SLOP = 1.0 + 1e-9
 
@@ -321,18 +323,19 @@ def s_set(
 
 def _wide_membership(j: int, e: float, n: int) -> bool:
     """h_j(n) n^e > 1 decided in 60-digit decimal arithmetic."""
-    from decimal import Decimal, getcontext
+    from decimal import Decimal, localcontext
 
     from .arith import factorize
 
-    getcontext().prec = 60
-    log_total = Decimal(0)
-    for p, m in factorize(n).entries:
-        den = p * _sigma_pp(p, m - 1)
-        ratio = (Decimal(den + 1) / Decimal(den)) ** j - 1
-        log_total += ratio.ln()
-    log_total += Decimal(e) * Decimal(n).ln()
-    return log_total > 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log_total = Decimal(0)
+        for p, m in factorize(n).entries:
+            den = p * _sigma_pp(p, m - 1)
+            ratio = (Decimal(den + 1) / Decimal(den)) ** j - 1
+            log_total += ratio.ln()
+        log_total += Decimal(e) * Decimal(n).ln()
+        return log_total > 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,55 +343,93 @@ def _wide_membership(j: int, e: float, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _block_odd_signed(lo: int, hi: int, j_list: list[int], block_size: int) -> dict[int, tuple]:
+@lru_cache(maxsize=1 << 14)
+def _prime_power_rows(p: int, m_max: int, js: tuple[int, ...]) -> np.ndarray:
+    """Factors of the odd prime power p^m, one row per m = 0..m_max.
+
+    Row m holds h_j(p^m) for each j in js, then p^m / sigma(p^m), p^m and
+    -1.0 (row 0 is all ones): the per-prime factors of the columns that
+    _block_odd_signed accumulates.  Read-only, as rows are shared.
+    """
+    rows = [[1.0] * (len(js) + 3)]
+    for m in range(1, m_max + 1):
+        pm = p**m
+        sig_m = (p ** (m + 1) - 1) // (p - 1)
+        sig_prev = (pm - 1) // (p - 1)
+        lx = math.log1p(1.0 / (p * sig_prev))
+        rows.append([math.expm1(j * lx) for j in js] + [pm / sig_m, float(pm), -1.0])
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
+def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     """Per-j (value, abs_sum, n_terms) of sum of beta_j(n) over odd n in [lo, hi].
 
-    One factored segment pass; g, h, and the sign are accumulated in
-    arrays, with one scatter per prime-power event and a vectorized sweep
-    for the single prime above sqrt(hi).
+    The block's odd integers n0, n0 + 2, ... are factored in place into one
+    (size, J + 3) array whose columns accumulate h_j(n) for each j, the
+    ratio n/sigma(n), the smooth part of n and the sign (-1)^nu(n), so an
+    integer's columns share one or two cache lines.  For each base prime p
+    (p^2 at most the largest n), the multiples of p are the strided view
+    i0::p with i0 = -n0 * 2^-1 mod p, and the multiples of p^m the
+    progression from -n0 * 2^-1 mod p^m in steps of p^m; one small exponent
+    array per prime picks rows of _prime_power_rows, and one multiply
+    applies them.  The smooth part is a product of integers below 2^53, so
+    it is exact in floating point, and n / smooth is the exact cofactor:
+    1, or one prime q above sqrt(hi), whose factors multiply in last (the
+    other elements are left as they are, which is multiplying by 1.0).
+
+    Each element's products are formed in one fixed order (ascending p,
+    the large prime last) from the same scalar factors, so the block's
+    bits are independent of the array layout; stored checkpoints compare
+    them bit for bit on resume.
     """
-    segs = list(iter_factor_segments(lo, hi, segment_size=block_size, odd_only=True))
-    per_j_parts: dict[int, list[tuple]] = {j: [] for j in j_list}
-    for seg in segs:
-        size = seg.n_values.size
-        if size == 0:
+    js = tuple(sorted(set(j_list)))
+    n0 = lo | 1
+    if n0 > hi:
+        return {j: (0.0, 0.0, 0) for j in js}
+    size = (hi - n0) // 2 + 1
+    n_max = n0 + 2 * (size - 1)
+    base = _dense_primes(math.isqrt(hi))
+    base = base[1 : int(np.searchsorted(base, math.isqrt(n_max), side="right"))]
+
+    acc = np.ones((size, len(js) + 3))
+    for p in base.tolist():
+        i0 = (-n0 * ((p + 1) // 2)) % p
+        if i0 >= size:
             continue
-        ratio = np.ones(size)
-        nu_arr = np.zeros(size, dtype=np.int64)
-        h_arrs = {j: np.ones(size) for j in j_list}
-        for p, m, idx in seg.events:
-            pm = p**m
-            sig_m = (p ** (m + 1) - 1) // (p - 1)
-            sig_prev = (pm - 1) // (p - 1)
-            ratio[idx] *= pm / sig_m
-            nu_arr[idx] += 1
-            lx = math.log1p(1.0 / (p * sig_prev))
-            for j in j_list:
-                h_arrs[j][idx] *= math.expm1(j * lx)
-        tail = seg.rem > 1
-        if tail.any():
-            q = seg.rem[tail].astype(np.float64)
-            ratio[tail] *= q / (q + 1.0)
-            nu_arr[tail] += 1
-            lq = np.log1p(1.0 / q)
-            for j in j_list:
-                h_arrs[j][tail] *= np.expm1(j * lq)
-        sign = np.where(nu_arr & 1, -1.0, 1.0)
-        inv_n = sign / seg.n_values.astype(np.float64)
-        power = np.ones(size)
+        exps = None
+        pm = p * p
+        while (i0m := (-n0 * ((pm + 1) // 2)) % pm) < size:
+            if exps is None:
+                exps = np.ones((size - 1 - i0) // p + 1, dtype=np.intp)
+            exps[(i0m - i0) // p :: pm // p] += 1
+            pm *= p
+        if exps is None:
+            acc[i0::p] *= _prime_power_rows(p, 1, js)[1]
+        else:
+            acc[i0::p] *= _prime_power_rows(p, int(exps.max()), js)[exps]
+
+    # The large prime and the terms, in cache-sized runs of rows.
+    terms = np.empty((len(js), size))
+    for a in range(0, size, _TERM_ROWS):
+        b = min(a + _TERM_ROWS, size)
+        *h_cols, ratio, smooth, sign = acc[a:b].T.copy()
+        n_float = (n0 + 2 * np.arange(a, b, dtype=np.int64)).astype(np.float64)
+        q = n_float / smooth
+        big = q > 1.0
+        np.multiply(ratio, q / (q + 1.0), out=ratio, where=big)
+        np.negative(sign, out=sign, where=big)
+        lq = np.log1p(1.0 / q)
+        inv_n = sign / n_float
+        power = np.ones(b - a)
         last_j = 0
-        for j in sorted(j_list):
+        for h_j, j, row in zip(h_cols, js, terms):
+            np.multiply(h_j, np.expm1(j * lq), out=h_j, where=big)
             power = power * ratio ** (j - last_j)
             last_j = j
-            per_j_parts[j].append(block_sum_parts(power * inv_n * h_arrs[j]))
-    out = {}
-    for j in j_list:
-        parts = per_j_parts[j]
-        value = math.fsum(p[0] for p in parts)
-        abs_sum = math.fsum(p[1] for p in parts)
-        n_terms = sum(p[2] for p in parts)
-        out[j] = (value, abs_sum, n_terms)
-    return out
+            np.multiply(power * inv_n, h_j, out=row[a:b])
+    return {j: block_sum_parts(row) for j, row in zip(js, terms)}
 
 
 def odd_signed_sums(
@@ -420,7 +461,7 @@ def odd_signed_sums(
         start = end + 1
 
     def compute(lo: int, hi: int) -> dict[int, tuple]:
-        return _block_odd_signed(lo, hi, j_list, block_size)
+        return _block_odd_signed(lo, hi, j_list)
 
     records: list[BlockRecord] = []
     if checkpoint is not None:

@@ -1,10 +1,19 @@
-"""Compensated summation and certified-value arithmetic.
+"""Correctly rounded summation and certified-value arithmetic.
 
-Every long sum in this package flows through two primitives: an error-free
-compensated sum over one block of terms, and a deterministic ordered merge
-of block results.  A value is always carried together with a rigorous
+Every long sum in this package flows through two primitives: a correctly
+rounded sum over one block of terms, and a deterministic ordered merge of
+block results.  A value is always carried together with a rigorous
 absolute error radius covering floating-point effects; truncation tails of
 infinite series are added by the callers that know them.
+
+Block sums use exact_sum, a vectorized small superaccumulator (after
+R. Neal, arXiv:1505.05571, and Demmel & Nguyen, ARITH 2013): terms are
+grouped by exponent, split exactly into two pieces on each group's fixed
+grid, and the pieces are added per group with no rounding at all.  The
+exact group totals are then rounded once by math.fsum.  Correct rounding
+of the same exact real gives one answer, so exact_sum returns the same
+bits as math.fsum over the terms, on any machine and in any term order;
+stored checkpoints and reference certificates keep their bits.
 """
 
 from __future__ import annotations
@@ -21,6 +30,12 @@ from .errors import ParameterError
 # Machine epsilon used in all error budgets (2^-52, the spacing of doubles
 # around 1; deliberately the conservative choice, twice the unit roundoff).
 EPS = 2.0 ** -52
+
+# exact_sum: the splitting constant 1.5 * 2^(E - 1002) for each value of the
+# 11-bit biased exponent field E, up to the fallback threshold.
+_SUM_CHUNK = 1 << 15  # cache-sized; the exactness argument allows up to 2^20
+_FALLBACK_EXP = 1023 + 900  # E of 2^900
+_SPLIT = np.ldexp(1.5, np.minimum(np.arange(2048), _FALLBACK_EXP) - 1002)
 
 
 @dataclass(frozen=True)
@@ -83,10 +98,56 @@ class BlockSumPlan:
         return out
 
 
+def exact_sum(values) -> float:
+    """The correctly rounded sum of a float array: bit for bit math.fsum.
+
+    The terms are processed in chunks of _SUM_CHUNK (sized for the cache;
+    the argument below allows up to 2^20).  Let x be a term with biased
+    exponent E, so |x| < 2^t with t = E - 1022, and x is a multiple of
+    u = 2^(max(E, 1) - 1075).  With C = 1.5 * 2^(t + 20), x + C stays in
+    C's binade, whose spacing is 2^(t - 32): hi = (x + C) - C is x rounded
+    to a multiple of 2^(t - 32), computed exactly, with |hi| <= 2^t, at
+    most 2^32 such units.  That spacing is a multiple of u, so
+    lo = x - hi is exact too: a multiple of u with |lo| <= 2^(t - 33), at
+    most 2^20 units.  Terms are grouped by E (np.bincount), so within a
+    group every partial sum of at most 2^20 hi pieces is an integer of at
+    most 2^52 units of 2^(t - 32), and of lo pieces one of at most 2^40
+    units of u: all are doubles, and both group sums are exact in
+    whatever order they accumulate.  math.fsum over these exact totals
+    then rounds their exact real sum, which is the exact sum of the terms,
+    once and correctly, exactly as math.fsum over the terms would.
+
+    Terms that are not finite or reach 2^900 (where C would overflow)
+    send the whole sum to math.fsum unchanged, and so does a zero result,
+    whose sign follows the running Python's fsum.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    totals = []
+    for start in range(0, x.size, _SUM_CHUNK):
+        chunk = x[start : start + _SUM_CHUNK]
+        exp = chunk.view(np.int64) >> 52
+        exp &= 0x7FF
+        if exp.max() >= _FALLBACK_EXP:
+            return math.fsum(x.tolist())
+        split = np.take(_SPLIT, exp)
+        hi = chunk + split
+        hi -= split
+        lo = chunk - hi
+        totals.append(np.bincount(exp, weights=hi))
+        totals.append(np.bincount(exp, weights=lo))
+    if not totals:
+        return 0.0
+    parts = np.concatenate(totals)
+    total = math.fsum(parts[parts != 0.0].tolist())
+    if total == 0.0:
+        return math.fsum(x.tolist())
+    return total
+
+
 def compensated_sum(terms) -> CertifiedValue:
     """Sum a finite sequence of floats with an error-free transformation.
 
-    The value is the correctly rounded sum (Shewchuk accumulation via
+    The value is the correctly rounded sum (exact_sum, bit-identical to
     math.fsum).  The reported radius uses the conservative a-posteriori
     budget n * EPS * sum(|t|), which dominates the true rounding error.
 
@@ -102,7 +163,7 @@ def compensated_sum(terms) -> CertifiedValue:
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise ParameterError(f"non-finite term at index {bad}: {arr[bad]!r}")
-    value = math.fsum(arr.tolist())
+    value = exact_sum(arr)
     abs_sum = float(np.abs(arr).sum())
     return CertifiedValue(value, n * EPS * abs_sum)
 
@@ -193,12 +254,14 @@ def block_sum_parts(values: np.ndarray) -> tuple[float, float, int]:
     """Raw pieces of a compensated block sum: (value, abs_sum, n_terms).
 
     Helper for sieve-driven kernels that assemble CertifiedValues for
-    several quantities out of one streamed segment.
+    several quantities out of one streamed segment.  The value is
+    exact_sum (the bits of math.fsum); abs_sum is numpy's pairwise sum,
+    whose bits checkpoints store, so it keeps that exact evaluation.
     """
     n = values.size
     if n == 0:
         return 0.0, 0.0, 0
-    return math.fsum(values.tolist()), float(np.abs(values).sum()), n
+    return exact_sum(values), float(np.abs(values).sum()), n
 
 
 def parts_to_certified(value: float, abs_sum: float, n_terms: int, ops_allowance: int = 64) -> CertifiedValue:

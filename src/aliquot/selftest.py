@@ -3,18 +3,22 @@
 Each check exercises one computation against an independent reference:
 divisor enumeration against the multiplicative sigma, sieve counts against
 known prime counts, the closed-form h values against their binomial sums,
-the exceptional-set fixture, the trajectory fixtures, and worker-count
-bit-identity for one block sum of each flavor.
+the exceptional-set fixture, the trajectory fixtures, the vectorized block
+sum against math.fsum, and worker-count bit-identity for one block sum of
+each flavor.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .alpha import AlphaParams, alpha_upper_bound
 from .arith import factorize, sigma, sigma_oracle
 from .beta import beta_signed, h_prime_power, h_prime_power_binomial, odd_signed_sums, s_set
 from .means import log_mean
+from .numerics import exact_sum
 from .primes import primes_in_range
 from .trajectory import trace
 
@@ -73,6 +77,20 @@ def run_selftest() -> bool:
             "even log mean at 1e4",
             abs(lm.value - (-0.0335201796)) < 1e-8,
             f"{lm.value:.10f}",
+        )
+    )
+
+    # Forty decades of magnitude, exact cancellations, subnormals, and more
+    # than 2^20 terms.
+    rng = np.random.default_rng(0)
+    n = (1 << 20) + 3
+    terms = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    terms[: n // 4] = -terms[n // 4 : 2 * (n // 4)]
+    terms[-3:] = (5e-324, -0.0, 2.0**-1060)
+    results.append(
+        _check(
+            "exact block sum equals math.fsum",
+            exact_sum(terms).hex() == math.fsum(terms.tolist()).hex(),
         )
     )
 

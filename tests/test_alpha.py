@@ -111,6 +111,14 @@ class TestUpperBound:
         assert a.sums.value == b.sums.value
         assert a.upper_bound == b.upper_bound
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prime_count_is_exact_across_workers(self, workers):
+        # 245 blocks, each counting its own odd primes below 10^6.
+        result = alpha_upper_bound(
+            AlphaParams(10**6, 15, 15), block_size=1 << 12, workers=workers
+        )
+        assert result.n_primes == 78497
+
     def test_block_size_within_radii(self):
         a = alpha_upper_bound(AlphaParams(10**5, 15, 15), block_size=1 << 20)
         b = alpha_upper_bound(AlphaParams(10**5, 15, 15), block_size=4096)

@@ -5,6 +5,7 @@ import pytest
 
 from aliquot.arith import (
     Factorization,
+    _perfect_power_root,
     aliquot_sum,
     factorize,
     is_prime,
@@ -96,6 +97,21 @@ class TestFactorize:
         big = (10**9 + 7) ** 3
         f = factorize(big)
         assert f.entries == ((10**9 + 7, 3),)
+
+    def test_perfect_power_root_beyond_float_precision(self):
+        m61 = 2**61 - 1
+        assert _perfect_power_root(m61**3) == (m61, 3)
+        assert _perfect_power_root(m61**3 + 2) is None
+        assert factorize(12 * m61**6).entries == ((2, 2), (3, 1), (m61, 6))
+
+    def test_cofactor_beyond_float_range_is_typed_error(self):
+        # The composite cofactor exceeds the double range; the perfect-power
+        # test must not overflow, and the exhausted budget must surface as
+        # the package's typed error.
+        n = (2**521 - 1) * (2**607 - 1)
+        with pytest.raises(UnresolvedCofactorError) as info:
+            factorize(n, rho_budget=1000)
+        assert info.value.cofactor == n
 
 
 class TestSigma:

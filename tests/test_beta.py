@@ -6,6 +6,7 @@ import pytest
 from aliquot.arith import factorize
 from aliquot.beta import (
     BetaJConfig,
+    _wide_membership,
     beta_lower,
     beta_prime,
     beta_signed,
@@ -289,6 +290,14 @@ class TestSSet:
         for el in members:
             for p, m in factorize(el.n).entries:
                 assert (p, m) in allowed
+
+    def test_wide_membership_leaves_decimal_context_alone(self):
+        from decimal import getcontext
+
+        prec = getcontext().prec
+        assert _wide_membership(2, 0.5, 105)
+        assert not _wide_membership(2, 0.5, 35)
+        assert getcontext().prec == prec
 
     def test_budget_exhaustion_reports_partial(self):
         with pytest.raises(SSetBudgetExceeded) as info:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aliquot.errors import ParameterError
 from aliquot.numerics import (
@@ -14,7 +16,78 @@ from aliquot.numerics import (
     certified_product,
     compensated_sum,
     deterministic_block_reduce,
+    exact_sum,
 )
+
+
+def _fsum_outcome(fn, values):
+    """fn's result as its exact bits (the hex form keeps the sign of zero),
+    or the type of the exception it raised."""
+    try:
+        result = fn(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(result) else result.hex()
+
+
+def _assert_matches_fsum(values):
+    arr = np.asarray(values, dtype=np.float64)
+    assert _fsum_outcome(exact_sum, arr) == _fsum_outcome(math.fsum, arr.tolist())
+
+
+_SUBNORMAL = st.floats(min_value=-(2.0**-1022), max_value=2.0**-1022)
+
+
+class TestExactSum:
+    """exact_sum must return math.fsum's bits, the sign of zero included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60))
+    def test_any_floats(self, values):
+        _assert_matches_fsum(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SUBNORMAL | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), max_size=60))
+    def test_subnormals_and_signed_zeros(self, values):
+        _assert_matches_fsum(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=40),
+        st.lists(st.booleans(), min_size=40, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_wide_magnitudes_and_exact_cancellation(self, mags, signs, rng):
+        values = [m if s else -m for m, s in zip(mags, signs)]
+        _assert_matches_fsum(values)
+        paired = values + [-v for v in values]
+        rng.shuffle(paired)
+        _assert_matches_fsum(paired)
+        _assert_matches_fsum(paired + [values[0] * 2.0**-60])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=2.0**900, max_value=1e308), min_size=1, max_size=5),
+        st.lists(st.floats(min_value=-1e10, max_value=1e10), max_size=20),
+    )
+    def test_fallback_above_two_to_900(self, huge, small):
+        _assert_matches_fsum(small + huge + [-x for x in huge[:1]])
+        _assert_matches_fsum(huge + huge)  # may overflow in fsum: then the same error
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-2, 2))
+    def test_lengths_across_the_chunk_boundary(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        n = (1 << 20) + offset
+        wide = rng.standard_normal(n // 2) * 10.0 ** rng.integers(-20, 20, n // 2)
+        rest = rng.standard_normal(n - n // 2 - n // 4)
+        values = np.concatenate([wide, -wide[: n // 4], rest])
+        rng.shuffle(values)
+        _assert_matches_fsum(values)
+
+    def test_empty_and_zero_sums(self):
+        for values in ([], [0.0], [-0.0], [-0.0, -0.0], [-0.0, 0.0], [1.5, -1.5]):
+            _assert_matches_fsum(values)
 
 
 class TestCompensatedSum:
