@@ -17,13 +17,7 @@ from .arith import Factorization, aliquot_sum, factorize, is_prime, nu, sigma, s
 from .beta import BetaJConfig, BetaSummary, beta_lower
 from .errors import ParameterError, ResourceError, SSetBudgetExceeded, UnresolvedCofactorError
 from .means import arithmetic_mean, closed_form, log_mean
-from .numerics import (
-    BlockSumPlan,
-    CertifiedValue,
-    certified_combine,
-    compensated_sum,
-    deterministic_block_reduce,
-)
+from .numerics import CertifiedValue, certified_combine, compensated_sum
 from .primes import factored_range, primes_in_range
 from .trajectory import TrajectoryRecord, trace
 
@@ -34,7 +28,6 @@ __all__ = [
     "AlphaResult",
     "BetaJConfig",
     "BetaSummary",
-    "BlockSumPlan",
     "CertifiedValue",
     "Factorization",
     "ParameterError",
@@ -49,7 +42,6 @@ __all__ = [
     "certified_combine",
     "closed_form",
     "compensated_sum",
-    "deterministic_block_reduce",
     "factored_range",
     "factorize",
     "is_prime",

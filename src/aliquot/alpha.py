@@ -27,12 +27,13 @@ import numpy as np
 from .errors import ParameterError
 from .numerics import (
     CertifiedValue,
+    aligned_blocks,
+    block_sum_parts,
     certified_combine,
     combine_blocks,
     compensated_sum,
     map_blocks,
     parts_to_certified,
-    block_sum_parts,
 )
 from .primes import check_range, iter_prime_segments
 
@@ -156,18 +157,9 @@ def alpha_upper_bound(
     N, L, M = params.N, params.L, params.M
     check_range(2, N, block_size)
 
-    blocks = []
-    start = 3
-    while start <= N:
-        boundary = ((start // block_size) + 1) * block_size - 1
-        end = min(boundary, N)
-        blocks.append((start, end))
-        start = end + 1
-
     def eval_block(lo: int, hi: int):
-        segs = list(iter_prime_segments(lo, hi, segment_size=block_size))
-        primes = np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
-        primes = primes[primes >= 3]
+        # An aligned block is exactly one sieve segment.
+        (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
         term_parts, tail_parts = _block_sums(primes, M)
         return (
             parts_to_certified(*term_parts),
@@ -175,7 +167,7 @@ def alpha_upper_bound(
             primes.size,
         )
 
-    results = map_blocks(blocks, eval_block, workers)
+    results = map_blocks(aligned_blocks(3, N, block_size), eval_block, workers)
     odd_sum = combine_blocks([r[0] for r in results])
     tail_sum = combine_blocks([r[1] for r in results])
 

@@ -38,12 +38,14 @@ from .errors import ParameterError, ResourceError, SSetBudgetExceeded
 from .numerics import (
     EPS,
     CertifiedValue,
+    aligned_blocks,
+    block_sum_parts,
     certified_product,
+    certified_quotient,
     combine_blocks,
     compensated_sum,
     map_blocks,
     parts_to_certified,
-    block_sum_parts,
 )
 from .primes import _dense_primes, check_range, iter_factor_segments, primes_in_range
 
@@ -51,6 +53,7 @@ DEFAULT_BLOCK_SIZE = 1 << 20
 DEFAULT_K2 = 64
 DEFAULT_NODE_BUDGET = 500_000
 _TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's final stage
+_FLUSH_INTEGERS = 10**7  # odd_signed_sums saves its checkpoint this often
 # Inflation applied to tail bounds whose constants were computed in floats.
 _FLOAT_SLOP = 1.0 + 1e-9
 
@@ -349,7 +352,8 @@ def _prime_power_rows(p: int, m_max: int, js: tuple[int, ...]) -> np.ndarray:
 
     Row m holds h_j(p^m) for each j in js, then p^m / sigma(p^m), p^m and
     -1.0 (row 0 is all ones): the per-prime factors of the columns that
-    _block_odd_signed accumulates.  Read-only, as rows are shared.
+    _block_odd_signed accumulates, and of main_term_direct's terms.
+    Read-only, as rows are shared.
     """
     rows = [[1.0] * (len(js) + 3)]
     for m in range(1, m_max + 1):
@@ -445,76 +449,50 @@ def odd_signed_sums(
 
     Blocks are aligned to absolute multiples of block_size and merged in
     ascending order, so results are independent of worker count.  With a
-    checkpoint store, completed blocks are persisted (flushing roughly
-    every 10^7 integers) and validated on resume by recomputing the first
-    stored block bit-for-bit.  Returns None when stop_after_blocks ends
-    the run early (progress is saved if a checkpoint store was given).
+    checkpoint store, completed blocks are saved as they finish (every
+    _FLUSH_INTEGERS integers, and at the end), so a killed run keeps its
+    progress.  On resume the first and the last stored blocks are
+    recomputed, and unless both equal their records bit for bit the file
+    is discarded.  Returns None when stop_after_blocks ends the run early
+    (progress is saved if a checkpoint store was given).
     """
     j_list = sorted(set(j_list))
     check_range(1, N, block_size)
-    blocks = []
-    start = 1
-    while start <= N:
-        boundary = ((start // block_size) + 1) * block_size - 1
-        end = min(boundary, N)
-        blocks.append((start, end))
-        start = end + 1
+    blocks = aligned_blocks(1, N, block_size)
 
-    def compute(lo: int, hi: int) -> dict[int, tuple]:
-        return _block_odd_signed(lo, hi, j_list)
+    def eval_block(lo: int, hi: int) -> BlockRecord:
+        parts = _block_odd_signed(lo, hi, j_list)
+        return BlockRecord(lo // block_size, lo, hi, {str(j): parts[j] for j in j_list})
 
     records: list[BlockRecord] = []
     if checkpoint is not None:
         records = checkpoint.load()
-        if records:
-            lo0, hi0 = records[0].lo, records[0].hi
-            if (lo0, hi0) != blocks[0] or not _records_match(
-                records[0], compute(lo0, hi0), j_list
-            ):
-                records = []
-                checkpoint.discard()
-    done = len(records)
-    todo = blocks[done:]
+        if records and not (
+            len(records) <= len(blocks)
+            and all(records[k] == eval_block(*blocks[k]) for k in sorted({0, len(records) - 1}))
+        ):
+            records = []
+            checkpoint.discard()
+    todo = blocks[len(records) :]
     if stop_after_blocks is not None:
-        todo = todo[: max(0, stop_after_blocks - done)]
+        todo = todo[: max(0, stop_after_blocks - len(records))]
 
-    flush_every = max(1, 10**7 // block_size)
+    flush_every = max(1, _FLUSH_INTEGERS // block_size)
 
-    def eval_block(lo: int, hi: int) -> BlockRecord:
-        parts = compute(lo, hi)
-        index = lo // block_size
-        return BlockRecord(
-            index=index,
-            lo=lo,
-            hi=hi,
-            parts={str(j): parts[j] for j in j_list},
-        )
-
-    pending = map_blocks(todo, eval_block, workers)
-    for rec in pending:
-        records.append(rec)
+    def keep(record: BlockRecord) -> None:
+        records.append(record)
         if checkpoint is not None and len(records) % flush_every == 0:
             checkpoint.save(records)
+
+    map_blocks(todo, eval_block, workers, on_block=keep)
     if checkpoint is not None:
         checkpoint.save(records)
     if len(records) < len(blocks):
         return None
-
-    out = {}
-    for j in j_list:
-        cvs = [parts_to_certified(*rec.parts[str(j)]) for rec in records]
-        out[j] = combine_blocks(cvs)
-    return out
-
-
-def _records_match(stored: BlockRecord, fresh: dict[int, tuple], j_list: list[int]) -> bool:
-    for j in j_list:
-        key = str(j)
-        if key not in stored.parts:
-            return False
-        if tuple(stored.parts[key]) != tuple(fresh[j]):
-            return False
-    return True
+    return {
+        j: combine_blocks([parts_to_certified(*rec.parts[str(j)]) for rec in records])
+        for j in j_list
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +523,6 @@ class BetaJConfig:
             raise ParameterError(f"K2 must be >= 8, got {self.K2}")
 
 
-def _scale_down(cv: CertifiedValue, k: int) -> CertifiedValue:
-    value = cv.value / k
-    return CertifiedValue(value, cv.error_radius / k + EPS * abs(value))
-
-
 def main_term(
     config: BetaJConfig,
     *,
@@ -567,7 +540,7 @@ def main_term(
         sums = odd_signed_sums([config.j], config.N, block_size=block_size, workers=workers)
         odd_sum = sums[config.j]
     z = two_beta2_minus_one(config.j, config.K2)
-    return _scale_down(certified_product(z, odd_sum), config.j)
+    return certified_quotient(certified_product(z, odd_sum), config.j)
 
 
 def mixed_region_bound(j: int, e: float, N: int, m_value: float | None = None) -> float:
@@ -598,53 +571,35 @@ def main_term_direct(
     check_range(1, config.N, block_size)
 
     def eval_block(lo: int, hi: int) -> CertifiedValue:
-        parts = []
-        for seg in iter_factor_segments(lo, hi, segment_size=block_size, odd_only=False):
-            size = seg.n_values.size
-            if size == 0:
+        # An aligned block is exactly one segment.
+        (seg,) = iter_factor_segments(lo, hi, segment_size=block_size)
+        size = seg.n_values.size
+        ratio = np.ones(size)
+        sign = np.ones(size)
+        h_arr = np.ones(size)
+        two_part = np.ones(size)
+        odd_part = seg.n_values.copy()
+        for p, m, idx in seg.events:
+            if p == 2:
+                two_part[idx] = g_prime_power(j, 2, m)
+                odd_part[idx] //= 2**m
                 continue
-            even = seg.n_values % 2 == 0
-            ratio = np.ones(size)
-            nu_arr = np.zeros(size, dtype=np.int64)
-            h_arr = np.ones(size)
-            two_part = np.ones(size)
-            odd_part = seg.n_values.copy()
-            for p, m, idx in seg.events:
-                pm = p**m
-                if p == 2:
-                    two_part[idx] = g_prime_power(j, 2, m)
-                    odd_part[idx] //= pm
-                    continue
-                sig_m = (p ** (m + 1) - 1) // (p - 1)
-                sig_prev = (pm - 1) // (p - 1)
-                ratio[idx] *= pm / sig_m
-                nu_arr[idx] += 1
-                h_arr[idx] *= math.expm1(j * math.log1p(1.0 / (p * sig_prev)))
-            tail = seg.rem > 1
-            if tail.any():
-                q = seg.rem[tail].astype(np.float64)
-                ratio[tail] *= q / (q + 1.0)
-                nu_arr[tail] += 1
-                h_arr[tail] *= np.expm1(j * np.log1p(1.0 / q))
-            sign = np.where(nu_arr & 1, -1.0, 1.0)
-            vals = two_part * sign * (ratio**j) * h_arr / odd_part.astype(np.float64)
-            vals = vals[even]
-            parts.append(block_sum_parts(vals))
-        value = math.fsum(p[0] for p in parts)
-        abs_sum = math.fsum(p[1] for p in parts)
-        n_terms = sum(p[2] for p in parts)
-        return parts_to_certified(value, abs_sum, n_terms)
+            h_pm, ratio_pm, _, sign_pm = _prime_power_rows(p, m, (j,))[m]
+            ratio[idx] *= ratio_pm
+            sign[idx] *= sign_pm
+            h_arr[idx] *= h_pm
+        tail = seg.rem > 1
+        if tail.any():
+            q = seg.rem[tail].astype(np.float64)
+            ratio[tail] *= q / (q + 1.0)
+            sign[tail] *= -1.0
+            h_arr[tail] *= np.expm1(j * np.log1p(1.0 / q))
+        vals = two_part * sign * (ratio**j) * h_arr / odd_part.astype(np.float64)
+        return parts_to_certified(*block_sum_parts(vals[seg.n_values % 2 == 0]))
 
-    blocks = []
-    start = 2
-    while start <= config.N:
-        boundary = ((start // block_size) + 1) * block_size - 1
-        end = min(boundary, config.N)
-        blocks.append((start, end))
-        start = end + 1
-    total = combine_blocks(map_blocks(blocks, eval_block, workers))
+    total = combine_blocks(map_blocks(aligned_blocks(2, config.N, block_size), eval_block, workers))
     bound = mixed_region_bound(j, config.e, config.N)
-    return _scale_down(total, j), bound
+    return certified_quotient(total, j), bound
 
 
 def s_correction(
@@ -655,7 +610,7 @@ def s_correction(
     if not terms:
         return CertifiedValue(0.0, 0.0)
     z = two_beta2_minus_one(config.j, config.K2)
-    return _scale_down(certified_product(z, compensated_sum(terms)), config.j)
+    return certified_quotient(certified_product(z, compensated_sum(terms)), config.j)
 
 
 def s_tail_bound(

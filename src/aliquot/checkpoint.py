@@ -2,9 +2,9 @@
 
 A checkpoint file stores, for one summation keyed by its full
 configuration, the per-block compensated partial sums produced so far.
-On resume the key must match and the first stored block is recomputed
-and compared bit-for-bit before any stored data is trusted; a mismatch
-discards the file (stale or foreign data never mixes into a result).
+On resume the key must match and the first and last stored blocks are
+recomputed and compared bit-for-bit before any stored data is trusted; a
+mismatch discards the file (stale or foreign data never mixes in).
 """
 
 from __future__ import annotations

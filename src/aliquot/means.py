@@ -16,7 +16,16 @@ from typing import Literal
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import EPS, CertifiedValue, combine_blocks, map_blocks, parts_to_certified, block_sum_parts
+from .numerics import (
+    ZERO,
+    CertifiedValue,
+    aligned_blocks,
+    block_sum_parts,
+    certified_quotient,
+    combine_blocks,
+    map_blocks,
+    parts_to_certified,
+)
 from .primes import check_range, iter_sigma_segments
 
 MeanClass = Literal["all", "even", "odd"]
@@ -54,37 +63,23 @@ def _sum_over_range(
     check_range(lo, max(lo, hi), block_size)
 
     def eval_block(b_lo: int, b_hi: int) -> CertifiedValue:
-        segs = list(iter_sigma_segments(b_lo, b_hi, segment_size=block_size, odd_only=(parity == 1)))
-        parts = []
-        for n_vals, sig in segs:
-            keep = np.ones(n_vals.size, dtype=bool)
-            if parity == 0:
-                keep &= n_vals % 2 == 0
-            keep &= n_vals > 1
-            n_f = n_vals[keep].astype(np.float64)
-            s_f = (sig[keep] - n_vals[keep]).astype(np.float64)
-            ratios = s_f / n_f
-            if kind == "log":
-                ratios = np.log(ratios)
-            parts.append(block_sum_parts(ratios))
-        value = math.fsum(p[0] for p in parts)
-        abs_sum = math.fsum(p[1] for p in parts)
-        n_terms = sum(p[2] for p in parts)
-        return parts_to_certified(value, abs_sum, n_terms)
+        # An aligned block is exactly one segment, or none when it holds no
+        # odd integer and only odd ones are wanted.
+        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, odd_only=(parity == 1)), None)
+        if segment is None:
+            return ZERO
+        n_vals, sig = segment
+        keep = n_vals > 1
+        if parity == 0:
+            keep &= n_vals % 2 == 0
+        n_f = n_vals[keep].astype(np.float64)
+        s_f = (sig[keep] - n_vals[keep]).astype(np.float64)
+        ratios = s_f / n_f
+        if kind == "log":
+            ratios = np.log(ratios)
+        return parts_to_certified(*block_sum_parts(ratios))
 
-    blocks = []
-    start = lo
-    while start <= hi:
-        boundary = ((start // block_size) + 1) * block_size - 1
-        end = min(boundary, hi)
-        blocks.append((start, end))
-        start = end + 1
-    return combine_blocks(map_blocks(blocks, eval_block, workers))
-
-
-def _scaled(cv: CertifiedValue, count: int) -> CertifiedValue:
-    value = cv.value / count
-    return CertifiedValue(value, cv.error_radius / count + EPS * abs(value))
+    return combine_blocks(map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers))
 
 
 def arithmetic_mean(
@@ -105,7 +100,7 @@ def arithmetic_mean(
         total = _sum_over_range(1, 2 * N - 1, 1, "ratio", block_size, workers)
     else:
         raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
-    return _scaled(total, N)
+    return certified_quotient(total, N)
 
 
 def log_mean(
@@ -135,7 +130,7 @@ def log_mean(
         count = (N + 1) // 2 - 1
     else:
         raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
-    return _scaled(total, count)
+    return certified_quotient(total, count)
 
 
 @dataclass

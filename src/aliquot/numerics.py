@@ -1,10 +1,12 @@
 """Correctly rounded summation and certified-value arithmetic.
 
-Every long sum in this package flows through two primitives: a correctly
-rounded sum over one block of terms, and a deterministic ordered merge of
-block results.  A value is always carried together with a rigorous
-absolute error radius covering floating-point effects; truncation tails of
-infinite series are added by the callers that know them.
+Every long sum in this package flows through one block engine: the range
+is cut at multiples of a block size (aligned_blocks), each block is summed
+correctly rounded on its own (map_blocks, on any number of threads), and
+the block results are merged in ascending order (combine_blocks).  A value
+is always carried together with a rigorous absolute error radius covering
+floating-point effects; truncation tails of infinite series are added by
+the callers that know them.
 
 Block sums use exact_sum, a vectorized small superaccumulator (after
 R. Neal, arXiv:1505.05571, and Demmel & Nguyen, ARITH 2013): terms are
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -69,33 +71,6 @@ class CertifiedValue:
 
 
 ZERO = CertifiedValue(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class BlockSumPlan:
-    """Partition of the inclusive integer range [range_start, range_end]
-    into consecutive blocks of ``block_size`` (last block possibly short).
-
-    An empty plan (range_end < range_start) has no blocks and sums to zero.
-    """
-
-    range_start: int
-    range_end: int
-    block_size: int
-
-    def __post_init__(self):
-        if self.block_size <= 0:
-            raise ParameterError(f"block_size must be positive, got {self.block_size}")
-
-    def blocks(self) -> list[tuple[int, int]]:
-        """Inclusive (lo, hi) bounds of each block, in ascending order."""
-        out = []
-        lo = self.range_start
-        while lo <= self.range_end:
-            hi = min(lo + self.block_size - 1, self.range_end)
-            out.append((lo, hi))
-            lo = hi + 1
-        return out
 
 
 def exact_sum(values) -> float:
@@ -195,6 +170,12 @@ def certified_product(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
     return CertifiedValue(value, radius)
 
 
+def certified_quotient(cv: CertifiedValue, k: int) -> CertifiedValue:
+    """cv / k for a positive integer k, plus one rounding of the quotient."""
+    value = cv.value / k
+    return CertifiedValue(value, cv.error_radius / k + EPS * abs(value))
+
+
 def combine_blocks(block_values: Sequence[CertifiedValue]) -> CertifiedValue:
     """Merge per-block certified sums in the given (ascending) order."""
     acc = ZERO
@@ -203,51 +184,54 @@ def combine_blocks(block_values: Sequence[CertifiedValue]) -> CertifiedValue:
     return acc
 
 
-BlockEval = Callable[[int, int], CertifiedValue]
+def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
+    """The inclusive pieces of [lo, hi] cut at multiples of ``block_size``.
+
+    Piece k is the range's part of [k * block_size, (k + 1) * block_size - 1],
+    so a block's bounds, and hence its sum, depend only on block_size and
+    never on where a run starts or how it is split between workers.  Empty
+    when hi < lo.
+    """
+    if block_size <= 0:
+        raise ParameterError(f"block_size must be positive, got {block_size}")
+    if hi < lo:
+        return []
+    return [
+        (max(lo, k * block_size), min(hi, (k + 1) * block_size - 1))
+        for k in range(lo // block_size, hi // block_size + 1)
+    ]
 
 
 def map_blocks(
-    blocks: Sequence[tuple[int, int]], eval_block: BlockEval, workers: int = 1
-) -> list[CertifiedValue]:
+    blocks: Sequence[tuple[int, int]],
+    eval_block: Callable[[int, int], Any],
+    workers: int = 1,
+    on_block: Callable[[Any], None] | None = None,
+) -> list:
     """Evaluate ``eval_block(lo, hi)`` for every block, results in block order.
 
-    Workers only add concurrency; the returned list (and hence any ordered
-    merge of it) is bit-identical for every worker count because each block
-    is evaluated independently by a pure function.
+    ``on_block(result)`` runs in the caller's thread, in block order, as
+    each result arrives, so a caller can persist progress while later
+    blocks still run.  If a block raises, every block before it has been
+    passed to on_block, blocks not yet started are cancelled and the
+    exception propagates.
+
+    Workers (threads) only add concurrency; the returned list (and hence
+    any ordered merge of it) is bit-identical for every worker count
+    because each block is evaluated independently by a pure function.
     """
+    def drain(results) -> list:
+        out = []
+        for result in results:
+            if on_block is not None:
+                on_block(result)
+            out.append(result)
+        return out
+
     if workers <= 1 or len(blocks) <= 1:
-        return [eval_block(lo, hi) for lo, hi in blocks]
+        return drain(eval_block(lo, hi) for lo, hi in blocks)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: eval_block(b[0], b[1]), blocks))
-
-
-def deterministic_block_reduce(
-    plan: BlockSumPlan,
-    term_generator: Callable,
-    *,
-    vectorized: bool = False,
-    workers: int = 1,
-) -> CertifiedValue:
-    """Sum term_generator(n) over the plan's range, blockwise and in order.
-
-    Each block is summed independently with compensated_sum; block results
-    are merged in ascending block order, so the result does not depend on
-    the number of concurrent workers.  With ``vectorized`` the generator is
-    called once per block with an int64 ndarray of the block's integers and
-    must return the corresponding float array.
-    """
-    blocks = plan.blocks()
-    if not blocks:
-        return ZERO
-
-    if vectorized:
-        def eval_block(lo: int, hi: int) -> CertifiedValue:
-            return compensated_sum(term_generator(np.arange(lo, hi + 1, dtype=np.int64)))
-    else:
-        def eval_block(lo: int, hi: int) -> CertifiedValue:
-            return compensated_sum([term_generator(n) for n in range(lo, hi + 1)])
-
-    return combine_blocks(map_blocks(blocks, eval_block, workers))
+        return drain(pool.map(lambda b: eval_block(*b), blocks))
 
 
 def block_sum_parts(values: np.ndarray) -> tuple[float, float, int]:

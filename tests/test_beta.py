@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from aliquot import beta as beta_module
 from aliquot.arith import factorize
 from aliquot.beta import (
     BetaJConfig,
@@ -388,6 +389,57 @@ class TestCheckpointing:
         clean = odd_signed_sums([1], 30000, block_size=4096, checkpoint=store)
         direct = odd_signed_sums([1], 30000, block_size=4096)
         assert clean[1].value == direct[1].value
+
+    def test_tampered_last_record_discarded(self, tmp_path):
+        key = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}
+        store = CheckpointStore(tmp_path, "beta-odd", key)
+        odd_signed_sums([1], 30000, block_size=4096, checkpoint=store,
+                        stop_after_blocks=4)
+        records = store.load()
+        assert len(records) == 4
+        value, abs_sum, n_terms = records[-1].parts["1"]
+        records[-1].parts["1"] = (value + 1e-3, abs_sum, n_terms)
+        store.save(records)
+        resumed = odd_signed_sums([1], 30000, block_size=4096, checkpoint=store)
+        direct = odd_signed_sums([1], 30000, block_size=4096)
+        assert resumed[1].value == direct[1].value
+        assert resumed[1].error_radius == direct[1].error_radius
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_run_resumes_from_last_flush(self, tmp_path, monkeypatch, workers):
+        # 13 blocks; block 7 fails; a flush every 2 blocks keeps blocks 0-5.
+        N, block_size = 50000, 4096
+        key = {"kind": "beta-odd-sum", "N": N, "block_size": block_size, "j_list": [1, 2]}
+        store = CheckpointStore(tmp_path, "beta-odd", key)
+        kernel = beta_module._block_odd_signed
+        calls = []
+
+        def failing(lo, hi, j_list):
+            if lo // block_size == 7:
+                raise RuntimeError("killed at block 7")
+            return kernel(lo, hi, j_list)
+
+        def counting(lo, hi, j_list):
+            calls.append(lo // block_size)
+            return kernel(lo, hi, j_list)
+
+        monkeypatch.setattr(beta_module, "_FLUSH_INTEGERS", 2 * block_size)
+        monkeypatch.setattr(beta_module, "_block_odd_signed", failing)
+        with pytest.raises(RuntimeError, match="block 7"):
+            odd_signed_sums([1, 2], N, block_size=block_size, workers=workers, checkpoint=store)
+        stored = len(store.load())
+        assert stored >= 6
+
+        monkeypatch.setattr(beta_module, "_block_odd_signed", counting)
+        resumed = odd_signed_sums([1, 2], N, block_size=block_size, workers=workers,
+                                  checkpoint=store)
+        n_blocks = N // block_size + 1
+        assert sorted(calls) == [0, stored - 1, *range(stored, n_blocks)]
+        monkeypatch.setattr(beta_module, "_block_odd_signed", kernel)
+        direct = odd_signed_sums([1, 2], N, block_size=block_size)
+        for j in (1, 2):
+            assert resumed[j].value == direct[j].value
+            assert resumed[j].error_radius == direct[j].error_radius
 
     def test_foreign_key_ignored(self, tmp_path):
         key_a = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from aliquot.errors import ParameterError
 from aliquot.numerics import (
     EPS,
-    BlockSumPlan,
     CertifiedValue,
+    aligned_blocks,
     certified_combine,
     certified_product,
+    combine_blocks,
     compensated_sum,
-    deterministic_block_reduce,
     exact_sum,
+    map_blocks,
 )
 
 
@@ -170,58 +171,78 @@ class TestCertifiedValue:
             cv.widened(-1.0)
 
 
-class TestBlockSumPlan:
-    def test_blocks_partition_exactly(self):
-        plan = BlockSumPlan(1, 100, 7)
-        blocks = plan.blocks()
-        assert blocks[0][0] == 1 and blocks[-1][1] == 100
-        covered = []
-        for lo, hi in blocks:
-            covered.extend(range(lo, hi + 1))
-        assert covered == list(range(1, 101))
+def _block_reduce(lo, hi, block_size, term, workers=1, vectorized=False):
+    """sum of term(n) over [lo, hi] through the block engine: aligned
+    blocks, each summed by compensated_sum, merged in block order.  With
+    ``vectorized`` term gets one block's integers as an int64 array."""
+    if vectorized:
+        def eval_block(b_lo, b_hi):
+            return compensated_sum(term(np.arange(b_lo, b_hi + 1, dtype=np.int64)))
+    else:
+        def eval_block(b_lo, b_hi):
+            return compensated_sum([term(n) for n in range(b_lo, b_hi + 1)])
+    return combine_blocks(map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers))
+
+
+class TestAlignedBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=-10**6, max_value=10**12),
+        st.integers(min_value=-50, max_value=5000),
+        st.integers(min_value=1, max_value=1 << 21),
+    )
+    def test_blocks_partition_exactly(self, lo, length, block_size):
+        hi = lo + length - 1
+        blocks = aligned_blocks(lo, hi, block_size)
+        if hi < lo:
+            assert blocks == []
+            return
+        assert blocks[0][0] == lo and blocks[-1][1] == hi
+        for b_lo, b_hi in blocks:
+            assert b_lo <= b_hi
+            assert b_lo // block_size == b_hi // block_size  # one aligned cell each
+        for (_, prev_hi), (b_lo, _) in zip(blocks, blocks[1:]):
+            assert b_lo == prev_hi + 1 and b_lo % block_size == 0
+        assert sum(b_hi - b_lo + 1 for b_lo, b_hi in blocks) == length
 
     def test_empty_plan(self):
-        assert BlockSumPlan(10, 5, 4).blocks() == []
-        cv = deterministic_block_reduce(BlockSumPlan(10, 5, 4), lambda n: n)
+        assert aligned_blocks(10, 5, 4) == []
+        assert aligned_blocks(10, 9, 4) == []
+        cv = _block_reduce(10, 5, 4, lambda n: n)
         assert (cv.value, cv.error_radius) == (0.0, 0.0)
 
     def test_bad_block_size(self):
-        with pytest.raises(ParameterError):
-            BlockSumPlan(1, 10, 0)
+        for block_size in (0, -4):
+            with pytest.raises(ParameterError):
+                aligned_blocks(1, 10, block_size)
 
 
 class TestBlockReduce:
     def test_triangular(self):
-        cv = deterministic_block_reduce(BlockSumPlan(1, 100, 10), lambda n: float(n))
+        cv = _block_reduce(1, 100, 10, lambda n: float(n))
         assert cv.value == 5050.0
 
     def test_worker_bit_identity(self):
-        plan = BlockSumPlan(1, 20000, 512)
         gen = lambda n: math.sin(n) / n
-        a = deterministic_block_reduce(plan, gen, workers=1)
-        b = deterministic_block_reduce(plan, gen, workers=8)
+        a = _block_reduce(1, 20000, 512, gen, workers=1)
+        b = _block_reduce(1, 20000, 512, gen, workers=8)
         assert a.value == b.value and a.error_radius == b.error_radius
 
     def test_vectorized_matches_scalar(self):
-        plan = BlockSumPlan(1, 5000, 256)
-        a = deterministic_block_reduce(plan, lambda n: 1.0 / n)
-        b = deterministic_block_reduce(
-            plan, lambda arr: 1.0 / arr.astype(float), vectorized=True
-        )
+        a = _block_reduce(1, 5000, 256, lambda n: 1.0 / n)
+        b = _block_reduce(1, 5000, 256, lambda arr: 1.0 / arr.astype(float), vectorized=True)
         assert a.value == b.value
 
     def test_block_size_change_within_radii(self):
         gen = lambda n: math.log1p(1.0 / n)
-        a = deterministic_block_reduce(BlockSumPlan(1, 30000, 1024), gen)
-        b = deterministic_block_reduce(BlockSumPlan(1, 30000, 999), gen)
+        a = _block_reduce(1, 30000, 1024, gen)
+        b = _block_reduce(1, 30000, 999, gen)
         assert abs(a.value - b.value) <= a.error_radius + b.error_radius
 
     def test_matches_flat_compensated_sum(self):
         terms = [math.cos(k) for k in range(1, 40001)]
         flat = compensated_sum(terms)
-        blocked = deterministic_block_reduce(
-            BlockSumPlan(1, 40000, 4096), lambda n: math.cos(n)
-        )
+        blocked = _block_reduce(1, 40000, 4096, math.cos)
         assert abs(flat.value - blocked.value) <= flat.error_radius + blocked.error_radius
 
     def test_aliquot_ratio_generator_at_scale(self):
@@ -235,10 +256,33 @@ class TestBlockReduce:
             m = 2 * n
             return math.log((sigma(factorize(m)) - m) / m)
 
-        plan = BlockSumPlan(1, 500_000, 1 << 16)
-        single = deterministic_block_reduce(plan, term, workers=1)
-        multi = deterministic_block_reduce(plan, term, workers=8)
+        single = _block_reduce(1, 500_000, 1 << 16, term, workers=1)
+        multi = _block_reduce(1, 500_000, 1 << 16, term, workers=8)
         assert single.value == multi.value
         assert single.error_radius == multi.error_radius
         flat = compensated_sum([term(n) for n in range(1, 500_001)])
         assert abs(flat.value - single.value) <= flat.error_radius + single.error_radius
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_on_block_once_per_block_in_order(self, workers):
+        blocks = aligned_blocks(5, 1000, 64)
+        seen = []
+        out = map_blocks(blocks, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
+        assert seen == out == blocks
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_block_stops_after_earlier_blocks(self, workers):
+        blocks = aligned_blocks(0, 99, 10)
+
+        def eval_block(lo, hi):
+            if lo == 70:
+                raise ValueError("block 7")
+            return lo
+
+        seen = []
+        with pytest.raises(ValueError, match="block 7"):
+            map_blocks(blocks, eval_block, workers, on_block=seen.append)
+        assert seen == [0, 10, 20, 30, 40, 50, 60]
+
