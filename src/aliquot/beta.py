@@ -47,7 +47,7 @@ from .numerics import (
     map_blocks,
     parts_to_certified,
 )
-from .primes import _dense_primes, check_range, iter_factor_segments, primes_in_range
+from .primes import check_range, iter_factor_segments, primes_in_range, strided_prime_powers
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 DEFAULT_K2 = 64
@@ -373,15 +373,15 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     The block's odd integers n0, n0 + 2, ... are factored in place into one
     (size, J + 3) array whose columns accumulate h_j(n) for each j, the
     ratio n/sigma(n), the smooth part of n and the sign (-1)^nu(n), so an
-    integer's columns share one or two cache lines.  For each base prime p
-    (p^2 at most the largest n), the multiples of p are the strided view
-    i0::p with i0 = -n0 * 2^-1 mod p, and the multiples of p^m the
-    progression from -n0 * 2^-1 mod p^m in steps of p^m; one small exponent
-    array per prime picks rows of _prime_power_rows, and one multiply
-    applies them.  The smooth part is a product of integers below 2^53, so
-    it is exact in floating point, and n / smooth is the exact cofactor:
-    1, or one prime q above sqrt(hi), whose factors multiply in last (the
-    other elements are left as they are, which is multiplying by 1.0).
+    integer's columns share one or two cache lines.  For each odd base
+    prime p (p^2 at most the largest n), primes.strided_prime_powers gives
+    the multiples of p as the strided view i0::p with i0 = -n0 * 2^-1 mod p
+    and their exponents of p; the exponent array picks rows of
+    _prime_power_rows, and one multiply applies them.  The smooth part is
+    a product of integers below 2^53, so it is exact in floating point,
+    and n / smooth is the exact cofactor: 1, or one prime q above
+    sqrt(hi), whose factors multiply in last (the other elements are left
+    as they are, which is multiplying by 1.0).
 
     Each element's products are formed in one fixed order (ascending p,
     the large prime last) from the same scalar factors, so the block's
@@ -393,22 +393,9 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     if n0 > hi:
         return {j: (0.0, 0.0, 0) for j in js}
     size = (hi - n0) // 2 + 1
-    n_max = n0 + 2 * (size - 1)
-    base = _dense_primes(math.isqrt(hi))
-    base = base[1 : int(np.searchsorted(base, math.isqrt(n_max), side="right"))]
 
     acc = np.ones((size, len(js) + 3))
-    for p in base.tolist():
-        i0 = (-n0 * ((p + 1) // 2)) % p
-        if i0 >= size:
-            continue
-        exps = None
-        pm = p * p
-        while (i0m := (-n0 * ((pm + 1) // 2)) % pm) < size:
-            if exps is None:
-                exps = np.ones((size - 1 - i0) // p + 1, dtype=np.intp)
-            exps[(i0m - i0) // p :: pm // p] += 1
-            pm *= p
+    for p, i0, exps in strided_prime_powers(n0, size, 2):
         if exps is None:
             acc[i0::p] *= _prime_power_rows(p, 1, js)[1]
         else:
@@ -450,10 +437,10 @@ def odd_signed_sums(
     Blocks are aligned to absolute multiples of block_size and merged in
     ascending order, so results are independent of worker count.  With a
     checkpoint store, completed blocks are saved as they finish (every
-    _FLUSH_INTEGERS integers, and at the end), so a killed run keeps its
-    progress.  On resume the first and the last stored blocks are
-    recomputed, and unless both equal their records bit for bit the file
-    is discarded.  Returns None when stop_after_blocks ends the run early
+    _FLUSH_INTEGERS integers, and at the end if blocks were added since),
+    so a killed run keeps its progress.  On resume the first and the last
+    stored blocks are recomputed, and unless both equal their records bit
+    for bit the file is discarded.  Returns None when stop_after_blocks ends the run early
     (progress is saved if a checkpoint store was given).
     """
     j_list = sorted(set(j_list))
@@ -478,14 +465,17 @@ def odd_signed_sums(
         todo = todo[: max(0, stop_after_blocks - len(records))]
 
     flush_every = max(1, _FLUSH_INTEGERS // block_size)
+    saved = len(records)
 
     def keep(record: BlockRecord) -> None:
+        nonlocal saved
         records.append(record)
         if checkpoint is not None and len(records) % flush_every == 0:
             checkpoint.save(records)
+            saved = len(records)
 
     map_blocks(todo, eval_block, workers, on_block=keep)
-    if checkpoint is not None:
+    if checkpoint is not None and len(records) > saved:
         checkpoint.save(records)
     if len(records) < len(blocks):
         return None

@@ -45,41 +45,71 @@ def closed_form(mean_class: MeanClass) -> float:
     raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
 
 
-def _sum_over_range(
-    lo: int,
-    hi: int,
+_EMPTY = (1, 0)  # an empty range
+
+
+def _class_ranges(mean_class: MeanClass, N: int) -> tuple[int | None, tuple, tuple, int]:
+    """A class's parity, the arithmetic mean's range of n, the log mean's
+    range of n and the log mean's term count."""
+    if mean_class == "all":
+        return None, (1, N), (2, N), N - 1
+    if mean_class == "even":
+        return 0, (2, 2 * N), (2, N), N // 2
+    if mean_class == "odd":
+        return 1, (1, 2 * N - 1), (3, N), (N + 1) // 2 - 1
+    raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
+
+
+def _check_N(name: str, N: int, least: int) -> None:
+    if N < least:
+        raise ParameterError(f"{name} requires N >= {least}, got {N}")
+
+
+def _sum_over_ranges(
     parity: int | None,
-    kind: str,
+    ratio_range: tuple[int, int],
+    log_range: tuple[int, int],
     block_size: int,
     workers: int,
-) -> CertifiedValue:
-    """Blockwise compensated sum of s(n)/n or log(s(n)/n) over [lo, hi].
+) -> tuple[CertifiedValue, CertifiedValue]:
+    """Blockwise compensated sums of s(n)/n over ratio_range and of
+    log(s(n)/n) over log_range (inclusive ranges; (1, 0) is empty).
 
     ``parity`` restricts to n with n % 2 == parity; n = 1 is always
     skipped (s(1) = 0 contributes nothing to sums and has no logarithm).
-    Blocks are aligned to absolute multiples of block_size, so the result
-    depends only on block_size, never on worker count.
+    sigma(n) is computed once per n of the two ranges' span, in blocks
+    aligned to absolute multiples of block_size.  A block adds one term
+    to a sum exactly when it meets that sum's range, summing its members
+    in that range, so each sum is the one that sum alone over
+    aligned_blocks(range) gives: it depends only on block_size, never on
+    the other range or the worker count.
     """
-    check_range(lo, max(lo, hi), block_size)
+    ranges = [r for r in (ratio_range, log_range) if r[0] <= r[1]]
+    if not ranges:
+        return ZERO, ZERO
+    lo = min(r_lo for r_lo, _ in ranges)
+    hi = max(r_hi for _, r_hi in ranges)
+    check_range(lo, hi, block_size)
 
-    def eval_block(b_lo: int, b_hi: int) -> CertifiedValue:
+    def eval_block(b_lo: int, b_hi: int) -> tuple[CertifiedValue | None, ...]:
         # An aligned block is exactly one segment, or none when it holds no
-        # odd integer and only odd ones are wanted.
-        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, odd_only=(parity == 1)), None)
-        if segment is None:
-            return ZERO
-        n_vals, sig = segment
-        keep = n_vals > 1
-        if parity == 0:
-            keep &= n_vals % 2 == 0
-        n_f = n_vals[keep].astype(np.float64)
-        s_f = (sig[keep] - n_vals[keep]).astype(np.float64)
-        ratios = s_f / n_f
-        if kind == "log":
-            ratios = np.log(ratios)
-        return parts_to_certified(*block_sum_parts(ratios))
+        # integer of the wanted parity.
+        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity), None)
+        n_vals, sig = segment if segment is not None else (np.empty(0, np.int64),) * 2
+        ratios = (sig - n_vals).astype(np.float64) / n_vals.astype(np.float64)
+        sums = []
+        for kind, (r_lo, r_hi) in (("ratio", ratio_range), ("log", log_range)):
+            if b_hi < r_lo or r_hi < b_lo:
+                sums.append(None)
+                continue
+            values = ratios[(n_vals >= max(r_lo, 2)) & (n_vals <= r_hi)]
+            if kind == "log":
+                values = np.log(values)
+            sums.append(parts_to_certified(*block_sum_parts(values)))
+        return tuple(sums)
 
-    return combine_blocks(map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers))
+    results = map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers)
+    return tuple(combine_blocks([r[k] for r in results if r[k] is not None]) for k in (0, 1))
 
 
 def arithmetic_mean(
@@ -90,16 +120,9 @@ def arithmetic_mean(
     workers: int = 1,
 ) -> CertifiedValue:
     """(1/N) * sum over n = 1..N of s(n)/n, s(2n)/(2n), or s(2n-1)/(2n-1)."""
-    if N < 2:
-        raise ParameterError(f"arithmetic_mean requires N >= 2, got {N}")
-    if mean_class == "all":
-        total = _sum_over_range(1, N, None, "ratio", block_size, workers)
-    elif mean_class == "even":
-        total = _sum_over_range(2, 2 * N, 0, "ratio", block_size, workers)
-    elif mean_class == "odd":
-        total = _sum_over_range(1, 2 * N - 1, 1, "ratio", block_size, workers)
-    else:
-        raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
+    _check_N("arithmetic_mean", N, 2)
+    parity, ratio_range, _, _ = _class_ranges(mean_class, N)
+    total, _ = _sum_over_ranges(parity, ratio_range, _EMPTY, block_size, workers)
     return certified_quotient(total, N)
 
 
@@ -117,19 +140,9 @@ def log_mean(
     classes all and odd (s(1) = 0 has no logarithm) and the divisor counts
     the summed terms.
     """
-    if N < 4:
-        raise ParameterError(f"log_mean requires N >= 4, got {N}")
-    if mean_class == "all":
-        total = _sum_over_range(2, N, None, "log", block_size, workers)
-        count = N - 1
-    elif mean_class == "even":
-        total = _sum_over_range(2, N, 0, "log", block_size, workers)
-        count = N // 2
-    elif mean_class == "odd":
-        total = _sum_over_range(3, N, 1, "log", block_size, workers)
-        count = (N + 1) // 2 - 1
-    else:
-        raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
+    _check_N("log_mean", N, 4)
+    parity, _, log_range, count = _class_ranges(mean_class, N)
+    _, total = _sum_over_ranges(parity, _EMPTY, log_range, block_size, workers)
     return certified_quotient(total, count)
 
 
@@ -170,11 +183,21 @@ CSV_HEADER = ["class", "N", "arithmetic_mean", "log_mean", "closed_form", "error
 def mean_report(
     mean_class: MeanClass, N: int, *, block_size: int = 1 << 20, workers: int = 1
 ) -> MeanReport:
+    """arithmetic_mean and log_mean of a class at N, bit for bit, from one pass.
+
+    The log mean's range is a prefix of the arithmetic mean's (n = 1
+    aside), so each block's sigma values serve both sums.
+    """
+    # The same errors, in the same order, as arithmetic_mean then log_mean.
+    _check_N("arithmetic_mean", N, 2)
+    parity, ratio_range, log_range, count = _class_ranges(mean_class, N)
+    _check_N("log_mean", N, 4)
+    ratio_total, log_total = _sum_over_ranges(parity, ratio_range, log_range, block_size, workers)
     return MeanReport(
         mean_class,
         N,
-        arithmetic_mean(mean_class, N, block_size=block_size, workers=workers),
-        log_mean(mean_class, N, block_size=block_size, workers=workers),
+        certified_quotient(ratio_total, N),
+        certified_quotient(log_total, count),
         closed_form(mean_class),
     )
 

@@ -1,11 +1,20 @@
 """Segmented sieving: prime streams and fully factored integer ranges.
 
-Ranges are processed in cache-sized segments.  A segment is factored by
-marking the multiples of every prime p <= sqrt(hi) and dividing out exact
-prime powers (a smallest-prime-factor style sweep, no per-integer trial
-division); whatever remains after all base primes is either 1 or a single
-prime above sqrt(hi).  Memory is bounded by the segment size, never by the
-range length.
+Ranges are processed in cache-sized segments, and memory is bounded by
+the segment size, never by the range length.  A segment of integers
+n0, n0 + stride, ... is factored along one of two paths:
+
+* the events path (iter_factor_segments) marks the multiples of every
+  prime p <= sqrt(hi) and divides out exact prime powers, listing one
+  (p, m, positions) event per prime power; whatever remains after all
+  base primes is either 1 or a single prime above sqrt(hi).  It feeds
+  complete factorizations (FactoredRangeStream) and sigma_of_segment.
+* the strided path (strided_prime_powers) walks the odd base primes once
+  and gives, per prime, the start of its multiples as a strided view
+  (i0::p) and their exponents of p, so a kernel applies each prime with
+  one in-place multiply and no per-(p, m) scatter.  The beta kernel and
+  the exact sigma kernel (sigma_strided, under iter_sigma_segments) both
+  consume it; 2-adic parts and the large cofactor are left to them.
 """
 
 from __future__ import annotations
@@ -143,9 +152,9 @@ def iter_factor_segments(
     """Factor [lo, hi] segment by segment.
 
     With ``odd_only`` the segment arrays contain only the odd integers of
-    the range.  Segment boundaries fall on multiples of segment_size in the
-    integer range, so the concatenated output is independent of the chosen
-    segment size.
+    the range.  Segments cover segment_size integers each from lo on (the
+    last one may be shorter), and the concatenated output is independent
+    of the chosen segment size.
     """
     if lo < 1:
         raise ParameterError(f"range start must be >= 1, got {lo}")
@@ -179,15 +188,111 @@ def sigma_of_segment(seg: SegmentFactors) -> np.ndarray:
     return sig
 
 
+def strided_prime_powers(
+    n0: int, size: int, stride: int
+) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """The odd base primes of the integers n0 + stride * i, 0 <= i < size.
+
+    stride is 1 or 2.  Yields (p, i0, exps), in ascending order, for each
+    odd prime p with p^2 at most the largest integer that divides one of
+    the integers: its
+    multiples are the positions i0::p, i0 = -n0 * stride^-1 mod p, and
+    exps[k] is the exponent of p in the integer at position i0 + k * p,
+    or exps is None when every exponent is 1.  The multiples of p^m are
+    the progression from -n0 * stride^-1 mod p^m in steps of p^m.
+    """
+    if size <= 0:
+        return
+    n_max = n0 + stride * (size - 1)
+    base = _dense_primes(math.isqrt(n_max))
+    for p in base[1:].tolist():
+        # stride^-1 mod p^m is 1 for stride 1 and (p^m + 1) / 2 for stride 2.
+        i0 = (-n0 * ((p + 1) // 2 if stride == 2 else 1)) % p
+        if i0 >= size:
+            continue
+        exps = None
+        pm = p * p
+        while (i0m := (-n0 * ((pm + 1) // 2 if stride == 2 else 1)) % pm) < size:
+            if exps is None:
+                exps = np.ones((size - 1 - i0) // p + 1, dtype=np.intp)
+            exps[(i0m - i0) // p :: pm // p] += 1
+            pm *= p
+        yield p, i0, exps
+
+
+@lru_cache(maxsize=1 << 12)
+def _sigma_rows(p: int, m_max: int) -> np.ndarray:
+    """sigma(p^m) (row 0) and p^m (row 1) for m = 0..m_max, int64, read-only."""
+    table = np.array(
+        [[(p ** (m + 1) - 1) // (p - 1) for m in range(m_max + 1)],
+         [p**m for m in range(m_max + 1)]],
+        dtype=np.int64,
+    )
+    table.flags.writeable = False
+    return table
+
+
+def sigma_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, sigma(n)) for n = n0 + stride * i, 0 <= i < size, exact int64; stride 1 or 2.
+
+    Two accumulators hold the sigma part and the smooth part of every
+    integer; each odd base prime multiplies its strided view of both by
+    the sigma(p^m) and p^m its exponents pick.  Where n can be even, its
+    2-adic part is low = n & -n, with sigma(low) = 2 low - 1.  What is
+    left, n // smooth, is 1 or one prime q above sqrt(n), which adds the
+    factor q + 1.  Every partial product divides n or sigma(n), both
+    below 2^63 for n <= MAX_RANGE_END, so all of it is exact int64.
+    """
+    n_values = n0 + stride * np.arange(size, dtype=np.int64)
+    sig = np.ones(size, dtype=np.int64)
+    smooth = np.ones(size, dtype=np.int64)
+    for p, i0, exps in strided_prime_powers(n0, size, stride):
+        if exps is None:
+            sig[i0::p] *= p + 1
+            smooth[i0::p] *= p
+        else:
+            rows = _sigma_rows(p, int(exps.max()))
+            sig[i0::p] *= rows[0][exps]
+            smooth[i0::p] *= rows[1][exps]
+    if stride == 1 or n0 % 2 == 0:
+        low = n_values & -n_values
+        smooth *= low
+        low *= 2
+        low -= 1
+        sig *= low
+    q = n_values // smooth
+    np.multiply(sig, q + 1, out=sig, where=q > 1)
+    return n_values, sig
+
+
 def iter_sigma_segments(
     lo: int,
     hi: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    odd_only: bool = False,
+    parity: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (n_values, sigma_values) per segment over [lo, hi]."""
-    for seg in iter_factor_segments(lo, hi, segment_size, odd_only):
-        yield seg.n_values, sigma_of_segment(seg)
+    """Yield (n_values, sigma_values) per segment over [lo, hi].
+
+    With ``parity`` (0 or 1) the arrays hold only the n of [lo, hi] with
+    n % 2 == parity, and segments without one are skipped.
+    """
+    if lo < 1:
+        raise ParameterError(f"range start must be >= 1, got {lo}")
+    if parity not in (None, 0, 1):
+        raise ParameterError(f"parity must be None, 0 or 1, got {parity!r}")
+    if hi < lo:
+        return
+    check_range(lo, hi, segment_size)
+    seg_lo = lo
+    while seg_lo <= hi:
+        seg_hi = min(seg_lo + segment_size - 1, hi)
+        if parity is None:
+            yield sigma_strided(seg_lo, seg_hi - seg_lo + 1, 1)
+        else:
+            n0 = seg_lo + (seg_lo - parity) % 2
+            if n0 <= seg_hi:
+                yield sigma_strided(n0, (seg_hi - n0) // 2 + 1, 2)
+        seg_lo = seg_hi + 1
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Quick oracle checks runnable from the command line (alq selftest).
 
 Each check exercises one computation against an independent reference:
-divisor enumeration against the multiplicative sigma, sieve counts against
-known prime counts, the closed-form h values against their binomial sums,
-the exceptional-set fixture, the trajectory fixtures, the vectorized block
+divisor enumeration against the multiplicative sigma and against the
+segment sigma kernel (all, even and odd n), sieve counts against known
+prime counts, the closed-form h values against their binomial sums, the
+exceptional-set fixture, the trajectory fixtures, the vectorized block
 sum against math.fsum, and worker-count bit-identity for one block sum of
 each flavor.
 """
@@ -19,7 +20,7 @@ from .arith import factorize, sigma, sigma_oracle
 from .beta import beta_signed, h_prime_power, h_prime_power_binomial, odd_signed_sums, s_set
 from .means import log_mean
 from .numerics import exact_sum
-from .primes import primes_in_range
+from .primes import iter_sigma_segments, primes_in_range
 from .trajectory import trace
 
 
@@ -35,6 +36,15 @@ def run_selftest() -> bool:
 
     bad = [n for n in range(1, 2001) if sigma(factorize(n)) != sigma_oracle(n)]
     results.append(_check("sigma vs divisor enumeration, n <= 2000", not bad))
+
+    for name, parity in (("all", None), ("even", 0), ("odd", 1)):
+        bad = [
+            n
+            for n_vals, sig in iter_sigma_segments(1, 2000, 512, parity)
+            for n, s in zip(n_vals.tolist(), sig.tolist())
+            if s != sigma_oracle(n)
+        ]
+        results.append(_check(f"segment sigma vs divisor enumeration, {name} n <= 2000", not bad))
 
     results.append(
         _check("prime count to 1e6", primes_in_range(2, 10**6).size == 78498)

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aliquot import beta as beta_module
 from aliquot.arith import factorize
@@ -29,6 +31,7 @@ from aliquot.beta import (
 )
 from aliquot.checkpoint import CheckpointStore
 from aliquot.errors import ParameterError, SSetBudgetExceeded
+from aliquot.numerics import parts_to_certified
 from aliquot.primes import primes_in_range
 
 PAPER_E = {1: 1.0, 2: 0.75, 3: 0.60, 4: 0.48, 5: 0.35, 6: 0.28, 7: 0.20, 8: 0.15}
@@ -361,6 +364,24 @@ class TestOddSignedSums:
         got = odd_signed_sums([2], 3000)[2]
         assert abs(got.value - oracle) <= got.error_radius + 1e-13
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 10**6),
+        st.integers(0, 400),
+        st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
+    )
+    def test_block_kernel_matches_per_n_oracle(self, lo, length, j_list):
+        # The strided block kernel against beta_j(n) from factorize, per n.
+        hi = lo + length - 1
+        odd = range(lo | 1, hi + 1, 2)
+        parts = beta_module._block_odd_signed(lo, hi, j_list)
+        assert sorted(parts) == sorted(j_list)
+        for j in j_list:
+            block = parts_to_certified(*parts[j])
+            assert parts[j][2] == len(odd)
+            oracle = math.fsum(beta_signed(j, factorize(n)) for n in odd)
+            assert abs(block.value - oracle) <= block.error_radius
+
 
 class TestCheckpointing:
     def test_resume_reproduces_one_shot(self, tmp_path):
@@ -440,6 +461,28 @@ class TestCheckpointing:
         for j in (1, 2):
             assert resumed[j].value == direct[j].value
             assert resumed[j].error_radius == direct[j].error_radius
+
+    def test_saves_only_when_records_were_added(self, tmp_path, monkeypatch):
+        # 8 blocks and a flush every 2 blocks: 4 saves, none after the last
+        # flush, and resuming the complete store saves nothing.
+        N, block_size = 8 * 4096 - 1, 4096
+        key = {"kind": "beta-odd-sum", "N": N, "block_size": block_size, "j_list": [1]}
+        store = CheckpointStore(tmp_path, "beta-odd", key)
+        saved = []
+        save = CheckpointStore.save
+
+        def counting_save(self, records):
+            saved.append(len(records))
+            save(self, records)
+
+        monkeypatch.setattr(beta_module, "_FLUSH_INTEGERS", 2 * block_size)
+        monkeypatch.setattr(CheckpointStore, "save", counting_save)
+        first = odd_signed_sums([1], N, block_size=block_size, checkpoint=store)
+        assert saved == [2, 4, 6, 8]
+        saved.clear()
+        resumed = odd_signed_sums([1], N, block_size=block_size, checkpoint=store)
+        assert saved == []
+        assert resumed[1] == first[1]
 
     def test_foreign_key_ignored(self, tmp_path):
         key_a = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}

@@ -11,7 +11,7 @@ import pytest
 
 from aliquot.alpha import _block_sums
 from aliquot.beta import _block_odd_signed
-from aliquot.means import _sum_over_range
+from aliquot.means import _sum_over_ranges
 from aliquot.numerics import combine_blocks, parts_to_certified
 from aliquot.primes import primes_in_range
 
@@ -62,6 +62,16 @@ MEANS_BLOCK = {
     "log": (-17437.50946670757, 181174.54712041933, 524288),
 }
 
+# All n and odd n of [9 * 2^20, 10 * 2^20): s(n)/n and log(s(n)/n).
+MEANS_BLOCK_ALL = {
+    "ratio": (676262.3481002124, 676262.3481002124, 1048576),
+    "log": (-2063790.5741761397, 2227891.816574794, 1048576),
+}
+MEANS_BLOCK_ODD = {
+    "ratio": (122526.19899466721, 122526.19899466721, 524288),
+    "log": (-2046353.0647094322, 2046717.2694543744, 524288),
+}
+
 
 @pytest.mark.parametrize("lo,hi", sorted(BETA_BLOCKS))
 def test_beta_block(lo, hi):
@@ -84,8 +94,23 @@ def test_alpha_block():
     assert _block_sums(primes.astype(np.int64), 15) == ALPHA_BLOCK
 
 
+def _means_block(parity, kind):
+    block = (9 * B, 10 * B - 1)
+    sums = dict(zip(("ratio", "log"), _sum_over_ranges(parity, block, block, B, 1)))
+    return sums[kind].value, sums[kind].error_radius
+
+
+def _certified(parts):
+    expected = combine_blocks([parts_to_certified(*parts)])
+    return expected.value, expected.error_radius
+
+
 @pytest.mark.parametrize("kind", ["ratio", "log"])
 def test_means_block(kind):
-    cv = _sum_over_range(9 * B, 10 * B - 1, 0, kind, B, 1)
-    expected = combine_blocks([parts_to_certified(*MEANS_BLOCK[kind])])
-    assert (cv.value, cv.error_radius) == (expected.value, expected.error_radius)
+    assert _means_block(0, kind) == _certified(MEANS_BLOCK[kind])
+
+
+@pytest.mark.parametrize("kind", ["ratio", "log"])
+@pytest.mark.parametrize("parity,golden", [(None, MEANS_BLOCK_ALL), (1, MEANS_BLOCK_ODD)])
+def test_means_block_all_and_odd(kind, parity, golden):
+    assert _means_block(parity, kind) == _certified(golden[kind])

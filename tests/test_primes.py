@@ -3,10 +3,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aliquot.arith import is_prime, sigma_oracle
 from aliquot.errors import ParameterError, ResourceError
 from aliquot.primes import (
+    MAX_RANGE_END,
     FactoredRangeStream,
     factored_range,
     iter_factor_segments,
@@ -106,6 +109,65 @@ class TestFactoredRange:
     def test_rejects_zero_start(self):
         with pytest.raises(ParameterError):
             factored_range(0, 10)
+
+
+def _sigma_oracles(lo, hi, parity):
+    """n and sigma(n) over [lo, hi] (parity filtered) from the events path."""
+    segs = list(iter_factor_segments(lo, hi))
+    n_vals = np.concatenate([seg.n_values for seg in segs])
+    sig = np.concatenate([sigma_of_segment(seg) for seg in segs])
+    keep = n_vals % 2 == parity if parity is not None else np.ones(n_vals.size, bool)
+    return n_vals[keep], sig[keep]
+
+
+def _check_sigma_kernel(lo, length, parity, samples):
+    hi = lo + length - 1
+    got = list(iter_sigma_segments(lo, hi, 1024, parity))
+    n_got = np.concatenate([n for n, _ in got]) if got else np.empty(0, np.int64)
+    sig_got = np.concatenate([s for _, s in got]) if got else np.empty(0, np.int64)
+    n_ref, sig_ref = _sigma_oracles(lo, hi, parity) if hi >= lo else (n_got, sig_got)
+    assert np.array_equal(n_got, n_ref)
+    assert np.array_equal(sig_got, sig_ref)
+    for k in samples:
+        if n_got.size:
+            i = k % n_got.size
+            assert int(sig_got[i]) == sigma_oracle(int(n_got[i]))
+
+
+class TestSigmaKernel:
+    """iter_sigma_segments (the strided sigma kernel) against the events
+    path (sigma_of_segment) everywhere and divisor enumeration at samples."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 10**7),
+        st.integers(0, 3000),
+        st.sampled_from([None, 0, 1]),
+        st.lists(st.integers(0, 2999), max_size=8),
+    )
+    def test_random_ranges(self, lo, length, parity, samples):
+        _check_sigma_kernel(lo, length, parity, samples)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(MAX_RANGE_END - 5000, MAX_RANGE_END - 1),
+        st.integers(1, 3000),
+        st.sampled_from([None, 0, 1]),
+        st.lists(st.integers(0, 2999), max_size=2),
+    )
+    def test_near_the_range_bound(self, lo, length, parity, samples):
+        # Large prime cofactors and 2-adic parts from n & -n near 10^10.
+        _check_sigma_kernel(lo, min(length, MAX_RANGE_END - lo + 1), parity, samples)
+
+    @pytest.mark.parametrize("parity", [None, 0, 1])
+    def test_segment_size_invariance(self, parity):
+        a = np.concatenate([s for _, s in iter_sigma_segments(3, 10**5, 1 << 20, parity)])
+        b = np.concatenate([s for _, s in iter_sigma_segments(3, 10**5, 977, parity)])
+        assert np.array_equal(a, b)
+
+    def test_rejects_bad_parity(self):
+        with pytest.raises(ParameterError):
+            list(iter_sigma_segments(1, 10, parity=2))
 
 
 class TestThroughput:
