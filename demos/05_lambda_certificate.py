@@ -2,14 +2,14 @@
 #
 # lambda = alpha - beta.  alpha gets a certified upper bound, beta a
 # certified lower bound (main terms over odd n <= N_j, dropped tails
-# charged by the (2je N^e)^-1 (2/3)^j formula, exceptional sets either
-# enumerated or covered by a moment bound), and the difference is rounded
-# pessimistically.  lambda < 0 means mu = e^lambda < 1: even aliquot
-# sequences shrink on geometric average.
+# charged by the (2je N^e)^-1 (2/3)^j formula, exceptional sets covered
+# by a moment bound), and the difference is rounded pessimistically.
+# lambda < 0 means mu = e^lambda < 1: even aliquot sequences shrink on
+# geometric average.
 #
-# This demo runs a reduced configuration in a few seconds; the package
-# defaults (alpha N=1e6, beta N_j=1e7) certify lambda <= -0.026 in about
-# half a minute via `alq lambda`.
+# This demo runs a reduced configuration in about a second; the package
+# defaults (alpha N=1e6, beta N_j=1e7) certify lambda <= -0.028996 in a
+# few seconds via `alq lambda`.
 
 from aliquot.alpha import AlphaParams, alpha_upper_bound
 from aliquot.beta import BetaJConfig, beta_lower

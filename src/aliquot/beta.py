@@ -13,9 +13,10 @@ multiplicative function
 over odd n, times a 2-adic factor sum over powers of two.  Cutting the
 odd sum at N leaves two remainders: integers with h_j(n) <= n^-e, whose
 total is bounded by (2je N^e)^-1 (2/3)^j, and the finite exceptional set
-S = {n : h_j(n) > n^-e}, handled either by exhaustive enumeration (its
-members are products of prime powers from a finite set T) or by a
-certified moment bound on everything past N.
+S = {n : h_j(n) > n^-e}.  By default S is covered by a certified moment
+bound on everything past N (Rankin's device, s_tail_bound); the paper's
+route, exhaustive enumeration of S (its members are products of prime
+powers from a finite set T), is kept as the "enumerate" mode.
 
 Every quantity feeding the final bound carries an explicit error radius;
 subtractions are always taken on the pessimistic side.
@@ -179,8 +180,8 @@ class PrimePowerEntry:
     g_value: float
 
 
-def t_set(j: int, e: float, c: float, odd_only: bool = True) -> list[PrimePowerEntry]:
-    """All prime powers p^m with h_j(p^m) >= 1/(c (p^m)^e) (inclusive).
+def t_set(j: int, e: float, c: float) -> list[PrimePowerEntry]:
+    """All odd prime powers p^m with h_j(p^m) >= 1/(c (p^m)^e) (inclusive).
 
     Finite for 0 < e < 1: since h_j(p^m) <= 2j/p^m once p^m >= 2j (checked
     for every scanned entry), nothing beyond p^m = (2jc)^(1/(1-e)) can
@@ -197,8 +198,7 @@ def t_set(j: int, e: float, c: float, odd_only: bool = True) -> list[PrimePowerE
         )
     limit = int(cutoff) + 1  # one past, so a float-rounded boundary cannot drop
     entries = []
-    start = 3 if odd_only else 2
-    for p in primes_in_range(start, limit).tolist():
+    for p in primes_in_range(3, limit).tolist():
         pm = p
         m = 1
         while pm <= limit:
@@ -214,15 +214,15 @@ def t_set(j: int, e: float, c: float, odd_only: bool = True) -> list[PrimePowerE
     return entries
 
 
-def m_const(j: int, e: float, odd_only: bool = True) -> float:
-    """M = max over n of h_j(n) n^e.
+def m_const(j: int, e: float) -> float:
+    """M = max over odd n of h_j(n) n^e.
 
     Only prime powers with h_j(p^m) (p^m)^e > 1, i.e. members of the c = 1
     set, can contribute a factor above 1, so M is the product over their
     primes of the worst per-prime factor (and at least 1, from n = 1).
     """
     worst: dict[int, float] = {}
-    for entry in t_set(j, e, 1.0, odd_only):
+    for entry in t_set(j, e, 1.0):
         val = entry.h_value * entry.p ** (e * entry.m)
         if val > worst.get(entry.p, 1.0):
             worst[entry.p] = val
@@ -246,11 +246,7 @@ class SElement:
 
 
 def s_set(
-    j: int,
-    e: float,
-    odd_only: bool = True,
-    *,
-    node_budget: int | None = DEFAULT_NODE_BUDGET,
+    j: int, e: float, *, node_budget: int | None = DEFAULT_NODE_BUDGET
 ) -> list[SElement]:
     """The exceptional set S = {n : h_j(n) > n^-e}, fully enumerated.
 
@@ -270,8 +266,8 @@ def s_set(
         if j == 1:
             return []
         raise ParameterError("e = 1 is only supported for j = 1 (empty set)")
-    target = m_const(j, e, odd_only)
-    entries = t_set(j, e, target, odd_only)
+    target = m_const(j, e)
+    entries = t_set(j, e, target)
     by_prime: dict[int, list[PrimePowerEntry]] = {}
     for entry in entries:
         by_prime.setdefault(entry.p, []).append(entry)
@@ -440,8 +436,9 @@ def odd_signed_sums(
     _FLUSH_INTEGERS integers, and at the end if blocks were added since),
     so a killed run keeps its progress.  On resume the first and the last
     stored blocks are recomputed, and unless both equal their records bit
-    for bit the file is discarded.  Returns None when stop_after_blocks ends the run early
-    (progress is saved if a checkpoint store was given).
+    for bit and every record holds the same series, the file is discarded.
+    Returns None when stop_after_blocks ends the run early (progress is
+    saved if a checkpoint store was given).
     """
     j_list = sorted(set(j_list))
     check_range(1, N, block_size)
@@ -456,6 +453,7 @@ def odd_signed_sums(
         records = checkpoint.load()
         if records and not (
             len(records) <= len(blocks)
+            and all(r.parts.keys() == records[0].parts.keys() for r in records)
             and all(records[k] == eval_block(*blocks[k]) for k in sorted({0, len(records) - 1}))
         ):
             records = []
@@ -533,16 +531,14 @@ def main_term(
     return certified_quotient(certified_product(z, odd_sum), config.j)
 
 
-def mixed_region_bound(j: int, e: float, N: int, m_value: float | None = None) -> float:
+def mixed_region_bound(j: int, e: float, N: int) -> float:
     """Bound for the even integers a direct sum over n <= N misses
     (odd part at most N but 2^k n_o beyond N): (2/3)^j 2 M / ((1-e) N^e);
     for e = 1 (j = 1) the integral picks up a log factor instead.
     """
     if e == 1.0:
         return (2.0 / 3.0) ** j * 2.0 * (0.5 * math.log(N) + 1.0) / N
-    if m_value is None:
-        m_value = m_const(j, e)
-    return (2.0 / 3.0) ** j * 2.0 * m_value / ((1.0 - e) * N**e)
+    return (2.0 / 3.0) ** j * 2.0 * m_const(j, e) / ((1.0 - e) * N**e)
 
 
 def main_term_direct(
@@ -719,10 +715,8 @@ class BetaSummary:
 def beta_lower(
     configs: list[BetaJConfig],
     *,
-    s_mode: str = "auto",
+    s_mode: str = "bound",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    rankin_delta: float = 0.8,
-    rankin_prime_cutoff: int = 100_000,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     checkpoint_dir: str | None = None,
@@ -735,14 +729,16 @@ def beta_lower(
     terms with j beyond the configured range are all positive, so
     dropping them keeps the bound valid.
 
-    The exceptional set is handled per ``s_mode``: "enumerate" sums it
-    exactly (raising if the node budget is exceeded), "bound" replaces
-    the correction by the certified moment bound s_tail_bound, and
-    "auto" tries enumeration and falls back to the bound.  Returns None
-    if ``stop_after_blocks`` ends the odd-sum pass early (resume later
-    with the same configuration and checkpoint_dir).
+    The exceptional set is handled per ``s_mode``: "bound" (the default)
+    charges the certified moment bound s_tail_bound in place of the
+    correction, and "enumerate" sums S exactly (SSetBudgetExceeded
+    propagates if the search passes ``node_budget`` nodes, which it does
+    at the paper's exponents for every j >= 2).  For e = 1 (j = 1) S is
+    empty and neither is needed.  Returns None if ``stop_after_blocks``
+    ends the odd-sum pass early (resume later with the same configuration
+    and checkpoint_dir).
     """
-    if s_mode not in ("auto", "enumerate", "bound"):
+    if s_mode not in ("bound", "enumerate"):
         raise ParameterError(f"unknown s_mode {s_mode!r}")
     t0 = time.time()
     js = [c.j for c in configs]
@@ -790,26 +786,13 @@ def beta_lower(
             # S is provably empty here; no enumeration, no correction.
             mode_used = "empty"
             s_size = 0
-        elif s_mode in ("enumerate", "auto"):
-            try:
-                elements = s_set(cfg.j, cfg.e, node_budget=node_budget)
-                s_size = len(elements)
-                s_corr = s_correction(cfg, elements)
-                mode_used = "enumerate"
-            except SSetBudgetExceeded:
-                if s_mode == "enumerate":
-                    raise
-                mode_used = "bound"
-        if mode_used == "bound" or (s_mode == "bound" and cfg.e != 1.0):
-            mode_used = "bound"
+        elif s_mode == "enumerate":
+            elements = s_set(cfg.j, cfg.e, node_budget=node_budget)
+            s_size = len(elements)
+            s_corr = s_correction(cfg, elements)
+        else:
             z_upper = two_beta2_minus_one(cfg.j, cfg.K2).upper
-            s_bound = (
-                s_tail_bound(
-                    cfg.j, cfg.N, delta=rankin_delta, prime_cutoff=rankin_prime_cutoff
-                )
-                * z_upper
-                / cfg.j
-            )
+            s_bound = s_tail_bound(cfg.j, cfg.N) * z_upper / cfg.j
         contribution = main.lower + s_corr.lower - err - s_bound
         # Every j-term of beta is positive (both the 2-adic factor and the
         # odd Euler factors are), so a pessimistic estimate below zero may

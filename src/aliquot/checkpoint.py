@@ -62,17 +62,17 @@ class CheckpointStore:
         self.path = self.directory / f"{kind}-{config_hash(key)}.json"
 
     def load(self) -> list[BlockRecord]:
-        """Stored block records in index order; [] if absent or key mismatch."""
+        """Stored block records in index order; [] if absent, malformed or keyed otherwise."""
         if not self.path.exists():
             return []
         try:
             with open(self.path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            if doc["key"] != self.key:
+                return []
+            records = [BlockRecord.from_json_dict(b) for b in doc["blocks"]]
+        except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError):
             return []
-        if doc.get("key") != self.key:
-            return []
-        records = [BlockRecord.from_json_dict(b) for b in doc.get("blocks", [])]
         records.sort(key=lambda r: r.index)
         expect = list(range(len(records)))
         if [r.index for r in records] != expect:

@@ -10,9 +10,11 @@ Verbs:
   selftest  quick oracle suite
 
 Numeric flags accept scientific notation (1e6).  A JSON config file may
-supply any flag's value; explicit flags override it.  Reports are written
-as JSON (always) and CSV (tabular verbs) under --out.  Exit status: 0 on
-success, 1 on parameter errors, 2 on resource or effort errors.
+supply any flag's value, keyed by its dest (N, mean_class, block_size, ...)
+and parsed as the flag would be; explicit flags override it.  beta bounds
+the exceptional sets unless --s-mode enumerate searches them.  Reports are
+written as JSON (always) and CSV (tabular verbs) under --out.  Exit status:
+0 on success, 1 on parameter errors, 2 on resource or effort errors.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from pathlib import Path
 
 from . import __version__
 from .alpha import AlphaParams, AlphaResult, alpha_upper_bound
-from .beta import BetaJConfig, BetaSummary, beta_lower
+from .beta import DEFAULT_K2, DEFAULT_NODE_BUDGET, BetaJConfig, BetaSummary, beta_lower
 from .errors import ParameterError, ResourceError, UnresolvedCofactorError
 from .means import CSV_HEADER, mean_report
 from .trajectory import trace
 
 PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
-DEFAULT_ALPHA = {"N": 10**6, "L": 15, "M": 15}
 DEFAULT_BETA_N = 10**7
 DEFAULT_J = 8
 
@@ -54,9 +55,14 @@ def _int_flag(text: str) -> int:
         return int(text)
     except ValueError:
         value = float(text)
-        if value != int(value):
+        if not value.is_integer():  # also rejects inf and nan
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         return int(value)
+
+
+def _floats_flag(text: str) -> list[float]:
+    """Comma-separated floats ('1,0.75')."""
+    return [float(t) for t in text.split(",")]
 
 
 @dataclass
@@ -112,40 +118,41 @@ def _write_csv(out_dir: Path, name: str, header: list, rows: list[list]) -> Path
     return path
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    """Flag value, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if args.config_values and key in args.config_values:
-        return args.config_values[key]
-    return default
+def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
+    """The --config file's values as ``--flag=value`` arguments of the verb."""
+    try:
+        with open(args.config) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {args.config}: {exc}")
+    if not isinstance(values, dict):
+        parser.error(f"config {args.config} is not a JSON object")
+    flags = {a.dest: a.option_strings[0] for a in parser.verbs[args.verb]._actions
+             if a.option_strings and a.nargs != 0 and a.dest != "config"}
+    argv = []
+    for key, value in values.items():
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if key not in flags or isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            parser.error(f"config {args.config}: no {args.verb} flag takes {key}={value!r}")
+        argv.append(f"{flags[key]}={value}")
+    return argv
 
 
 def _beta_configs(args) -> list[BetaJConfig]:
-    J = _merged(args, "J", DEFAULT_J)
-    N = _merged(args, "Nj", DEFAULT_BETA_N)
-    e_spec = _merged(args, "e", None)
-    if e_spec is None:
+    J = args.J
+    e_values = args.e
+    if e_values is None:
         e_values = list(PAPER_E[:J])
         if J > len(PAPER_E):
             raise ParameterError(f"no default exponents beyond J={len(PAPER_E)}; pass --e")
-    elif isinstance(e_spec, str):
-        e_values = [float(t) for t in e_spec.split(",")]
-    else:
-        e_values = [float(t) for t in e_spec]
     if len(e_values) != J:
         raise ParameterError(f"expected {J} exponents, got {len(e_values)}")
-    K2 = _merged(args, "K2", 64)
-    return [BetaJConfig(j + 1, N, e_values[j], K2) for j in range(J)]
+    return [BetaJConfig(j + 1, args.Nj, e_values[j], args.K2) for j in range(J)]
 
 
 def _run_alpha(args, out_dir: Path) -> AlphaResult:
-    params = AlphaParams(
-        N=_merged(args, "N", DEFAULT_ALPHA["N"]),
-        L=_merged(args, "L", DEFAULT_ALPHA["L"]),
-        M=_merged(args, "M", DEFAULT_ALPHA["M"]),
-    )
+    params = AlphaParams(N=args.N, L=args.L, M=args.M)
     result = alpha_upper_bound(
         params, block_size=args.block_size, workers=args.workers
     )
@@ -163,8 +170,8 @@ def _run_beta(args, out_dir: Path) -> BetaSummary | None:
     configs = _beta_configs(args)
     summary = beta_lower(
         configs,
-        s_mode=_merged(args, "s_mode", "auto"),
-        node_budget=_merged(args, "node_budget", 500_000),
+        s_mode=args.s_mode,
+        node_budget=args.node_budget,
         block_size=args.block_size,
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
@@ -235,11 +242,9 @@ def _cmd_lambda(args, out_dir: Path) -> int:
 
 
 def _cmd_means(args, out_dir: Path) -> int:
-    mean_class = _merged(args, "mean_class", "even")
-    N = _merged(args, "N", 10**4)
-    report = mean_report(mean_class, N, block_size=args.block_size, workers=args.workers)
+    report = mean_report(args.mean_class, args.N, block_size=args.block_size, workers=args.workers)
     doc = report.to_json_dict()
-    doc["provenance"] = _provenance(args, {"class": mean_class, "N": N})
+    doc["provenance"] = _provenance(args, {"class": args.mean_class, "N": args.N})
     path = _write_json(out_dir, "means", doc)
     _write_csv(out_dir, "means", CSV_HEADER, [report.csv_row()])
     print(f"arithmetic mean: {report.arithmetic.value!r} (limit {report.closed_form_limit!r})")
@@ -249,8 +254,7 @@ def _cmd_means(args, out_dir: Path) -> int:
 
 
 def _cmd_trace(args, out_dir: Path) -> int:
-    record = trace(args.start, max_steps=_merged(args, "max_steps", 100),
-                   rho_budget=_merged(args, "rho_budget", 500_000))
+    record = trace(args.start, max_steps=args.max_steps, rho_budget=args.rho_budget)
     doc = record.to_json_dict()
     path = _write_json(out_dir, "trace", doc)
     kind = record.classification.kind
@@ -284,18 +288,27 @@ def build_parser() -> _Parser:
 
     p_alpha = sub.add_parser("alpha", help="certified upper bound for alpha")
     common(p_alpha)
-    p_alpha.add_argument("--N", type=_int_flag, default=None, help="prime cutoff")
-    p_alpha.add_argument("--L", type=_int_flag, default=None, help="dyadic depth")
-    p_alpha.add_argument("--M", type=_int_flag, default=None, help="odd prime depth")
+
+    def alpha_flags(p, cutoff_help):
+        p.add_argument("--N", type=_int_flag, default=10**6, help=cutoff_help)
+        p.add_argument("--L", type=_int_flag, default=15, help="dyadic depth")
+        p.add_argument("--M", type=_int_flag, default=15, help="odd prime depth")
+
+    alpha_flags(p_alpha, "prime cutoff")
 
     def beta_flags(p):
-        p.add_argument("--J", type=_int_flag, default=None, help="number of j terms")
-        p.add_argument("--Nj", type=_int_flag, default=None, help="odd-sum cutoff (even)")
-        p.add_argument("--e", default=None, help="comma-separated exponents, one per j")
-        p.add_argument("--K2", type=_int_flag, default=None, help="dyadic truncation depth")
-        p.add_argument("--s-mode", dest="s_mode", choices=("auto", "enumerate", "bound"),
-                       default=None)
-        p.add_argument("--node-budget", dest="node_budget", type=_int_flag, default=None)
+        p.add_argument("--J", type=_int_flag, default=DEFAULT_J, help="number of j terms")
+        p.add_argument("--Nj", type=_int_flag, default=DEFAULT_BETA_N,
+                       help="odd-sum cutoff (even)")
+        p.add_argument("--e", type=_floats_flag, default=None,
+                       help="comma-separated exponents, one per j (default PAPER_E)")
+        p.add_argument("--K2", type=_int_flag, default=DEFAULT_K2,
+                       help="dyadic truncation depth")
+        p.add_argument("--s-mode", dest="s_mode", choices=("bound", "enumerate"),
+                       default="bound", help="exceptional sets: moment bound, or exhaustive "
+                       "search that exits 2 past --node-budget nodes")
+        p.add_argument("--node-budget", dest="node_budget", type=_int_flag,
+                       default=DEFAULT_NODE_BUDGET)
         p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None)
         p.add_argument("--stop-after-blocks", dest="stop_after_blocks", type=_int_flag,
                        default=None)
@@ -306,26 +319,25 @@ def build_parser() -> _Parser:
 
     p_lambda = sub.add_parser("lambda", help="alpha, beta, and their difference")
     common(p_lambda)
-    p_lambda.add_argument("--N", type=_int_flag, default=None, help="alpha prime cutoff")
-    p_lambda.add_argument("--L", type=_int_flag, default=None)
-    p_lambda.add_argument("--M", type=_int_flag, default=None)
+    alpha_flags(p_lambda, "alpha prime cutoff")
     beta_flags(p_lambda)
 
     p_means = sub.add_parser("means", help="means of s(n)/n by residue class")
     common(p_means)
     p_means.add_argument("--class", dest="mean_class", choices=("all", "even", "odd"),
-                         default=None)
-    p_means.add_argument("--N", type=_int_flag, default=None)
+                         default="even")
+    p_means.add_argument("--N", type=_int_flag, default=10**4)
 
     p_trace = sub.add_parser("trace", help="trace one aliquot sequence")
     common(p_trace)
     p_trace.add_argument("start", type=_int_flag)
-    p_trace.add_argument("--max-steps", dest="max_steps", type=_int_flag, default=None)
-    p_trace.add_argument("--rho-budget", dest="rho_budget", type=_int_flag, default=None)
+    p_trace.add_argument("--max-steps", dest="max_steps", type=_int_flag, default=100)
+    p_trace.add_argument("--rho-budget", dest="rho_budget", type=_int_flag, default=500_000)
 
     p_self = sub.add_parser("selftest", help="run the oracle self-test suite")
     common(p_self)
 
+    parser.verbs = sub.choices
     return parser
 
 
@@ -351,22 +363,19 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # The config's flags go right after the verb: the verb's own
+            # types parse them, and explicit flags, coming later, win.
+            at = argv.index(args.verb) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(parser, args) + argv[at:])
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.config_values = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                args.config_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 1
-    out_dir = Path(args.out)
     try:
-        return _COMMANDS[args.verb](args, out_dir)
+        return _COMMANDS[args.verb](args, Path(args.out))
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1

@@ -14,8 +14,9 @@ class ResourceError(RuntimeError):
 class SSetBudgetExceeded(ResourceError):
     """Exceptional-set enumeration ran past its node budget.
 
-    Carries the number of set members found before the budget ran out, so
-    callers can report partial progress or fall back to a certified bound.
+    Raised only by the "enumerate" mode, which has no fallback (the
+    default "bound" mode never searches).  Carries the number of set
+    members found before the budget ran out, for error reports.
     """
 
     def __init__(self, message: str, partial_count: int):

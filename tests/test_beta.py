@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -484,6 +485,38 @@ class TestCheckpointing:
         assert saved == []
         assert resumed[1] == first[1]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"blocks": [{"index": 0, "hi": 4095, "parts": {"1": [0.5, 0.5, 1]}}]},
+            {"blocks": "xy"},
+            {"blocks": [{"index": 0, "lo": 1, "hi": 4095, "parts": {"1": [0.5]}}]},
+        ],
+        ids=["list", "block-without-lo", "blocks-string", "short-parts"],
+    )
+    def test_malformed_document_is_absent(self, tmp_path, doc):
+        key = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}
+        store = CheckpointStore(tmp_path, "beta-odd", key)
+        if isinstance(doc, dict):
+            doc = {"schema_version": 1, "key": key, **doc}
+        store.path.write_text(json.dumps(doc))
+        assert store.load() == []
+        resumed = odd_signed_sums([1], 30000, block_size=4096, checkpoint=store)
+        assert resumed[1] == odd_signed_sums([1], 30000, block_size=4096)[1]
+
+    def test_middle_record_missing_a_series_is_discarded(self, tmp_path):
+        key = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1, 2]}
+        store = CheckpointStore(tmp_path, "beta-odd", key)
+        odd_signed_sums([1, 2], 30000, block_size=4096, checkpoint=store,
+                        stop_after_blocks=4)
+        records = store.load()
+        del records[1].parts["2"]
+        store.save(records)
+        resumed = odd_signed_sums([1, 2], 30000, block_size=4096, checkpoint=store)
+        direct = odd_signed_sums([1, 2], 30000, block_size=4096)
+        assert resumed == direct
+
     def test_foreign_key_ignored(self, tmp_path):
         key_a = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}
         key_b = {"kind": "beta-odd-sum", "N": 40000, "block_size": 4096, "j_list": [1]}
@@ -552,6 +585,20 @@ class TestBetaLower:
         enum = beta_lower(configs, s_mode="enumerate")
         bound = beta_lower(configs, s_mode="bound")
         assert bound.lower_bound <= enum.lower_bound + 1e-15
+
+    def test_default_mode_never_searches(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("s_set called")
+
+        monkeypatch.setattr(beta_module, "s_set", no_search)
+        configs = [BetaJConfig(j, 10**4, PAPER_E[j]) for j in range(1, 9)]
+        summary = beta_lower(configs)
+        assert [r.s_mode for r in summary.reports] == ["empty"] + ["bound"] * 7
+        assert all(r.s_set_size is None for r in summary.reports[1:])
+
+    def test_auto_mode_rejected(self):
+        with pytest.raises(ParameterError, match="auto"):
+            beta_lower([BetaJConfig(2, 10**4, 0.75)], s_mode="auto")
 
     def test_lower_bound_improves_with_N(self):
         values = []

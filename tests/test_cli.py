@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from aliquot.cli import build_parser, combine_lambda, run
 
 
@@ -39,6 +41,10 @@ class TestMeansVerb:
         csv_text = (tmp_path / "means.csv").read_text().splitlines()
         assert csv_text[0] == "class,N,arithmetic_mean,log_mean,closed_form,error_radius"
         assert csv_text[1].startswith("even,10000,")
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e-3"])
+    def test_non_integer_flag_is_a_usage_error(self, tmp_path, value):
+        assert run(["means", "--N", value, "--out", str(tmp_path)]) == 1
 
     def test_scientific_notation_flag(self, tmp_path):
         assert run(["means", "--class", "odd", "--N", "2e3",
@@ -95,6 +101,34 @@ class TestBetaVerb:
         assert resumed["lower_bound"] == oneshot["lower_bound"]
         assert resumed["terms"][0]["main_term"] == oneshot["terms"][0]["main_term"]
 
+    def test_resume_discards_malformed_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        args = ["beta", "--J", "1", "--Nj", "2e5", "--e", "1",
+                "--block-size", "16384", "--checkpoint-dir", str(ckpt),
+                "--out", str(tmp_path / "a")]
+        assert run(args + ["--stop-after-blocks", "2"]) == 0
+        (stored,) = ckpt.iterdir()
+        stored.write_text("[]")
+        assert run(args) == 0
+        resumed = read_json(tmp_path / "a" / "beta.json")
+        assert run(["beta", "--J", "1", "--Nj", "2e5", "--e", "1",
+                    "--block-size", "16384", "--out", str(tmp_path / "b")]) == 0
+        assert resumed["lower_bound"] == read_json(tmp_path / "b" / "beta.json")["lower_bound"]
+
+    def test_auto_s_mode_is_a_usage_error(self, tmp_path):
+        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
+                    "--s-mode", "auto", "--out", str(tmp_path)]) == 1
+
+    def test_enumerate_past_node_budget_is_a_resource_error(self, tmp_path, capsys):
+        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
+                    "--s-mode", "enumerate", "--node-budget", "50",
+                    "--out", str(tmp_path)]) == 2
+        assert "resource error" in capsys.readouterr().err
+
+    def test_bad_exponent_list_is_a_usage_error(self, tmp_path):
+        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,x",
+                    "--out", str(tmp_path)]) == 1
+
 
 class TestLambdaVerb:
     def test_small_lambda_run(self, tmp_path):
@@ -123,6 +157,53 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert run(["means", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path)]) == 1
+
+
+class TestConfigValues:
+    def _means(self, tmp_path, config, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return run(["means", "--config", str(cfg), "--out", str(tmp_path), *flags])
+
+    @pytest.mark.parametrize("value", ["1e4", 1e4])
+    def test_value_parsed_by_the_flag_type(self, tmp_path, value):
+        assert self._means(tmp_path, {"N": value}) == 0
+        assert read_json(tmp_path / "means.json")["N"] == 10000
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"N": 5000.5}, "N", ["N", 500], {"N": None}, {"N": True},
+         {"class": "odd"}, {"mean_class": "prime"}],
+        ids=["fraction", "string", "list", "null", "bool", "unknown-key", "bad-choice"],
+    )
+    def test_rejected_config_exits_1(self, tmp_path, capsys, config):
+        assert self._means(tmp_path, config) == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_unparsable_config_exits_1(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{")
+        assert run(["means", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+    def test_common_flags_from_config(self, tmp_path):
+        out = tmp_path / "elsewhere"
+        config = {"N": 3000, "workers": 2, "block_size": 1024, "out": str(out)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["means", "--config", str(cfg)]) == 0
+        provenance = read_json(out / "means.json")["provenance"]
+        assert (provenance["workers"], provenance["block_size"]) == (2, 1024)
+        assert run(["means", "--config", str(cfg), "--workers", "1"]) == 0
+        assert read_json(out / "means.json")["provenance"]["workers"] == 1
+
+    def test_checkpoint_flags_from_config(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"J": 2, "Nj": 1e5, "e": [1, 0.75], "block_size": 16384,
+                                   "checkpoint_dir": str(ckpt), "stop_after_blocks": 2}))
+        assert run(["beta", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "beta.json")["status"] == "incomplete"
+        assert len(list(ckpt.iterdir())) == 1
 
 
 class TestReproducibility:
