@@ -53,7 +53,8 @@ from .primes import check_range, iter_factor_segments, primes_in_range, strided_
 DEFAULT_BLOCK_SIZE = 1 << 20
 DEFAULT_K2 = 64
 DEFAULT_NODE_BUDGET = 500_000
-_TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's final stage
+_TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's cache-sized stages
+_TILE_PRIMES = 64  # _block_odd_signed applies primes below this in those passes
 _FLUSH_INTEGERS = 10**7  # odd_signed_sums saves its checkpoint this often
 # Inflation applied to tail bounds whose constants were computed in floats.
 _FLOAT_SLOP = 1.0 + 1e-9
@@ -373,11 +374,17 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     prime p (p^2 at most the largest n), primes.strided_prime_powers gives
     the multiples of p as the strided view i0::p with i0 = -n0 * 2^-1 mod p
     and their exponents of p; the exponent array picks rows of
-    _prime_power_rows, and one multiply applies them.  The smooth part is
+    _prime_power_rows, and one multiply applies them.  The primes below
+    _TILE_PRIMES touch every cache line of the array, so they are applied
+    run by run of _TERM_ROWS rows, before the larger primes go over the
+    whole block; each element still meets its primes in ascending order.
+    The smooth part is
     a product of integers below 2^53, so it is exact in floating point,
     and n / smooth is the exact cofactor: 1, or one prime q above
-    sqrt(hi), whose factors multiply in last (the other elements are left
-    as they are, which is multiplying by 1.0).
+    sqrt(hi), whose factors q/(q + 1), -1 and (1 + 1/q)^j - 1 multiply in
+    last as plain arrays: on the rows without a large prime (q = 1) each
+    factor array holds 1.0, and x * 1.0 = x exactly, so no masked ufunc
+    is needed.
 
     Each element's products are formed in one fixed order (ascending p,
     the large prime last) from the same scalar factors, so the block's
@@ -391,11 +398,19 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     size = (hi - n0) // 2 + 1
 
     acc = np.ones((size, len(js) + 3))
-    for p, i0, exps in strided_prime_powers(n0, size, 2):
-        if exps is None:
-            acc[i0::p] *= _prime_power_rows(p, 1, js)[1]
-        else:
-            acc[i0::p] *= _prime_power_rows(p, int(exps.max()), js)[exps]
+    walk = [
+        (p, i0, exps, _prime_power_rows(p, 1 if exps is None else int(exps.max()), js))
+        for p, i0, exps in strided_prime_powers(n0, size, 2)
+    ]
+    n_small = sum(p < _TILE_PRIMES for p, *_ in walk)
+    for a in range(0, size, _TERM_ROWS):
+        b = min(a + _TERM_ROWS, size)
+        for p, i0, exps, rows in walk[:n_small]:
+            k = max(0, -((i0 - a) // p))  # the first multiple at or past a
+            view = acc[i0 + k * p : b : p]
+            view *= rows[1] if exps is None else rows.take(exps[k : k + len(view)], axis=0)
+    for p, i0, exps, rows in walk[n_small:]:
+        acc[i0::p] *= rows[1] if exps is None else rows.take(exps, axis=0)
 
     # The large prime and the terms, in cache-sized runs of rows.
     terms = np.empty((len(js), size))
@@ -404,18 +419,27 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
         *h_cols, ratio, smooth, sign = acc[a:b].T.copy()
         n_float = (n0 + 2 * np.arange(a, b, dtype=np.int64)).astype(np.float64)
         q = n_float / smooth
-        big = q > 1.0
-        np.multiply(ratio, q / (q + 1.0), out=ratio, where=big)
-        np.negative(sign, out=sign, where=big)
+        no_q = np.flatnonzero(q <= 1.0)  # the rows without a large prime
+        factor = q / (q + 1.0)
+        factor[no_q] = 1.0
+        ratio *= factor
+        factor.fill(-1.0)
+        factor[no_q] = 1.0
+        sign *= factor
         lq = np.log1p(1.0 / q)
         inv_n = sign / n_float
         power = np.ones(b - a)
         last_j = 0
         for h_j, j, row in zip(h_cols, js, terms):
-            np.multiply(h_j, np.expm1(j * lq), out=h_j, where=big)
-            power = power * ratio ** (j - last_j)
+            np.multiply(lq, j, out=factor)
+            np.expm1(factor, out=factor)
+            factor[no_q] = 1.0
+            h_j *= factor
+            power *= ratio ** (j - last_j)
             last_j = j
-            np.multiply(power * inv_n, h_j, out=row[a:b])
+            term = row[a:b]
+            np.multiply(power, inv_n, out=term)
+            term *= h_j
     return {j: block_sum_parts(row) for j, row in zip(js, terms)}
 
 

@@ -23,16 +23,20 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .alpha import AlphaParams, AlphaResult, alpha_upper_bound
 from .beta import DEFAULT_K2, DEFAULT_NODE_BUDGET, BetaJConfig, BetaSummary, beta_lower
 from .errors import ParameterError, ResourceError, UnresolvedCofactorError
 from .means import CSV_HEADER, mean_report
+from .primes import check_range
 from .trajectory import trace
 
 PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
@@ -151,8 +155,14 @@ def _beta_configs(args) -> list[BetaJConfig]:
     return [BetaJConfig(j + 1, args.Nj, e_values[j], args.K2) for j in range(J)]
 
 
-def _run_alpha(args, out_dir: Path) -> AlphaResult:
+def _alpha_params(args) -> AlphaParams:
+    """alpha's parameters, checked before any work starts."""
     params = AlphaParams(N=args.N, L=args.L, M=args.M)
+    check_range(2, params.N, args.block_size)
+    return params
+
+
+def _run_alpha(args, out_dir: Path, params: AlphaParams) -> AlphaResult:
     result = alpha_upper_bound(
         params, block_size=args.block_size, workers=args.workers
     )
@@ -220,15 +230,21 @@ def _provenance(args, params: dict) -> dict:
         "params": params,
         "workers": args.workers,
         "block_size": args.block_size,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 
 
 def _cmd_lambda(args, out_dir: Path) -> int:
-    alpha_result = _run_alpha(args, out_dir)
+    # Only beta resumes from a checkpoint, so alpha runs once beta is
+    # complete; its parameters are checked first and still fail at once.
+    alpha_params = _alpha_params(args)
     beta_result = _run_beta(args, out_dir)
     if beta_result is None:
         return 0
+    alpha_result = _run_alpha(args, out_dir, alpha_params)
     report = combine_lambda(
         alpha_result,
         beta_result,
@@ -342,7 +358,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_alpha(args, out_dir: Path) -> int:
-    _run_alpha(args, out_dir)
+    _run_alpha(args, out_dir, _alpha_params(args))
     return 0
 
 

@@ -10,12 +10,14 @@ the callers that know them.
 
 Block sums use exact_sum, a vectorized small superaccumulator (after
 R. Neal, arXiv:1505.05571, and Demmel & Nguyen, ARITH 2013): terms are
-grouped by exponent, split exactly into two pieces on each group's fixed
-grid, and the pieces are added per group with no rounding at all.  The
-exact group totals are then rounded once by math.fsum.  Correct rounding
-of the same exact real gives one answer, so exact_sum returns the same
-bits as math.fsum over the terms, on any machine and in any term order;
-stored checkpoints and reference certificates keep their bits.
+grouped by exponent and split exactly by a bit mask into a high piece
+(the top 20 fraction bits) and a low piece (the other 32), each on its
+group's fixed grid, and the pieces are added per group with no rounding
+at all.  The exact group totals are then rounded once by math.fsum.
+Correct rounding of the same exact real gives one answer, so exact_sum
+returns the same bits as math.fsum over the terms, on any machine and in
+any term order; stored checkpoints and reference certificates keep their
+bits.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from .errors import ParameterError
 # around 1; deliberately the conservative choice, twice the unit roundoff).
 EPS = 2.0 ** -52
 
-# exact_sum: the splitting constant 1.5 * 2^(E - 1002) for each value of the
-# 11-bit biased exponent field E, up to the fallback threshold.
+# exact_sum: a term's high piece keeps its sign, its exponent and the top
+# 20 of its 52 fraction bits.
 _SUM_CHUNK = 1 << 15  # cache-sized; the exactness argument allows up to 2^20
 _FALLBACK_EXP = 1023 + 900  # E of 2^900
-_SPLIT = np.ldexp(1.5, np.minimum(np.arange(2048), _FALLBACK_EXP) - 1002)
+_HI_MASK = -(1 << 32)
 
 
 @dataclass(frozen=True)
@@ -78,35 +80,35 @@ def exact_sum(values) -> float:
 
     The terms are processed in chunks of _SUM_CHUNK (sized for the cache;
     the argument below allows up to 2^20).  Let x be a term with biased
-    exponent E, so |x| < 2^t with t = E - 1022, and x is a multiple of
-    u = 2^(max(E, 1) - 1075).  With C = 1.5 * 2^(t + 20), x + C stays in
-    C's binade, whose spacing is 2^(t - 32): hi = (x + C) - C is x rounded
-    to a multiple of 2^(t - 32), computed exactly, with |hi| <= 2^t, at
-    most 2^32 such units.  That spacing is a multiple of u, so
-    lo = x - hi is exact too: a multiple of u with |lo| <= 2^(t - 33), at
-    most 2^20 units.  Terms are grouped by E (np.bincount), so within a
-    group every partial sum of at most 2^20 hi pieces is an integer of at
-    most 2^52 units of 2^(t - 32), and of lo pieces one of at most 2^40
-    units of u: all are doubles, and both group sums are exact in
-    whatever order they accumulate.  math.fsum over these exact totals
-    then rounds their exact real sum, which is the exact sum of the terms,
-    once and correctly, exactly as math.fsum over the terms would.
+    exponent E, so |x| < 2^(E - 1022), and x is a multiple of
+    u = 2^(max(E, 1) - 1075).  hi is x with the low 32 bits of its
+    fraction cleared (its sign, exponent and top 20 fraction bits kept):
+    a multiple of 2^32 u with |hi| <= |x| < 2^(E - 1022), so fewer than
+    2^21 such units.  lo = x - hi is exact (Sterbenz: hi <= x <= 2 hi for
+    x > 0, and alike for x < 0; for a subnormal below 2^32 u, hi is zero
+    and lo = x): it is the cleared bits, fewer than 2^32 units of u.
+    Terms are grouped by E (np.bincount), so within a group every partial
+    sum of at most 2^20 hi pieces is an integer of fewer than 2^41 units
+    of 2^32 u, and of lo pieces one of fewer than 2^52 units of u: all are
+    doubles, and both group sums are exact in whatever order they
+    accumulate.  math.fsum over these exact totals then rounds their
+    exact real sum, which is the exact sum of the terms, once and
+    correctly, exactly as math.fsum over the terms would.
 
-    Terms that are not finite or reach 2^900 (where C would overflow)
-    send the whole sum to math.fsum unchanged, and so does a zero result,
-    whose sign follows the running Python's fsum.
+    Terms that are not finite or reach 2^900 (where a group total could
+    overflow) send the whole sum to math.fsum unchanged, and so does a
+    zero result, whose sign follows the running Python's fsum.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     totals = []
     for start in range(0, x.size, _SUM_CHUNK):
         chunk = x[start : start + _SUM_CHUNK]
-        exp = chunk.view(np.int64) >> 52
+        bits = chunk.view(np.int64)
+        exp = bits >> 52
         exp &= 0x7FF
         if exp.max() >= _FALLBACK_EXP:
             return math.fsum(x.tolist())
-        split = np.take(_SPLIT, exp)
-        hi = chunk + split
-        hi -= split
+        hi = (bits & _HI_MASK).view(np.float64)
         lo = chunk - hi
         totals.append(np.bincount(exp, weights=hi))
         totals.append(np.bincount(exp, weights=lo))

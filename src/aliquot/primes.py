@@ -240,8 +240,9 @@ def sigma_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarr
     the sigma(p^m) and p^m its exponents pick.  Where n can be even, its
     2-adic part is low = n & -n, with sigma(low) = 2 low - 1.  What is
     left, n // smooth, is 1 or one prime q above sqrt(n), which adds the
-    factor q + 1.  Every partial product divides n or sigma(n), both
-    below 2^63 for n <= MAX_RANGE_END, so all of it is exact int64.
+    factor q + 1 (the factor is 1 where nothing is left).  Every partial
+    product divides n or sigma(n), both below 2^63 for n <= MAX_RANGE_END,
+    so all of it is exact int64.
     """
     n_values = n0 + stride * np.arange(size, dtype=np.int64)
     sig = np.ones(size, dtype=np.int64)
@@ -260,8 +261,11 @@ def sigma_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarr
         low *= 2
         low -= 1
         sig *= low
-    q = n_values // smooth
-    np.multiply(sig, q + 1, out=sig, where=q > 1)
+    cofactor = n_values // smooth
+    ones = np.flatnonzero(cofactor == 1)
+    cofactor += 1
+    cofactor[ones] = 1
+    sig *= cofactor
     return n_values, sig
 
 

@@ -1,0 +1,29 @@
+"""End-to-end certificate bits at a small scale, pinned as hex floats.
+
+Recorded with numpy 2.4.6, like the block goldens.  Any change to the
+block kernels, the summation or the tails that moves a single bit of
+these reports fails here.
+"""
+
+import json
+
+from aliquot.cli import run
+
+
+def _report(tmp_path, argv, name):
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{name}.json") as fh:
+        return json.load(fh)
+
+
+def test_lambda_bits(tmp_path):
+    doc = _report(tmp_path, ["lambda", "--N", "1e5", "--Nj", "4e5"], "lambda")
+    assert doc["alpha"]["upper_bound"].hex() == "0x1.658b04443b5c0p-1"
+    assert doc["beta"]["lower_bound"].hex() == "0x1.737c0140eb98ep-1"
+    assert doc["lambda_upper"].hex() == "-0x1.be1f9f96079bfp-6"
+
+
+def test_even_means_bits(tmp_path):
+    doc = _report(tmp_path, ["means", "--class", "even", "--N", "1e5"], "means")
+    assert doc["log_mean"].hex() == "-0x1.10b7f788ea01fp-5"
+    assert doc["log_mean_error_radius"].hex() == "0x1.0e568ef0dfecep-38"

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from aliquot import cli
 from aliquot.cli import build_parser, combine_lambda, run
 
 
@@ -141,6 +142,51 @@ class TestLambdaVerb:
         assert abs(lam_doc["lambda_upper"] - expected) < 1e-14
         assert lam_doc["mu_upper"] >= math.exp(lam_doc["lambda_upper"])
         assert (lam_doc["mu_upper"] < 1.0) == (lam_doc["lambda_upper"] < 0.0)
+
+    def test_provenance_keys(self, tmp_path):
+        assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "1e4",
+                    "--e", "1,0.75", "--out", str(tmp_path)]) == 0
+        provenance = read_json(tmp_path / "lambda.json")["provenance"]
+        for key in ("version", "python", "numpy", "cpu_count", "workers", "block_size"):
+            assert key in provenance
+        assert provenance["python"].count(".") == 2
+
+    def test_alpha_runs_only_once_beta_completes(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.alpha_upper_bound
+        monkeypatch.setattr(cli, "alpha_upper_bound",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        args = ["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5", "--e", "1,0.75",
+                "--block-size", "16384", "--checkpoint-dir", str(tmp_path / "ckpt"),
+                "--out", str(tmp_path / "a")]
+        assert run(args + ["--stop-after-blocks", "3"]) == 0
+        assert run(args + ["--stop-after-blocks", "5"]) == 0
+        assert calls == []
+        assert not (tmp_path / "a" / "alpha.json").exists()
+        assert not (tmp_path / "a" / "lambda.json").exists()
+        assert run(args) == 0
+        assert calls == [1]
+        resumed = read_json(tmp_path / "a" / "lambda.json")
+        assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5", "--e", "1,0.75",
+                    "--block-size", "16384", "--out", str(tmp_path / "b")]) == 0
+        oneshot = read_json(tmp_path / "b" / "lambda.json")
+        assert resumed["lambda_upper"].hex() == oneshot["lambda_upper"].hex()
+        assert read_json(tmp_path / "a" / "alpha.json")["upper_bound"] == \
+            read_json(tmp_path / "b" / "alpha.json")["upper_bound"]
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--N", "2"], 1),
+        (["--L", "1"], 1),
+        (["--M", "0"], 1),
+        (["--N", "2e10"], 2),
+    ])
+    def test_bad_alpha_flags_fail_before_beta(self, tmp_path, monkeypatch, flags, code):
+        def no_beta(*args, **kwargs):
+            raise AssertionError("beta ran")
+
+        monkeypatch.setattr(cli, "beta_lower", no_beta)
+        assert run(["lambda", *flags, "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
+                    "--out", str(tmp_path)]) == code
 
 
 class TestConfigFile:

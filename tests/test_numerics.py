@@ -91,6 +91,57 @@ class TestExactSum:
             _assert_matches_fsum(values)
 
 
+def _random_bits(rng, n, exponents):
+    """n doubles with random signs and fractions and the given biased exponents."""
+    sign = rng.integers(0, 2, n, dtype=np.int64) << 63
+    exp = rng.choice(np.asarray(exponents, dtype=np.int64), n) << 52
+    frac = rng.integers(0, 1 << 52, n, dtype=np.int64)
+    return sign | exp | frac
+
+
+class TestExactSumMaskSplit:
+    """Edge cases of the split into the top 20 and the low 32 fraction bits."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("low_bits", ["ones", "zeros"])
+    def test_low_fraction_bits_all_ones_or_zeros(self, seed, low_bits):
+        rng = np.random.default_rng(seed)
+        bits = _random_bits(rng, 5000, [1, 2, 600, 1000, 1023, 1100, 1922])
+        bits = bits | 0xFFFFFFFF if low_bits == "ones" else bits & -(1 << 32)
+        values = bits.view(np.float64)
+        _assert_matches_fsum(values)
+        _assert_matches_fsum(np.concatenate([values, -values[:2500]]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subnormals(self, seed):
+        rng = np.random.default_rng(seed)
+        values = _random_bits(rng, 5000, [0]).view(np.float64)
+        # Below 2^32 units the high piece is zero and the low piece the term.
+        tiny = (rng.integers(1, 1 << 32, 500, dtype=np.int64)).view(np.float64)
+        _assert_matches_fsum(values)
+        _assert_matches_fsum(np.concatenate([tiny, -tiny[:250], values[:100]]))
+        _assert_matches_fsum(np.concatenate([values, np.ldexp(values[:50], 60)]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_alternating_terms_just_below_two_to_900(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 << 15
+        magnitudes = (_random_bits(rng, n, [1023 + 899]) & 0x7FFFFFFFFFFFFFFF).view(np.float64)
+        values = np.where(np.arange(n) % 2 == 0, magnitudes, -magnitudes)
+        assert np.abs(values).max() < 2.0**900
+        _assert_matches_fsum(values)
+        _assert_matches_fsum(np.abs(values))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lengths_around_one_chunk(self, offset):
+        rng = np.random.default_rng(7 + offset)
+        n = (1 << 15) + offset
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        _assert_matches_fsum(values)
+        values[-1] = -math.fsum(values[:-1].tolist())
+        _assert_matches_fsum(values)
+
+
 class TestCompensatedSum:
     def test_empty(self):
         cv = compensated_sum([])
