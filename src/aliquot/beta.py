@@ -24,7 +24,6 @@ subtractions are always taken on the pessimistic side.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -347,18 +346,20 @@ def _wide_membership(j: int, e: float, n: int) -> bool:
 def _prime_power_rows(p: int, m_max: int, js: tuple[int, ...]) -> np.ndarray:
     """Factors of the odd prime power p^m, one row per m = 0..m_max.
 
-    Row m holds h_j(p^m) for each j in js, then p^m / sigma(p^m), p^m and
-    -1.0 (row 0 is all ones): the per-prime factors of the columns that
-    _block_odd_signed accumulates, and of main_term_direct's terms.
-    Read-only, as rows are shared.
+    Row m holds -h_j(p^m) for each j in js, then p^m / sigma(p^m) and p^m
+    (row 0 is all ones): the per-prime factors of the columns that
+    _block_odd_signed accumulates, and of main_term_direct's terms.  The
+    sign is the prime power's factor -1 of (-1)^nu(n), so a product of
+    h rows is (-1)^nu(n) h_j(n); negation is exact, so this gives the bits
+    of a separate sign factor.  Read-only, as rows are shared.
     """
-    rows = [[1.0] * (len(js) + 3)]
+    rows = [[1.0] * (len(js) + 2)]
     for m in range(1, m_max + 1):
         pm = p**m
         sig_m = (p ** (m + 1) - 1) // (p - 1)
         sig_prev = (pm - 1) // (p - 1)
         lx = math.log1p(1.0 / (p * sig_prev))
-        rows.append([math.expm1(j * lx) for j in js] + [pm / sig_m, float(pm), -1.0])
+        rows.append([-math.expm1(j * lx) for j in js] + [pm / sig_m, float(pm)])
     table = np.array(rows)
     table.flags.writeable = False
     return table
@@ -368,9 +369,10 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     """Per-j (value, abs_sum, n_terms) of sum of beta_j(n) over odd n in [lo, hi].
 
     The block's odd integers n0, n0 + 2, ... are factored in place into one
-    (size, J + 3) array whose columns accumulate h_j(n) for each j, the
-    ratio n/sigma(n), the smooth part of n and the sign (-1)^nu(n), so an
-    integer's columns share one or two cache lines.  For each odd base
+    (size, J + 2) array whose columns accumulate the signed
+    (-1)^nu h_j for each j (the sign lives in the h rows of
+    _prime_power_rows), the ratio n/sigma(n) and the smooth part of n, so
+    an integer's columns share one or two cache lines.  For each odd base
     prime p (p^2 at most the largest n), primes.strided_prime_powers gives
     the multiples of p as the strided view i0::p with i0 = -n0 * 2^-1 mod p
     and their exponents of p; the exponent array picks rows of
@@ -381,10 +383,10 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     The smooth part is
     a product of integers below 2^53, so it is exact in floating point,
     and n / smooth is the exact cofactor: 1, or one prime q above
-    sqrt(hi), whose factors q/(q + 1), -1 and (1 + 1/q)^j - 1 multiply in
-    last as plain arrays: on the rows without a large prime (q = 1) each
-    factor array holds 1.0, and x * 1.0 = x exactly, so no masked ufunc
-    is needed.
+    sqrt(hi), whose factors q/(q + 1), (1 + 1/q)^j - 1 and -1 (carried by
+    1/n) multiply in last as plain arrays: on the rows without a large
+    prime (q = 1) each factor array holds 1.0, and x * 1.0 = x exactly, so
+    no masked ufunc is needed.
 
     Each element's products are formed in one fixed order (ascending p,
     the large prime last) from the same scalar factors, so the block's
@@ -397,7 +399,7 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
         return {j: (0.0, 0.0, 0) for j in js}
     size = (hi - n0) // 2 + 1
 
-    acc = np.ones((size, len(js) + 3))
+    acc = np.ones((size, len(js) + 2))
     walk = [
         (p, i0, exps, _prime_power_rows(p, 1 if exps is None else int(exps.max()), js))
         for p, i0, exps in strided_prime_powers(n0, size, 2)
@@ -416,7 +418,7 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     terms = np.empty((len(js), size))
     for a in range(0, size, _TERM_ROWS):
         b = min(a + _TERM_ROWS, size)
-        *h_cols, ratio, smooth, sign = acc[a:b].T.copy()
+        *h_cols, ratio, smooth = acc[a:b].T.copy()
         n_float = (n0 + 2 * np.arange(a, b, dtype=np.int64)).astype(np.float64)
         q = n_float / smooth
         no_q = np.flatnonzero(q <= 1.0)  # the rows without a large prime
@@ -425,9 +427,8 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
         ratio *= factor
         factor.fill(-1.0)
         factor[no_q] = 1.0
-        sign *= factor
+        inv_n = factor / n_float
         lq = np.log1p(1.0 / q)
-        inv_n = sign / n_float
         power = np.ones(b - a)
         last_j = 0
         for h_j, j, row in zip(h_cols, js, terms):
@@ -585,7 +586,6 @@ def main_term_direct(
         (seg,) = iter_factor_segments(lo, hi, segment_size=block_size)
         size = seg.n_values.size
         ratio = np.ones(size)
-        sign = np.ones(size)
         h_arr = np.ones(size)
         two_part = np.ones(size)
         odd_part = seg.n_values.copy()
@@ -594,17 +594,15 @@ def main_term_direct(
                 two_part[idx] = g_prime_power(j, 2, m)
                 odd_part[idx] //= 2**m
                 continue
-            h_pm, ratio_pm, _, sign_pm = _prime_power_rows(p, m, (j,))[m]
+            h_pm, ratio_pm, _ = _prime_power_rows(p, m, (j,))[m]
             ratio[idx] *= ratio_pm
-            sign[idx] *= sign_pm
             h_arr[idx] *= h_pm
         tail = seg.rem > 1
         if tail.any():
             q = seg.rem[tail].astype(np.float64)
             ratio[tail] *= q / (q + 1.0)
-            sign[tail] *= -1.0
-            h_arr[tail] *= np.expm1(j * np.log1p(1.0 / q))
-        vals = two_part * sign * (ratio**j) * h_arr / odd_part.astype(np.float64)
+            h_arr[tail] *= -np.expm1(j * np.log1p(1.0 / q))
+        vals = two_part * (ratio**j) * h_arr / odd_part.astype(np.float64)
         return parts_to_certified(*block_sum_parts(vals[seg.n_values % 2 == 0]))
 
     total = combine_blocks(map_blocks(aligned_blocks(2, config.N, block_size), eval_block, workers))
@@ -731,9 +729,6 @@ class BetaSummary:
             "elapsed_seconds": self.elapsed_seconds,
             "terms": [r.to_json_dict() for r in self.reports],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def beta_lower(

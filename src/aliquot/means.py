@@ -8,7 +8,6 @@ package certifies; over all integers it slowly diverges downward.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -200,7 +199,3 @@ def mean_report(
         certified_quotient(log_total, count),
         closed_form(mean_class),
     )
-
-
-def report_to_json(report: MeanReport, indent: int | None = 2) -> str:
-    return json.dumps(report.to_json_dict(), indent=indent)

@@ -2,19 +2,20 @@
 
 Ranges are processed in cache-sized segments, and memory is bounded by
 the segment size, never by the range length.  A segment of integers
-n0, n0 + stride, ... is factored along one of two paths:
+n0, n0 + stride, ... (stride 1 or 2) is factored along the strided walk
+(strided_prime_powers): it visits the odd base primes once and gives, per
+prime, the start of its multiples as a strided view (i0::p) and their
+exponents of p, so a kernel applies each prime with one in-place multiply
+and no per-(p, m) scatter.  The beta kernel, the exact sigma kernel
+(sigma_strided, under iter_sigma_segments) and the complete
+factorizations of FactoredRangeStream all consume it; 2-adic parts and
+the large cofactor are left to them.
 
-* the events path (iter_factor_segments) marks the multiples of every
-  prime p <= sqrt(hi) and divides out exact prime powers, listing one
-  (p, m, positions) event per prime power; whatever remains after all
-  base primes is either 1 or a single prime above sqrt(hi).  It feeds
-  complete factorizations (FactoredRangeStream) and sigma_of_segment.
-* the strided path (strided_prime_powers) walks the odd base primes once
-  and gives, per prime, the start of its multiples as a strided view
-  (i0::p) and their exponents of p, so a kernel applies each prime with
-  one in-place multiply and no per-(p, m) scatter.  The beta kernel and
-  the exact sigma kernel (sigma_strided, under iter_sigma_segments) both
-  consume it; 2-adic parts and the large cofactor are left to them.
+The events path (iter_factor_segments, stride 1 only) is the walk's
+independent oracle: it divides out exact prime powers, listing one
+(p, m, positions) event per prime power, and whatever remains after all
+base primes is either 1 or a single prime above sqrt(hi).  It feeds
+sigma_of_segment and beta.main_term_direct.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -111,50 +113,14 @@ class SegmentFactors:
     rem: np.ndarray
 
 
-def _factor_segment(n0: int, size: int, stride: int, base: np.ndarray) -> SegmentFactors:
-    n_values = n0 + stride * np.arange(size, dtype=np.int64)
-    rem = n_values.copy()
-    events: list[tuple[int, int, np.ndarray]] = []
-    n_max = int(n_values[-1]) if size else 0
-    for p in base[base * base <= n_max]:
-        p = int(p)
-        if stride == 2:
-            if p == 2:
-                continue
-            i0 = ((-n0) * pow(2, -1, p)) % p
-        else:
-            i0 = (-n0) % p
-        if i0 >= size:
-            continue
-        idx = np.arange(i0, size, p, dtype=np.int64)
-        v = n_values[idx] // p
-        m = 1
-        while True:
-            deeper = (v % p) == 0
-            exact = idx[~deeper]
-            if exact.size:
-                events.append((p, m, exact))
-                rem[exact] //= p**m
-            idx = idx[deeper]
-            if idx.size == 0:
-                break
-            v = v[deeper] // p
-            m += 1
-    return SegmentFactors(n_values, events, rem)
-
-
 def iter_factor_segments(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    odd_only: bool = False,
+    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[SegmentFactors]:
-    """Factor [lo, hi] segment by segment.
+    """Factor [lo, hi] segment by segment along the events path.
 
-    With ``odd_only`` the segment arrays contain only the odd integers of
-    the range.  Segments cover segment_size integers each from lo on (the
-    last one may be shorter), and the concatenated output is independent
-    of the chosen segment size.
+    Segments cover segment_size integers each from lo on (the last one may
+    be shorter), and the concatenated output is independent of the chosen
+    segment size.
     """
     if lo < 1:
         raise ParameterError(f"range start must be >= 1, got {lo}")
@@ -165,15 +131,23 @@ def iter_factor_segments(
     seg_lo = lo
     while seg_lo <= hi:
         seg_hi = min(seg_lo + segment_size - 1, hi)
-        if odd_only:
-            n0 = seg_lo if seg_lo % 2 == 1 else seg_lo + 1
-            if n0 > seg_hi:
-                seg_lo = seg_hi + 1
-                continue
-            size = (seg_hi - n0) // 2 + 1
-            yield _factor_segment(n0, size, 2, base)
-        else:
-            yield _factor_segment(seg_lo, seg_hi - seg_lo + 1, 1, base)
+        n_values = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
+        rem = n_values.copy()
+        events: list[tuple[int, int, np.ndarray]] = []
+        for p in base[base * base <= seg_hi].tolist():
+            idx = np.arange((-seg_lo) % p, n_values.size, p, dtype=np.int64)
+            v = n_values[idx] // p
+            m = 1
+            while idx.size:
+                deeper = (v % p) == 0
+                exact = idx[~deeper]
+                if exact.size:
+                    events.append((p, m, exact))
+                    rem[exact] //= p**m
+                idx = idx[deeper]
+                v = v[deeper] // p
+                m += 1
+        yield SegmentFactors(n_values, events, rem)
         seg_lo = seg_hi + 1
 
 
@@ -304,7 +278,11 @@ class FactoredRangeStream:
     """Iterable over (n, Factorization of n) for every n in [lo, hi].
 
     The yielded sequence is strictly increasing in n and bit-identical for
-    any segment_size; with ``odd_only`` only odd n are yielded.
+    any segment_size; with ``odd_only`` only odd n are yielded.  Each
+    segment is factored along the strided walk (stride 2 with
+    ``odd_only``): the 2-adic entry comes from n & -n, the odd base primes
+    from strided_prime_powers, and the cofactor, n with its found prime
+    powers divided out, is 1 or one prime above sqrt(n) and comes last.
     """
 
     lo: int
@@ -312,43 +290,33 @@ class FactoredRangeStream:
     segment_size: int = DEFAULT_SEGMENT_SIZE
     odd_only: bool = False
 
+    def __post_init__(self):
+        if self.lo < 1:
+            raise ParameterError(f"range start must be >= 1, got {self.lo}")
+        check_range(self.lo, max(self.hi, self.lo), self.segment_size)
+
     def __iter__(self) -> Iterator[tuple[int, Factorization]]:
         make = Factorization
-        for seg in iter_factor_segments(self.lo, self.hi, self.segment_size, self.odd_only):
-            size = seg.n_values.size
-            if size == 0:
-                continue
-            if seg.events:
-                all_idx = np.concatenate([idx for _, _, idx in seg.events])
-                all_p = np.concatenate(
-                    [np.full(idx.size, p, dtype=np.int64) for p, _, idx in seg.events]
-                )
-                all_m = np.concatenate(
-                    [np.full(idx.size, m, dtype=np.int64) for _, m, idx in seg.events]
-                )
-                # Events are appended in ascending-p order, so a stable sort
-                # by position keeps each integer's primes ascending.
-                order = np.argsort(all_idx, kind="stable")
-                pairs = list(zip(all_p[order].tolist(), all_m[order].tolist()))
-                counts = np.bincount(all_idx, minlength=size).tolist()
-            else:
-                pairs = []
-                counts = [0] * size
-            ns = seg.n_values.tolist()
-            rems = seg.rem.tolist()
-            pos = 0
-            for i in range(size):
-                c = counts[i]
-                if c:
-                    entries = tuple(pairs[pos : pos + c])
-                    pos += c
-                else:
-                    entries = ()
-                r = rems[i]
-                if r > 1:
-                    entries += ((r, 1),)
-                n = ns[i]
-                yield n, make(entries, n)
+        stride = 2 if self.odd_only else 1
+        seg_lo = self.lo
+        while seg_lo <= self.hi:
+            seg_hi = min(seg_lo + self.segment_size - 1, self.hi)
+            n0 = seg_lo | 1 if self.odd_only else seg_lo
+            size = (seg_hi - n0) // stride + 1  # 0 when an even seg_lo is seg_hi
+            seg_lo = seg_hi + 1
+            n_values = n0 + stride * np.arange(size, dtype=np.int64)
+            smooth = n_values & -n_values
+            entries = [[(2, t.bit_length() - 1)] if t > 1 else [] for t in smooth.tolist()]
+            for p, i0, exps in strided_prime_powers(n0, size, stride):
+                smooth[i0::p] *= p if exps is None else p**exps
+                ms = repeat(1) if exps is None else exps.tolist()
+                for i, m in zip(range(i0, size, p), ms):
+                    entries[i].append((p, m))
+            cofactors = (n_values // smooth).tolist()
+            for n, pairs, q in zip(n_values.tolist(), entries, cofactors):
+                if q > 1:
+                    pairs.append((q, 1))
+                yield n, make(tuple(pairs), n)
 
 
 def factored_range(
@@ -358,7 +326,4 @@ def factored_range(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> FactoredRangeStream:
     """Stream complete factorizations of [lo, hi] (see FactoredRangeStream)."""
-    if lo < 1:
-        raise ParameterError(f"range start must be >= 1, got {lo}")
-    check_range(lo, max(hi, lo), segment_size)
     return FactoredRangeStream(lo, hi, segment_size, odd_only)

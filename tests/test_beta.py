@@ -32,7 +32,13 @@ from aliquot.beta import (
 )
 from aliquot.checkpoint import CheckpointStore
 from aliquot.errors import ParameterError, SSetBudgetExceeded
-from aliquot.numerics import parts_to_certified
+from aliquot.numerics import (
+    CertifiedValue,
+    certified_product,
+    certified_quotient,
+    combine_blocks,
+    parts_to_certified,
+)
 from aliquot.primes import primes_in_range
 
 PAPER_E = {1: 1.0, 2: 0.75, 3: 0.60, 4: 0.48, 5: 0.35, 6: 0.28, 7: 0.20, 8: 0.15}
@@ -343,6 +349,24 @@ class TestMainTerm:
             expected = z.value * odd_sum / j
             got = main_term(BetaJConfig(j, N, 0.5 if j > 1 else 1.0))
             assert abs(got.value - expected) <= got.error_radius + 1e-12
+
+    def test_direct_matches_strided_odd_sums_at_scale(self):
+        # Sum over even n <= N of g_j(2^k) beta_j(n >> k) regrouped by k is
+        # sum over k >= 1 of g_j(2^k) * (odd sum to N >> k): the events path
+        # (main_term_direct) against the strided block kernel.
+        N = 10**6
+        js = list(range(1, 9))
+        odd = {k: odd_signed_sums(js, N >> k) for k in range(1, N.bit_length())}
+        for j in js:
+            got, _ = main_term_direct(BetaJConfig(j, N, PAPER_E[j]))
+            expected = certified_quotient(
+                combine_blocks([
+                    certified_product(CertifiedValue(g_prime_power(j, 2, k), 0.0), sums[j])
+                    for k, sums in odd.items()
+                ]),
+                j,
+            )
+            assert abs(got.value - expected.value) <= got.error_radius + expected.error_radius
 
 
 class TestOddSignedSums:

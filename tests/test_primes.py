@@ -89,6 +89,22 @@ class TestFactoredRange:
         b = [(n, f.entries) for n, f in factored_range(99_000, 101_000, segment_size=512)]
         assert a == b
 
+    def test_odd_only_segment_size_invariance(self):
+        a = [(n, f.entries) for n, f in factored_range(99_000, 101_000, True, 1 << 20)]
+        b = [(n, f.entries) for n, f in factored_range(99_000, 101_000, True, 7)]
+        assert a == b
+
+    @pytest.mark.parametrize("odd_only", [False, True])
+    def test_near_the_range_bound(self, odd_only):
+        # Primality and the product of every entry, checked per n: an
+        # oracle sharing no code with the strided walk.
+        lo = MAX_RANGE_END - 3000
+        ns = []
+        for n, f in factored_range(lo, MAX_RANGE_END, odd_only):
+            f.validate()
+            ns.append(n)
+        assert ns == [n for n in range(lo, MAX_RANGE_END + 1) if n % 2 or not odd_only]
+
     def test_stream_is_ascending(self):
         ns = [n for n, _ in factored_range(50, 500)]
         assert ns == sorted(ns) == list(range(50, 501))
