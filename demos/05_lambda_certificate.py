@@ -1,14 +1,14 @@
 # End-to-end certificate that the aliquot growth constant is negative.
 #
 # lambda = alpha - beta.  alpha gets a certified upper bound, beta a
-# certified lower bound (main terms over odd n <= N_j, dropped tails
-# charged by the (2je N^e)^-1 (2/3)^j formula, exceptional sets covered
-# by a moment bound), and the difference is rounded pessimistically.
+# certified lower bound (main terms over odd n <= N_j, each odd tail past
+# N_j charged one moment bound, Rankin's device), and the difference is
+# rounded pessimistically.
 # lambda < 0 means mu = e^lambda < 1: even aliquot sequences shrink on
 # geometric average.
 #
 # This demo runs a reduced configuration in about a second; the package
-# defaults (alpha N=1e6, beta N_j=1e7) certify lambda <= -0.028996 in a
+# defaults (alpha N=1e6, beta N_j=1e7) certify lambda <= -0.031565 in a
 # few seconds via `alq lambda`.
 
 from aliquot.alpha import AlphaParams, alpha_upper_bound
@@ -24,7 +24,7 @@ print(f"beta  >= {beta_result.lower_bound:.8f}")
 for r in beta_result.reports:
     print(
         f"   j={r.config.j}: main={r.main.value:+.6f}"
-        f"  error={r.error:.2e}  s-handling={r.s_mode}"
+        f"  tail bound={r.s_bound:.2e}  s-handling={r.s_mode}"
         f"  contributes >= {r.contribution_lower:.6f}"
     )
 

@@ -11,12 +11,17 @@ multiplicative function
     h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1,      h_j(1) = 1,
 
 over odd n, times a 2-adic factor sum over powers of two.  Cutting the
-odd sum at N leaves two remainders: integers with h_j(n) <= n^-e, whose
-total is bounded by (2je N^e)^-1 (2/3)^j, and the finite exceptional set
-S = {n : h_j(n) > n^-e}.  By default S is covered by a certified moment
-bound on everything past N (Rankin's device, s_tail_bound); the paper's
-route, exhaustive enumeration of S (its members are products of prime
-powers from a finite set T), is kept as the "enumerate" mode.
+odd sum at N leaves the tail over odd n > N.  By default it pays one
+certified moment bound, s_tail_bound: by the triangle inequality and
+Rankin's device,
+
+    |sum_{odd n>N} beta_j(n)| <= sum_{odd n>N} g_j h_j
+        <= N^-delta prod_{odd p} (1 + sum_m g_j h_j(p^m) p^(m delta)).
+
+The paper's route, kept as the "enumerate" mode, splits the tail into the
+integers with h_j(n) <= n^-e, bounded by (2je N^e)^-1 (2/3)^j, and the
+finite exceptional set S = {n : h_j(n) > n^-e}, summed exactly (its
+members are products of prime powers from a finite set T).
 
 Every quantity feeding the final bound carries an explicit error radius;
 subtractions are always taken on the pessimistic side.
@@ -157,7 +162,7 @@ def beta_prime(j: int, p: int, depth: int) -> CertifiedValue:
 
 
 def error_term(j: int, e: float, N: int) -> float:
-    """Dropped-tail bound (2 j e N^e)^-1 (2/3)^j for the odd part above N."""
+    """Bound (2 j e N^e)^-1 (2/3)^j for the odd n > N with h_j(n) <= n^-e."""
     if j < 1:
         raise ParameterError(f"j must be >= 1, got {j}")
     if not 0 < e <= 1:
@@ -637,8 +642,9 @@ def s_tail_bound(
     whose factors are evaluated directly for p up to prime_cutoff (power
     tails by the geometric bound h_j(p^m) <= j e^{j/p^m} / p^m) and
     bounded for larger p through the explicit prime-counting inequality
-    pi(x) < 1.25506 x / log x.  Covers the skipped exceptional-set
-    correction: |sum over S members above N of beta_j| never exceeds it.
+    pi(x) < 1.25506 x / log x.  As g_j h_j = |beta_j| (g_j, h_j >= 0), it
+    bounds |sum over odd n > N of beta_j(n)| by the triangle inequality,
+    so it covers the whole odd tail past N, exceptional set included.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
@@ -743,19 +749,21 @@ def beta_lower(
 ) -> BetaSummary | None:
     """Certified lower bound for beta from the given per-j configurations.
 
-    Per j the bound takes main term + exceptional-set correction, minus
-    the dropped-tail error term, every piece on its pessimistic side;
+    Per j the main term covers exactly the odd n <= N, and the odd tail
+    past N is charged per ``s_mode``, every piece on its pessimistic side;
     terms with j beyond the configured range are all positive, so
     dropping them keeps the bound valid.
 
-    The exceptional set is handled per ``s_mode``: "bound" (the default)
-    charges the certified moment bound s_tail_bound in place of the
-    correction, and "enumerate" sums S exactly (SSetBudgetExceeded
-    propagates if the search passes ``node_budget`` nodes, which it does
-    at the paper's exponents for every j >= 2).  For e = 1 (j = 1) S is
-    empty and neither is needed.  Returns None if ``stop_after_blocks``
-    ends the odd-sum pass early (resume later with the same configuration
-    and checkpoint_dir).
+    "bound" (the default) charges s_tail_bound(j, N) * z_upper / j, with z
+    the 2-adic factor, and nothing else: |sum over odd n > N of beta_j(n)|
+    <= sum over odd n > N of g_j h_j <= N^-delta prod over odd p of
+    (1 + sum over m of g_j h_j(p^m) p^(m delta)), by the triangle
+    inequality and Rankin's device; it never reads e.  "enumerate" charges
+    the paper's error_term and sums the exceptional set S exactly
+    (SSetBudgetExceeded propagates if the search passes ``node_budget``
+    nodes, which it does at the paper's exponents for every j >= 2).
+    Returns None if ``stop_after_blocks`` ends the odd-sum pass early
+    (resume later with the same configuration and checkpoint_dir).
     """
     if s_mode not in ("bound", "enumerate"):
         raise ParameterError(f"unknown s_mode {s_mode!r}")
@@ -764,12 +772,13 @@ def beta_lower(
     if len(set(js)) != len(js):
         raise ParameterError("duplicate j in configs")
 
-    by_n: dict[tuple[int, int], list[BetaJConfig]] = {}
+    # One odd-sum pass per N: K2 only enters the 2-adic factor.
+    by_n: dict[int, list[BetaJConfig]] = {}
     for cfg in configs:
-        by_n.setdefault((cfg.N, cfg.K2), []).append(cfg)
+        by_n.setdefault(cfg.N, []).append(cfg)
 
     odd_sums: dict[int, CertifiedValue] = {}
-    for (N, K2), group in sorted(by_n.items()):
+    for N, group in sorted(by_n.items()):
         store = None
         if checkpoint_dir is not None:
             key = {
@@ -796,19 +805,14 @@ def beta_lower(
     total_lower = 0.0
     for cfg in sorted(configs, key=lambda c: c.j):
         main = main_term(cfg, odd_sum=odd_sums[cfg.j])
-        err = error_term(cfg.j, cfg.e, cfg.N) * _FLOAT_SLOP
-        mode_used = s_mode
         s_size: int | None = None
         s_corr = CertifiedValue(0.0, 0.0)
-        s_bound = 0.0
-        if cfg.e == 1.0:
-            # S is provably empty here; no enumeration, no correction.
-            mode_used = "empty"
-            s_size = 0
-        elif s_mode == "enumerate":
+        err = s_bound = 0.0
+        if s_mode == "enumerate":
             elements = s_set(cfg.j, cfg.e, node_budget=node_budget)
             s_size = len(elements)
             s_corr = s_correction(cfg, elements)
+            err = error_term(cfg.j, cfg.e, cfg.N) * _FLOAT_SLOP
         else:
             z_upper = two_beta2_minus_one(cfg.j, cfg.K2).upper
             s_bound = s_tail_bound(cfg.j, cfg.N) * z_upper / cfg.j
@@ -818,7 +822,7 @@ def beta_lower(
         # be replaced by zero without losing validity.
         contribution = max(0.0, contribution)
         reports.append(
-            BetaJReport(cfg, main, mode_used, s_size, s_corr, s_bound, err, contribution)
+            BetaJReport(cfg, main, s_mode, s_size, s_corr, s_bound, err, contribution)
         )
         total_value += main.value + s_corr.value
         total_lower += contribution

@@ -11,10 +11,12 @@ Verbs:
 
 Numeric flags accept scientific notation (1e6).  A JSON config file may
 supply any flag's value, keyed by its dest (N, mean_class, block_size, ...)
-and parsed as the flag would be; explicit flags override it.  beta bounds
-the exceptional sets unless --s-mode enumerate searches them.  Reports are
-written as JSON (always) and CSV (tabular verbs) under --out.  Exit status:
-0 on success, 1 on parameter errors, 2 on resource or effort errors.
+and parsed as the flag would be; explicit flags override it.  beta charges
+each j's odd tail past --Nj one moment bound, which --e does not enter,
+unless --s-mode enumerate takes the paper's route (error term plus an
+exhaustive exceptional-set search).  Reports are written as JSON (always)
+and CSV (tabular verbs) under --out.  Exit status: 0 on success, 1 on
+parameter errors, 2 on resource or effort errors.
 """
 
 from __future__ import annotations
@@ -317,12 +319,13 @@ def build_parser() -> _Parser:
         p.add_argument("--Nj", type=_int_flag, default=DEFAULT_BETA_N,
                        help="odd-sum cutoff (even)")
         p.add_argument("--e", type=_floats_flag, default=None,
-                       help="comma-separated exponents, one per j (default PAPER_E)")
+                       help="comma-separated exponents, one per j (default PAPER_E); "
+                       "used by --s-mode enumerate only")
         p.add_argument("--K2", type=_int_flag, default=DEFAULT_K2,
                        help="dyadic truncation depth")
         p.add_argument("--s-mode", dest="s_mode", choices=("bound", "enumerate"),
-                       default="bound", help="exceptional sets: moment bound, or exhaustive "
-                       "search that exits 2 past --node-budget nodes")
+                       default="bound", help="odd tail: one moment bound per j, or error term plus "
+                       "exhaustive search that exits 2 past --node-budget nodes")
         p.add_argument("--node-budget", dest="node_budget", type=_int_flag,
                        default=DEFAULT_NODE_BUDGET)
         p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None)

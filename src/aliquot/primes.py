@@ -30,6 +30,7 @@ import numpy as np
 
 from .arith import Factorization
 from .errors import ParameterError, ResourceError
+from .numerics import aligned_blocks
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_SEGMENT_SIZE = 1 << 25
@@ -74,19 +75,14 @@ def iter_prime_segments(
         return
     check_range(lo, hi, segment_size)
     base = _dense_primes(math.isqrt(hi))
-    seg_lo = lo
-    while seg_lo <= hi:
-        seg_hi = min(seg_lo + segment_size - 1, hi)
-        size = seg_hi - seg_lo + 1
-        mask = np.ones(size, dtype=bool)
+    for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
+        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
         for p in base[base * base <= seg_hi]:
             p = int(p)
             start = max(p * p, ((seg_lo + p - 1) // p) * p)
             if start <= seg_hi:
                 mask[start - seg_lo :: p] = False
-        primes = np.flatnonzero(mask).astype(np.int64) + seg_lo
-        yield primes
-        seg_lo = seg_hi + 1
+        yield np.flatnonzero(mask).astype(np.int64) + seg_lo
 
 
 def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
@@ -118,9 +114,8 @@ def iter_factor_segments(
 ) -> Iterator[SegmentFactors]:
     """Factor [lo, hi] segment by segment along the events path.
 
-    Segments cover segment_size integers each from lo on (the last one may
-    be shorter), and the concatenated output is independent of the chosen
-    segment size.
+    Segments are cut at multiples of segment_size (numerics.aligned_blocks),
+    and the concatenated output is independent of the chosen segment size.
     """
     if lo < 1:
         raise ParameterError(f"range start must be >= 1, got {lo}")
@@ -128,9 +123,7 @@ def iter_factor_segments(
         return
     check_range(lo, hi, segment_size)
     base = _dense_primes(math.isqrt(hi))
-    seg_lo = lo
-    while seg_lo <= hi:
-        seg_hi = min(seg_lo + segment_size - 1, hi)
+    for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         n_values = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
         rem = n_values.copy()
         events: list[tuple[int, int, np.ndarray]] = []
@@ -148,7 +141,6 @@ def iter_factor_segments(
                 v = v[deeper] // p
                 m += 1
         yield SegmentFactors(n_values, events, rem)
-        seg_lo = seg_hi + 1
 
 
 def sigma_of_segment(seg: SegmentFactors) -> np.ndarray:
@@ -261,16 +253,13 @@ def iter_sigma_segments(
     if hi < lo:
         return
     check_range(lo, hi, segment_size)
-    seg_lo = lo
-    while seg_lo <= hi:
-        seg_hi = min(seg_lo + segment_size - 1, hi)
+    for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         if parity is None:
             yield sigma_strided(seg_lo, seg_hi - seg_lo + 1, 1)
         else:
             n0 = seg_lo + (seg_lo - parity) % 2
             if n0 <= seg_hi:
                 yield sigma_strided(n0, (seg_hi - n0) // 2 + 1, 2)
-        seg_lo = seg_hi + 1
 
 
 @dataclass
@@ -298,12 +287,9 @@ class FactoredRangeStream:
     def __iter__(self) -> Iterator[tuple[int, Factorization]]:
         make = Factorization
         stride = 2 if self.odd_only else 1
-        seg_lo = self.lo
-        while seg_lo <= self.hi:
-            seg_hi = min(seg_lo + self.segment_size - 1, self.hi)
+        for seg_lo, seg_hi in aligned_blocks(self.lo, self.hi, self.segment_size):
             n0 = seg_lo | 1 if self.odd_only else seg_lo
             size = (seg_hi - n0) // stride + 1  # 0 when an even seg_lo is seg_hi
-            seg_lo = seg_hi + 1
             n_values = n0 + stride * np.arange(size, dtype=np.int64)
             smooth = n_values & -n_values
             entries = [[(2, t.bit_length() - 1)] if t > 1 else [] for t in smooth.tolist()]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -568,16 +569,44 @@ class TestSTailBound:
         bound = s_tail_bound(j, N)
         assert 0 < bound < 1
 
-    def test_dominates_brute_force_partial_sum(self):
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_dominates_brute_force_partial_sum(self, j):
         # Partial sums of g_j h_j over odd n just past N can never exceed
         # the bound on the whole tail.
-        for j in (2, 3):
-            N = 2001
-            partial = math.fsum(
-                g(j, factorize(n)) * h(j, factorize(n))
-                for n in range(N + 2, 40 * N, 2)
-            )
-            assert partial <= s_tail_bound(j, N)
+        N = 2001
+        partial = math.fsum(g(j, f) * h(j, f) for f in _odd_factorizations(N + 2, 40 * N))
+        assert partial <= s_tail_bound(j, N)
+
+    def test_kernel_abs_sum_is_g_h_sum(self):
+        # The block kernel's abs-sum field is sum of |beta_j(n)| = g_j h_j.
+        lo, hi = 10**4 + 1, 10**4 + 3000
+        parts = beta_module._block_odd_signed(lo, hi, list(range(1, 9)))
+        for j in range(1, 9):
+            oracle = math.fsum(g(j, f) * h(j, f) for f in _odd_factorizations(lo, hi))
+            assert parts[j][1] == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize("N0", [10**4, 10**5])
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_dominates_kernel_tail_to_1e6(self, j, N0):
+        # The bound is the only charge on the odd tail past N0; it must
+        # exceed sum of g_j h_j over odd n in (N0, 10^6].
+        tail = sum(_abs_sums(lo, hi)[j] for lo, hi in _TAIL_PIECES if lo > N0)
+        assert tail <= s_tail_bound(j, N0)
+
+
+_TAIL_PIECES = [(10**4 + 1, 10**5), (10**5 + 1, 10**6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_factorizations(lo, hi):
+    return tuple(map(factorize, range(lo | 1, hi + 1, 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _abs_sums(lo, hi):
+    """sum of g_j h_j over odd n in [lo, hi] for j = 1..8, from the block kernel."""
+    parts = beta_module._block_odd_signed(lo, hi, list(range(1, 9)))
+    return {j: abs_sum for j, (_, abs_sum, _) in parts.items()}
 
 
 class TestSCorrection:
@@ -613,13 +642,17 @@ class TestBetaLower:
         assert summary.lower_bound < summary.certified.value
         assert summary.lower_bound > 0.6
 
-    def test_bound_mode_weaker_than_enumerate(self):
-        # With e = 0.5 the exceptional set is tiny, so both modes work;
-        # the bound mode may only lower the certificate.
+    def test_both_modes_below_beta_upper_estimate(self):
+        # With e = 0.5 the exceptional set is tiny, so both modes work.
+        # Neither lower bound may pass an upper estimate of the j = 2 term:
+        # a larger main term plus the whole tail's Rankin charge.
         configs = [BetaJConfig(2, 10**4, 0.5)]
         enum = beta_lower(configs, s_mode="enumerate")
         bound = beta_lower(configs, s_mode="bound")
-        assert bound.lower_bound <= enum.lower_bound + 1e-15
+        z_upper = two_beta2_minus_one(2).upper
+        upper = main_term(BetaJConfig(2, 10**6, 0.5)).upper + s_tail_bound(2, 10**6) * z_upper / 2
+        assert enum.lower_bound <= upper
+        assert bound.lower_bound <= upper
 
     def test_default_mode_never_searches(self, monkeypatch):
         def no_search(*args, **kwargs):
@@ -628,8 +661,37 @@ class TestBetaLower:
         monkeypatch.setattr(beta_module, "s_set", no_search)
         configs = [BetaJConfig(j, 10**4, PAPER_E[j]) for j in range(1, 9)]
         summary = beta_lower(configs)
-        assert [r.s_mode for r in summary.reports] == ["empty"] + ["bound"] * 7
-        assert all(r.s_set_size is None for r in summary.reports[1:])
+        assert [r.s_mode for r in summary.reports] == ["bound"] * 8
+        assert all(r.s_set_size is None for r in summary.reports)
+
+    def test_one_odd_sum_pass_per_N(self, monkeypatch):
+        # K2 only enters the 2-adic factor, so configs sharing N share a pass.
+        calls = []
+        real = beta_module.odd_signed_sums
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(beta_module, "odd_signed_sums", counting)
+        beta_lower([BetaJConfig(1, 10**4, 1.0, 64), BetaJConfig(2, 10**4, 0.75, 32)])
+        assert calls == [([1, 2], 10**4)]
+
+    def test_bound_mode_charges_only_the_tail_bound(self):
+        # Every j, j = 1 included, subtracts exactly its Rankin charge.
+        configs = [BetaJConfig(j, 10**4, PAPER_E[j]) for j in (1, 2)]
+        for r in beta_lower(configs).reports:
+            z_upper = two_beta2_minus_one(r.config.j).upper
+            assert r.error == 0.0
+            assert r.s_bound == s_tail_bound(r.config.j, 10**4) * z_upper / r.config.j
+            assert r.contribution_lower == max(0.0, r.main.lower - r.s_bound)
+
+    def test_enumerate_mode_j1_has_empty_set(self):
+        # e = 1 needs no branch of its own: s_set(1, 1.0) is empty.
+        (r,) = beta_lower([BetaJConfig(1, 10**4, 1.0)], s_mode="enumerate").reports
+        assert (r.s_mode, r.s_set_size, r.s_bound) == ("enumerate", 0, 0.0)
+        assert r.error == error_term(1, 1.0, 10**4) * beta_module._FLOAT_SLOP
+        assert r.contribution_lower == r.main.lower - r.error
 
     def test_auto_mode_rejected(self):
         with pytest.raises(ParameterError, match="auto"):
