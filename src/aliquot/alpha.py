@@ -6,26 +6,43 @@ alpha = 2*alpha(2) + sum over odd primes p of alpha(p), where
 
 The computation truncates the p = 2 series at depth L (in a rearranged
 form whose tail is quadratically small, see alpha_two_part), truncates
-every odd prime's series at depth M, cuts primes at N, and adds explicit
-tail bounds for all three truncations:
+the odd primes' series at a per-block depth m_b <= M, cuts primes at N,
+and adds explicit tail bounds for all three truncations:
 
     upper bound = finite sums + float radius
-                  + 2*A(2,L) + sum over odd p <= N of A(p,M) + 1/N,
+                  + 2*A(2,L) + sum over odd p <= N of A(p,m_b) + 1/N,
 
-with A(p, M) = p/(p-1) * p^(-2(M+1)) dominating each dropped prime tail
-and 1/N dominating the dropped primes.
+with A(p, m) = p/(p-1) * p^(-2(m+1)) dominating the series tail of p
+past depth m (its m'-th term is below p^(-2m')), and 1/N dominating the
+dropped primes.
+
+Depth rule.  The odd primes are summed in aligned blocks, and a block
+whose primes run from p_min to p_max takes the least m_b in 1..M-1 with
+
+    A(p_min, m_b) <= EPS * log1p(1/p_max) / p_max,
+
+else M.  A(p, m) covers the tail past depth m for every m >= 1, so the
+bound is valid whatever m_b the rule picks: the float evaluation of the
+rule only chooses the depth and needs no rigor of its own.  Since
+A(p, m_b) <= A(p_min, m_b) and log1p(1/p)/p, the m = 1 term, falls with
+p, each prime's charge stays below EPS times its own first term, under
+the block's float radius, which is at least (number of terms) * EPS
+times the sum of its terms.  A block holding the prime 3 keeps depth
+M = 15 (A(3, 14) is above EPS * log1p(1/3) / 3), so at the default block
+size of 2^20 every N up to 2^20 sums the same terms as a fixed depth M.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 from .numerics import (
+    EPS,
     CertifiedValue,
     aligned_blocks,
     block_sum_parts,
@@ -63,6 +80,7 @@ class AlphaResult:
     upper_bound: float
     n_primes: int
     elapsed_seconds: float
+    depths: dict[int, int] = field(default_factory=dict)  # depth -> odd primes summed
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,6 +91,7 @@ class AlphaResult:
             "tail_total": self.tail_total,
             "upper_bound": self.upper_bound,
             "n_odd_primes": self.n_primes,
+            "depths": {str(m): count for m, count in self.depths.items()},
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -95,11 +114,19 @@ def alpha_term(p: int, m: int) -> float:
     return math.log1p(1.0 / geom) / q
 
 
-def tail_a(p: int, M: int) -> float:
-    """A(p, M) = p/(p-1) * (p^-(M+1))^2, the depth-M series tail bound."""
+def tail_a(p, M: int):
+    """A(p, M) = p/(p-1) * (p^-(M+1))^2, the depth-M series tail bound.
+
+    p is a prime or an array of primes (a float for a prime, an array for
+    an array); both go through numpy's power, so a block's tail entries
+    are exactly this function's values.
+    """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
-    return (p / (p - 1.0)) * float(p) ** (-2.0 * (M + 1))
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        a = (p / (p - 1.0)) * p ** (-2.0 * (M + 1))
+    return a if a.ndim else float(a)
 
 
 def alpha_two_part(L: int) -> CertifiedValue:
@@ -118,6 +145,17 @@ def alpha_two_part(L: int) -> CertifiedValue:
     return compensated_sum(terms)
 
 
+def _block_depth(primes: np.ndarray, M: int) -> int:
+    """The block's series depth: the least m in 1..M-1 whose tail bound
+    A(p_min, m) is at most EPS * log1p(1/p_max) / p_max, else M (the depth
+    rule of the module docstring).  M for a block without primes."""
+    if primes.size == 0:
+        return M
+    p_min, p_max = int(primes[0]), int(primes[-1])
+    threshold = EPS * math.log1p(1.0 / p_max) / p_max
+    return next((m for m in range(1, M) if tail_a(p_min, m) <= threshold), M)
+
+
 def _block_sums(primes: np.ndarray, M: int) -> tuple[tuple, tuple]:
     """Per-block pieces: the alpha terms for m = 1..M and the A(p, M) tails.
 
@@ -133,8 +171,7 @@ def _block_sums(primes: np.ndarray, M: int) -> tuple[tuple, tuple]:
             term_arrays.append(np.log1p(1.0 / geom) / q)
             q = q * p
         terms = np.concatenate(term_arrays) if term_arrays else np.empty(0)
-        tails = (p / (p - 1.0)) * p ** (-2.0 * (M + 1))
-    return block_sum_parts(terms), block_sum_parts(tails)
+    return block_sum_parts(terms), block_sum_parts(tail_a(p, M))
 
 
 def alpha_upper_bound(
@@ -145,11 +182,15 @@ def alpha_upper_bound(
 ) -> AlphaResult:
     """Certified upper bound for alpha at the given truncation parameters.
 
-    The finite sums are alpha_two_part(L) plus the depth-M terms over all
-    odd primes p <= N, block-reduced deterministically; the tail total is
-    2*A(2,L) + sum of A(p,M) over the same primes + 1/N.  The bound is
+    The odd primes p <= N are summed in aligned blocks of block_size,
+    each at its own depth m_b <= M (_block_depth, the rule and its
+    argument in the module docstring; M is the maximum depth).  The
+    finite sums are alpha_two_part(L) plus the depth-m_b terms of every
+    block, block-reduced deterministically; the tail total is
+    2*A(2,L) + sum of A(p,m_b) over the same primes + 1/N.  The bound is
     sums value + sums radius + tails, nudged up two ulps to cover the
-    final additions.
+    final additions.  ``depths`` counts the odd primes summed at each
+    chosen depth.
     """
     import time
 
@@ -160,11 +201,13 @@ def alpha_upper_bound(
     def eval_block(lo: int, hi: int):
         # An aligned block is exactly one sieve segment.
         (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
-        term_parts, tail_parts = _block_sums(primes, M)
+        depth = _block_depth(primes, M)
+        term_parts, tail_parts = _block_sums(primes, depth)
         return (
             parts_to_certified(*term_parts),
             parts_to_certified(*tail_parts),
             primes.size,
+            depth,
         )
 
     results = map_blocks(aligned_blocks(3, N, block_size), eval_block, workers)
@@ -178,13 +221,17 @@ def alpha_upper_bound(
 
     ub = sums.value + sums.error_radius + tail_total
     ub = math.nextafter(math.nextafter(ub, math.inf), math.inf)
+    depths: dict[int, int] = {}
+    for r in results:
+        depths[r[3]] = depths.get(r[3], 0) + r[2]
     return AlphaResult(
         params=params,
         sums=sums,
         tail_total=tail_total,
         upper_bound=ub,
-        n_primes=sum(r[2] for r in results),
+        n_primes=sum(depths.values()),
         elapsed_seconds=time.time() - t0,
+        depths=depths,
     )
 
 

@@ -521,11 +521,15 @@ def odd_signed_sums(
 @dataclass(frozen=True)
 class BetaJConfig:
     """Parameters for one j-term: odd-sum cutoff N (even), exponent e,
-    dyadic truncation depth K2."""
+    dyadic truncation depth K2.
+
+    Only the paper's route (the "enumerate" mode and main_term_direct's
+    mixed-region bound) reads e; it may be None for bound mode.
+    """
 
     j: int
     N: int
-    e: float
+    e: float | None = None
     K2: int = DEFAULT_K2
 
     def __post_init__(self):
@@ -533,12 +537,21 @@ class BetaJConfig:
             raise ParameterError(f"j must be >= 1, got {self.j}")
         if self.N <= 1 or self.N % 2 != 0:
             raise ParameterError(f"N must be even and > 1, got {self.N}")
-        if not 0.0 < self.e <= 1.0:
-            raise ParameterError(f"e must lie in (0, 1], got {self.e}")
-        if self.e == 1.0 and self.j != 1:
-            raise ParameterError("e = 1 is only valid for j = 1")
+        if self.e is not None:
+            if not 0.0 < self.e <= 1.0:
+                raise ParameterError(f"e must lie in (0, 1], got {self.e}")
+            if self.e == 1.0 and self.j != 1:
+                raise ParameterError("e = 1 is only valid for j = 1")
         if self.K2 < 8:
             raise ParameterError(f"K2 must be >= 8, got {self.K2}")
+
+
+def _paper_exponent(config: BetaJConfig) -> float:
+    """config.e, or ParameterError naming the j when the paper's route
+    needs an exponent and the configuration has none."""
+    if config.e is None:
+        raise ParameterError(f"j={config.j} has no exponent e, which the paper's route needs")
+    return config.e
 
 
 def main_term(
@@ -584,6 +597,7 @@ def main_term_direct(
     added to its uncertainty when used in place of the factorized form.
     """
     j = config.j
+    e = _paper_exponent(config)
     check_range(1, config.N, block_size)
 
     def eval_block(lo: int, hi: int) -> CertifiedValue:
@@ -611,7 +625,7 @@ def main_term_direct(
         return parts_to_certified(*block_sum_parts(vals[seg.n_values % 2 == 0]))
 
     total = combine_blocks(map_blocks(aligned_blocks(2, config.N, block_size), eval_block, workers))
-    bound = mixed_region_bound(j, config.e, config.N)
+    bound = mixed_region_bound(j, e, config.N)
     return certified_quotient(total, j), bound
 
 
@@ -771,6 +785,9 @@ def beta_lower(
     js = [c.j for c in configs]
     if len(set(js)) != len(js):
         raise ParameterError("duplicate j in configs")
+    if s_mode == "enumerate":
+        for cfg in configs:
+            _paper_exponent(cfg)
 
     # One odd-sum pass per N: K2 only enters the 2-adic factor.
     by_n: dict[int, list[BetaJConfig]] = {}

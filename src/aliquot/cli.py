@@ -149,9 +149,8 @@ def _beta_configs(args) -> list[BetaJConfig]:
     J = args.J
     e_values = args.e
     if e_values is None:
-        e_values = list(PAPER_E[:J])
-        if J > len(PAPER_E):
-            raise ParameterError(f"no default exponents beyond J={len(PAPER_E)}; pass --e")
+        # Bound mode never reads e; past PAPER_E only enumerate needs one.
+        e_values = list(PAPER_E[:J]) + [None] * (J - len(PAPER_E))
     if len(e_values) != J:
         raise ParameterError(f"expected {J} exponents, got {len(e_values)}")
     return [BetaJConfig(j + 1, args.Nj, e_values[j], args.K2) for j in range(J)]
@@ -202,7 +201,7 @@ def _run_beta(args, out_dir: Path) -> BetaSummary | None:
         [
             r.config.j,
             r.config.N,
-            r.config.e,
+            r.config.e if r.config.e is not None else "",
             repr(r.main.value),
             repr(r.main.error_radius),
             r.s_mode,
@@ -310,7 +309,8 @@ def build_parser() -> _Parser:
     def alpha_flags(p, cutoff_help):
         p.add_argument("--N", type=_int_flag, default=10**6, help=cutoff_help)
         p.add_argument("--L", type=_int_flag, default=15, help="dyadic depth")
-        p.add_argument("--M", type=_int_flag, default=15, help="odd prime depth")
+        p.add_argument("--M", type=_int_flag, default=15,
+                       help="maximum odd prime depth; blocks of large primes stop earlier")
 
     alpha_flags(p_alpha, "prime cutoff")
 
@@ -319,7 +319,7 @@ def build_parser() -> _Parser:
         p.add_argument("--Nj", type=_int_flag, default=DEFAULT_BETA_N,
                        help="odd-sum cutoff (even)")
         p.add_argument("--e", type=_floats_flag, default=None,
-                       help="comma-separated exponents, one per j (default PAPER_E); "
+                       help="comma-separated exponents, one per j (default PAPER_E, none past j=8); "
                        "used by --s-mode enumerate only")
         p.add_argument("--K2", type=_int_flag, default=DEFAULT_K2,
                        help="dyadic truncation depth")

@@ -1,7 +1,9 @@
 """Segmented sieving: prime streams and fully factored integer ranges.
 
 Ranges are processed in cache-sized segments, and memory is bounded by
-the segment size, never by the range length.  A segment of integers
+the segment size, never by the range length.  The prime sieve
+(iter_prime_segments) marks odd numbers only, half a segment's length,
+and puts the prime 2 back where a segment holds it.  A segment of integers
 n0, n0 + stride, ... (stride 1 or 2) is factored along the strided walk
 (strided_prime_powers): it visits the odd base primes once and gives, per
 prime, the start of its multiples as a strided view (i0::p) and their
@@ -68,21 +70,35 @@ def check_range(lo: int, hi: int, segment_size: int) -> None:
 def iter_prime_segments(
     lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[np.ndarray]:
-    """Yield the primes of [lo, hi] as int64 arrays, one per segment."""
+    """Yield the primes of [lo, hi] as int64 arrays, one per segment.
+
+    Segments are cut at multiples of segment_size (numerics.aligned_blocks).
+    The sieve marks odd numbers only: position i of a segment's mask is
+    n0 + 2i, n0 its first odd number, so an odd base prime p crosses out
+    the positions from max(i0, (p^2 - n0) / 2) in steps of p, with
+    i0 = -n0 * 2^-1 mod p and 2^-1 = (p + 1) / 2 (p^2 and n0 are odd, so
+    the halving is exact; a prime whose start lies past the mask marks
+    nothing).  The prime 2 is put back in the segment that holds it.
+    """
     if lo < 2:
         lo = 2
     if hi < lo:
         return
     check_range(lo, hi, segment_size)
-    base = _dense_primes(math.isqrt(hi))
+    base = _dense_primes(math.isqrt(hi))[1:]
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
-        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        for p in base[base * base <= seg_hi]:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start <= seg_hi:
-                mask[start - seg_lo :: p] = False
-        yield np.flatnonzero(mask).astype(np.int64) + seg_lo
+        n0 = seg_lo | 1
+        mask = np.ones((seg_hi - n0) // 2 + 1, dtype=bool)  # size 0 when seg_lo == seg_hi is even
+        ps = base[: np.searchsorted(base, math.isqrt(seg_hi), side="right")]
+        starts = np.maximum((-n0 * ((ps + 1) // 2)) % ps, (ps * ps - n0) // 2)
+        for p, start in zip(ps.tolist(), starts.tolist()):
+            mask[start::p] = False
+        found = np.flatnonzero(mask)
+        found *= 2
+        found += n0
+        if seg_lo == 2:
+            found = np.concatenate(([2], found))
+        yield found.astype(np.int64, copy=False)
 
 
 def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:

@@ -5,8 +5,8 @@ divisor enumeration against the multiplicative sigma and against the
 segment sigma kernel (all, even and odd n), sieve counts against known
 prime counts, the closed-form h values against their binomial sums, the
 exceptional-set fixture, the trajectory fixtures, the vectorized block
-sum against math.fsum, and worker-count bit-identity for one block sum of
-each flavor.
+sum against math.fsum, worker-count bit-identity for one block sum of
+each flavor, and alpha's per-block depths against a full-depth oracle.
 """
 
 from __future__ import annotations
@@ -15,12 +15,18 @@ import math
 
 import numpy as np
 
-from .alpha import AlphaParams, alpha_upper_bound
+from .alpha import AlphaParams, _block_sums, alpha_two_part, alpha_upper_bound, tail_a
 from .arith import factorize, sigma, sigma_oracle
 from .beta import beta_signed, h_prime_power, h_prime_power_binomial, odd_signed_sums, s_set
 from .means import log_mean
-from .numerics import exact_sum
-from .primes import iter_sigma_segments, primes_in_range
+from .numerics import (
+    aligned_blocks,
+    certified_combine,
+    combine_blocks,
+    exact_sum,
+    parts_to_certified,
+)
+from .primes import iter_prime_segments, iter_sigma_segments, primes_in_range
 from .trajectory import trace
 
 
@@ -29,6 +35,26 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     suffix = f"  ({detail})" if detail else ""
     print(f"[{status}] {name}{suffix}")
     return ok
+
+
+def full_depth_alpha_bound(params: AlphaParams, block_size: int) -> tuple[float, int]:
+    """Oracle for alpha_upper_bound's per-block depths: its bound with every
+    aligned block summed at the full depth M, and the odd primes counted.
+
+    The assembly repeats alpha_upper_bound's operations in its order, so
+    the two agree bit for bit where every block keeps depth M.
+    """
+    N, L, M = params.N, params.L, params.M
+    segments = [next(iter_prime_segments(lo, hi, block_size))
+                for lo, hi in aligned_blocks(3, N, block_size)]
+    parts = [_block_sums(primes, M) for primes in segments]
+    odd_sum = combine_blocks([parts_to_certified(*terms) for terms, _ in parts])
+    tail_sum = combine_blocks([parts_to_certified(*tails) for _, tails in parts])
+    sums = certified_combine(alpha_two_part(L), odd_sum, "add")
+    tail_total = 2.0 * tail_a(2, L) + tail_sum.value + tail_sum.error_radius + 1.0 / N
+    ub = sums.value + sums.error_radius + tail_total
+    ub = math.nextafter(math.nextafter(ub, math.inf), math.inf)
+    return ub, sum(primes.size for primes in segments)
 
 
 def run_selftest() -> bool:
@@ -110,6 +136,17 @@ def run_selftest() -> bool:
         _check(
             "alpha block sum worker bit-identity",
             (a1.sums.value, a1.upper_bound) == (a4.sums.value, a4.upper_bound),
+        )
+    )
+
+    params = AlphaParams(3 * 10**6, 15, 15)
+    short = alpha_upper_bound(params, block_size=1 << 16)
+    oracle, n_primes = full_depth_alpha_bound(params, 1 << 16)
+    results.append(
+        _check(
+            "alpha per-block depth never loosens the bound",
+            short.upper_bound <= oracle and short.n_primes == n_primes,
+            f"depths {short.depths}",
         )
     )
 

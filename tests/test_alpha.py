@@ -1,9 +1,14 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aliquot.alpha import (
     AlphaParams,
+    _block_depth,
+    _block_sums,
     alpha_p_product_form,
     alpha_term,
     alpha_two_part,
@@ -11,7 +16,9 @@ from aliquot.alpha import (
     tail_a,
 )
 from aliquot.errors import ParameterError
+from aliquot.numerics import EPS, block_sum_parts, parts_to_certified
 from aliquot.primes import primes_in_range
+from aliquot.selftest import full_depth_alpha_bound
 
 # Reference values (10 displayed digits) for L = M = 15.
 SUMS_TABLE = {
@@ -131,6 +138,61 @@ class TestUpperBound:
         doc = json.loads(result.to_json())
         assert doc["params"] == {"N": 10**4, "L": 15, "M": 15}
         assert doc["upper_bound"] == result.upper_bound
+
+
+class TestBlockSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.one_of(st.integers(3, 2000), st.integers(3, 10**7)),
+        width=st.integers(0, 3000),
+        m=st.integers(1, 15),
+    )
+    def test_against_per_prime_terms_and_tails(self, lo, width, m):
+        primes = primes_in_range(lo, lo + width)
+        term_parts, tail_parts = _block_sums(primes, m)
+        sums = parts_to_certified(*term_parts)
+        exact = math.fsum(alpha_term(p, k) for p in primes.tolist() for k in range(1, m + 1))
+        assert abs(sums.value - exact) <= sums.error_radius
+        tails = [tail_a(p, m) for p in primes.tolist()]
+        assert tail_parts == block_sum_parts(np.array(tails))
+        for p, tail in zip(primes[:5].tolist(), tails):
+            assert _block_sums(np.array([p]), m)[1] == (tail, tail, 1)
+            if p < 2000:
+                assert tail >= math.fsum(alpha_term(p, k) for k in range(m + 1, 61))
+
+
+class TestBlockDepths:
+    @pytest.mark.parametrize("N, block_size", [(3 * 10**6, 1 << 16), (10**6, 1 << 12)])
+    def test_never_looser_than_full_depth(self, N, block_size):
+        params = AlphaParams(N, 15, 15)
+        result = alpha_upper_bound(params, block_size=block_size)
+        oracle, n_primes = full_depth_alpha_bound(params, block_size)
+        assert result.upper_bound <= oracle
+        assert result.n_primes == n_primes == sum(result.depths.values())
+        assert min(result.depths) < 15  # the rule cut some blocks short
+
+    @pytest.mark.parametrize("k, depth", [(0, 15), (1, 2), (64, 2), (65, 1), (95, 1)])
+    def test_rule_at_full_scale_blocks(self, k, depth):
+        # Blocks of 2^20 below N = 1e8: 1 at depth 15, 64 at 2 and 31 at 1.
+        # Each prime's charge stays below EPS times its first term, and the
+        # depth is the least one that does so at p_min.
+        primes = primes_in_range(max(3, k << 20), ((k + 1) << 20) - 1)
+        assert _block_depth(primes, 15) == depth
+        if depth < 15:
+            p = primes.astype(np.float64)
+            assert (tail_a(p, depth) <= EPS * np.log1p(1.0 / p) / p).all()
+        if depth > 1:
+            p_max = float(primes[-1])
+            assert tail_a(int(primes[0]), depth - 1) > EPS * math.log1p(1.0 / p_max) / p_max
+
+    def test_default_scale_keeps_full_depth(self):
+        result = alpha_upper_bound(AlphaParams(10**6, 15, 15))
+        assert result.depths == {15: 78497}
+        assert result.to_json_dict()["depths"] == {"15": 78497}
+
+    def test_M_caps_the_depth(self):
+        result = alpha_upper_bound(AlphaParams(3 * 10**6, 15, 2), block_size=1 << 16)
+        assert set(result.depths) == {2}  # {15, 2} at M = 15
 
 
 class TestTwoForms:

@@ -693,6 +693,21 @@ class TestBetaLower:
         assert r.error == error_term(1, 1.0, 10**4) * beta_module._FLOAT_SLOP
         assert r.contribution_lower == r.main.lower - r.error
 
+    def test_exponent_only_needed_by_the_paper_route(self, monkeypatch):
+        # Bound mode never reads e; enumerate and main_term_direct name the
+        # j that lacks one, before any odd-sum pass runs.
+        configs = [BetaJConfig(1, 10**4, 1.0), BetaJConfig(9, 10**4)]
+        assert [r.config.e for r in beta_lower(configs).reports] == [1.0, None]
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("odd-sum pass ran")
+
+        monkeypatch.setattr(beta_module, "odd_signed_sums", no_pass)
+        with pytest.raises(ParameterError, match="j=9"):
+            beta_lower(configs, s_mode="enumerate")
+        with pytest.raises(ParameterError, match="j=9"):
+            main_term_direct(BetaJConfig(9, 10**4))
+
     def test_auto_mode_rejected(self):
         with pytest.raises(ParameterError, match="auto"):
             beta_lower([BetaJConfig(2, 10**4, 0.75)], s_mode="auto")

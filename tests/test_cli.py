@@ -126,6 +126,19 @@ class TestBetaVerb:
                     "--out", str(tmp_path)]) == 2
         assert "resource error" in capsys.readouterr().err
 
+    def test_bound_mode_runs_past_the_paper_exponents(self, tmp_path):
+        assert run(["beta", "--J", "9", "--Nj", "1e4", "--out", str(tmp_path)]) == 0
+        terms = read_json(tmp_path / "beta.json")["terms"]
+        assert [t["e"] for t in terms] == [*cli.PAPER_E, None]
+        header, *rows = (tmp_path / "beta.csv").read_text().splitlines()
+        e_column = header.split(",").index("e")
+        assert rows[-1].split(",")[e_column] == ""
+
+    def test_enumerate_past_the_paper_exponents_names_the_j(self, tmp_path, capsys):
+        assert run(["beta", "--J", "9", "--Nj", "1e4", "--s-mode", "enumerate",
+                    "--out", str(tmp_path)]) == 1
+        assert "j=9" in capsys.readouterr().err
+
     def test_bad_exponent_list_is_a_usage_error(self, tmp_path):
         assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,x",
                     "--out", str(tmp_path)]) == 1

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from aliquot.arith import is_prime, sigma_oracle
 from aliquot.errors import ParameterError, ResourceError
+from aliquot.numerics import aligned_blocks
 from aliquot.primes import (
     MAX_RANGE_END,
     FactoredRangeStream,
+    _dense_primes,
     factored_range,
     iter_factor_segments,
+    iter_prime_segments,
     iter_sigma_segments,
     primes_in_range,
     sigma_of_segment,
@@ -52,6 +55,30 @@ class TestPrimesInRange:
 
     def test_empty_range(self):
         assert primes_in_range(20, 10).size == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.one_of(
+            st.sampled_from([1, 2, 3]),
+            st.integers(0, 5 * 10**5).map(lambda k: 2 * k),
+            st.integers(0, 5 * 10**5).map(lambda k: 2 * k + 1),
+        ),
+        width=st.integers(0, 600),
+        segment_size=st.sampled_from([1, 2, 3, 1 << 20]),
+    )
+    def test_odd_sieve_matches_dense_sieve(self, lo, width, segment_size):
+        # One int64 array per aligned block of [max(lo, 2), hi], holding
+        # exactly the dense sieve's primes of that block (2 included).
+        hi = lo + width
+        dense = _dense_primes(10**6 + 2001)
+        expected = dense[(dense >= lo) & (dense <= hi)]
+        blocks = aligned_blocks(max(lo, 2), hi, segment_size)
+        segments = list(iter_prime_segments(lo, hi, segment_size))
+        assert len(segments) == len(blocks)
+        for (b_lo, b_hi), seg in zip(blocks, segments):
+            assert seg.dtype == np.int64
+            assert np.array_equal(seg, expected[(expected >= b_lo) & (expected <= b_hi)])
+        assert np.array_equal(primes_in_range(lo, hi, segment_size), expected)
 
     def test_resource_errors(self):
         with pytest.raises(ResourceError, match="segment"):
