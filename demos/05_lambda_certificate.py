@@ -13,18 +13,18 @@
 
 from aliquot.alpha import AlphaParams, alpha_upper_bound
 from aliquot.beta import BetaJConfig, beta_lower
-from aliquot.cli import PAPER_E, combine_lambda
+from aliquot.cli import combine_lambda
 
 alpha_result = alpha_upper_bound(AlphaParams(10**5, 15, 15))
 print(f"alpha <= {alpha_result.upper_bound:.8f}")
 
-configs = [BetaJConfig(j, 10**6, PAPER_E[j - 1]) for j in range(1, 9)]
+configs = [BetaJConfig(j, 10**6) for j in range(1, 9)]
 beta_result = beta_lower(configs)
 print(f"beta  >= {beta_result.lower_bound:.8f}")
 for r in beta_result.reports:
     print(
         f"   j={r.config.j}: main={r.main.value:+.6f}"
-        f"  tail bound={r.s_bound:.2e}  s-handling={r.s_mode}"
+        f"  tail bound={r.s_bound:.2e}"
         f"  contributes >= {r.contribution_lower:.6f}"
     )
 

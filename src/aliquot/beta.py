@@ -11,17 +11,17 @@ multiplicative function
     h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1,      h_j(1) = 1,
 
 over odd n, times a 2-adic factor sum over powers of two.  Cutting the
-odd sum at N leaves the tail over odd n > N.  By default it pays one
-certified moment bound, s_tail_bound: by the triangle inequality and
-Rankin's device,
+odd sum at N leaves the tail over odd n > N, which pays one certified
+moment bound, s_tail_bound: by the triangle inequality and Rankin's device,
 
     |sum_{odd n>N} beta_j(n)| <= sum_{odd n>N} g_j h_j
         <= N^-delta prod_{odd p} (1 + sum_m g_j h_j(p^m) p^(m delta)).
 
-The paper's route, kept as the "enumerate" mode, splits the tail into the
-integers with h_j(n) <= n^-e, bounded by (2je N^e)^-1 (2/3)^j, and the
-finite exceptional set S = {n : h_j(n) > n^-e}, summed exactly (its
-members are products of prime powers from a finite set T).
+The paper's route splits the tail into the integers with h_j(n) <= n^-e,
+bounded by error_term, and the finite exceptional set S = {n : h_j(n) >
+n^-e} (s_set; its members are products of prime powers from the finite
+set t_set).  Those functions reproduce the paper's tables and bound
+main_term_direct's mixed region; the certificate does not use them.
 
 Every quantity feeding the final bound carries an explicit error radius;
 subtractions are always taken on the pessimistic side.
@@ -60,8 +60,6 @@ DEFAULT_NODE_BUDGET = 500_000
 _TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's cache-sized stages
 _TILE_PRIMES = 64  # _block_odd_signed applies primes below this in those passes
 _FLUSH_INTEGERS = 10**7  # odd_signed_sums saves its checkpoint this often
-# Inflation applied to tail bounds whose constants were computed in floats.
-_FLOAT_SLOP = 1.0 + 1e-9
 
 
 def _sigma_pp(p: int, m: int) -> int:
@@ -119,14 +117,19 @@ def beta_signed(j: int, f: Factorization) -> float:
     return sign * g(j, f) * h(j, f)
 
 
+def _check_K2(K2: int) -> None:
+    # two_beta2_minus_one divides by 2^K2 as a float, which ends at 2^1023.
+    if not 8 <= K2 <= 1023:
+        raise ParameterError(f"K2 must lie in [8, 1023], got {K2}")
+
+
 def two_beta2_minus_one(j: int, K2: int = DEFAULT_K2) -> CertifiedValue:
     """2 beta_j(2) - 1 = sum over m >= 1 of g_j(2^m), truncated at K2.
 
     The dropped tail is below (2/3)^j 2^(1-K2) (each term is at most
     (2/3)^j 2^-m) and is folded into the radius.
     """
-    if K2 < 8:
-        raise ParameterError(f"K2 must be >= 8, got {K2}")
+    _check_K2(K2)
     terms = []
     for m in range(1, K2 + 1):
         num = 1 << m
@@ -159,6 +162,10 @@ def beta_prime(j: int, p: int, depth: int) -> CertifiedValue:
         value.error_radius + EPS * abs(value.value),
     )
     return scaled.widened(float(p) ** (-depth) / (p - 1))
+
+
+# The paper's exponents e_j for j = 1..8.
+PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
 
 
 def error_term(j: int, e: float, N: int) -> float:
@@ -243,11 +250,6 @@ class SElement:
     h_value: float
     g_value: float
     nu: int
-
-    @property
-    def signed_value(self) -> float:
-        sign = -1.0 if self.nu % 2 else 1.0
-        return sign * self.g_value * self.h_value
 
 
 def s_set(
@@ -520,16 +522,11 @@ def odd_signed_sums(
 
 @dataclass(frozen=True)
 class BetaJConfig:
-    """Parameters for one j-term: odd-sum cutoff N (even), exponent e,
-    dyadic truncation depth K2.
-
-    Only the paper's route (the "enumerate" mode and main_term_direct's
-    mixed-region bound) reads e; it may be None for bound mode.
-    """
+    """Parameters for one j-term: odd-sum cutoff N (even) and dyadic
+    truncation depth K2."""
 
     j: int
     N: int
-    e: float | None = None
     K2: int = DEFAULT_K2
 
     def __post_init__(self):
@@ -537,21 +534,7 @@ class BetaJConfig:
             raise ParameterError(f"j must be >= 1, got {self.j}")
         if self.N <= 1 or self.N % 2 != 0:
             raise ParameterError(f"N must be even and > 1, got {self.N}")
-        if self.e is not None:
-            if not 0.0 < self.e <= 1.0:
-                raise ParameterError(f"e must lie in (0, 1], got {self.e}")
-            if self.e == 1.0 and self.j != 1:
-                raise ParameterError("e = 1 is only valid for j = 1")
-        if self.K2 < 8:
-            raise ParameterError(f"K2 must be >= 8, got {self.K2}")
-
-
-def _paper_exponent(config: BetaJConfig) -> float:
-    """config.e, or ParameterError naming the j when the paper's route
-    needs an exponent and the configuration has none."""
-    if config.e is None:
-        raise ParameterError(f"j={config.j} has no exponent e, which the paper's route needs")
-    return config.e
+        _check_K2(self.K2)
 
 
 def main_term(
@@ -589,15 +572,14 @@ def main_term_direct(
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
-) -> tuple[CertifiedValue, float]:
+) -> CertifiedValue:
     """Cross-check form: (1/j) * sum of beta*_j(n) over even n <= N, where
     beta*_j(2^k n_o) = g_j(2^k) beta_j(n_o).
 
-    Returns the certified sum and the mixed-region bound that must be
-    added to its uncertainty when used in place of the factorized form.
+    Used in place of the factorized form, its uncertainty must also cover
+    mixed_region_bound(j, e, N) at one of the paper's exponents e.
     """
     j = config.j
-    e = _paper_exponent(config)
     check_range(1, config.N, block_size)
 
     def eval_block(lo: int, hi: int) -> CertifiedValue:
@@ -625,19 +607,7 @@ def main_term_direct(
         return parts_to_certified(*block_sum_parts(vals[seg.n_values % 2 == 0]))
 
     total = combine_blocks(map_blocks(aligned_blocks(2, config.N, block_size), eval_block, workers))
-    bound = mixed_region_bound(j, e, config.N)
-    return certified_quotient(total, j), bound
-
-
-def s_correction(
-    config: BetaJConfig, elements: list[SElement]
-) -> CertifiedValue:
-    """(1/j) * (2-adic factor) * sum of beta_j(n) over S members above N."""
-    terms = [el.signed_value for el in elements if el.n > config.N]
-    if not terms:
-        return CertifiedValue(0.0, 0.0)
-    z = two_beta2_minus_one(config.j, config.K2)
-    return certified_quotient(certified_product(z, compensated_sum(terms)), config.j)
+    return certified_quotient(total, j)
 
 
 def s_tail_bound(
@@ -705,27 +675,17 @@ def s_tail_bound(
 class BetaJReport:
     config: BetaJConfig
     main: CertifiedValue
-    s_mode: str
-    s_set_size: int | None
-    s_corr: CertifiedValue
     s_bound: float
-    error: float
     contribution_lower: float
 
     def to_json_dict(self) -> dict:
         return {
             "j": self.config.j,
             "N": self.config.N,
-            "e": self.config.e,
             "K2": self.config.K2,
             "main_term": self.main.value,
             "main_term_error_radius": self.main.error_radius,
-            "s_mode": self.s_mode,
-            "s_set_size": self.s_set_size,
-            "s_correction": self.s_corr.value,
-            "s_correction_error_radius": self.s_corr.error_radius,
             "s_tail_bound": self.s_bound,
-            "error_term": self.error,
             "contribution_lower": self.contribution_lower,
         }
 
@@ -754,8 +714,6 @@ class BetaSummary:
 def beta_lower(
     configs: list[BetaJConfig],
     *,
-    s_mode: str = "bound",
-    node_budget: int = DEFAULT_NODE_BUDGET,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     checkpoint_dir: str | None = None,
@@ -764,30 +722,19 @@ def beta_lower(
     """Certified lower bound for beta from the given per-j configurations.
 
     Per j the main term covers exactly the odd n <= N, and the odd tail
-    past N is charged per ``s_mode``, every piece on its pessimistic side;
-    terms with j beyond the configured range are all positive, so
-    dropping them keeps the bound valid.
-
-    "bound" (the default) charges s_tail_bound(j, N) * z_upper / j, with z
-    the 2-adic factor, and nothing else: |sum over odd n > N of beta_j(n)|
-    <= sum over odd n > N of g_j h_j <= N^-delta prod over odd p of
-    (1 + sum over m of g_j h_j(p^m) p^(m delta)), by the triangle
-    inequality and Rankin's device; it never reads e.  "enumerate" charges
-    the paper's error_term and sums the exceptional set S exactly
-    (SSetBudgetExceeded propagates if the search passes ``node_budget``
-    nodes, which it does at the paper's exponents for every j >= 2).
+    past N is charged s_tail_bound(j, N) * z_upper / j, with z the 2-adic
+    factor, and nothing else: |sum over odd n > N of beta_j(n)| <= sum over
+    odd n > N of g_j h_j <= N^-delta prod over odd p of (1 + sum over m of
+    g_j h_j(p^m) p^(m delta)), by the triangle inequality and Rankin's
+    device.  Terms with j beyond the configured range are all positive,
+    so dropping them keeps the bound valid.
     Returns None if ``stop_after_blocks`` ends the odd-sum pass early
     (resume later with the same configuration and checkpoint_dir).
     """
-    if s_mode not in ("bound", "enumerate"):
-        raise ParameterError(f"unknown s_mode {s_mode!r}")
     t0 = time.time()
     js = [c.j for c in configs]
     if len(set(js)) != len(js):
         raise ParameterError("duplicate j in configs")
-    if s_mode == "enumerate":
-        for cfg in configs:
-            _paper_exponent(cfg)
 
     # One odd-sum pass per N: K2 only enters the 2-adic factor.
     by_n: dict[int, list[BetaJConfig]] = {}
@@ -822,26 +769,14 @@ def beta_lower(
     total_lower = 0.0
     for cfg in sorted(configs, key=lambda c: c.j):
         main = main_term(cfg, odd_sum=odd_sums[cfg.j])
-        s_size: int | None = None
-        s_corr = CertifiedValue(0.0, 0.0)
-        err = s_bound = 0.0
-        if s_mode == "enumerate":
-            elements = s_set(cfg.j, cfg.e, node_budget=node_budget)
-            s_size = len(elements)
-            s_corr = s_correction(cfg, elements)
-            err = error_term(cfg.j, cfg.e, cfg.N) * _FLOAT_SLOP
-        else:
-            z_upper = two_beta2_minus_one(cfg.j, cfg.K2).upper
-            s_bound = s_tail_bound(cfg.j, cfg.N) * z_upper / cfg.j
-        contribution = main.lower + s_corr.lower - err - s_bound
+        z_upper = two_beta2_minus_one(cfg.j, cfg.K2).upper
+        s_bound = s_tail_bound(cfg.j, cfg.N) * z_upper / cfg.j
         # Every j-term of beta is positive (both the 2-adic factor and the
         # odd Euler factors are), so a pessimistic estimate below zero may
         # be replaced by zero without losing validity.
-        contribution = max(0.0, contribution)
-        reports.append(
-            BetaJReport(cfg, main, s_mode, s_size, s_corr, s_bound, err, contribution)
-        )
-        total_value += main.value + s_corr.value
+        contribution = max(0.0, main.lower - s_bound)
+        reports.append(BetaJReport(cfg, main, s_bound, contribution))
+        total_value += main.value
         total_lower += contribution
 
     certified = CertifiedValue(total_value, max(0.0, total_value - total_lower))

@@ -12,11 +12,10 @@ Verbs:
 Numeric flags accept scientific notation (1e6).  A JSON config file may
 supply any flag's value, keyed by its dest (N, mean_class, block_size, ...)
 and parsed as the flag would be; explicit flags override it.  beta charges
-each j's odd tail past --Nj one moment bound, which --e does not enter,
-unless --s-mode enumerate takes the paper's route (error term plus an
-exhaustive exceptional-set search).  Reports are written as JSON (always)
-and CSV (tabular verbs) under --out.  Exit status: 0 on success, 1 on
-parameter errors, 2 on resource or effort errors.
+each j's odd tail past --Nj one moment bound (Rankin's device).  Reports
+are written as JSON (always) and CSV (tabular verbs) under --out.  Exit
+status: 0 on success, 1 on parameter errors, 2 on resource or effort
+errors.
 """
 
 from __future__ import annotations
@@ -35,13 +34,12 @@ import numpy as np
 
 from . import __version__
 from .alpha import AlphaParams, AlphaResult, alpha_upper_bound
-from .beta import DEFAULT_K2, DEFAULT_NODE_BUDGET, BetaJConfig, BetaSummary, beta_lower
+from .beta import DEFAULT_K2, BetaJConfig, BetaSummary, beta_lower
 from .errors import ParameterError, ResourceError, UnresolvedCofactorError
 from .means import CSV_HEADER, mean_report
 from .primes import check_range
 from .trajectory import trace
 
-PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
 DEFAULT_BETA_N = 10**7
 DEFAULT_J = 8
 
@@ -64,11 +62,6 @@ def _int_flag(text: str) -> int:
         if not value.is_integer():  # also rejects inf and nan
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         return int(value)
-
-
-def _floats_flag(text: str) -> list[float]:
-    """Comma-separated floats ('1,0.75')."""
-    return [float(t) for t in text.split(",")]
 
 
 @dataclass
@@ -137,23 +130,10 @@ def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
              if a.option_strings and a.nargs != 0 and a.dest != "config"}
     argv = []
     for key, value in values.items():
-        if isinstance(value, list):
-            value = ",".join(map(str, value))
         if key not in flags or isinstance(value, bool) or not isinstance(value, (str, int, float)):
             parser.error(f"config {args.config}: no {args.verb} flag takes {key}={value!r}")
         argv.append(f"{flags[key]}={value}")
     return argv
-
-
-def _beta_configs(args) -> list[BetaJConfig]:
-    J = args.J
-    e_values = args.e
-    if e_values is None:
-        # Bound mode never reads e; past PAPER_E only enumerate needs one.
-        e_values = list(PAPER_E[:J]) + [None] * (J - len(PAPER_E))
-    if len(e_values) != J:
-        raise ParameterError(f"expected {J} exponents, got {len(e_values)}")
-    return [BetaJConfig(j + 1, args.Nj, e_values[j], args.K2) for j in range(J)]
 
 
 def _alpha_params(args) -> AlphaParams:
@@ -178,11 +158,8 @@ def _run_alpha(args, out_dir: Path, params: AlphaParams) -> AlphaResult:
 
 
 def _run_beta(args, out_dir: Path) -> BetaSummary | None:
-    configs = _beta_configs(args)
     summary = beta_lower(
-        configs,
-        s_mode=args.s_mode,
-        node_budget=args.node_budget,
+        [BetaJConfig(j, args.Nj, args.K2) for j in range(1, args.J + 1)],
         block_size=args.block_size,
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
@@ -201,25 +178,15 @@ def _run_beta(args, out_dir: Path) -> BetaSummary | None:
         [
             r.config.j,
             r.config.N,
-            r.config.e if r.config.e is not None else "",
             repr(r.main.value),
             repr(r.main.error_radius),
-            r.s_mode,
-            r.s_set_size if r.s_set_size is not None else "",
-            repr(r.s_corr.value),
             repr(r.s_bound),
-            repr(r.error),
             repr(r.contribution_lower),
         ]
         for r in summary.reports
     ]
-    _write_csv(
-        out_dir,
-        "beta",
-        ["j", "N", "e", "main", "main_radius", "s_mode", "s_size", "s_correction",
-         "s_tail_bound", "error_term", "contribution_lower"],
-        rows,
-    )
+    header = ["j", "N", "main", "main_radius", "s_tail_bound", "contribution_lower"]
+    _write_csv(out_dir, "beta", header, rows)
     print(f"beta lower bound: {summary.lower_bound!r}")
     print(f"report: {path}")
     return summary
@@ -318,16 +285,13 @@ def build_parser() -> _Parser:
         p.add_argument("--J", type=_int_flag, default=DEFAULT_J, help="number of j terms")
         p.add_argument("--Nj", type=_int_flag, default=DEFAULT_BETA_N,
                        help="odd-sum cutoff (even)")
-        p.add_argument("--e", type=_floats_flag, default=None,
-                       help="comma-separated exponents, one per j (default PAPER_E, none past j=8); "
-                       "used by --s-mode enumerate only")
         p.add_argument("--K2", type=_int_flag, default=DEFAULT_K2,
                        help="dyadic truncation depth")
-        p.add_argument("--s-mode", dest="s_mode", choices=("bound", "enumerate"),
-                       default="bound", help="odd tail: one moment bound per j, or error term plus "
-                       "exhaustive search that exits 2 past --node-budget nodes")
-        p.add_argument("--node-budget", dest="node_budget", type=_int_flag,
-                       default=DEFAULT_NODE_BUDGET)
+        p.add_argument("--s-mode", dest="s_mode", choices=("bound",), default="bound",
+                       help="odd tail: one moment bound per j, the only choice; "
+                       "kept while alqbench/run.py passes it")
+        p.add_argument("--node-budget", dest="node_budget", type=_int_flag, default=None,
+                       help="read by nothing; kept while alqbench/run.py passes it")
         p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None)
         p.add_argument("--stop-after-blocks", dest="stop_after_blocks", type=_int_flag,
                        default=None)

@@ -14,9 +14,9 @@ class ResourceError(RuntimeError):
 class SSetBudgetExceeded(ResourceError):
     """Exceptional-set enumeration ran past its node budget.
 
-    Raised only by the "enumerate" mode, which has no fallback (the
-    default "bound" mode never searches).  Carries the number of set
-    members found before the budget ran out, for error reports.
+    Raised only by beta.s_set, the paper's exhaustive search; the
+    certificate never searches.  Carries the number of set members found
+    before the budget ran out, for error reports.
     """
 
     def __init__(self, message: str, partial_count: int):

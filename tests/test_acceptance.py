@@ -12,6 +12,7 @@ import time
 from aliquot.alpha import AlphaParams, alpha_upper_bound
 from aliquot.arith import factorize, sigma, sigma_oracle
 from aliquot.beta import (
+    PAPER_E,
     BetaJConfig,
     beta_lower,
     beta_signed,
@@ -23,7 +24,7 @@ from aliquot.beta import (
     s_set,
 )
 from aliquot.checkpoint import CheckpointStore
-from aliquot.cli import PAPER_E, combine_lambda
+from aliquot.cli import combine_lambda
 from aliquot.means import arithmetic_mean, closed_form, log_mean
 from aliquot.primes import primes_in_range
 from aliquot.trajectory import trace
@@ -107,7 +108,7 @@ def test_criterion_4_beta_main_terms():
     sums = odd_signed_sums(list(range(1, 9)), 10**7)
     failures = []
     for j in range(1, 9):
-        cfg = BetaJConfig(j, 10**7, PAPER_E[j - 1])
+        cfg = BetaJConfig(j, 10**7)
         from aliquot.beta import main_term
 
         value = main_term(cfg, odd_sum=sums[j]).value
@@ -125,7 +126,7 @@ def test_criterion_4_beta_main_terms():
 def test_criterion_5_certified_lambda():
     t0 = time.time()
     alpha_result = alpha_upper_bound(AlphaParams(10**6, 15, 15))
-    configs = [BetaJConfig(j, 10**7, PAPER_E[j - 1]) for j in range(1, 9)]
+    configs = [BetaJConfig(j, 10**7) for j in range(1, 9)]
     beta_result = beta_lower(configs)
     report = combine_lambda(alpha_result, beta_result)
     elapsed = time.time() - t0
@@ -232,10 +233,10 @@ def test_criterion_8_full_scale_configuration(tmp_path):
     # The published full-scale run (N=1e9, exceptional sets with tens of
     # millions of members) is out of desk budget; the engine must accept
     # the configuration and make checkpointed, resumable progress.
-    configs = [BetaJConfig(j, 10**9, PAPER_E[j - 1]) for j in range(1, 9)]
+    configs = [BetaJConfig(j, 10**9) for j in range(1, 9)]
     for cfg in configs:
         assert cfg.N == 10**9
-    first = beta_lower(configs, s_mode="bound", checkpoint_dir=str(tmp_path),
+    first = beta_lower(configs, checkpoint_dir=str(tmp_path),
                        stop_after_blocks=2)
     ok = first is None
     files = list(tmp_path.iterdir())
@@ -249,7 +250,7 @@ def test_criterion_8_full_scale_configuration(tmp_path):
     store = CheckpointStore(tmp_path, "beta-odd", key)
     records = store.load()
     ok = ok and len(records) == 2
-    second = beta_lower(configs, s_mode="bound", checkpoint_dir=str(tmp_path),
+    second = beta_lower(configs, checkpoint_dir=str(tmp_path),
                         stop_after_blocks=4)
     ok = ok and second is None and len(store.load()) == 4
     _report(8, ok,

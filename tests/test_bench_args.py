@@ -1,0 +1,39 @@
+"""The benchmark's argument lists still parse.
+
+alqbench/run.py builds each operation's argv with workload_round; a flag
+it passes that the CLI no longer takes would fail every benchmark round,
+so it fails here first.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from aliquot.cli import build_parser, run
+
+ALQBENCH = Path(__file__).resolve().parent.parent / "alqbench"
+sys.path.insert(0, str(ALQBENCH))
+from run import WORKLOADS, workload_round  # noqa: E402
+
+sys.path.remove(str(ALQBENCH))
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_benchmark_argv_parses(workload, smoke):
+    parser = build_parser()
+    for argv in workload_round(workload, 0, smoke):
+        parser.parse_args([a.replace("{dir}", "checkpoint-dir") for a in argv])
+
+
+def test_kept_flags_leave_the_bits_alone(tmp_path):
+    # --s-mode bound and --node-budget stay only for the benchmark's
+    # argument lists; they must not move a bit of the certificate.
+    base = ["lambda", "--N", "1e5", "--Nj", "4e5"]
+    docs = []
+    for name, extra in (("plain", []), ("flags", ["--s-mode", "bound", "--node-budget", "5000"])):
+        assert run([*base, *extra, "--out", str(tmp_path / name)]) == 0
+        docs.append(json.loads((tmp_path / name / "lambda.json").read_text()))
+    assert docs[0]["lambda_upper"].hex() == docs[1]["lambda_upper"].hex()

@@ -24,8 +24,8 @@ from aliquot.beta import (
     m_const,
     main_term,
     main_term_direct,
+    mixed_region_bound,
     odd_signed_sums,
-    s_correction,
     s_set,
     s_tail_bound,
     t_set,
@@ -35,14 +35,13 @@ from aliquot.checkpoint import CheckpointStore
 from aliquot.errors import ParameterError, SSetBudgetExceeded
 from aliquot.numerics import (
     CertifiedValue,
+    aligned_blocks,
     certified_product,
     certified_quotient,
     combine_blocks,
     parts_to_certified,
 )
 from aliquot.primes import primes_in_range
-
-PAPER_E = {1: 1.0, 2: 0.75, 3: 0.60, 4: 0.48, 5: 0.35, 6: 0.28, 7: 0.20, 8: 0.15}
 
 # Exact-series oracles, frozen from Fraction evaluations:
 #   sum over m = 1..64 of 1/(2^(m+1) - 1)
@@ -128,6 +127,14 @@ class TestDyadicFactor:
     def test_rejects_small_K2(self):
         with pytest.raises(ParameterError):
             two_beta2_minus_one(1, K2=4)
+
+    def test_rejects_K2_past_the_float_range(self):
+        # 2^1024 has no float; K2 = 1023 is the deepest truncation.
+        assert two_beta2_minus_one(1, K2=1023).value == pytest.approx(TWO_BETA2_J1, abs=1e-15)
+        with pytest.raises(ParameterError, match="1023"):
+            two_beta2_minus_one(1, K2=1024)
+        with pytest.raises(ParameterError, match="1023"):
+            BetaJConfig(1, 10**4, 1024)
 
 
 class TestBetaPrime:
@@ -319,9 +326,9 @@ class TestSSet:
 
 class TestMainTerm:
     def test_direct_hand_example(self):
-        cv, bound = main_term_direct(BetaJConfig(1, 6, 1.0))
+        cv = main_term_direct(BetaJConfig(1, 6))
         assert cv.value == pytest.approx(1 / 3 + 1 / 7 - 1 / 36, rel=1e-14)
-        assert bound > 0
+        assert mixed_region_bound(1, 1.0, 6) > 0
 
     def test_direct_matches_per_n_oracle(self):
         # beta*_j(n) summed over even n <= N, evaluated per-n from the
@@ -337,7 +344,7 @@ class TestMainTerm:
                     g_prime_power(j, 2, k) * beta_signed(j, factorize(odd))
                 )
             expected = math.fsum(terms) / j
-            got, _ = main_term_direct(BetaJConfig(j, N, 0.5 if j > 1 else 1.0))
+            got = main_term_direct(BetaJConfig(j, N))
             assert abs(got.value - expected) <= got.error_radius + 1e-13
 
     def test_factorized_matches_per_n_oracle(self):
@@ -348,7 +355,7 @@ class TestMainTerm:
             )
             z = two_beta2_minus_one(j)
             expected = z.value * odd_sum / j
-            got = main_term(BetaJConfig(j, N, 0.5 if j > 1 else 1.0))
+            got = main_term(BetaJConfig(j, N))
             assert abs(got.value - expected) <= got.error_radius + 1e-12
 
     def test_direct_matches_strided_odd_sums_at_scale(self):
@@ -359,7 +366,7 @@ class TestMainTerm:
         js = list(range(1, 9))
         odd = {k: odd_signed_sums(js, N >> k) for k in range(1, N.bit_length())}
         for j in js:
-            got, _ = main_term_direct(BetaJConfig(j, N, PAPER_E[j]))
+            got = main_term_direct(BetaJConfig(j, N))
             expected = certified_quotient(
                 combine_blocks([
                     certified_product(CertifiedValue(g_prime_power(j, 2, k), 0.0), sums[j])
@@ -586,7 +593,7 @@ class TestSTailBound:
             assert parts[j][1] == pytest.approx(oracle, rel=1e-13)
 
     @pytest.mark.parametrize("N0", [10**4, 10**5])
-    @pytest.mark.parametrize("j", range(1, 9))
+    @pytest.mark.parametrize("j", range(1, 25))
     def test_dominates_kernel_tail_to_1e6(self, j, N0):
         # The bound is the only charge on the odd tail past N0; it must
         # exceed sum of g_j h_j over odd n in (N0, 10^6].
@@ -604,54 +611,36 @@ def _odd_factorizations(lo, hi):
 
 @functools.lru_cache(maxsize=None)
 def _abs_sums(lo, hi):
-    """sum of g_j h_j over odd n in [lo, hi] for j = 1..8, from the block kernel."""
-    parts = beta_module._block_odd_signed(lo, hi, list(range(1, 9)))
-    return {j: abs_sum for j, (_, abs_sum, _) in parts.items()}
-
-
-class TestSCorrection:
-    def test_zero_when_covered(self):
-        cfg = BetaJConfig(2, 106, 0.5)
-        assert s_correction(cfg, s_set(2, 0.5)).value == 0.0
-
-    def test_small_cutoff_matches_direct(self):
-        cfg = BetaJConfig(2, 2, 0.5)
-        members = s_set(2, 0.5)
-        corr = s_correction(cfg, members)
-        z = two_beta2_minus_one(2)
-        expected = z.value * math.fsum(
-            beta_signed(2, factorize(n)) for n in (3, 15, 21, 105)
-        ) / 2
-        assert corr.value == pytest.approx(expected, rel=1e-12)
+    """sum of g_j h_j over odd n in [lo, hi] for j = 1..24, from the block
+    kernel, in pieces of 2^17 integers to bound its arrays."""
+    js = list(range(1, 25))
+    pieces = [beta_module._block_odd_signed(a, b, js) for a, b in aligned_blocks(lo, hi, 1 << 17)]
+    return {j: math.fsum(parts[j][1] for parts in pieces) for j in js}
 
 
 class TestBetaLower:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
-            BetaJConfig(0, 100, 0.5)
+            BetaJConfig(0, 100)
         with pytest.raises(ParameterError):
-            BetaJConfig(1, 101, 0.5)
+            BetaJConfig(1, 101)
         with pytest.raises(ParameterError):
-            BetaJConfig(2, 100, 1.0)
+            BetaJConfig(2, 100, 7)
         with pytest.raises(ParameterError):
-            beta_lower([BetaJConfig(1, 100, 1.0), BetaJConfig(1, 100, 1.0)])
+            beta_lower([BetaJConfig(1, 100), BetaJConfig(1, 100)])
 
     def test_small_run_is_conservative(self):
-        configs = [BetaJConfig(1, 10**4, 1.0), BetaJConfig(2, 10**4, 0.75)]
+        configs = [BetaJConfig(1, 10**4), BetaJConfig(2, 10**4)]
         summary = beta_lower(configs)
         assert summary.lower_bound < summary.certified.value
         assert summary.lower_bound > 0.6
 
     def test_both_modes_below_beta_upper_estimate(self):
-        # With e = 0.5 the exceptional set is tiny, so both modes work.
-        # Neither lower bound may pass an upper estimate of the j = 2 term:
+        # The lower bound may not pass an upper estimate of the j = 2 term:
         # a larger main term plus the whole tail's Rankin charge.
-        configs = [BetaJConfig(2, 10**4, 0.5)]
-        enum = beta_lower(configs, s_mode="enumerate")
-        bound = beta_lower(configs, s_mode="bound")
+        bound = beta_lower([BetaJConfig(2, 10**4)])
         z_upper = two_beta2_minus_one(2).upper
-        upper = main_term(BetaJConfig(2, 10**6, 0.5)).upper + s_tail_bound(2, 10**6) * z_upper / 2
-        assert enum.lower_bound <= upper
+        upper = main_term(BetaJConfig(2, 10**6)).upper + s_tail_bound(2, 10**6) * z_upper / 2
         assert bound.lower_bound <= upper
 
     def test_default_mode_never_searches(self, monkeypatch):
@@ -659,10 +648,8 @@ class TestBetaLower:
             raise AssertionError("s_set called")
 
         monkeypatch.setattr(beta_module, "s_set", no_search)
-        configs = [BetaJConfig(j, 10**4, PAPER_E[j]) for j in range(1, 9)]
-        summary = beta_lower(configs)
-        assert [r.s_mode for r in summary.reports] == ["bound"] * 8
-        assert all(r.s_set_size is None for r in summary.reports)
+        summary = beta_lower([BetaJConfig(j, 10**4) for j in range(1, 9)])
+        assert [r.config.j for r in summary.reports] == list(range(1, 9))
 
     def test_one_odd_sum_pass_per_N(self, monkeypatch):
         # K2 only enters the 2-adic factor, so configs sharing N share a pass.
@@ -674,58 +661,30 @@ class TestBetaLower:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(beta_module, "odd_signed_sums", counting)
-        beta_lower([BetaJConfig(1, 10**4, 1.0, 64), BetaJConfig(2, 10**4, 0.75, 32)])
+        beta_lower([BetaJConfig(1, 10**4, 64), BetaJConfig(2, 10**4, 32)])
         assert calls == [([1, 2], 10**4)]
 
     def test_bound_mode_charges_only_the_tail_bound(self):
         # Every j, j = 1 included, subtracts exactly its Rankin charge.
-        configs = [BetaJConfig(j, 10**4, PAPER_E[j]) for j in (1, 2)]
+        configs = [BetaJConfig(j, 10**4) for j in (1, 2)]
         for r in beta_lower(configs).reports:
             z_upper = two_beta2_minus_one(r.config.j).upper
-            assert r.error == 0.0
             assert r.s_bound == s_tail_bound(r.config.j, 10**4) * z_upper / r.config.j
             assert r.contribution_lower == max(0.0, r.main.lower - r.s_bound)
-
-    def test_enumerate_mode_j1_has_empty_set(self):
-        # e = 1 needs no branch of its own: s_set(1, 1.0) is empty.
-        (r,) = beta_lower([BetaJConfig(1, 10**4, 1.0)], s_mode="enumerate").reports
-        assert (r.s_mode, r.s_set_size, r.s_bound) == ("enumerate", 0, 0.0)
-        assert r.error == error_term(1, 1.0, 10**4) * beta_module._FLOAT_SLOP
-        assert r.contribution_lower == r.main.lower - r.error
-
-    def test_exponent_only_needed_by_the_paper_route(self, monkeypatch):
-        # Bound mode never reads e; enumerate and main_term_direct name the
-        # j that lacks one, before any odd-sum pass runs.
-        configs = [BetaJConfig(1, 10**4, 1.0), BetaJConfig(9, 10**4)]
-        assert [r.config.e for r in beta_lower(configs).reports] == [1.0, None]
-
-        def no_pass(*args, **kwargs):
-            raise AssertionError("odd-sum pass ran")
-
-        monkeypatch.setattr(beta_module, "odd_signed_sums", no_pass)
-        with pytest.raises(ParameterError, match="j=9"):
-            beta_lower(configs, s_mode="enumerate")
-        with pytest.raises(ParameterError, match="j=9"):
-            main_term_direct(BetaJConfig(9, 10**4))
-
-    def test_auto_mode_rejected(self):
-        with pytest.raises(ParameterError, match="auto"):
-            beta_lower([BetaJConfig(2, 10**4, 0.75)], s_mode="auto")
 
     def test_lower_bound_improves_with_N(self):
         values = []
         for N in (10**4, 10**5, 4 * 10**5):
-            summary = beta_lower([BetaJConfig(2, N, 0.75)])
+            summary = beta_lower([BetaJConfig(2, N)])
             values.append(summary.lower_bound)
         assert values == sorted(values)
 
     def test_paper_scale_config_accepted(self, tmp_path):
         # Criterion: the engine must take the full-scale configuration and
         # make progress through checkpoints (not run it to completion here).
-        configs = [BetaJConfig(j, 10**9, PAPER_E[j]) for j in range(1, 9)]
+        configs = [BetaJConfig(j, 10**9) for j in range(1, 9)]
         summary = beta_lower(
             configs,
-            s_mode="bound",
             checkpoint_dir=str(tmp_path),
             stop_after_blocks=2,
         )
@@ -734,7 +693,6 @@ class TestBetaLower:
         assert resumed_key_files
         summary2 = beta_lower(
             configs,
-            s_mode="bound",
             checkpoint_dir=str(tmp_path),
             stop_after_blocks=4,
         )

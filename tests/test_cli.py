@@ -79,8 +79,7 @@ class TestAlphaVerb:
 
 class TestBetaVerb:
     def test_small_run_writes_reports(self, tmp_path):
-        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
-                    "--out", str(tmp_path)]) == 0
+        assert run(["beta", "--J", "2", "--Nj", "1e4", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "beta.json")
         assert doc["lower_bound"] > 0.6
         assert len(doc["terms"]) == 2
@@ -89,14 +88,14 @@ class TestBetaVerb:
 
     def test_stop_and_resume(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        args = ["beta", "--J", "1", "--Nj", "2e5", "--e", "1",
+        args = ["beta", "--J", "1", "--Nj", "2e5",
                 "--block-size", "16384", "--checkpoint-dir", str(ckpt),
                 "--out", str(tmp_path / "a")]
         assert run(args + ["--stop-after-blocks", "3"]) == 0
         assert read_json(tmp_path / "a" / "beta.json")["status"] == "incomplete"
         assert run(args) == 0
         resumed = read_json(tmp_path / "a" / "beta.json")
-        assert run(["beta", "--J", "1", "--Nj", "2e5", "--e", "1",
+        assert run(["beta", "--J", "1", "--Nj", "2e5",
                     "--block-size", "16384", "--out", str(tmp_path / "b")]) == 0
         oneshot = read_json(tmp_path / "b" / "beta.json")
         assert resumed["lower_bound"] == oneshot["lower_bound"]
@@ -104,7 +103,7 @@ class TestBetaVerb:
 
     def test_resume_discards_malformed_checkpoint(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        args = ["beta", "--J", "1", "--Nj", "2e5", "--e", "1",
+        args = ["beta", "--J", "1", "--Nj", "2e5",
                 "--block-size", "16384", "--checkpoint-dir", str(ckpt),
                 "--out", str(tmp_path / "a")]
         assert run(args + ["--stop-after-blocks", "2"]) == 0
@@ -112,42 +111,44 @@ class TestBetaVerb:
         stored.write_text("[]")
         assert run(args) == 0
         resumed = read_json(tmp_path / "a" / "beta.json")
-        assert run(["beta", "--J", "1", "--Nj", "2e5", "--e", "1",
+        assert run(["beta", "--J", "1", "--Nj", "2e5",
                     "--block-size", "16384", "--out", str(tmp_path / "b")]) == 0
         assert resumed["lower_bound"] == read_json(tmp_path / "b" / "beta.json")["lower_bound"]
 
     def test_auto_s_mode_is_a_usage_error(self, tmp_path):
-        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
-                    "--s-mode", "auto", "--out", str(tmp_path)]) == 1
+        assert run(["beta", "--J", "2", "--Nj", "1e4", "--s-mode", "auto",
+                    "--out", str(tmp_path)]) == 1
 
     def test_enumerate_past_node_budget_is_a_resource_error(self, tmp_path, capsys):
-        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
+        # --s-mode takes "bound" only.
+        assert run(["beta", "--J", "2", "--Nj", "1e4",
                     "--s-mode", "enumerate", "--node-budget", "50",
-                    "--out", str(tmp_path)]) == 2
-        assert "resource error" in capsys.readouterr().err
+                    "--out", str(tmp_path)]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bound_mode_runs_past_the_paper_exponents(self, tmp_path):
         assert run(["beta", "--J", "9", "--Nj", "1e4", "--out", str(tmp_path)]) == 0
         terms = read_json(tmp_path / "beta.json")["terms"]
-        assert [t["e"] for t in terms] == [*cli.PAPER_E, None]
+        assert [t["j"] for t in terms] == list(range(1, 10))
+        assert all("e" not in t for t in terms)
         header, *rows = (tmp_path / "beta.csv").read_text().splitlines()
-        e_column = header.split(",").index("e")
-        assert rows[-1].split(",")[e_column] == ""
+        assert len(rows) == 9
+        assert "e" not in header.split(",")
 
-    def test_enumerate_past_the_paper_exponents_names_the_j(self, tmp_path, capsys):
-        assert run(["beta", "--J", "9", "--Nj", "1e4", "--s-mode", "enumerate",
+    def test_K2_past_the_float_range_is_a_parameter_error(self, tmp_path, capsys):
+        assert run(["beta", "--J", "1", "--Nj", "1e4", "--K2", "1024",
                     "--out", str(tmp_path)]) == 1
-        assert "j=9" in capsys.readouterr().err
+        assert "parameter error" in capsys.readouterr().err
 
-    def test_bad_exponent_list_is_a_usage_error(self, tmp_path):
-        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,x",
+    def test_exponent_flag_is_gone(self, tmp_path):
+        assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
                     "--out", str(tmp_path)]) == 1
 
 
 class TestLambdaVerb:
     def test_small_lambda_run(self, tmp_path):
         assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "1e4",
-                    "--e", "1,0.75", "--out", str(tmp_path)]) == 0
+                    "--out", str(tmp_path)]) == 0
         alpha_doc = read_json(tmp_path / "alpha.json")
         beta_doc = read_json(tmp_path / "beta.json")
         lam_doc = read_json(tmp_path / "lambda.json")
@@ -158,7 +159,7 @@ class TestLambdaVerb:
 
     def test_provenance_keys(self, tmp_path):
         assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "1e4",
-                    "--e", "1,0.75", "--out", str(tmp_path)]) == 0
+                    "--out", str(tmp_path)]) == 0
         provenance = read_json(tmp_path / "lambda.json")["provenance"]
         for key in ("version", "python", "numpy", "cpu_count", "workers", "block_size"):
             assert key in provenance
@@ -169,7 +170,7 @@ class TestLambdaVerb:
         real = cli.alpha_upper_bound
         monkeypatch.setattr(cli, "alpha_upper_bound",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        args = ["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5", "--e", "1,0.75",
+        args = ["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5",
                 "--block-size", "16384", "--checkpoint-dir", str(tmp_path / "ckpt"),
                 "--out", str(tmp_path / "a")]
         assert run(args + ["--stop-after-blocks", "3"]) == 0
@@ -180,7 +181,7 @@ class TestLambdaVerb:
         assert run(args) == 0
         assert calls == [1]
         resumed = read_json(tmp_path / "a" / "lambda.json")
-        assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5", "--e", "1,0.75",
+        assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5",
                     "--block-size", "16384", "--out", str(tmp_path / "b")]) == 0
         oneshot = read_json(tmp_path / "b" / "lambda.json")
         assert resumed["lambda_upper"].hex() == oneshot["lambda_upper"].hex()
@@ -198,8 +199,7 @@ class TestLambdaVerb:
             raise AssertionError("beta ran")
 
         monkeypatch.setattr(cli, "beta_lower", no_beta)
-        assert run(["lambda", *flags, "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
-                    "--out", str(tmp_path)]) == code
+        assert run(["lambda", *flags, "--J", "2", "--Nj", "1e4", "--out", str(tmp_path)]) == code
 
 
 class TestConfigFile:
@@ -258,7 +258,7 @@ class TestConfigValues:
     def test_checkpoint_flags_from_config(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"J": 2, "Nj": 1e5, "e": [1, 0.75], "block_size": 16384,
+        cfg.write_text(json.dumps({"J": 2, "Nj": 1e5, "block_size": 16384,
                                    "checkpoint_dir": str(ckpt), "stop_after_blocks": 2}))
         assert run(["beta", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert read_json(tmp_path / "beta.json")["status"] == "incomplete"
