@@ -1,15 +1,17 @@
 # End-to-end certificate that the aliquot growth constant is negative.
 #
 # lambda = alpha - beta.  alpha gets a certified upper bound, beta a
-# certified lower bound (main terms over odd n <= N_j, each odd tail past
-# N_j charged one moment bound, Rankin's device), and the difference is
-# rounded pessimistically.
+# certified lower bound, and the difference is rounded pessimistically.
+# Each j-term of beta is (z_j/j) * prod over odd primes p of beta_j(p):
+# the product runs over the primes p <= P as a certified sum of
+# log beta_j(p), and the primes past P cost at most a factor 1 - j T(P),
+# T(P) = 2 * 1.25506 / (P log P).
 # lambda < 0 means mu = e^lambda < 1: even aliquot sequences shrink on
 # geometric average.
 #
-# This demo runs a reduced configuration in about a second; the package
-# defaults (alpha N=1e6, beta N_j=1e7) certify lambda <= -0.031565 in a
-# few seconds via `alq lambda`.
+# This demo runs a reduced configuration (alpha N=1e5, beta P=1e5, J=16)
+# in about a second; the package defaults (alpha N=1e6, beta P=1e6,
+# J=32) certify lambda <= -0.033258 in under a second via `alq lambda`.
 
 from aliquot.alpha import AlphaParams, alpha_upper_bound
 from aliquot.beta import BetaJConfig, beta_lower
@@ -18,14 +20,15 @@ from aliquot.cli import combine_lambda
 alpha_result = alpha_upper_bound(AlphaParams(10**5, 15, 15))
 print(f"alpha <= {alpha_result.upper_bound:.8f}")
 
-configs = [BetaJConfig(j, 10**6) for j in range(1, 9)]
+configs = [BetaJConfig(j, 10**5) for j in range(1, 17)]
 beta_result = beta_lower(configs)
 print(f"beta  >= {beta_result.lower_bound:.8f}")
 for r in beta_result.reports:
     print(
-        f"   j={r.config.j}: main={r.main.value:+.6f}"
-        f"  tail bound={r.s_bound:.2e}"
-        f"  contributes >= {r.contribution_lower:.6f}"
+        f"   j={r.config.j:2d}: log-product={r.log_product.value:+.8f}"
+        f"  term={r.main.value:.3e}"
+        f"  primes past P: x(1 - {r.tail_charge:.2e})"
+        f"  contributes >= {r.contribution_lower:.3e}"
     )
 
 report = combine_lambda(alpha_result, beta_result)

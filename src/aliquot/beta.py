@@ -1,27 +1,80 @@
 """Certified lower bound for the signed-series constant beta.
 
-beta = sum over j >= 1 of (1/j) * (2 beta_j(2) - 1) * prod over odd p of beta_j(p),
+    beta = sum over j >= 1 of t_j,
+    t_j = (1/j) * (2 beta_j(2) - 1) * prod over odd primes p of beta_j(p),
+    beta_j(p) = (1 - 1/p) * sum over m >= 0 of p^-m (p^m/sigma(p^m))^j.
 
-where beta_j(p) = (1 - 1/p) * sum over m >= 0 of p^-m (p^m/sigma(p^m))^j.
-Expanding the products turns each j-term into a sum of the signed
-multiplicative function
+Every t_j is positive, so a lower bound for the first J of them is one
+for beta.  The certificate (beta_lower) takes each t_j from its Euler
+product, cut at a prime cutoff P.
+
+The Euler route.  With r_m = p^m/sigma(p^m) and
+x_m = 1 - r_m = (p^m - 1)/(p^(m+1) - 1) < 1/p,
+
+    d_{p,j} = 1 - beta_j(p) = (1 - 1/p) * sum over m >= 1 of p^-m (1 - r_m^j),
+
+and 0 < 1 - r_m^j <= j x_m < j/p give 0 < d_{p,j} <= j/p^2; the m = 0
+term alone is 1 - 1/p, so d_{p,j} <= 1/p <= 1/3 as well.  One pass over
+the odd primes p <= P, in aligned blocks (euler_log_sums), sums
+log beta_j(p) = log1p(-d_{p,j}) for every j at once:
+
+* Depth.  A prime's m-series stops at the least M with
+  p^(M-1) (p-1)^2/(p+1) >= 2j/EPS (evaluated in logs; the factor 2
+  absorbs their rounding).  The dropped tail is at most
+  (j/p) * sum over m > M of p^-m = j p^-(M+1)/(p-1) =: tau, which is
+  added to the series, on the pessimistic side.  By the depth rule tau
+  is at most EPS (p-1)/(p^2 (p+1)), and that is below d, whose m = 1
+  term alone is at least (1 - 1/p) x_1/p.
+* Float radius, in units u = EPS/2 of one rounding (libm's log1p and
+  expm1 are within one ulp, 2u).  x_m = 1/(p + y_m) with
+  y_{m+1} = y_m x_m, y_1 = 1 (so y_m = 1/sigma(p^(m-1))) is within 3u
+  at every m, as y_m's growing error enters scaled by y_m/p.  So
+  log1p(-x_m) (condition number <= 1.24 for x_m <= 1/3) is within 5.7u,
+  times j within 6.7u, -expm1 (condition number <= 1 below zero) within
+  8.7u, and times p^-m (m divisions) within (10 + m)u.  From m to m + 1
+  the terms fall by at least (p+1)/p^2 <= 4/9 (1 - (1 - x)^j is
+  concave), so the weighted errors stay within 21.3u of the series,
+  and adding the terms deepest first costs 3.3u more.  Times (1 - 1/p)
+  d is within 28.5u; log1p(-d) (condition number <= 1.24 for d <= 1/3)
+  within 37.4u; and tau's one-sided shift moves log beta_j(p) by at most
+  1.5 tau <= 3u |log1p(-d)|.  Each term is within 41u = 20.5 EPS of
+  log beta_j(p), inside parts_to_certified's allowance of 64 EPS per
+  term, so each block's value +- radius encloses its exact log sum.
+* Primes past P.  prod over p > P of beta_j(p) >= 1 - sum over p > P
+  of d_{p,j} (each d is in [0, 1]) >= 1 - j T(P), where
+  T(P) = 2 * 1.25506/(P log P) >= sum over p > P of p^-2 by partial
+  summation: that sum is -pi(P)/P^2 + 2 * integral from P of pi(x) x^-3 dx
+  <= 2 * 1.25506 * integral from P of dx/(x^2 log x), with Rosser and
+  Schoenfeld's pi(x) < 1.25506 x/log x for x > 1 (prime_tail_bound).
+  P >= MIN_PRIME_CUTOFF and j <= MAX_J keep j T(P) <= 0.38.
+* The j-term.  With z = 2 beta_j(2) - 1 (two_beta2_minus_one) and S the
+  certified log sum, t_j >= (z_lower/j) exp(S_lower) (1 - j T(P)).  The
+  float ends (z_lower/j) exp(S_lower) and (z_upper/j) exp(S_upper) are
+  each within (5 + |S|)u of their exact values, the radius adds
+  8 EPS (1 + |S|) times the upper end, and the product with 1 - j T(P)
+  (T rounded up) is multiplied by 1 - 4 EPS, which rounds it down.
+
+The odd-sum route expands the product instead: each j-term becomes a sum
+of the signed multiplicative function
 
     beta_j(n) = (-1)^nu(n) g_j(n) h_j(n),
     g_j(n) = (1/n) (n/sigma(n))^j,
     h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1,      h_j(1) = 1,
 
-over odd n, times a 2-adic factor sum over powers of two.  Cutting the
-odd sum at N leaves the tail over odd n > N, which pays one certified
-moment bound, s_tail_bound: by the triangle inequality and Rankin's device,
+over odd n, times the 2-adic factor.  Cutting the odd sum at N leaves
+the tail over odd n > N, which pays one certified moment bound,
+s_tail_bound: by the triangle inequality and Rankin's device,
 
     |sum_{odd n>N} beta_j(n)| <= sum_{odd n>N} g_j h_j
         <= N^-delta prod_{odd p} (1 + sum_m g_j h_j(p^m) p^(m delta)).
 
-The paper's route splits the tail into the integers with h_j(n) <= n^-e,
-bounded by error_term, and the finite exceptional set S = {n : h_j(n) >
-n^-e} (s_set; its members are products of prime powers from the finite
-set t_set).  Those functions reproduce the paper's tables and bound
-main_term_direct's mixed region; the certificate does not use them.
+It factors every odd n <= N, so the certificate no longer takes it;
+odd_signed_sums, main_term and s_tail_bound stay as an independent
+oracle of the Euler values.  The paper's route splits that tail into the
+integers with h_j(n) <= n^-e, bounded by error_term, and the finite
+exceptional set S = {n : h_j(n) > n^-e} (s_set; its members are products
+of prime powers from the finite set t_set).  Those functions reproduce
+the paper's tables and bound main_term_direct's mixed region.
 
 Every quantity feeding the final bound carries an explicit error radius;
 subtractions are always taken on the pessimistic side.
@@ -52,14 +105,23 @@ from .numerics import (
     map_blocks,
     parts_to_certified,
 )
-from .primes import check_range, iter_factor_segments, primes_in_range, strided_prime_powers
+from .primes import (
+    check_range,
+    iter_factor_segments,
+    iter_prime_segments,
+    primes_in_range,
+    strided_prime_powers,
+)
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 DEFAULT_K2 = 64
 DEFAULT_NODE_BUDGET = 500_000
 _TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's cache-sized stages
 _TILE_PRIMES = 64  # _block_odd_signed applies primes below this in those passes
-_FLUSH_INTEGERS = 10**7  # odd_signed_sums saves its checkpoint this often
+_FLUSH_INTEGERS = 10**7  # the block passes save their checkpoints this often
+MIN_PRIME_CUTOFF = 1000  # the least prime cutoff P a BetaJConfig takes
+MAX_J = 1024  # the largest j a BetaJConfig takes
+_PI_BOUND = 1.25506  # pi(x) < 1.25506 x / log x for x > 1 (Rosser-Schoenfeld)
 
 
 def _sigma_pp(p: int, m: int) -> int:
@@ -162,6 +224,120 @@ def beta_prime(j: int, p: int, depth: int) -> CertifiedValue:
         value.error_radius + EPS * abs(value.value),
     )
     return scaled.widened(float(p) ** (-depth) / (p - 1))
+
+
+# ---------------------------------------------------------------------------
+# The Euler product: one pass over the odd primes p <= P
+# ---------------------------------------------------------------------------
+
+
+def prime_tail_bound(P: int) -> float:
+    """T(P) = 2 * 1.25506/(P log P), at least sum over primes p > P of p^-2.
+
+    The partial-summation argument is in the module docstring.  The float
+    evaluation (a log, a product and a quotient) is within 4u, and the
+    factor 1 + 8 EPS lifts it above the exact T(P).  P past 2^1000 is
+    evaluated at 2^1000: T falls with P, so that still bounds the sum.
+    """
+    if P < 2:
+        raise ParameterError(f"P must be >= 2, got {P}")
+    x = float(min(P, 1 << 1000))
+    return 2.0 * _PI_BOUND / (x * math.log(x)) * (1.0 + 8.0 * EPS)
+
+
+def _log_beta_terms(primes: np.ndarray, j_list: list[int]) -> dict[int, np.ndarray]:
+    """log beta_j(p) for each of the ascending odd primes, for each j.
+
+    The terms of the module docstring: each prime's series runs to its
+    own depth, its tail tau added, and each term is within 41u of
+    log beta_j(p).  G_k = k log p + log((p-1)^2/(p+1)) rises with p, so
+    the primes whose series reach level m (G_{m-2} < log(2j/EPS)) are a
+    prefix, found by one binary search per j and level; the levels x_m
+    and p^-m are shared by every j.
+    """
+    js = sorted(set(j_list))
+    if not js:
+        return {}
+    p = primes.astype(np.float64)
+    n = p.size
+    log_p = np.log(p)
+    g = np.log((p - 1.0) ** 2 / (p + 1.0))
+    limits = [math.log(2.0 * j / EPS) for j in js]
+    reach = {j: [n] for j in js}  # reach[j][m - 1]: the primes whose series has level m
+    level = 1
+    while g.size and g[0] < limits[-1]:
+        for j, limit in zip(js, limits):
+            c = min(reach[j][-1], int(np.searchsorted(g, limit)))
+            if c and len(reach[j]) == level:
+                reach[j].append(c)
+        level += 1
+        c = reach[js[-1]][-1]
+        g = g[:c] + log_p[:c]
+    levels = []  # level m: log1p(-x_m) and p^-m over the primes that reach it
+    y = np.ones(n)
+    w = np.ones(n)
+    for c in reach[js[-1]]:
+        pc = p[:c]
+        x = 1.0 / (pc + y[:c])
+        w = w[:c] / pc
+        levels.append((np.log1p(-x), w))
+        y = y[:c] * x
+    inv_pp1 = 1.0 / (p * (p - 1.0))
+    one_minus = 1.0 - 1.0 / p
+    # Two work rows and one result row per j, allocated once per block.
+    series, work = np.empty(n), np.empty(n)
+    out = np.empty((len(js), n))
+    for j, row in zip(js, out):
+        counts = reach[j] + [0]
+        for m in range(len(counts) - 1, 0, -1):
+            c, c_deeper = counts[m - 1], counts[m]
+            log1p_x, w = levels[m - 1]
+            # The primes whose series stops at m start from their tail.
+            tail = series[c_deeper:c]
+            np.multiply(w[c_deeper:c], j, out=tail)
+            tail *= inv_pp1[c_deeper:c]
+            t = work[:c]
+            np.multiply(log1p_x[:c], j, out=t)
+            np.expm1(t, out=t)
+            t *= w[:c]
+            series[:c] -= t
+        np.multiply(series, one_minus, out=work)
+        np.negative(work, out=work)
+        np.log1p(work, out=row)
+    return dict(zip(js, out))
+
+
+def euler_log_sums(
+    j_list: list[int],
+    P: int,
+    *,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    workers: int = 1,
+    checkpoint: CheckpointStore | None = None,
+    stop_after_blocks: int | None = None,
+) -> dict[int, CertifiedValue] | None:
+    """sum of log beta_j(p) over the odd primes p <= P for every j, certified.
+
+    One pass over the primes in blocks aligned to multiples of block_size
+    (each block one sieve segment), merged in ascending order, so the
+    sums are independent of the worker count.  Checkpointing and the
+    early stop are those of odd_signed_sums (_resumable_sums).
+    """
+    j_list = sorted(set(j_list))
+    if not all(1 <= j <= MAX_J for j in j_list):
+        raise ParameterError(f"every j must lie in [1, {MAX_J}], got {j_list}")
+    check_range(3, P, block_size)
+
+    def eval_block(lo: int, hi: int) -> dict[int, tuple]:
+        # An aligned block is exactly one sieve segment.
+        (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
+        terms = _log_beta_terms(primes, j_list)
+        return {j: block_sum_parts(terms[j]) for j in j_list}
+
+    return _resumable_sums(
+        j_list, aligned_blocks(3, P, block_size), block_size, eval_block,
+        workers=workers, checkpoint=checkpoint, stop_after_blocks=stop_after_blocks,
+    )
 
 
 # The paper's exponents e_j for j = 1..8.
@@ -451,6 +627,67 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     return {j: block_sum_parts(row) for j, row in zip(js, terms)}
 
 
+def _resumable_sums(
+    j_list: list[int],
+    blocks: list[tuple[int, int]],
+    block_size: int,
+    eval_block,
+    *,
+    workers: int,
+    checkpoint: CheckpointStore | None,
+    stop_after_blocks: int | None,
+) -> dict[int, CertifiedValue] | None:
+    """Per-j certified sums of a block pass, resumable through a checkpoint.
+
+    eval_block(lo, hi) gives the block's {j: block_sum_parts} pieces.
+    With a checkpoint store, completed blocks are saved as they finish
+    (every _FLUSH_INTEGERS integers, and at the end if blocks were added
+    since), so a killed run keeps its progress.  On resume the first and
+    the last stored blocks are recomputed, and unless both equal their
+    records bit for bit and every record holds the same series, the file
+    is discarded.  Returns None when stop_after_blocks ends the run early
+    (progress is saved if a checkpoint store was given).
+    """
+
+    def record(lo: int, hi: int) -> BlockRecord:
+        parts = eval_block(lo, hi)
+        return BlockRecord(lo // block_size, lo, hi, {str(j): parts[j] for j in j_list})
+
+    records: list[BlockRecord] = []
+    if checkpoint is not None:
+        records = checkpoint.load()
+        if records and not (
+            len(records) <= len(blocks)
+            and all(r.parts.keys() == records[0].parts.keys() for r in records)
+            and all(records[k] == record(*blocks[k]) for k in sorted({0, len(records) - 1}))
+        ):
+            records = []
+            checkpoint.discard()
+    todo = blocks[len(records) :]
+    if stop_after_blocks is not None:
+        todo = todo[: max(0, stop_after_blocks - len(records))]
+
+    flush_every = max(1, _FLUSH_INTEGERS // block_size)
+    saved = len(records)
+
+    def keep(rec: BlockRecord) -> None:
+        nonlocal saved
+        records.append(rec)
+        if checkpoint is not None and len(records) % flush_every == 0:
+            checkpoint.save(records)
+            saved = len(records)
+
+    map_blocks(todo, record, workers, on_block=keep)
+    if checkpoint is not None and len(records) > saved:
+        checkpoint.save(records)
+    if len(records) < len(blocks):
+        return None
+    return {
+        j: combine_blocks([parts_to_certified(*rec.parts[str(j)]) for rec in records])
+        for j in j_list
+    }
+
+
 def odd_signed_sums(
     j_list: list[int],
     N: int,
@@ -463,56 +700,16 @@ def odd_signed_sums(
     """sum of beta_j(n) over odd n <= N for every j, deterministically.
 
     Blocks are aligned to absolute multiples of block_size and merged in
-    ascending order, so results are independent of worker count.  With a
-    checkpoint store, completed blocks are saved as they finish (every
-    _FLUSH_INTEGERS integers, and at the end if blocks were added since),
-    so a killed run keeps its progress.  On resume the first and the last
-    stored blocks are recomputed, and unless both equal their records bit
-    for bit and every record holds the same series, the file is discarded.
-    Returns None when stop_after_blocks ends the run early (progress is
-    saved if a checkpoint store was given).
+    ascending order, so results are independent of worker count.
+    Checkpointing and the early stop are _resumable_sums'.
     """
     j_list = sorted(set(j_list))
     check_range(1, N, block_size)
-    blocks = aligned_blocks(1, N, block_size)
-
-    def eval_block(lo: int, hi: int) -> BlockRecord:
-        parts = _block_odd_signed(lo, hi, j_list)
-        return BlockRecord(lo // block_size, lo, hi, {str(j): parts[j] for j in j_list})
-
-    records: list[BlockRecord] = []
-    if checkpoint is not None:
-        records = checkpoint.load()
-        if records and not (
-            len(records) <= len(blocks)
-            and all(r.parts.keys() == records[0].parts.keys() for r in records)
-            and all(records[k] == eval_block(*blocks[k]) for k in sorted({0, len(records) - 1}))
-        ):
-            records = []
-            checkpoint.discard()
-    todo = blocks[len(records) :]
-    if stop_after_blocks is not None:
-        todo = todo[: max(0, stop_after_blocks - len(records))]
-
-    flush_every = max(1, _FLUSH_INTEGERS // block_size)
-    saved = len(records)
-
-    def keep(record: BlockRecord) -> None:
-        nonlocal saved
-        records.append(record)
-        if checkpoint is not None and len(records) % flush_every == 0:
-            checkpoint.save(records)
-            saved = len(records)
-
-    map_blocks(todo, eval_block, workers, on_block=keep)
-    if checkpoint is not None and len(records) > saved:
-        checkpoint.save(records)
-    if len(records) < len(blocks):
-        return None
-    return {
-        j: combine_blocks([parts_to_certified(*rec.parts[str(j)]) for rec in records])
-        for j in j_list
-    }
+    return _resumable_sums(
+        j_list, aligned_blocks(1, N, block_size), block_size,
+        lambda lo, hi: _block_odd_signed(lo, hi, j_list),
+        workers=workers, checkpoint=checkpoint, stop_after_blocks=stop_after_blocks,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,39 +719,46 @@ def odd_signed_sums(
 
 @dataclass(frozen=True)
 class BetaJConfig:
-    """Parameters for one j-term: odd-sum cutoff N (even) and dyadic
-    truncation depth K2."""
+    """Parameters for one j-term: the Euler product's prime cutoff P and
+    the dyadic truncation depth K2.
+
+    j runs over 1..MAX_J and P from MIN_PRIME_CUTOFF up, so that the tail
+    factor 1 - j T(P) stays above 0.6; a P past the sieve's range is a
+    ResourceError when beta_lower runs.
+    """
 
     j: int
-    N: int
+    P: int
     K2: int = DEFAULT_K2
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ParameterError(f"j must be >= 1, got {self.j}")
-        if self.N <= 1 or self.N % 2 != 0:
-            raise ParameterError(f"N must be even and > 1, got {self.N}")
+        if not 1 <= self.j <= MAX_J:
+            raise ParameterError(f"j must lie in [1, {MAX_J}], got {self.j}")
+        if self.P < MIN_PRIME_CUTOFF:
+            raise ParameterError(f"P must be >= {MIN_PRIME_CUTOFF}, got {self.P}")
         _check_K2(self.K2)
 
 
 def main_term(
-    config: BetaJConfig,
+    j: int,
+    N: int,
     *,
+    K2: int = DEFAULT_K2,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     odd_sum: CertifiedValue | None = None,
 ) -> CertifiedValue:
     """(1/j) * (2 beta_j(2) - 1 truncated) * sum of beta_j(n) over odd n <= N.
 
-    The factorized form: the 2-adic factor multiplies the odd signed sum,
-    which covers every even integer whose odd part is at most N (for all
-    powers of two at once).  ``odd_sum`` lets callers reuse a shared pass.
+    The odd-sum route's main term: the 2-adic factor multiplies the odd
+    signed sum, which covers every even integer whose odd part is at most
+    N (for all powers of two at once).  ``odd_sum`` lets callers reuse a
+    shared pass.
     """
     if odd_sum is None:
-        sums = odd_signed_sums([config.j], config.N, block_size=block_size, workers=workers)
-        odd_sum = sums[config.j]
-    z = two_beta2_minus_one(config.j, config.K2)
-    return certified_quotient(certified_product(z, odd_sum), config.j)
+        odd_sum = odd_signed_sums([j], N, block_size=block_size, workers=workers)[j]
+    z = two_beta2_minus_one(j, K2)
+    return certified_quotient(certified_product(z, odd_sum), j)
 
 
 def mixed_region_bound(j: int, e: float, N: int) -> float:
@@ -568,7 +772,8 @@ def mixed_region_bound(j: int, e: float, N: int) -> float:
 
 
 def main_term_direct(
-    config: BetaJConfig,
+    j: int,
+    N: int,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
@@ -579,8 +784,7 @@ def main_term_direct(
     Used in place of the factorized form, its uncertainty must also cover
     mixed_region_bound(j, e, N) at one of the paper's exponents e.
     """
-    j = config.j
-    check_range(1, config.N, block_size)
+    check_range(1, N, block_size)
 
     def eval_block(lo: int, hi: int) -> CertifiedValue:
         # An aligned block is exactly one segment.
@@ -606,8 +810,17 @@ def main_term_direct(
         vals = two_part * (ratio**j) * h_arr / odd_part.astype(np.float64)
         return parts_to_certified(*block_sum_parts(vals[seg.n_values % 2 == 0]))
 
-    total = combine_blocks(map_blocks(aligned_blocks(2, config.N, block_size), eval_block, workers))
+    total = combine_blocks(map_blocks(aligned_blocks(2, N, block_size), eval_block, workers))
     return certified_quotient(total, j)
+
+
+@lru_cache(maxsize=4)
+def _odd_primes(cutoff: int) -> np.ndarray:
+    """The odd primes up to cutoff as floats, one read-only array shared
+    by every s_tail_bound call with that cutoff."""
+    p = primes_in_range(3, cutoff).astype(np.float64)
+    p.flags.writeable = False
+    return p
 
 
 def s_tail_bound(
@@ -635,7 +848,7 @@ def s_tail_bound(
     if prime_cutoff < 1000:
         raise ParameterError("prime_cutoff must be at least 1000")
     power_limit = 10**6
-    p = primes_in_range(3, prime_cutoff).astype(np.float64)
+    p = _odd_primes(prime_cutoff)
     inner = np.zeros(p.size)
     included = np.zeros(p.size)
     m = 1
@@ -673,19 +886,26 @@ def s_tail_bound(
 
 @dataclass
 class BetaJReport:
+    """One j-term: the log sum S over the odd primes p <= P, the term
+    (z/j) exp(S) over those primes, the charge j T(P) for the primes past
+    P, and the certified lower end of t_j."""
+
     config: BetaJConfig
+    log_product: CertifiedValue
     main: CertifiedValue
-    s_bound: float
+    tail_charge: float
     contribution_lower: float
 
     def to_json_dict(self) -> dict:
         return {
             "j": self.config.j,
-            "N": self.config.N,
+            "P": self.config.P,
             "K2": self.config.K2,
+            "log_product": self.log_product.value,
+            "log_product_error_radius": self.log_product.error_radius,
             "main_term": self.main.value,
             "main_term_error_radius": self.main.error_radius,
-            "s_tail_bound": self.s_bound,
+            "tail_charge": self.tail_charge,
             "contribution_lower": self.contribution_lower,
         }
 
@@ -711,6 +931,22 @@ class BetaSummary:
         }
 
 
+def euler_term(j: int, K2: int, log_product: CertifiedValue) -> CertifiedValue:
+    """(z/j) exp(log_product) with z = 2 beta_j(2) - 1 truncated at K2.
+
+    The float ends (z_lower/j) exp(S_lower) and (z_upper/j) exp(S_upper)
+    enclose the exact value up to (5 + |S|)u each; the radius adds
+    8 EPS (1 + |S|) times the upper end, which also covers the rounding
+    of value - radius.
+    """
+    z = two_beta2_minus_one(j, K2)
+    value = z.value / j * math.exp(log_product.value)
+    lower = z.lower / j * math.exp(log_product.lower)
+    upper = z.upper / j * math.exp(log_product.upper)
+    slack = 8.0 * EPS * (1.0 + abs(log_product.value)) * upper
+    return CertifiedValue(value, max(upper - value, value - lower) + slack)
+
+
 def beta_lower(
     configs: list[BetaJConfig],
     *,
@@ -721,40 +957,36 @@ def beta_lower(
 ) -> BetaSummary | None:
     """Certified lower bound for beta from the given per-j configurations.
 
-    Per j the main term covers exactly the odd n <= N, and the odd tail
-    past N is charged s_tail_bound(j, N) * z_upper / j, with z the 2-adic
-    factor, and nothing else: |sum over odd n > N of beta_j(n)| <= sum over
-    odd n > N of g_j h_j <= N^-delta prod over odd p of (1 + sum over m of
-    g_j h_j(p^m) p^(m delta)), by the triangle inequality and Rankin's
-    device.  Terms with j beyond the configured range are all positive,
-    so dropping them keeps the bound valid.
-    Returns None if ``stop_after_blocks`` ends the odd-sum pass early
-    (resume later with the same configuration and checkpoint_dir).
+    Per j, one prime pass gives the log sum S of log beta_j(p) over the
+    odd primes p <= P (euler_log_sums; configs sharing P share the pass),
+    euler_term turns it into (z/j) exp(S), and the primes past P are
+    charged j T(P): the j-term's lower end is that term's lower end times
+    1 - j T(P), times 1 - 4 EPS to round it down.  The rigor argument is
+    in the module docstring.  Terms with j beyond the configured range
+    are all positive, so dropping them keeps the bound valid.
+    Returns None if ``stop_after_blocks`` ends a prime pass early (resume
+    later with the same configuration and checkpoint_dir).
     """
     t0 = time.time()
     js = [c.j for c in configs]
     if len(set(js)) != len(js):
         raise ParameterError("duplicate j in configs")
 
-    # One odd-sum pass per N: K2 only enters the 2-adic factor.
-    by_n: dict[int, list[BetaJConfig]] = {}
+    # One prime pass per P: K2 only enters the 2-adic factor.
+    by_p: dict[int, list[BetaJConfig]] = {}
     for cfg in configs:
-        by_n.setdefault(cfg.N, []).append(cfg)
+        by_p.setdefault(cfg.P, []).append(cfg)
 
-    odd_sums: dict[int, CertifiedValue] = {}
-    for N, group in sorted(by_n.items()):
+    log_sums: dict[int, CertifiedValue] = {}
+    for P, group in sorted(by_p.items()):
+        group_js = sorted(c.j for c in group)
         store = None
         if checkpoint_dir is not None:
-            key = {
-                "kind": "beta-odd-sum",
-                "N": N,
-                "block_size": block_size,
-                "j_list": sorted(c.j for c in group),
-            }
-            store = CheckpointStore(checkpoint_dir, "beta-odd", key)
-        sums = odd_signed_sums(
-            [c.j for c in group],
-            N,
+            key = {"kind": "beta-euler", "P": P, "block_size": block_size, "j_list": group_js}
+            store = CheckpointStore(checkpoint_dir, "beta-euler", key)
+        sums = euler_log_sums(
+            group_js,
+            P,
             block_size=block_size,
             workers=workers,
             checkpoint=store,
@@ -762,22 +994,18 @@ def beta_lower(
         )
         if sums is None:
             return None
-        odd_sums.update(sums)
+        log_sums.update(sums)
 
     reports = []
-    total_value = 0.0
-    total_lower = 0.0
     for cfg in sorted(configs, key=lambda c: c.j):
-        main = main_term(cfg, odd_sum=odd_sums[cfg.j])
-        z_upper = two_beta2_minus_one(cfg.j, cfg.K2).upper
-        s_bound = s_tail_bound(cfg.j, cfg.N) * z_upper / cfg.j
-        # Every j-term of beta is positive (both the 2-adic factor and the
-        # odd Euler factors are), so a pessimistic estimate below zero may
-        # be replaced by zero without losing validity.
-        contribution = max(0.0, main.lower - s_bound)
-        reports.append(BetaJReport(cfg, main, s_bound, contribution))
-        total_value += main.value
-        total_lower += contribution
+        main = euler_term(cfg.j, cfg.K2, log_sums[cfg.j])
+        charge = cfg.j * prime_tail_bound(cfg.P)
+        contribution = main.lower * (1.0 - charge) * (1.0 - 4.0 * EPS)
+        reports.append(BetaJReport(cfg, log_sums[cfg.j], main, charge, contribution))
 
+    # fsum is correctly rounded; one step down makes it a lower bound.
+    # value - (value - lower) gives lower back exactly (Sterbenz).
+    total_value = math.fsum(r.main.value for r in reports)
+    total_lower = math.nextafter(math.fsum(r.contribution_lower for r in reports), -math.inf)
     certified = CertifiedValue(total_value, max(0.0, total_value - total_lower))
     return BetaSummary(certified, reports, time.time() - t0)

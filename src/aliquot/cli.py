@@ -11,11 +11,14 @@ Verbs:
 
 Numeric flags accept scientific notation (1e6).  A JSON config file may
 supply any flag's value, keyed by its dest (N, mean_class, block_size, ...)
-and parsed as the flag would be; explicit flags override it.  beta charges
-each j's odd tail past --Nj one moment bound (Rankin's device).  Reports
-are written as JSON (always) and CSV (tabular verbs) under --out.  Exit
-status: 0 on success, 1 on parameter errors, 2 on resource or effort
-errors.
+and parsed as the flag would be; explicit flags override it.  beta takes
+its first --J j-terms (default 32; the dropped ones are positive) from
+their Euler products over the odd primes up to --Nj, beta's prime cutoff
+P (default 1e6, at least 1000), and charges each j-term j T(P) for the
+primes past P.  --checkpoint-dir and --stop-after-blocks save and resume
+that prime pass.  Reports are written as JSON (always) and CSV (tabular
+verbs) under --out.  Exit status: 0 on success, 1 on parameter errors, 2
+on resource or effort errors.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .means import CSV_HEADER, mean_report
 from .primes import check_range
 from .trajectory import trace
 
-DEFAULT_BETA_N = 10**7
-DEFAULT_J = 8
+DEFAULT_BETA_P = 10**6
+DEFAULT_J = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,6 +161,8 @@ def _run_alpha(args, out_dir: Path, params: AlphaParams) -> AlphaResult:
 
 
 def _run_beta(args, out_dir: Path) -> BetaSummary | None:
+    if args.J < 1:
+        raise ParameterError(f"J must be >= 1, got {args.J}")
     summary = beta_lower(
         [BetaJConfig(j, args.Nj, args.K2) for j in range(1, args.J + 1)],
         block_size=args.block_size,
@@ -177,15 +182,18 @@ def _run_beta(args, out_dir: Path) -> BetaSummary | None:
     rows = [
         [
             r.config.j,
-            r.config.N,
+            r.config.P,
+            repr(r.log_product.value),
+            repr(r.log_product.error_radius),
             repr(r.main.value),
             repr(r.main.error_radius),
-            repr(r.s_bound),
+            repr(r.tail_charge),
             repr(r.contribution_lower),
         ]
         for r in summary.reports
     ]
-    header = ["j", "N", "main", "main_radius", "s_tail_bound", "contribution_lower"]
+    header = ["j", "P", "log_product", "log_product_radius", "main", "main_radius",
+              "tail_charge", "contribution_lower"]
     _write_csv(out_dir, "beta", header, rows)
     print(f"beta lower bound: {summary.lower_bound!r}")
     print(f"report: {path}")
@@ -282,9 +290,11 @@ def build_parser() -> _Parser:
     alpha_flags(p_alpha, "prime cutoff")
 
     def beta_flags(p):
-        p.add_argument("--J", type=_int_flag, default=DEFAULT_J, help="number of j terms")
-        p.add_argument("--Nj", type=_int_flag, default=DEFAULT_BETA_N,
-                       help="odd-sum cutoff (even)")
+        p.add_argument("--J", type=_int_flag, default=DEFAULT_J,
+                       help="number of j-terms (1..1024); the dropped j > J terms are positive")
+        p.add_argument("--Nj", type=_int_flag, default=DEFAULT_BETA_P,
+                       help="beta's prime cutoff P (>= 1000): the Euler products run over "
+                       "the odd primes <= P, and each j-term pays j T(P) for the rest")
         p.add_argument("--K2", type=_int_flag, default=DEFAULT_K2,
                        help="dyadic truncation depth")
         p.add_argument("--s-mode", dest="s_mode", choices=("bound",), default="bound",
@@ -292,9 +302,10 @@ def build_parser() -> _Parser:
                        "kept while alqbench/run.py passes it")
         p.add_argument("--node-budget", dest="node_budget", type=_int_flag, default=None,
                        help="read by nothing; kept while alqbench/run.py passes it")
-        p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None)
+        p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None,
+                       help="save and resume beta's prime pass here")
         p.add_argument("--stop-after-blocks", dest="stop_after_blocks", type=_int_flag,
-                       default=None)
+                       default=None, help="stop the prime pass after this many blocks")
 
     p_beta = sub.add_parser("beta", help="certified lower bound for beta")
     common(p_beta)

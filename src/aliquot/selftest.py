@@ -6,7 +6,9 @@ segment sigma kernel (all, even and odd n), sieve counts against known
 prime counts, the closed-form h values against their binomial sums, the
 exceptional-set fixture, the trajectory fixtures, the vectorized block
 sum against math.fsum, worker-count bit-identity for one block sum of
-each flavor, and alpha's per-block depths against a full-depth oracle.
+each flavor, alpha's per-block depths against a full-depth oracle, and
+beta's Euler route against the Euler-factor series per prime and against
+the odd-sum route (with its Rankin charge) at j = 1.
 """
 
 from __future__ import annotations
@@ -17,9 +19,24 @@ import numpy as np
 
 from .alpha import AlphaParams, _block_sums, alpha_two_part, alpha_upper_bound, tail_a
 from .arith import factorize, sigma, sigma_oracle
-from .beta import beta_signed, h_prime_power, h_prime_power_binomial, odd_signed_sums, s_set
+from .beta import (
+    BetaJConfig,
+    _log_beta_terms,
+    beta_lower,
+    beta_prime,
+    beta_signed,
+    h_prime_power,
+    h_prime_power_binomial,
+    main_term,
+    odd_signed_sums,
+    prime_tail_bound,
+    s_set,
+    s_tail_bound,
+    two_beta2_minus_one,
+)
 from .means import log_mean
 from .numerics import (
+    EPS,
     aligned_blocks,
     certified_combine,
     combine_blocks,
@@ -155,6 +172,28 @@ def run_selftest() -> bool:
     results.append(
         _check("beta block sum worker bit-identity", b1.value == b4.value)
     )
+
+    # Per prime, exp of the Euler kernel's certified log beta_j(p) meets
+    # beta_prime's Euler-factor series within both radii.
+    apart = []
+    for j in (1, 8, 32):
+        for p in (3, 7, 101, 10007):
+            t = _log_beta_terms(np.array([p]), [j])[j][0]
+            kernel = parts_to_certified(t, abs(t), 1)
+            bp = beta_prime(j, p, 60)
+            lo = max(math.exp(kernel.lower), bp.lower)
+            if lo > min(math.exp(kernel.upper), bp.upper) * (1 + 4 * EPS):
+                apart.append((j, p))
+    results.append(_check("Euler kernel vs beta_prime per prime", not apart, str(apart or "")))
+
+    # The j = 1 term by two algorithms: each is within its tail charge of t_1.
+    (euler,) = beta_lower([BetaJConfig(1, 10**5)]).reports
+    odd = main_term(1, 10**5)
+    allowed = (s_tail_bound(1, 10**5) * two_beta2_minus_one(1).upper + prime_tail_bound(10**5)
+               + euler.main.error_radius + odd.error_radius)
+    gap = abs(euler.main.value - odd.value)
+    results.append(_check("Euler j = 1 term vs odd-sum term at 1e5", gap <= allowed,
+                          f"gap {gap:.2e}, allowed {allowed:.2e}"))
 
     sig = beta_signed(1, factorize(15))
     results.append(

@@ -108,10 +108,9 @@ def test_criterion_4_beta_main_terms():
     sums = odd_signed_sums(list(range(1, 9)), 10**7)
     failures = []
     for j in range(1, 9):
-        cfg = BetaJConfig(j, 10**7)
         from aliquot.beta import main_term
 
-        value = main_term(cfg, odd_sum=sums[j]).value
+        value = main_term(j, 10**7, odd_sum=sums[j]).value
         tolerance = error_term(j, PAPER_E[j - 1], 10**7) + 1e-6
         if abs(value - BETA_MAIN[j]) > tolerance:
             failures.append(f"j={j}: {value:.6f} vs {BETA_MAIN[j]}")
@@ -230,24 +229,24 @@ def test_criterion_7_property_suites():
 
 
 def test_criterion_8_full_scale_configuration(tmp_path):
-    # The published full-scale run (N=1e9, exceptional sets with tens of
-    # millions of members) is out of desk budget; the engine must accept
-    # the configuration and make checkpointed, resumable progress.
+    # The published full-scale cutoff 1e9, now beta's prime cutoff P: the
+    # engine must accept the configuration and make checkpointed,
+    # resumable progress through its prime pass.
     configs = [BetaJConfig(j, 10**9) for j in range(1, 9)]
     for cfg in configs:
-        assert cfg.N == 10**9
+        assert cfg.P == 10**9
     first = beta_lower(configs, checkpoint_dir=str(tmp_path),
                        stop_after_blocks=2)
     ok = first is None
     files = list(tmp_path.iterdir())
     ok = ok and len(files) == 1
     key = {
-        "kind": "beta-odd-sum",
-        "N": 10**9,
+        "kind": "beta-euler",
+        "P": 10**9,
         "block_size": 1 << 20,
         "j_list": list(range(1, 9)),
     }
-    store = CheckpointStore(tmp_path, "beta-odd", key)
+    store = CheckpointStore(tmp_path, "beta-euler", key)
     records = store.load()
     ok = ok and len(records) == 2
     second = beta_lower(configs, checkpoint_dir=str(tmp_path),

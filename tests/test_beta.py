@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,17 @@ from hypothesis import strategies as st
 from aliquot import beta as beta_module
 from aliquot.arith import factorize
 from aliquot.beta import (
+    DEFAULT_K2,
+    MAX_J,
+    MIN_PRIME_CUTOFF,
     BetaJConfig,
     _wide_membership,
     beta_lower,
     beta_prime,
     beta_signed,
     error_term,
+    euler_log_sums,
+    euler_term,
     g,
     g_prime_power,
     h,
@@ -26,14 +32,16 @@ from aliquot.beta import (
     main_term_direct,
     mixed_region_bound,
     odd_signed_sums,
+    prime_tail_bound,
     s_set,
     s_tail_bound,
     t_set,
     two_beta2_minus_one,
 )
 from aliquot.checkpoint import CheckpointStore
-from aliquot.errors import ParameterError, SSetBudgetExceeded
+from aliquot.errors import ParameterError, ResourceError, SSetBudgetExceeded
 from aliquot.numerics import (
+    EPS,
     CertifiedValue,
     aligned_blocks,
     certified_product,
@@ -326,7 +334,7 @@ class TestSSet:
 
 class TestMainTerm:
     def test_direct_hand_example(self):
-        cv = main_term_direct(BetaJConfig(1, 6))
+        cv = main_term_direct(1, 6)
         assert cv.value == pytest.approx(1 / 3 + 1 / 7 - 1 / 36, rel=1e-14)
         assert mixed_region_bound(1, 1.0, 6) > 0
 
@@ -344,7 +352,7 @@ class TestMainTerm:
                     g_prime_power(j, 2, k) * beta_signed(j, factorize(odd))
                 )
             expected = math.fsum(terms) / j
-            got = main_term_direct(BetaJConfig(j, N))
+            got = main_term_direct(j, N)
             assert abs(got.value - expected) <= got.error_radius + 1e-13
 
     def test_factorized_matches_per_n_oracle(self):
@@ -355,7 +363,7 @@ class TestMainTerm:
             )
             z = two_beta2_minus_one(j)
             expected = z.value * odd_sum / j
-            got = main_term(BetaJConfig(j, N))
+            got = main_term(j, N)
             assert abs(got.value - expected) <= got.error_radius + 1e-12
 
     def test_direct_matches_strided_odd_sums_at_scale(self):
@@ -366,7 +374,7 @@ class TestMainTerm:
         js = list(range(1, 9))
         odd = {k: odd_signed_sums(js, N >> k) for k in range(1, N.bit_length())}
         for j in js:
-            got = main_term_direct(BetaJConfig(j, N))
+            got = main_term_direct(j, N)
             expected = certified_quotient(
                 combine_blocks([
                     certified_product(CertifiedValue(g_prime_power(j, 2, k), 0.0), sums[j])
@@ -621,13 +629,13 @@ def _abs_sums(lo, hi):
 class TestBetaLower:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
-            BetaJConfig(0, 100)
+            BetaJConfig(0, 10**4)
         with pytest.raises(ParameterError):
             BetaJConfig(1, 101)
         with pytest.raises(ParameterError):
-            BetaJConfig(2, 100, 7)
+            BetaJConfig(2, 10**4, 7)
         with pytest.raises(ParameterError):
-            beta_lower([BetaJConfig(1, 100), BetaJConfig(1, 100)])
+            beta_lower([BetaJConfig(1, 10**4), BetaJConfig(1, 10**4)])
 
     def test_small_run_is_conservative(self):
         configs = [BetaJConfig(1, 10**4), BetaJConfig(2, 10**4)]
@@ -636,11 +644,12 @@ class TestBetaLower:
         assert summary.lower_bound > 0.6
 
     def test_both_modes_below_beta_upper_estimate(self):
-        # The lower bound may not pass an upper estimate of the j = 2 term:
-        # a larger main term plus the whole tail's Rankin charge.
+        # The lower bound may not pass an upper estimate of the j = 2 term
+        # by the odd-sum route: a larger main term plus the whole tail's
+        # Rankin charge.
         bound = beta_lower([BetaJConfig(2, 10**4)])
         z_upper = two_beta2_minus_one(2).upper
-        upper = main_term(BetaJConfig(2, 10**6)).upper + s_tail_bound(2, 10**6) * z_upper / 2
+        upper = main_term(2, 10**6).upper + s_tail_bound(2, 10**6) * z_upper / 2
         assert bound.lower_bound <= upper
 
     def test_default_mode_never_searches(self, monkeypatch):
@@ -651,26 +660,39 @@ class TestBetaLower:
         summary = beta_lower([BetaJConfig(j, 10**4) for j in range(1, 9)])
         assert [r.config.j for r in summary.reports] == list(range(1, 9))
 
-    def test_one_odd_sum_pass_per_N(self, monkeypatch):
-        # K2 only enters the 2-adic factor, so configs sharing N share a pass.
+    def test_one_prime_pass_per_P(self, monkeypatch):
+        # K2 only enters the 2-adic factor, so configs sharing P share a pass.
         calls = []
-        real = beta_module.odd_signed_sums
+        real = beta_module.euler_log_sums
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(beta_module, "odd_signed_sums", counting)
-        beta_lower([BetaJConfig(1, 10**4, 64), BetaJConfig(2, 10**4, 32)])
-        assert calls == [([1, 2], 10**4)]
+        monkeypatch.setattr(beta_module, "euler_log_sums", counting)
+        beta_lower([BetaJConfig(1, 10**4, 64), BetaJConfig(2, 10**4, 32),
+                    BetaJConfig(3, 2 * 10**4)])
+        assert calls == [([1, 2], 10**4), ([3], 2 * 10**4)]
+
+    def test_takes_no_odd_sum_and_no_rankin_bound(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("odd-sum route called")
+
+        monkeypatch.setattr(beta_module, "odd_signed_sums", refuse)
+        monkeypatch.setattr(beta_module, "s_tail_bound", refuse)
+        monkeypatch.setattr(beta_module, "_block_odd_signed", refuse)
+        summary = beta_lower([BetaJConfig(j, 10**4) for j in range(1, 9)])
+        assert summary.lower_bound > 0.7
 
     def test_bound_mode_charges_only_the_tail_bound(self):
-        # Every j, j = 1 included, subtracts exactly its Rankin charge.
-        configs = [BetaJConfig(j, 10**4) for j in (1, 2)]
-        for r in beta_lower(configs).reports:
-            z_upper = two_beta2_minus_one(r.config.j).upper
-            assert r.s_bound == s_tail_bound(r.config.j, 10**4) * z_upper / r.config.j
-            assert r.contribution_lower == max(0.0, r.main.lower - r.s_bound)
+        # Every j, j = 1 included, pays exactly j T(P) for the primes past
+        # P, on the lower end of its Euler term over the primes up to P.
+        P = 10**4
+        for r in beta_lower([BetaJConfig(j, P) for j in (1, 2, 32)]).reports:
+            j = r.config.j
+            assert r.tail_charge == j * prime_tail_bound(P)
+            assert r.main == euler_term(j, DEFAULT_K2, r.log_product)
+            assert r.contribution_lower == r.main.lower * (1.0 - r.tail_charge) * (1.0 - 4 * EPS)
 
     def test_lower_bound_improves_with_N(self):
         values = []
@@ -697,3 +719,127 @@ class TestBetaLower:
             stop_after_blocks=4,
         )
         assert summary2 is None
+
+
+class TestEulerRoute:
+    def test_config_domain(self):
+        BetaJConfig(1, MIN_PRIME_CUTOFF)
+        BetaJConfig(MAX_J, MIN_PRIME_CUTOFF)
+        for j, P, K2 in ((1, MIN_PRIME_CUTOFF - 1, 64), (MAX_J + 1, 10**4, 64),
+                         (10**400, 10**4, 64), (1, -(10**400), 64), (1, 10**4, 10**400)):
+            with pytest.raises(ParameterError):
+                BetaJConfig(j, P, K2)
+
+    def test_any_size_cutoff_is_a_typed_error(self):
+        # An odd P is fine (no "even" rule); past the sieve's range it is a
+        # resource error, before any work starts.
+        assert BetaJConfig(1, 10**4 + 1).P == 10**4 + 1
+        with pytest.raises(ResourceError):
+            beta_lower([BetaJConfig(1, 10**400)])
+
+    def test_prime_tail_bound(self):
+        # T(P) bounds the prime sum past P; sampled against the primes to 1e7.
+        p = primes_in_range(3, 10**7).astype(float)
+        for P in (10**3, 10**4, 10**5, 10**6):
+            assert math.fsum((p[p > P]) ** -2.0) < prime_tail_bound(P)
+        assert 0.0 < prime_tail_bound(10**400) <= prime_tail_bound(2**1000)
+        with pytest.raises(ParameterError):
+            prime_tail_bound(1)
+
+    def test_kernel_matches_beta_prime(self):
+        # Per prime, exp of the kernel's certified log beta_j(p) meets the
+        # Euler-factor series of beta_prime within both radii.
+        for j in (1, 2, 8, 32):
+            for p in (3, 5, 7, 13, 101, 997, 10007):
+                t = beta_module._log_beta_terms(np.array([p]), [j])[j][0]
+                kernel = parts_to_certified(t, abs(t), 1)
+                bp = beta_prime(j, p, 60)
+                lo = max(math.exp(kernel.lower), bp.lower)
+                hi = min(math.exp(kernel.upper), bp.upper)
+                assert lo <= hi * (1 + 4 * EPS), (j, p)
+
+    def test_terms_independent_of_the_other_js(self):
+        primes = primes_in_range(3, 3 * 10**5)
+        every = beta_module._log_beta_terms(primes, list(range(1, 33)))
+        for j in (1, 8, 32):
+            alone = beta_module._log_beta_terms(primes, [j])[j]
+            assert alone.tobytes() == every[j].tobytes()
+
+    def test_workers_and_block_sizes(self):
+        js = [1, 2, 8]
+        a = euler_log_sums(js, 2 * 10**5, block_size=1 << 14, workers=1)
+        b = euler_log_sums(js, 2 * 10**5, block_size=1 << 14, workers=3)
+        c = euler_log_sums(js, 2 * 10**5)
+        assert a == b
+        for j in js:
+            assert abs(a[j].value - c[j].value) <= a[j].error_radius + c[j].error_radius
+
+    @pytest.mark.parametrize("j", [0, MAX_J + 1, 10**400])
+    def test_pass_rejects_j_outside_the_domain(self, j):
+        with pytest.raises(ParameterError):
+            euler_log_sums([1, j], 10**4)
+
+    def test_no_primes_sum_to_zero(self):
+        assert beta_module._log_beta_terms(np.empty(0, dtype=np.int64), [1, 2])[2].size == 0
+        assert euler_log_sums([1, 2], 2) == {1: CertifiedValue(0.0, 0.0), 2: CertifiedValue(0.0, 0.0)}
+
+    def test_checkpoint_resume_reproduces_one_shot(self, tmp_path):
+        key = {"kind": "beta-euler", "P": 10**5, "block_size": 4096, "j_list": [1, 2]}
+        store = CheckpointStore(tmp_path, "beta-euler", key)
+        assert euler_log_sums([1, 2], 10**5, block_size=4096, checkpoint=store,
+                              stop_after_blocks=5) is None
+        records = store.load()
+        assert len(records) == 5
+        value, abs_sum, n_terms = records[-1].parts["2"]
+        records[-1].parts["2"] = (value + 1e-9, abs_sum, n_terms)
+        store.save(records)  # a tampered last record: the file is discarded
+        resumed = euler_log_sums([1, 2], 10**5, block_size=4096, checkpoint=store)
+        assert resumed == euler_log_sums([1, 2], 10**5, block_size=4096)
+
+    def test_lower_end_below_a_later_upper_end(self):
+        # t_j <= (z/j) prod over p <= 1e6 of beta_j(p), since every factor
+        # is below 1, so the certified lower end at P = 1e3 must lie below
+        # that product's upper end.  Without the 1 - j T(P) charge the
+        # lower end at 1e3 passes it for every j.
+        small = beta_lower([BetaJConfig(j, 10**3) for j in range(1, 9)])
+        logs = euler_log_sums(list(range(1, 9)), 10**6)
+        for r in small.reports:
+            j = r.config.j
+            upper = two_beta2_minus_one(j).upper / j * math.exp(logs[j].upper)
+            assert r.contribution_lower < upper, j
+
+    def test_euler_terms_match_the_odd_sum_route(self):
+        # Two algorithms for t_j: the Euler product over p <= 1e6 and the
+        # odd sum over n <= 1e6.  Each is within its own tail charge of t_j.
+        from test_acceptance import BETA_MAIN
+
+        P = N = 10**6
+        js = list(range(1, 9))
+        euler = {r.config.j: r for r in beta_lower([BetaJConfig(j, P) for j in js]).reports}
+        odd = odd_signed_sums(js, N)
+        for j in js:
+            odd_main = main_term(j, N, odd_sum=odd[j])
+            rankin = s_tail_bound(j, N) * two_beta2_minus_one(j).upper / j
+            allowed = rankin + j * prime_tail_bound(P) + euler[j].main.error_radius \
+                + odd_main.error_radius
+            assert abs(euler[j].main.value - odd_main.value) <= allowed, j
+            assert abs(euler[j].main.value - BETA_MAIN[j]) <= 1e-6, j
+
+    def test_s_tail_bound_sieves_once(self, monkeypatch):
+        # The odd primes to the cutoff are sieved once for every j; the
+        # bound's bits are those of a fresh sieve per call.
+        pinned = {
+            1: "0x1.db5acf45635b0p-18", 2: "0x1.1a5391145d24bp-16",
+            3: "0x1.2d709f59512efp-15", 4: "0x1.2b03f4363f24bp-14",
+            5: "0x1.18ff1f9c0e4c7p-13", 6: "0x1.faa67d6cdfa4bp-13",
+            7: "0x1.b9f58196fc4c4p-12", 8: "0x1.77536daeb0626p-11",
+        }
+        calls = []
+        real = beta_module.primes_in_range
+        monkeypatch.setattr(beta_module, "primes_in_range",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        beta_module._odd_primes.cache_clear()
+        got = {j: s_tail_bound(j, 10**7).hex() for j in range(1, 9)}
+        beta_module._odd_primes.cache_clear()
+        assert calls == [(3, 100_000)]
+        assert got == pinned

@@ -19,8 +19,8 @@ def _report(tmp_path, argv, name):
 def test_lambda_bits(tmp_path):
     doc = _report(tmp_path, ["lambda", "--N", "1e5", "--Nj", "4e5"], "lambda")
     assert doc["alpha"]["upper_bound"].hex() == "0x1.658b04443b5c0p-1"
-    assert doc["beta"]["lower_bound"].hex() == "0x1.75909281e3471p-1"
-    assert doc["lambda_upper"].hex() == "-0x1.0058e3da7eb0fp-5"
+    assert doc["beta"]["lower_bound"].hex() == "0x1.769126681c417p-1"
+    assert doc["lambda_upper"].hex() == "-0x1.1062223e0e56fp-5"
 
 
 def test_even_means_bits(tmp_path):

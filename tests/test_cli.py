@@ -93,6 +93,9 @@ class TestBetaVerb:
                 "--out", str(tmp_path / "a")]
         assert run(args + ["--stop-after-blocks", "3"]) == 0
         assert read_json(tmp_path / "a" / "beta.json")["status"] == "incomplete"
+        (stored,) = ckpt.iterdir()
+        assert stored.name.startswith("beta-euler-")  # the prime pass's records
+        assert len(read_json(stored)["blocks"]) == 3
         assert run(args) == 0
         resumed = read_json(tmp_path / "a" / "beta.json")
         assert run(["beta", "--J", "1", "--Nj", "2e5",
@@ -139,6 +142,23 @@ class TestBetaVerb:
         assert run(["beta", "--J", "1", "--Nj", "1e4", "--K2", "1024",
                     "--out", str(tmp_path)]) == 1
         assert "parameter error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--Nj", "999"], ["--J", "0"], ["--J", "1025"]])
+    def test_cutoff_and_J_outside_their_domain(self, tmp_path, capsys, flags):
+        assert run(["beta", "--J", "2", "--Nj", "1e4", *flags, "--out", str(tmp_path)]) == 1
+        assert "parameter error" in capsys.readouterr().err
+
+    def test_cutoff_past_the_sieve_is_a_resource_error(self, tmp_path, capsys):
+        assert run(["beta", "--J", "1", "--Nj", str(10**30), "--out", str(tmp_path)]) == 2
+        assert "resource error" in capsys.readouterr().err
+
+    def test_reports_name_the_prime_cutoff(self, tmp_path):
+        assert run(["beta", "--J", "2", "--Nj", "1e4", "--out", str(tmp_path)]) == 0
+        (term, _) = read_json(tmp_path / "beta.json")["terms"]
+        assert (term["P"], "N" in term, "s_tail_bound" in term) == (10**4, False, False)
+        assert term["log_product"] < 0 < term["tail_charge"] < 1e-4
+        header = (tmp_path / "beta.csv").read_text().splitlines()[0].split(",")
+        assert header[:2] == ["j", "P"] and "tail_charge" in header
 
     def test_exponent_flag_is_gone(self, tmp_path):
         assert run(["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75",
