@@ -27,3 +27,12 @@ def test_even_means_bits(tmp_path):
     doc = _report(tmp_path, ["means", "--class", "even", "--N", "1e5"], "means")
     assert doc["log_mean"].hex() == "-0x1.10b7f788ea01fp-5"
     assert doc["log_mean_error_radius"].hex() == "0x1.0e568ef0dfecep-38"
+
+
+def test_default_lambda_bits(tmp_path):
+    # alq lambda at its defaults: alpha at N = 1e6, beta's J = 32 j-terms
+    # over the odd primes to P = 1e6.
+    doc = _report(tmp_path, ["lambda"], "lambda")
+    assert doc["alpha"]["upper_bound"].hex() == "0x1.6589eeec42e47p-1"
+    assert doc["beta"]["lower_bound"].hex() == "0x1.76912dab006c8p-1"
+    assert doc["lambda_upper"].hex() == "-0x1.1073ebebd880fp-5"
