@@ -14,18 +14,17 @@
 # J=32) certify lambda <= -0.033258 in under a second via `alq lambda`.
 
 from aliquot.alpha import AlphaParams, alpha_upper_bound
-from aliquot.beta import BetaJConfig, beta_lower
+from aliquot.beta import beta_lower
 from aliquot.cli import combine_lambda
 
 alpha_result = alpha_upper_bound(AlphaParams(10**5, 15, 15))
 print(f"alpha <= {alpha_result.upper_bound:.8f}")
 
-configs = [BetaJConfig(j, 10**5) for j in range(1, 17)]
-beta_result = beta_lower(configs)
+beta_result = beta_lower(16, 10**5)
 print(f"beta  >= {beta_result.lower_bound:.8f}")
 for r in beta_result.reports:
     print(
-        f"   j={r.config.j:2d}: log-product={r.log_product.value:+.8f}"
+        f"   j={r.j:2d}: log-product={r.log_product.value:+.8f}"
         f"  term={r.main.value:.3e}"
         f"  primes past P: x(1 - {r.tail_charge:.2e})"
         f"  contributes >= {r.contribution_lower:.3e}"

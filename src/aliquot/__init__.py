@@ -14,7 +14,7 @@ s(n) is the sum of divisors of n below n.
 
 from .alpha import AlphaParams, AlphaResult, alpha_upper_bound
 from .arith import Factorization, aliquot_sum, factorize, is_prime, nu, sigma, sigma_oracle
-from .beta import BetaJConfig, BetaSummary, beta_lower
+from .beta import BetaSummary, beta_lower
 from .errors import ParameterError, ResourceError, SSetBudgetExceeded, UnresolvedCofactorError
 from .means import arithmetic_mean, closed_form, log_mean
 from .numerics import CertifiedValue, certified_combine, compensated_sum
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaParams",
     "AlphaResult",
-    "BetaJConfig",
     "BetaSummary",
     "CertifiedValue",
     "Factorization",

@@ -114,13 +114,13 @@ from .primes import (
 )
 
 DEFAULT_BLOCK_SIZE = 1 << 20
-DEFAULT_K2 = 64
+K2 = 64  # two_beta2_minus_one's truncation depth
 DEFAULT_NODE_BUDGET = 500_000
 _TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's cache-sized stages
 _TILE_PRIMES = 64  # _block_odd_signed applies primes below this in those passes
-_FLUSH_INTEGERS = 10**7  # the block passes save their checkpoints this often
-MIN_PRIME_CUTOFF = 1000  # the least prime cutoff P a BetaJConfig takes
-MAX_J = 1024  # the largest j a BetaJConfig takes
+_FLUSH_INTEGERS = 10**7  # the prime pass saves its checkpoint this often
+MIN_PRIME_CUTOFF = 1000  # the least prime cutoff P beta_lower takes
+MAX_J = 1024  # the most j-terms J beta_lower takes
 _PI_BOUND = 1.25506  # pi(x) < 1.25506 x / log x for x > 1 (Rosser-Schoenfeld)
 
 
@@ -179,19 +179,12 @@ def beta_signed(j: int, f: Factorization) -> float:
     return sign * g(j, f) * h(j, f)
 
 
-def _check_K2(K2: int) -> None:
-    # two_beta2_minus_one divides by 2^K2 as a float, which ends at 2^1023.
-    if not 8 <= K2 <= 1023:
-        raise ParameterError(f"K2 must lie in [8, 1023], got {K2}")
-
-
-def two_beta2_minus_one(j: int, K2: int = DEFAULT_K2) -> CertifiedValue:
-    """2 beta_j(2) - 1 = sum over m >= 1 of g_j(2^m), truncated at K2.
+def two_beta2_minus_one(j: int) -> CertifiedValue:
+    """2 beta_j(2) - 1 = sum over m >= 1 of g_j(2^m), truncated at m = K2.
 
     The dropped tail is below (2/3)^j 2^(1-K2) (each term is at most
     (2/3)^j 2^-m) and is folded into the radius.
     """
-    _check_K2(K2)
     terms = []
     for m in range(1, K2 + 1):
         num = 1 << m
@@ -245,38 +238,36 @@ def prime_tail_bound(P: int) -> float:
     return 2.0 * _PI_BOUND / (x * math.log(x)) * (1.0 + 8.0 * EPS)
 
 
-def _log_beta_terms(primes: np.ndarray, j_list: list[int]) -> dict[int, np.ndarray]:
-    """log beta_j(p) for each of the ascending odd primes, for each j.
+def _log_beta_terms(primes: np.ndarray, J: int) -> np.ndarray:
+    """log beta_j(p) for each of the ascending odd primes and j = 1..J,
+    as a (J, primes) array whose row j - 1 holds j.
 
     The terms of the module docstring: each prime's series runs to its
     own depth, its tail tau added, and each term is within 41u of
     log beta_j(p).  G_k = k log p + log((p-1)^2/(p+1)) rises with p, so
     the primes whose series reach level m (G_{m-2} < log(2j/EPS)) are a
     prefix, found by one binary search per j and level; the levels x_m
-    and p^-m are shared by every j.
+    and p^-m are shared by every j, and each row depends on its j alone.
     """
-    js = sorted(set(j_list))
-    if not js:
-        return {}
     p = primes.astype(np.float64)
     n = p.size
     log_p = np.log(p)
     g = np.log((p - 1.0) ** 2 / (p + 1.0))
-    limits = [math.log(2.0 * j / EPS) for j in js]
-    reach = {j: [n] for j in js}  # reach[j][m - 1]: the primes whose series has level m
+    limits = [math.log(2.0 * j / EPS) for j in range(1, J + 1)]
+    reach = [[n] for _ in limits]  # reach[j - 1][m - 1]: the primes whose series has level m
     level = 1
     while g.size and g[0] < limits[-1]:
-        for j, limit in zip(js, limits):
-            c = min(reach[j][-1], int(np.searchsorted(g, limit)))
-            if c and len(reach[j]) == level:
-                reach[j].append(c)
+        for counts, limit in zip(reach, limits):
+            c = min(counts[-1], int(np.searchsorted(g, limit)))
+            if c and len(counts) == level:
+                counts.append(c)
         level += 1
-        c = reach[js[-1]][-1]
+        c = reach[-1][-1]
         g = g[:c] + log_p[:c]
     levels = []  # level m: log1p(-x_m) and p^-m over the primes that reach it
     y = np.ones(n)
     w = np.ones(n)
-    for c in reach[js[-1]]:
+    for c in reach[-1]:
         pc = p[:c]
         x = 1.0 / (pc + y[:c])
         w = w[:c] / pc
@@ -286,9 +277,9 @@ def _log_beta_terms(primes: np.ndarray, j_list: list[int]) -> dict[int, np.ndarr
     one_minus = 1.0 - 1.0 / p
     # Two work rows and one result row per j, allocated once per block.
     series, work = np.empty(n), np.empty(n)
-    out = np.empty((len(js), n))
-    for j, row in zip(js, out):
-        counts = reach[j] + [0]
+    out = np.empty((J, n))
+    for j, (counts, row) in enumerate(zip(reach, out), start=1):
+        counts = counts + [0]
         for m in range(len(counts) - 1, 0, -1):
             c, c_deeper = counts[m - 1], counts[m]
             log1p_x, w = levels[m - 1]
@@ -304,40 +295,81 @@ def _log_beta_terms(primes: np.ndarray, j_list: list[int]) -> dict[int, np.ndarr
         np.multiply(series, one_minus, out=work)
         np.negative(work, out=work)
         np.log1p(work, out=row)
-    return dict(zip(js, out))
+    return out
 
 
 def euler_log_sums(
-    j_list: list[int],
+    J: int,
     P: int,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
-    checkpoint: CheckpointStore | None = None,
+    checkpoint_dir: str | None = None,
     stop_after_blocks: int | None = None,
 ) -> dict[int, CertifiedValue] | None:
-    """sum of log beta_j(p) over the odd primes p <= P for every j, certified.
+    """sum of log beta_j(p) over the odd primes p <= P for j = 1..J, certified.
 
     One pass over the primes in blocks aligned to multiples of block_size
     (each block one sieve segment), merged in ascending order, so the
-    sums are independent of the worker count.  Checkpointing and the
-    early stop are those of odd_signed_sums (_resumable_sums).
-    """
-    j_list = sorted(set(j_list))
-    if not all(1 <= j <= MAX_J for j in j_list):
-        raise ParameterError(f"every j must lie in [1, {MAX_J}], got {j_list}")
-    check_range(3, P, block_size)
+    sums are independent of the worker count.
 
-    def eval_block(lo: int, hi: int) -> dict[int, tuple]:
+    With a checkpoint_dir, completed blocks are saved as they finish
+    (every _FLUSH_INTEGERS integers, and at the end if blocks were added
+    since), so a killed run keeps its progress.  On resume the first and
+    the last stored blocks are recomputed, and unless both equal their
+    records bit for bit and every record holds the same series, the file
+    is discarded.  Returns None when stop_after_blocks ends the run early
+    (progress is saved if a checkpoint_dir was given).
+    """
+    if not 1 <= J <= MAX_J:
+        raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
+    check_range(3, P, block_size)
+    blocks = aligned_blocks(3, P, block_size)
+
+    def record(lo: int, hi: int) -> BlockRecord:
         # An aligned block is exactly one sieve segment.
         (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
-        terms = _log_beta_terms(primes, j_list)
-        return {j: block_sum_parts(terms[j]) for j in j_list}
+        rows = _log_beta_terms(primes, J)
+        parts = {str(j): block_sum_parts(row) for j, row in enumerate(rows, start=1)}
+        return BlockRecord(lo // block_size, lo, hi, parts)
 
-    return _resumable_sums(
-        j_list, aligned_blocks(3, P, block_size), block_size, eval_block,
-        workers=workers, checkpoint=checkpoint, stop_after_blocks=stop_after_blocks,
-    )
+    store = None
+    records: list[BlockRecord] = []
+    if checkpoint_dir is not None:
+        key = {"kind": "beta-euler", "P": P, "block_size": block_size,
+               "j_list": list(range(1, J + 1))}
+        store = CheckpointStore(checkpoint_dir, "beta-euler", key)
+        records = store.load()
+        if records and not (
+            len(records) <= len(blocks)
+            and all(r.parts.keys() == records[0].parts.keys() for r in records)
+            and all(records[k] == record(*blocks[k]) for k in sorted({0, len(records) - 1}))
+        ):
+            records = []
+            store.discard()
+    todo = blocks[len(records) :]
+    if stop_after_blocks is not None:
+        todo = todo[: max(0, stop_after_blocks - len(records))]
+
+    flush_every = max(1, _FLUSH_INTEGERS // block_size)
+    saved = len(records)
+
+    def keep(rec: BlockRecord) -> None:
+        nonlocal saved
+        records.append(rec)
+        if store is not None and len(records) % flush_every == 0:
+            store.save(records)
+            saved = len(records)
+
+    map_blocks(todo, record, workers, on_block=keep)
+    if store is not None and len(records) > saved:
+        store.save(records)
+    if len(records) < len(blocks):
+        return None
+    return {
+        j: combine_blocks([parts_to_certified(*rec.parts[str(j)]) for rec in records])
+        for j in range(1, J + 1)
+    }
 
 
 # The paper's exponents e_j for j = 1..8.
@@ -627,89 +659,24 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     return {j: block_sum_parts(row) for j, row in zip(js, terms)}
 
 
-def _resumable_sums(
-    j_list: list[int],
-    blocks: list[tuple[int, int]],
-    block_size: int,
-    eval_block,
-    *,
-    workers: int,
-    checkpoint: CheckpointStore | None,
-    stop_after_blocks: int | None,
-) -> dict[int, CertifiedValue] | None:
-    """Per-j certified sums of a block pass, resumable through a checkpoint.
-
-    eval_block(lo, hi) gives the block's {j: block_sum_parts} pieces.
-    With a checkpoint store, completed blocks are saved as they finish
-    (every _FLUSH_INTEGERS integers, and at the end if blocks were added
-    since), so a killed run keeps its progress.  On resume the first and
-    the last stored blocks are recomputed, and unless both equal their
-    records bit for bit and every record holds the same series, the file
-    is discarded.  Returns None when stop_after_blocks ends the run early
-    (progress is saved if a checkpoint store was given).
-    """
-
-    def record(lo: int, hi: int) -> BlockRecord:
-        parts = eval_block(lo, hi)
-        return BlockRecord(lo // block_size, lo, hi, {str(j): parts[j] for j in j_list})
-
-    records: list[BlockRecord] = []
-    if checkpoint is not None:
-        records = checkpoint.load()
-        if records and not (
-            len(records) <= len(blocks)
-            and all(r.parts.keys() == records[0].parts.keys() for r in records)
-            and all(records[k] == record(*blocks[k]) for k in sorted({0, len(records) - 1}))
-        ):
-            records = []
-            checkpoint.discard()
-    todo = blocks[len(records) :]
-    if stop_after_blocks is not None:
-        todo = todo[: max(0, stop_after_blocks - len(records))]
-
-    flush_every = max(1, _FLUSH_INTEGERS // block_size)
-    saved = len(records)
-
-    def keep(rec: BlockRecord) -> None:
-        nonlocal saved
-        records.append(rec)
-        if checkpoint is not None and len(records) % flush_every == 0:
-            checkpoint.save(records)
-            saved = len(records)
-
-    map_blocks(todo, record, workers, on_block=keep)
-    if checkpoint is not None and len(records) > saved:
-        checkpoint.save(records)
-    if len(records) < len(blocks):
-        return None
-    return {
-        j: combine_blocks([parts_to_certified(*rec.parts[str(j)]) for rec in records])
-        for j in j_list
-    }
-
-
 def odd_signed_sums(
     j_list: list[int],
     N: int,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
-    checkpoint: CheckpointStore | None = None,
-    stop_after_blocks: int | None = None,
-) -> dict[int, CertifiedValue] | None:
+) -> dict[int, CertifiedValue]:
     """sum of beta_j(n) over odd n <= N for every j, deterministically.
 
     Blocks are aligned to absolute multiples of block_size and merged in
     ascending order, so results are independent of worker count.
-    Checkpointing and the early stop are _resumable_sums'.
     """
     j_list = sorted(set(j_list))
     check_range(1, N, block_size)
-    return _resumable_sums(
-        j_list, aligned_blocks(1, N, block_size), block_size,
-        lambda lo, hi: _block_odd_signed(lo, hi, j_list),
-        workers=workers, checkpoint=checkpoint, stop_after_blocks=stop_after_blocks,
+    parts = map_blocks(
+        aligned_blocks(1, N, block_size), lambda lo, hi: _block_odd_signed(lo, hi, j_list), workers
     )
+    return {j: combine_blocks([parts_to_certified(*p[j]) for p in parts]) for j in j_list}
 
 
 # ---------------------------------------------------------------------------
@@ -717,33 +684,10 @@ def odd_signed_sums(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaJConfig:
-    """Parameters for one j-term: the Euler product's prime cutoff P and
-    the dyadic truncation depth K2.
-
-    j runs over 1..MAX_J and P from MIN_PRIME_CUTOFF up, so that the tail
-    factor 1 - j T(P) stays above 0.6; a P past the sieve's range is a
-    ResourceError when beta_lower runs.
-    """
-
-    j: int
-    P: int
-    K2: int = DEFAULT_K2
-
-    def __post_init__(self):
-        if not 1 <= self.j <= MAX_J:
-            raise ParameterError(f"j must lie in [1, {MAX_J}], got {self.j}")
-        if self.P < MIN_PRIME_CUTOFF:
-            raise ParameterError(f"P must be >= {MIN_PRIME_CUTOFF}, got {self.P}")
-        _check_K2(self.K2)
-
-
 def main_term(
     j: int,
     N: int,
     *,
-    K2: int = DEFAULT_K2,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     odd_sum: CertifiedValue | None = None,
@@ -757,7 +701,7 @@ def main_term(
     """
     if odd_sum is None:
         odd_sum = odd_signed_sums([j], N, block_size=block_size, workers=workers)[j]
-    z = two_beta2_minus_one(j, K2)
+    z = two_beta2_minus_one(j)
     return certified_quotient(certified_product(z, odd_sum), j)
 
 
@@ -890,7 +834,8 @@ class BetaJReport:
     (z/j) exp(S) over those primes, the charge j T(P) for the primes past
     P, and the certified lower end of t_j."""
 
-    config: BetaJConfig
+    j: int
+    P: int
     log_product: CertifiedValue
     main: CertifiedValue
     tail_charge: float
@@ -898,9 +843,8 @@ class BetaJReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "j": self.config.j,
-            "P": self.config.P,
-            "K2": self.config.K2,
+            "j": self.j,
+            "P": self.P,
             "log_product": self.log_product.value,
             "log_product_error_radius": self.log_product.error_radius,
             "main_term": self.main.value,
@@ -931,15 +875,15 @@ class BetaSummary:
         }
 
 
-def euler_term(j: int, K2: int, log_product: CertifiedValue) -> CertifiedValue:
-    """(z/j) exp(log_product) with z = 2 beta_j(2) - 1 truncated at K2.
+def euler_term(j: int, log_product: CertifiedValue) -> CertifiedValue:
+    """(z/j) exp(log_product) with z = 2 beta_j(2) - 1 (two_beta2_minus_one).
 
     The float ends (z_lower/j) exp(S_lower) and (z_upper/j) exp(S_upper)
     enclose the exact value up to (5 + |S|)u each; the radius adds
     8 EPS (1 + |S|) times the upper end, which also covers the rounding
     of value - radius.
     """
-    z = two_beta2_minus_one(j, K2)
+    z = two_beta2_minus_one(j)
     value = z.value / j * math.exp(log_product.value)
     lower = z.lower / j * math.exp(log_product.lower)
     upper = z.upper / j * math.exp(log_product.upper)
@@ -948,60 +892,49 @@ def euler_term(j: int, K2: int, log_product: CertifiedValue) -> CertifiedValue:
 
 
 def beta_lower(
-    configs: list[BetaJConfig],
+    J: int,
+    P: int,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     checkpoint_dir: str | None = None,
     stop_after_blocks: int | None = None,
 ) -> BetaSummary | None:
-    """Certified lower bound for beta from the given per-j configurations.
+    """Certified lower bound for beta from its first J j-terms, each taken
+    over the odd primes p <= P.
 
-    Per j, one prime pass gives the log sum S of log beta_j(p) over the
-    odd primes p <= P (euler_log_sums; configs sharing P share the pass),
-    euler_term turns it into (z/j) exp(S), and the primes past P are
-    charged j T(P): the j-term's lower end is that term's lower end times
-    1 - j T(P), times 1 - 4 EPS to round it down.  The rigor argument is
-    in the module docstring.  Terms with j beyond the configured range
-    are all positive, so dropping them keeps the bound valid.
-    Returns None if ``stop_after_blocks`` ends a prime pass early (resume
-    later with the same configuration and checkpoint_dir).
+    One prime pass (euler_log_sums) gives every j's log sum S of
+    log beta_j(p) over the odd primes p <= P, euler_term turns it into
+    (z/j) exp(S), and the primes past P are charged j T(P): the j-term's
+    lower end is that term's lower end times 1 - j T(P), times 1 - 4 EPS
+    to round it down.  The rigor argument is in the module docstring.
+    The terms with j > J are all positive, so dropping them keeps the
+    bound valid.  J runs over 1..MAX_J and P from MIN_PRIME_CUTOFF up, so
+    that 1 - j T(P) stays above 0.6; a P past the sieve's range is a
+    ResourceError.  Returns None if ``stop_after_blocks`` ends the prime
+    pass early (resume later with the same J, P and checkpoint_dir).
     """
     t0 = time.time()
-    js = [c.j for c in configs]
-    if len(set(js)) != len(js):
-        raise ParameterError("duplicate j in configs")
+    if P < MIN_PRIME_CUTOFF:
+        raise ParameterError(f"P must be >= {MIN_PRIME_CUTOFF}, got {P}")
+    log_sums = euler_log_sums(
+        J,
+        P,
+        block_size=block_size,
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        stop_after_blocks=stop_after_blocks,
+    )
+    if log_sums is None:
+        return None
 
-    # One prime pass per P: K2 only enters the 2-adic factor.
-    by_p: dict[int, list[BetaJConfig]] = {}
-    for cfg in configs:
-        by_p.setdefault(cfg.P, []).append(cfg)
-
-    log_sums: dict[int, CertifiedValue] = {}
-    for P, group in sorted(by_p.items()):
-        group_js = sorted(c.j for c in group)
-        store = None
-        if checkpoint_dir is not None:
-            key = {"kind": "beta-euler", "P": P, "block_size": block_size, "j_list": group_js}
-            store = CheckpointStore(checkpoint_dir, "beta-euler", key)
-        sums = euler_log_sums(
-            group_js,
-            P,
-            block_size=block_size,
-            workers=workers,
-            checkpoint=store,
-            stop_after_blocks=stop_after_blocks,
-        )
-        if sums is None:
-            return None
-        log_sums.update(sums)
-
+    T = prime_tail_bound(P)
     reports = []
-    for cfg in sorted(configs, key=lambda c: c.j):
-        main = euler_term(cfg.j, cfg.K2, log_sums[cfg.j])
-        charge = cfg.j * prime_tail_bound(cfg.P)
+    for j, log_product in log_sums.items():
+        main = euler_term(j, log_product)
+        charge = j * T
         contribution = main.lower * (1.0 - charge) * (1.0 - 4.0 * EPS)
-        reports.append(BetaJReport(cfg, log_sums[cfg.j], main, charge, contribution))
+        reports.append(BetaJReport(j, P, log_product, main, charge, contribution))
 
     # fsum is correctly rounded; one step down makes it a lower bound.
     # value - (value - lower) gives lower back exactly (Sterbenz).

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .alpha import AlphaParams, AlphaResult, alpha_upper_bound
-from .beta import DEFAULT_K2, BetaJConfig, BetaSummary, beta_lower
+from .beta import BetaSummary, beta_lower
 from .errors import ParameterError, ResourceError, UnresolvedCofactorError
 from .means import CSV_HEADER, mean_report
 from .primes import check_range
@@ -161,10 +161,9 @@ def _run_alpha(args, out_dir: Path, params: AlphaParams) -> AlphaResult:
 
 
 def _run_beta(args, out_dir: Path) -> BetaSummary | None:
-    if args.J < 1:
-        raise ParameterError(f"J must be >= 1, got {args.J}")
     summary = beta_lower(
-        [BetaJConfig(j, args.Nj, args.K2) for j in range(1, args.J + 1)],
+        args.J,
+        args.Nj,
         block_size=args.block_size,
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
@@ -175,14 +174,12 @@ def _run_beta(args, out_dir: Path) -> BetaSummary | None:
         _write_json(out_dir, "beta", {"schema_version": 1, "status": "incomplete"})
         return None
     doc = summary.to_json_dict()
-    doc["provenance"] = _provenance(
-        args, {"configs": [r.to_json_dict() for r in summary.reports]}
-    )
+    doc["provenance"] = _provenance(args, {"J": args.J, "P": args.Nj})
     path = _write_json(out_dir, "beta", doc)
     rows = [
         [
-            r.config.j,
-            r.config.P,
+            r.j,
+            r.P,
             repr(r.log_product.value),
             repr(r.log_product.error_radius),
             repr(r.main.value),
@@ -295,8 +292,6 @@ def build_parser() -> _Parser:
         p.add_argument("--Nj", type=_int_flag, default=DEFAULT_BETA_P,
                        help="beta's prime cutoff P (>= 1000): the Euler products run over "
                        "the odd primes <= P, and each j-term pays j T(P) for the rest")
-        p.add_argument("--K2", type=_int_flag, default=DEFAULT_K2,
-                       help="dyadic truncation depth")
         p.add_argument("--s-mode", dest="s_mode", choices=("bound",), default="bound",
                        help="odd tail: one moment bound per j, the only choice; "
                        "kept while alqbench/run.py passes it")

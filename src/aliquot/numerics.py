@@ -221,7 +221,11 @@ def map_blocks(
     Workers (threads) only add concurrency; the returned list (and hence
     any ordered merge of it) is bit-identical for every worker count
     because each block is evaluated independently by a pure function.
+    A worker count below 1 is a ParameterError.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
     def drain(results) -> list:
         out = []
         for result in results:

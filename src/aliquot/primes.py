@@ -8,8 +8,8 @@ n0, n0 + stride, ... (stride 1 or 2) is factored along the strided walk
 (strided_prime_powers): it visits the odd base primes once and gives, per
 prime, the start of its multiples as a strided view (i0::p) and their
 exponents of p, so a kernel applies each prime with one in-place multiply
-and no per-(p, m) scatter.  The beta kernel, the exact sigma kernel
-(sigma_strided, under iter_sigma_segments) and the complete
+and no per-(p, m) scatter.  Beta's odd-sum oracle, the exact sigma
+kernel (sigma_strided, under iter_sigma_segments) and the complete
 factorizations of FactoredRangeStream all consume it; 2-adic parts and
 the large cofactor are left to them.
 

@@ -5,10 +5,11 @@ divisor enumeration against the multiplicative sigma and against the
 segment sigma kernel (all, even and odd n), sieve counts against known
 prime counts, the closed-form h values against their binomial sums, the
 exceptional-set fixture, the trajectory fixtures, the vectorized block
-sum against math.fsum, worker-count bit-identity for one block sum of
-each flavor, alpha's per-block depths against a full-depth oracle, and
-beta's Euler route against the Euler-factor series per prime and against
-the odd-sum route (with its Rankin charge) at j = 1.
+sum against math.fsum, worker-count bit-identity for alpha's block sums,
+beta's odd-sum oracle and beta's prime pass (the one the certificate
+runs), alpha's per-block depths against a full-depth oracle, and beta's
+Euler route against the Euler-factor series per prime and against the
+odd-sum route (with its Rankin charge) at j = 1.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import numpy as np
 from .alpha import AlphaParams, _block_sums, alpha_two_part, alpha_upper_bound, tail_a
 from .arith import factorize, sigma, sigma_oracle
 from .beta import (
-    BetaJConfig,
     _log_beta_terms,
     beta_lower,
     beta_prime,
     beta_signed,
+    euler_log_sums,
     h_prime_power,
     h_prime_power_binomial,
     main_term,
@@ -172,13 +173,16 @@ def run_selftest() -> bool:
     results.append(
         _check("beta block sum worker bit-identity", b1.value == b4.value)
     )
+    e1 = euler_log_sums(8, 10**5, block_size=1 << 14, workers=1)
+    e4 = euler_log_sums(8, 10**5, block_size=1 << 14, workers=4)
+    results.append(_check("beta prime pass worker bit-identity", e1 == e4))
 
     # Per prime, exp of the Euler kernel's certified log beta_j(p) meets
     # beta_prime's Euler-factor series within both radii.
     apart = []
     for j in (1, 8, 32):
         for p in (3, 7, 101, 10007):
-            t = _log_beta_terms(np.array([p]), [j])[j][0]
+            t = _log_beta_terms(np.array([p]), j)[j - 1][0]
             kernel = parts_to_certified(t, abs(t), 1)
             bp = beta_prime(j, p, 60)
             lo = max(math.exp(kernel.lower), bp.lower)
@@ -187,7 +191,7 @@ def run_selftest() -> bool:
     results.append(_check("Euler kernel vs beta_prime per prime", not apart, str(apart or "")))
 
     # The j = 1 term by two algorithms: each is within its tail charge of t_1.
-    (euler,) = beta_lower([BetaJConfig(1, 10**5)]).reports
+    (euler,) = beta_lower(1, 10**5).reports
     odd = main_term(1, 10**5)
     allowed = (s_tail_bound(1, 10**5) * two_beta2_minus_one(1).upper + prime_tail_bound(10**5)
                + euler.main.error_radius + odd.error_radius)

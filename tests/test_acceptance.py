@@ -13,7 +13,6 @@ from aliquot.alpha import AlphaParams, alpha_upper_bound
 from aliquot.arith import factorize, sigma, sigma_oracle
 from aliquot.beta import (
     PAPER_E,
-    BetaJConfig,
     beta_lower,
     beta_signed,
     error_term,
@@ -125,8 +124,7 @@ def test_criterion_4_beta_main_terms():
 def test_criterion_5_certified_lambda():
     t0 = time.time()
     alpha_result = alpha_upper_bound(AlphaParams(10**6, 15, 15))
-    configs = [BetaJConfig(j, 10**7) for j in range(1, 9)]
-    beta_result = beta_lower(configs)
+    beta_result = beta_lower(8, 10**7)
     report = combine_lambda(alpha_result, beta_result)
     elapsed = time.time() - t0
     ok = (
@@ -232,10 +230,7 @@ def test_criterion_8_full_scale_configuration(tmp_path):
     # The published full-scale cutoff 1e9, now beta's prime cutoff P: the
     # engine must accept the configuration and make checkpointed,
     # resumable progress through its prime pass.
-    configs = [BetaJConfig(j, 10**9) for j in range(1, 9)]
-    for cfg in configs:
-        assert cfg.P == 10**9
-    first = beta_lower(configs, checkpoint_dir=str(tmp_path),
+    first = beta_lower(8, 10**9, checkpoint_dir=str(tmp_path),
                        stop_after_blocks=2)
     ok = first is None
     files = list(tmp_path.iterdir())
@@ -249,7 +244,7 @@ def test_criterion_8_full_scale_configuration(tmp_path):
     store = CheckpointStore(tmp_path, "beta-euler", key)
     records = store.load()
     ok = ok and len(records) == 2
-    second = beta_lower(configs, checkpoint_dir=str(tmp_path),
+    second = beta_lower(8, 10**9, checkpoint_dir=str(tmp_path),
                         stop_after_blocks=4)
     ok = ok and second is None and len(store.load()) == 4
     _report(8, ok,

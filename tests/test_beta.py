@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from aliquot import beta as beta_module
 from aliquot.arith import factorize
 from aliquot.beta import (
-    DEFAULT_K2,
     MAX_J,
     MIN_PRIME_CUTOFF,
-    BetaJConfig,
     _wide_membership,
     beta_lower,
     beta_prime,
@@ -128,21 +126,9 @@ class TestDyadicFactor:
     def test_consistent_with_euler_factor(self):
         # 2 beta_j(2) - 1 recomputed through the Euler-factor series.
         for j in (1, 2, 5):
-            z = two_beta2_minus_one(j, K2=64)
+            z = two_beta2_minus_one(j)
             bp = beta_prime(j, 2, 80)
             assert abs(2 * bp.value - 1 - z.value) <= 2 * bp.error_radius + z.error_radius
-
-    def test_rejects_small_K2(self):
-        with pytest.raises(ParameterError):
-            two_beta2_minus_one(1, K2=4)
-
-    def test_rejects_K2_past_the_float_range(self):
-        # 2^1024 has no float; K2 = 1023 is the deepest truncation.
-        assert two_beta2_minus_one(1, K2=1023).value == pytest.approx(TWO_BETA2_J1, abs=1e-15)
-        with pytest.raises(ParameterError, match="1023"):
-            two_beta2_minus_one(1, K2=1024)
-        with pytest.raises(ParameterError, match="1023"):
-            BetaJConfig(1, 10**4, 1024)
 
 
 class TestBetaPrime:
@@ -435,81 +421,85 @@ class TestOddSignedSums:
         assert beta_module._block_odd_signed(lo, hi, j_list) == expected
 
 
+def _euler_store(directory, J, P, block_size):
+    """The checkpoint store euler_log_sums keeps under directory."""
+    key = {"kind": "beta-euler", "P": P, "block_size": block_size,
+           "j_list": list(range(1, J + 1))}
+    return CheckpointStore(directory, "beta-euler", key)
+
+
 class TestCheckpointing:
     def test_resume_reproduces_one_shot(self, tmp_path):
-        key = {"kind": "beta-odd-sum", "N": 50000, "block_size": 4096, "j_list": [1, 2]}
-        store = CheckpointStore(tmp_path, "beta-odd", key)
-        partial = odd_signed_sums(
-            [1, 2], 50000, block_size=4096, checkpoint=store, stop_after_blocks=3
+        store = _euler_store(tmp_path, 2, 50000, 4096)
+        partial = euler_log_sums(
+            2, 50000, block_size=4096, checkpoint_dir=tmp_path, stop_after_blocks=3
         )
         assert partial is None
         assert store.load()  # progress persisted
-        resumed = odd_signed_sums([1, 2], 50000, block_size=4096, checkpoint=store)
-        direct = odd_signed_sums([1, 2], 50000, block_size=4096)
+        resumed = euler_log_sums(2, 50000, block_size=4096, checkpoint_dir=tmp_path)
+        direct = euler_log_sums(2, 50000, block_size=4096)
         for j in (1, 2):
             assert resumed[j].value == direct[j].value
             assert resumed[j].error_radius == direct[j].error_radius
 
     def test_tampered_checkpoint_discarded(self, tmp_path):
-        key = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}
-        store = CheckpointStore(tmp_path, "beta-odd", key)
-        odd_signed_sums([1], 30000, block_size=4096, checkpoint=store,
-                        stop_after_blocks=2)
+        store = _euler_store(tmp_path, 1, 30000, 4096)
+        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path,
+                       stop_after_blocks=2)
         records = store.load()
         assert records
         records[0].parts["1"] = (records[0].parts["1"][0] + 1e-3, 1.0, 1)
         store.save(records)
-        clean = odd_signed_sums([1], 30000, block_size=4096, checkpoint=store)
-        direct = odd_signed_sums([1], 30000, block_size=4096)
+        clean = euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        direct = euler_log_sums(1, 30000, block_size=4096)
         assert clean[1].value == direct[1].value
 
     def test_tampered_last_record_discarded(self, tmp_path):
-        key = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}
-        store = CheckpointStore(tmp_path, "beta-odd", key)
-        odd_signed_sums([1], 30000, block_size=4096, checkpoint=store,
-                        stop_after_blocks=4)
+        store = _euler_store(tmp_path, 1, 30000, 4096)
+        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path,
+                       stop_after_blocks=4)
         records = store.load()
         assert len(records) == 4
         value, abs_sum, n_terms = records[-1].parts["1"]
         records[-1].parts["1"] = (value + 1e-3, abs_sum, n_terms)
         store.save(records)
-        resumed = odd_signed_sums([1], 30000, block_size=4096, checkpoint=store)
-        direct = odd_signed_sums([1], 30000, block_size=4096)
+        resumed = euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        direct = euler_log_sums(1, 30000, block_size=4096)
         assert resumed[1].value == direct[1].value
         assert resumed[1].error_radius == direct[1].error_radius
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_run_resumes_from_last_flush(self, tmp_path, monkeypatch, workers):
         # 13 blocks; block 7 fails; a flush every 2 blocks keeps blocks 0-5.
-        N, block_size = 50000, 4096
-        key = {"kind": "beta-odd-sum", "N": N, "block_size": block_size, "j_list": [1, 2]}
-        store = CheckpointStore(tmp_path, "beta-odd", key)
-        kernel = beta_module._block_odd_signed
+        # A block is known by its least prime.
+        P, block_size = 50000, 4096
+        store = _euler_store(tmp_path, 2, P, block_size)
+        kernel = beta_module._log_beta_terms
         calls = []
 
-        def failing(lo, hi, j_list):
-            if lo // block_size == 7:
+        def failing(primes, J):
+            if primes[0] // block_size == 7:
                 raise RuntimeError("killed at block 7")
-            return kernel(lo, hi, j_list)
+            return kernel(primes, J)
 
-        def counting(lo, hi, j_list):
-            calls.append(lo // block_size)
-            return kernel(lo, hi, j_list)
+        def counting(primes, J):
+            calls.append(int(primes[0]) // block_size)
+            return kernel(primes, J)
 
         monkeypatch.setattr(beta_module, "_FLUSH_INTEGERS", 2 * block_size)
-        monkeypatch.setattr(beta_module, "_block_odd_signed", failing)
+        monkeypatch.setattr(beta_module, "_log_beta_terms", failing)
         with pytest.raises(RuntimeError, match="block 7"):
-            odd_signed_sums([1, 2], N, block_size=block_size, workers=workers, checkpoint=store)
+            euler_log_sums(2, P, block_size=block_size, workers=workers, checkpoint_dir=tmp_path)
         stored = len(store.load())
         assert stored >= 6
 
-        monkeypatch.setattr(beta_module, "_block_odd_signed", counting)
-        resumed = odd_signed_sums([1, 2], N, block_size=block_size, workers=workers,
-                                  checkpoint=store)
-        n_blocks = N // block_size + 1
+        monkeypatch.setattr(beta_module, "_log_beta_terms", counting)
+        resumed = euler_log_sums(2, P, block_size=block_size, workers=workers,
+                                 checkpoint_dir=tmp_path)
+        n_blocks = P // block_size + 1
         assert sorted(calls) == [0, stored - 1, *range(stored, n_blocks)]
-        monkeypatch.setattr(beta_module, "_block_odd_signed", kernel)
-        direct = odd_signed_sums([1, 2], N, block_size=block_size)
+        monkeypatch.setattr(beta_module, "_log_beta_terms", kernel)
+        direct = euler_log_sums(2, P, block_size=block_size)
         for j in (1, 2):
             assert resumed[j].value == direct[j].value
             assert resumed[j].error_radius == direct[j].error_radius
@@ -517,9 +507,7 @@ class TestCheckpointing:
     def test_saves_only_when_records_were_added(self, tmp_path, monkeypatch):
         # 8 blocks and a flush every 2 blocks: 4 saves, none after the last
         # flush, and resuming the complete store saves nothing.
-        N, block_size = 8 * 4096 - 1, 4096
-        key = {"kind": "beta-odd-sum", "N": N, "block_size": block_size, "j_list": [1]}
-        store = CheckpointStore(tmp_path, "beta-odd", key)
+        P, block_size = 8 * 4096 - 1, 4096
         saved = []
         save = CheckpointStore.save
 
@@ -529,10 +517,10 @@ class TestCheckpointing:
 
         monkeypatch.setattr(beta_module, "_FLUSH_INTEGERS", 2 * block_size)
         monkeypatch.setattr(CheckpointStore, "save", counting_save)
-        first = odd_signed_sums([1], N, block_size=block_size, checkpoint=store)
+        first = euler_log_sums(1, P, block_size=block_size, checkpoint_dir=tmp_path)
         assert saved == [2, 4, 6, 8]
         saved.clear()
-        resumed = odd_signed_sums([1], N, block_size=block_size, checkpoint=store)
+        resumed = euler_log_sums(1, P, block_size=block_size, checkpoint_dir=tmp_path)
         assert saved == []
         assert resumed[1] == first[1]
 
@@ -542,38 +530,35 @@ class TestCheckpointing:
             [],
             {"blocks": [{"index": 0, "hi": 4095, "parts": {"1": [0.5, 0.5, 1]}}]},
             {"blocks": "xy"},
-            {"blocks": [{"index": 0, "lo": 1, "hi": 4095, "parts": {"1": [0.5]}}]},
+            {"blocks": [{"index": 0, "lo": 3, "hi": 4095, "parts": {"1": [0.5]}}]},
         ],
         ids=["list", "block-without-lo", "blocks-string", "short-parts"],
     )
     def test_malformed_document_is_absent(self, tmp_path, doc):
-        key = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}
-        store = CheckpointStore(tmp_path, "beta-odd", key)
+        store = _euler_store(tmp_path, 1, 30000, 4096)
         if isinstance(doc, dict):
-            doc = {"schema_version": 1, "key": key, **doc}
+            doc = {"schema_version": 1, "key": store.key, **doc}
         store.path.write_text(json.dumps(doc))
         assert store.load() == []
-        resumed = odd_signed_sums([1], 30000, block_size=4096, checkpoint=store)
-        assert resumed[1] == odd_signed_sums([1], 30000, block_size=4096)[1]
+        resumed = euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        assert resumed[1] == euler_log_sums(1, 30000, block_size=4096)[1]
 
     def test_middle_record_missing_a_series_is_discarded(self, tmp_path):
-        key = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1, 2]}
-        store = CheckpointStore(tmp_path, "beta-odd", key)
-        odd_signed_sums([1, 2], 30000, block_size=4096, checkpoint=store,
-                        stop_after_blocks=4)
+        store = _euler_store(tmp_path, 2, 30000, 4096)
+        euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path,
+                       stop_after_blocks=4)
         records = store.load()
         del records[1].parts["2"]
         store.save(records)
-        resumed = odd_signed_sums([1, 2], 30000, block_size=4096, checkpoint=store)
-        direct = odd_signed_sums([1, 2], 30000, block_size=4096)
+        resumed = euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        direct = euler_log_sums(2, 30000, block_size=4096)
         assert resumed == direct
 
     def test_foreign_key_ignored(self, tmp_path):
-        key_a = {"kind": "beta-odd-sum", "N": 30000, "block_size": 4096, "j_list": [1]}
-        key_b = {"kind": "beta-odd-sum", "N": 40000, "block_size": 4096, "j_list": [1]}
-        store_a = CheckpointStore(tmp_path, "beta-odd", key_a)
-        store_b = CheckpointStore(tmp_path, "beta-odd", key_b)
-        odd_signed_sums([1], 30000, block_size=4096, checkpoint=store_a)
+        store_a = _euler_store(tmp_path, 1, 30000, 4096)
+        store_b = _euler_store(tmp_path, 1, 40000, 4096)
+        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        assert store_a.load()
         assert store_a.path != store_b.path
         assert store_b.load() == []
 
@@ -628,18 +613,12 @@ def _abs_sums(lo, hi):
 
 class TestBetaLower:
     def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            BetaJConfig(0, 10**4)
-        with pytest.raises(ParameterError):
-            BetaJConfig(1, 101)
-        with pytest.raises(ParameterError):
-            BetaJConfig(2, 10**4, 7)
-        with pytest.raises(ParameterError):
-            beta_lower([BetaJConfig(1, 10**4), BetaJConfig(1, 10**4)])
+        for J, P in ((0, 10**4), (1, 101), (MAX_J + 1, 10**4)):
+            with pytest.raises(ParameterError):
+                beta_lower(J, P)
 
     def test_small_run_is_conservative(self):
-        configs = [BetaJConfig(1, 10**4), BetaJConfig(2, 10**4)]
-        summary = beta_lower(configs)
+        summary = beta_lower(2, 10**4)
         assert summary.lower_bound < summary.certified.value
         assert summary.lower_bound > 0.6
 
@@ -647,21 +626,21 @@ class TestBetaLower:
         # The lower bound may not pass an upper estimate of the j = 2 term
         # by the odd-sum route: a larger main term plus the whole tail's
         # Rankin charge.
-        bound = beta_lower([BetaJConfig(2, 10**4)])
+        (_, term) = beta_lower(2, 10**4).reports
         z_upper = two_beta2_minus_one(2).upper
         upper = main_term(2, 10**6).upper + s_tail_bound(2, 10**6) * z_upper / 2
-        assert bound.lower_bound <= upper
+        assert term.contribution_lower <= upper
 
     def test_default_mode_never_searches(self, monkeypatch):
         def no_search(*args, **kwargs):
             raise AssertionError("s_set called")
 
         monkeypatch.setattr(beta_module, "s_set", no_search)
-        summary = beta_lower([BetaJConfig(j, 10**4) for j in range(1, 9)])
-        assert [r.config.j for r in summary.reports] == list(range(1, 9))
+        summary = beta_lower(8, 10**4)
+        assert [r.j for r in summary.reports] == list(range(1, 9))
 
     def test_one_prime_pass_per_P(self, monkeypatch):
-        # K2 only enters the 2-adic factor, so configs sharing P share a pass.
+        # Every j-term shares the one prime pass to P.
         calls = []
         real = beta_module.euler_log_sums
 
@@ -670,9 +649,8 @@ class TestBetaLower:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(beta_module, "euler_log_sums", counting)
-        beta_lower([BetaJConfig(1, 10**4, 64), BetaJConfig(2, 10**4, 32),
-                    BetaJConfig(3, 2 * 10**4)])
-        assert calls == [([1, 2], 10**4), ([3], 2 * 10**4)]
+        beta_lower(3, 10**4)
+        assert calls == [(3, 10**4)]
 
     def test_takes_no_odd_sum_and_no_rankin_bound(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -681,32 +659,33 @@ class TestBetaLower:
         monkeypatch.setattr(beta_module, "odd_signed_sums", refuse)
         monkeypatch.setattr(beta_module, "s_tail_bound", refuse)
         monkeypatch.setattr(beta_module, "_block_odd_signed", refuse)
-        summary = beta_lower([BetaJConfig(j, 10**4) for j in range(1, 9)])
+        summary = beta_lower(8, 10**4)
         assert summary.lower_bound > 0.7
 
     def test_bound_mode_charges_only_the_tail_bound(self):
         # Every j, j = 1 included, pays exactly j T(P) for the primes past
         # P, on the lower end of its Euler term over the primes up to P.
         P = 10**4
-        for r in beta_lower([BetaJConfig(j, P) for j in (1, 2, 32)]).reports:
-            j = r.config.j
+        for r in beta_lower(32, P).reports:
+            j = r.j
+            assert r.P == P
             assert r.tail_charge == j * prime_tail_bound(P)
-            assert r.main == euler_term(j, DEFAULT_K2, r.log_product)
+            assert r.main == euler_term(j, r.log_product)
             assert r.contribution_lower == r.main.lower * (1.0 - r.tail_charge) * (1.0 - 4 * EPS)
 
     def test_lower_bound_improves_with_N(self):
         values = []
         for N in (10**4, 10**5, 4 * 10**5):
-            summary = beta_lower([BetaJConfig(2, N)])
+            summary = beta_lower(2, N)
             values.append(summary.lower_bound)
         assert values == sorted(values)
 
     def test_paper_scale_config_accepted(self, tmp_path):
         # Criterion: the engine must take the full-scale configuration and
         # make progress through checkpoints (not run it to completion here).
-        configs = [BetaJConfig(j, 10**9) for j in range(1, 9)]
         summary = beta_lower(
-            configs,
+            8,
+            10**9,
             checkpoint_dir=str(tmp_path),
             stop_after_blocks=2,
         )
@@ -714,7 +693,8 @@ class TestBetaLower:
         resumed_key_files = list(tmp_path.iterdir())
         assert resumed_key_files
         summary2 = beta_lower(
-            configs,
+            8,
+            10**9,
             checkpoint_dir=str(tmp_path),
             stop_after_blocks=4,
         )
@@ -723,19 +703,19 @@ class TestBetaLower:
 
 class TestEulerRoute:
     def test_config_domain(self):
-        BetaJConfig(1, MIN_PRIME_CUTOFF)
-        BetaJConfig(MAX_J, MIN_PRIME_CUTOFF)
-        for j, P, K2 in ((1, MIN_PRIME_CUTOFF - 1, 64), (MAX_J + 1, 10**4, 64),
-                         (10**400, 10**4, 64), (1, -(10**400), 64), (1, 10**4, 10**400)):
+        assert len(beta_lower(1, MIN_PRIME_CUTOFF).reports) == 1
+        assert len(beta_lower(MAX_J, MIN_PRIME_CUTOFF).reports) == MAX_J
+        for J, P in ((1, MIN_PRIME_CUTOFF - 1), (MAX_J + 1, 10**4), (0, 10**4),
+                     (10**400, 10**4), (1, -(10**400)), (10**400, 10**400)):
             with pytest.raises(ParameterError):
-                BetaJConfig(j, P, K2)
+                beta_lower(J, P)
 
     def test_any_size_cutoff_is_a_typed_error(self):
         # An odd P is fine (no "even" rule); past the sieve's range it is a
         # resource error, before any work starts.
-        assert BetaJConfig(1, 10**4 + 1).P == 10**4 + 1
+        assert beta_lower(1, 10**4 + 1).reports[0].P == 10**4 + 1
         with pytest.raises(ResourceError):
-            beta_lower([BetaJConfig(1, 10**400)])
+            beta_lower(1, 10**400)
 
     def test_prime_tail_bound(self):
         # T(P) bounds the prime sum past P; sampled against the primes to 1e7.
@@ -751,7 +731,7 @@ class TestEulerRoute:
         # Euler-factor series of beta_prime within both radii.
         for j in (1, 2, 8, 32):
             for p in (3, 5, 7, 13, 101, 997, 10007):
-                t = beta_module._log_beta_terms(np.array([p]), [j])[j][0]
+                t = beta_module._log_beta_terms(np.array([p]), j)[j - 1][0]
                 kernel = parts_to_certified(t, abs(t), 1)
                 bp = beta_prime(j, p, 60)
                 lo = max(math.exp(kernel.lower), bp.lower)
@@ -759,52 +739,54 @@ class TestEulerRoute:
                 assert lo <= hi * (1 + 4 * EPS), (j, p)
 
     def test_terms_independent_of_the_other_js(self):
+        # Row j - 1 holds j's terms, the bits of the pass to J = j alone.
         primes = primes_in_range(3, 3 * 10**5)
-        every = beta_module._log_beta_terms(primes, list(range(1, 33)))
+        every = beta_module._log_beta_terms(primes, 32)
+        assert every.shape == (32, primes.size)
         for j in (1, 8, 32):
-            alone = beta_module._log_beta_terms(primes, [j])[j]
-            assert alone.tobytes() == every[j].tobytes()
+            alone = beta_module._log_beta_terms(primes, j)
+            assert alone.shape == (j, primes.size)
+            assert alone[j - 1].tobytes() == every[j - 1].tobytes()
 
     def test_workers_and_block_sizes(self):
-        js = [1, 2, 8]
-        a = euler_log_sums(js, 2 * 10**5, block_size=1 << 14, workers=1)
-        b = euler_log_sums(js, 2 * 10**5, block_size=1 << 14, workers=3)
-        c = euler_log_sums(js, 2 * 10**5)
+        a = euler_log_sums(8, 2 * 10**5, block_size=1 << 14, workers=1)
+        b = euler_log_sums(8, 2 * 10**5, block_size=1 << 14, workers=3)
+        c = euler_log_sums(8, 2 * 10**5)
         assert a == b
-        for j in js:
+        assert list(a) == list(range(1, 9))
+        for j in a:
             assert abs(a[j].value - c[j].value) <= a[j].error_radius + c[j].error_radius
 
     @pytest.mark.parametrize("j", [0, MAX_J + 1, 10**400])
     def test_pass_rejects_j_outside_the_domain(self, j):
         with pytest.raises(ParameterError):
-            euler_log_sums([1, j], 10**4)
+            euler_log_sums(j, 10**4)
 
     def test_no_primes_sum_to_zero(self):
-        assert beta_module._log_beta_terms(np.empty(0, dtype=np.int64), [1, 2])[2].size == 0
-        assert euler_log_sums([1, 2], 2) == {1: CertifiedValue(0.0, 0.0), 2: CertifiedValue(0.0, 0.0)}
+        assert beta_module._log_beta_terms(np.empty(0, dtype=np.int64), 2).shape == (2, 0)
+        assert euler_log_sums(2, 2) == {1: CertifiedValue(0.0, 0.0), 2: CertifiedValue(0.0, 0.0)}
 
     def test_checkpoint_resume_reproduces_one_shot(self, tmp_path):
-        key = {"kind": "beta-euler", "P": 10**5, "block_size": 4096, "j_list": [1, 2]}
-        store = CheckpointStore(tmp_path, "beta-euler", key)
-        assert euler_log_sums([1, 2], 10**5, block_size=4096, checkpoint=store,
+        store = _euler_store(tmp_path, 2, 10**5, 4096)
+        assert euler_log_sums(2, 10**5, block_size=4096, checkpoint_dir=tmp_path,
                               stop_after_blocks=5) is None
         records = store.load()
         assert len(records) == 5
         value, abs_sum, n_terms = records[-1].parts["2"]
         records[-1].parts["2"] = (value + 1e-9, abs_sum, n_terms)
         store.save(records)  # a tampered last record: the file is discarded
-        resumed = euler_log_sums([1, 2], 10**5, block_size=4096, checkpoint=store)
-        assert resumed == euler_log_sums([1, 2], 10**5, block_size=4096)
+        resumed = euler_log_sums(2, 10**5, block_size=4096, checkpoint_dir=tmp_path)
+        assert resumed == euler_log_sums(2, 10**5, block_size=4096)
 
     def test_lower_end_below_a_later_upper_end(self):
         # t_j <= (z/j) prod over p <= 1e6 of beta_j(p), since every factor
         # is below 1, so the certified lower end at P = 1e3 must lie below
         # that product's upper end.  Without the 1 - j T(P) charge the
         # lower end at 1e3 passes it for every j.
-        small = beta_lower([BetaJConfig(j, 10**3) for j in range(1, 9)])
-        logs = euler_log_sums(list(range(1, 9)), 10**6)
+        small = beta_lower(8, 10**3)
+        logs = euler_log_sums(8, 10**6)
         for r in small.reports:
-            j = r.config.j
+            j = r.j
             upper = two_beta2_minus_one(j).upper / j * math.exp(logs[j].upper)
             assert r.contribution_lower < upper, j
 
@@ -815,7 +797,7 @@ class TestEulerRoute:
 
         P = N = 10**6
         js = list(range(1, 9))
-        euler = {r.config.j: r for r in beta_lower([BetaJConfig(j, P) for j in js]).reports}
+        euler = {r.j: r for r in beta_lower(8, P).reports}
         odd = odd_signed_sums(js, N)
         for j in js:
             odd_main = main_term(j, N, odd_sum=odd[j])

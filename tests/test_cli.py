@@ -31,6 +31,18 @@ class TestExitCodes:
         assert run(["means", "--class", "even", "--N", "1e3",
                     "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["lambda"],
+        ["alpha", "--N", "1e4"],
+        ["beta", "--J", "2", "--Nj", "1e4"],
+        ["means", "--class", "even", "--N", "1e3"],
+    ], ids=["lambda", "alpha", "beta", "means"])
+    def test_workers_below_one_is_a_parameter_error(self, tmp_path, capsys, argv, workers):
+        assert run([*argv, "--workers", workers, "--out", str(tmp_path)]) == 1
+        assert "parameter error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no report records the bad count
+
 
 class TestMeansVerb:
     def test_reference_value_and_reports(self, tmp_path):
@@ -137,11 +149,6 @@ class TestBetaVerb:
         header, *rows = (tmp_path / "beta.csv").read_text().splitlines()
         assert len(rows) == 9
         assert "e" not in header.split(",")
-
-    def test_K2_past_the_float_range_is_a_parameter_error(self, tmp_path, capsys):
-        assert run(["beta", "--J", "1", "--Nj", "1e4", "--K2", "1024",
-                    "--out", str(tmp_path)]) == 1
-        assert "parameter error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--Nj", "999"], ["--J", "0"], ["--J", "1025"]])
     def test_cutoff_and_J_outside_their_domain(self, tmp_path, capsys, flags):

@@ -47,9 +47,9 @@ def kernel_terms():
     for p in PRIMES:
         lo = p // BLOCK * BLOCK
         (primes,) = iter_prime_segments(max(lo, 3), lo + BLOCK - 1, BLOCK)
-        terms = beta_module._log_beta_terms(primes, list(range(1, 33)))
+        terms = beta_module._log_beta_terms(primes, 32)
         (at,) = np.flatnonzero(primes == p)
-        found[p] = {j: float(terms[j][at]) for j in JS}
+        found[p] = {j: float(terms[j - 1][at]) for j in JS}
     return found
 
 

@@ -337,3 +337,11 @@ class TestMapBlocks:
             map_blocks(blocks, eval_block, workers, on_block=seen.append)
         assert seen == [0, 10, 20, 30, 40, 50, 60]
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("hi", [-1, 9, 99])  # no block, one block, ten blocks
+    def test_workers_below_one_is_a_parameter_error(self, workers, hi):
+        calls = []
+        with pytest.raises(ParameterError, match="workers"):
+            map_blocks(aligned_blocks(0, hi, 10), lambda lo, hi: calls.append(lo), workers)
+        assert calls == []
+
