@@ -242,7 +242,6 @@ def alpha_p_product_form(p: int, depth: int) -> float:
 
     used to cross-check the term-form series (they agree in the limit).
     """
-    total = 0.0
     terms = []
     for m in range(1, depth + 1):
         q = p**m

@@ -116,8 +116,7 @@ from .primes import (
 DEFAULT_BLOCK_SIZE = 1 << 20
 K2 = 64  # two_beta2_minus_one's truncation depth
 DEFAULT_NODE_BUDGET = 500_000
-_TERM_ROWS = 1 << 14  # rows per pass of _block_odd_signed's cache-sized stages
-_TILE_PRIMES = 64  # _block_odd_signed applies primes below this in those passes
+_RANKIN_CUTOFF = 100_000  # s_tail_bound evaluates the odd primes up to this directly
 _FLUSH_INTEGERS = 10**7  # the prime pass saves its checkpoint this often
 MIN_PRIME_CUTOFF = 1000  # the least prime cutoff P beta_lower takes
 MAX_J = 1024  # the most j-terms J beta_lower takes
@@ -586,27 +585,19 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     The block's odd integers n0, n0 + 2, ... are factored in place into one
     (size, J + 2) array whose columns accumulate the signed
     (-1)^nu h_j for each j (the sign lives in the h rows of
-    _prime_power_rows), the ratio n/sigma(n) and the smooth part of n, so
-    an integer's columns share one or two cache lines.  For each odd base
-    prime p (p^2 at most the largest n), primes.strided_prime_powers gives
-    the multiples of p as the strided view i0::p with i0 = -n0 * 2^-1 mod p
-    and their exponents of p; the exponent array picks rows of
-    _prime_power_rows, and one multiply applies them.  The primes below
-    _TILE_PRIMES touch every cache line of the array, so they are applied
-    run by run of _TERM_ROWS rows, before the larger primes go over the
-    whole block; each element still meets its primes in ascending order.
-    The smooth part is
-    a product of integers below 2^53, so it is exact in floating point,
-    and n / smooth is the exact cofactor: 1, or one prime q above
-    sqrt(hi), whose factors q/(q + 1), (1 + 1/q)^j - 1 and -1 (carried by
-    1/n) multiply in last as plain arrays: on the rows without a large
-    prime (q = 1) each factor array holds 1.0, and x * 1.0 = x exactly, so
-    no masked ufunc is needed.
+    _prime_power_rows), the ratio n/sigma(n) and the smooth part of n.
+    For each odd base prime p (p^2 at most the largest n),
+    primes.strided_prime_powers gives the multiples of p as the strided
+    view i0::p with i0 = -n0 * 2^-1 mod p and their exponents of p; the
+    exponent array picks rows of _prime_power_rows, and one multiply
+    applies them.  The smooth part is a product of integers below 2^53, so
+    it is exact in floating point, and n / smooth is the exact cofactor: 1,
+    or one prime q above sqrt(hi), whose factors q/(q + 1),
+    (1 + 1/q)^j - 1 and -1 (carried by 1/n) multiply in last.
 
     Each element's products are formed in one fixed order (ascending p,
-    the large prime last) from the same scalar factors, so the block's
-    bits are independent of the array layout; stored checkpoints compare
-    them bit for bit on resume.
+    the large prime last, the term as power * (1/n) * h_j) from the same
+    scalar factors, so the block's bits are pinned by its goldens.
     """
     js = tuple(sorted(set(j_list)))
     n0 = lo | 1
@@ -615,48 +606,25 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     size = (hi - n0) // 2 + 1
 
     acc = np.ones((size, len(js) + 2))
-    walk = [
-        (p, i0, exps, _prime_power_rows(p, 1 if exps is None else int(exps.max()), js))
-        for p, i0, exps in strided_prime_powers(n0, size, 2)
-    ]
-    n_small = sum(p < _TILE_PRIMES for p, *_ in walk)
-    for a in range(0, size, _TERM_ROWS):
-        b = min(a + _TERM_ROWS, size)
-        for p, i0, exps, rows in walk[:n_small]:
-            k = max(0, -((i0 - a) // p))  # the first multiple at or past a
-            view = acc[i0 + k * p : b : p]
-            view *= rows[1] if exps is None else rows.take(exps[k : k + len(view)], axis=0)
-    for p, i0, exps, rows in walk[n_small:]:
+    for p, i0, exps in strided_prime_powers(n0, size, 2):
+        rows = _prime_power_rows(p, 1 if exps is None else int(exps.max()), js)
         acc[i0::p] *= rows[1] if exps is None else rows.take(exps, axis=0)
 
-    # The large prime and the terms, in cache-sized runs of rows.
-    terms = np.empty((len(js), size))
-    for a in range(0, size, _TERM_ROWS):
-        b = min(a + _TERM_ROWS, size)
-        *h_cols, ratio, smooth = acc[a:b].T.copy()
-        n_float = (n0 + 2 * np.arange(a, b, dtype=np.int64)).astype(np.float64)
-        q = n_float / smooth
-        no_q = np.flatnonzero(q <= 1.0)  # the rows without a large prime
-        factor = q / (q + 1.0)
-        factor[no_q] = 1.0
-        ratio *= factor
-        factor.fill(-1.0)
-        factor[no_q] = 1.0
-        inv_n = factor / n_float
-        lq = np.log1p(1.0 / q)
-        power = np.ones(b - a)
-        last_j = 0
-        for h_j, j, row in zip(h_cols, js, terms):
-            np.multiply(lq, j, out=factor)
-            np.expm1(factor, out=factor)
-            factor[no_q] = 1.0
-            h_j *= factor
-            power *= ratio ** (j - last_j)
-            last_j = j
-            term = row[a:b]
-            np.multiply(power, inv_n, out=term)
-            term *= h_j
-    return {j: block_sum_parts(row) for j, row in zip(js, terms)}
+    *h_cols, ratio, smooth = acc.T.copy()
+    n_float = (n0 + 2 * np.arange(size, dtype=np.int64)).astype(np.float64)
+    q = n_float / smooth
+    has_q = q > 1.0  # the rows with a large prime
+    ratio *= np.where(has_q, q / (q + 1.0), 1.0)
+    inv_n = np.where(has_q, -1.0, 1.0) / n_float
+    lq = np.log1p(1.0 / q)
+    power = np.ones(size)
+    last_j = 0
+    parts = {}
+    for h_j, j in zip(h_cols, js):
+        power *= ratio ** (j - last_j)
+        last_j = j
+        parts[j] = block_sum_parts(power * inv_n * (h_j * np.where(has_q, np.expm1(lq * j), 1.0)))
+    return parts
 
 
 def odd_signed_sums(
@@ -684,14 +652,7 @@ def odd_signed_sums(
 # ---------------------------------------------------------------------------
 
 
-def main_term(
-    j: int,
-    N: int,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-    odd_sum: CertifiedValue | None = None,
-) -> CertifiedValue:
+def main_term(j: int, N: int, *, odd_sum: CertifiedValue | None = None) -> CertifiedValue:
     """(1/j) * (2 beta_j(2) - 1 truncated) * sum of beta_j(n) over odd n <= N.
 
     The odd-sum route's main term: the 2-adic factor multiplies the odd
@@ -700,7 +661,7 @@ def main_term(
     shared pass.
     """
     if odd_sum is None:
-        odd_sum = odd_signed_sums([j], N, block_size=block_size, workers=workers)[j]
+        odd_sum = odd_signed_sums([j], N)[j]
     z = two_beta2_minus_one(j)
     return certified_quotient(certified_product(z, odd_sum), j)
 
@@ -715,24 +676,18 @@ def mixed_region_bound(j: int, e: float, N: int) -> float:
     return (2.0 / 3.0) ** j * 2.0 * m_const(j, e) / ((1.0 - e) * N**e)
 
 
-def main_term_direct(
-    j: int,
-    N: int,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-) -> CertifiedValue:
+def main_term_direct(j: int, N: int) -> CertifiedValue:
     """Cross-check form: (1/j) * sum of beta*_j(n) over even n <= N, where
     beta*_j(2^k n_o) = g_j(2^k) beta_j(n_o).
 
     Used in place of the factorized form, its uncertainty must also cover
     mixed_region_bound(j, e, N) at one of the paper's exponents e.
     """
-    check_range(1, N, block_size)
+    check_range(1, N, DEFAULT_BLOCK_SIZE)
 
     def eval_block(lo: int, hi: int) -> CertifiedValue:
         # An aligned block is exactly one segment.
-        (seg,) = iter_factor_segments(lo, hi, segment_size=block_size)
+        (seg,) = iter_factor_segments(lo, hi, segment_size=DEFAULT_BLOCK_SIZE)
         size = seg.n_values.size
         ratio = np.ones(size)
         h_arr = np.ones(size)
@@ -754,33 +709,27 @@ def main_term_direct(
         vals = two_part * (ratio**j) * h_arr / odd_part.astype(np.float64)
         return parts_to_certified(*block_sum_parts(vals[seg.n_values % 2 == 0]))
 
-    total = combine_blocks(map_blocks(aligned_blocks(2, N, block_size), eval_block, workers))
+    total = combine_blocks(map_blocks(aligned_blocks(2, N, DEFAULT_BLOCK_SIZE), eval_block, 1))
     return certified_quotient(total, j)
 
 
-@lru_cache(maxsize=4)
-def _odd_primes(cutoff: int) -> np.ndarray:
-    """The odd primes up to cutoff as floats, one read-only array shared
-    by every s_tail_bound call with that cutoff."""
-    p = primes_in_range(3, cutoff).astype(np.float64)
+@lru_cache(maxsize=1)
+def _odd_primes() -> np.ndarray:
+    """The odd primes up to _RANKIN_CUTOFF as floats, one read-only array
+    shared by every s_tail_bound call."""
+    p = primes_in_range(3, _RANKIN_CUTOFF).astype(np.float64)
     p.flags.writeable = False
     return p
 
 
-def s_tail_bound(
-    j: int,
-    N: int,
-    *,
-    delta: float = 0.8,
-    prime_cutoff: int = 100_000,
-) -> float:
+def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
     """Certified bound for sum over odd n > N of g_j(n) h_j(n).
 
     Rankin's device: the sum is at most N^-delta times the full moment
 
         prod over odd p of (1 + sum over m >= 1 of g_j(p^m) h_j(p^m) p^(m delta)),
 
-    whose factors are evaluated directly for p up to prime_cutoff (power
+    whose factors are evaluated directly for p up to _RANKIN_CUTOFF (power
     tails by the geometric bound h_j(p^m) <= j e^{j/p^m} / p^m) and
     bounded for larger p through the explicit prime-counting inequality
     pi(x) < 1.25506 x / log x.  As g_j h_j = |beta_j| (g_j, h_j >= 0), it
@@ -789,10 +738,8 @@ def s_tail_bound(
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if prime_cutoff < 1000:
-        raise ParameterError("prime_cutoff must be at least 1000")
     power_limit = 10**6
-    p = _odd_primes(prime_cutoff)
+    p = _odd_primes()
     inner = np.zeros(p.size)
     included = np.zeros(p.size)
     m = 1
@@ -816,14 +763,14 @@ def s_tail_bound(
     log_total = float(np.log1p(inner).sum())
     # Primes above the cutoff.
     s = 2.0 - delta
-    coeff_tail = j * math.exp(j / prime_cutoff) / (1.0 - prime_cutoff ** (delta - 2.0))
+    coeff_tail = j * math.exp(j / _RANKIN_CUTOFF) / (1.0 - _RANKIN_CUTOFF ** (delta - 2.0))
     prime_tail = (
         coeff_tail
         * 1.25506
         * s
         / (s - 1.0)
-        * prime_cutoff ** (1.0 - s)
-        / math.log(prime_cutoff)
+        * _RANKIN_CUTOFF ** (1.0 - s)
+        / math.log(_RANKIN_CUTOFF)
     )
     return N ** (-delta) * math.exp(log_total + prime_tail) * (1.0 + 1e-6)
 

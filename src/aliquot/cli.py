@@ -272,11 +272,14 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default="reports", help="report directory")
         p.add_argument("--config", default=None, help="JSON file with flag values")
+
+    def block_flags(p):  # the verbs that run blocks through map_blocks
+        common(p)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--block-size", dest="block_size", type=_int_flag, default=1 << 20)
 
     p_alpha = sub.add_parser("alpha", help="certified upper bound for alpha")
-    common(p_alpha)
+    block_flags(p_alpha)
 
     def alpha_flags(p, cutoff_help):
         p.add_argument("--N", type=_int_flag, default=10**6, help=cutoff_help)
@@ -303,16 +306,16 @@ def build_parser() -> _Parser:
                        default=None, help="stop the prime pass after this many blocks")
 
     p_beta = sub.add_parser("beta", help="certified lower bound for beta")
-    common(p_beta)
+    block_flags(p_beta)
     beta_flags(p_beta)
 
     p_lambda = sub.add_parser("lambda", help="alpha, beta, and their difference")
-    common(p_lambda)
+    block_flags(p_lambda)
     alpha_flags(p_lambda, "alpha prime cutoff")
     beta_flags(p_lambda)
 
     p_means = sub.add_parser("means", help="means of s(n)/n by residue class")
-    common(p_means)
+    block_flags(p_means)
     p_means.add_argument("--class", dest="mean_class", choices=("all", "even", "odd"),
                          default="even")
     p_means.add_argument("--N", type=_int_flag, default=10**4)

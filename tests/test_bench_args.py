@@ -2,7 +2,8 @@
 
 alqbench/run.py builds each operation's argv with workload_round; a flag
 it passes that the CLI no longer takes would fail every benchmark round,
-so it fails here first.
+so it fails here first.  Likewise every package function that
+alqbench/spans.py wraps for the traced run must still exist.
 """
 
 import json
@@ -15,6 +16,7 @@ from aliquot.cli import build_parser, run
 
 ALQBENCH = Path(__file__).resolve().parent.parent / "alqbench"
 sys.path.insert(0, str(ALQBENCH))
+import spans  # noqa: E402
 from run import WORKLOADS, workload_round  # noqa: E402
 
 sys.path.remove(str(ALQBENCH))
@@ -37,3 +39,10 @@ def test_kept_flags_leave_the_bits_alone(tmp_path):
         assert run([*base, *extra, "--out", str(tmp_path / name)]) == 0
         docs.append(json.loads((tmp_path / name / "lambda.json").read_text()))
     assert docs[0]["lambda_upper"].hex() == docs[1]["lambda_upper"].hex()
+
+
+def test_every_traced_name_resolves():
+    # A package name the traced run wraps that no longer exists would drop
+    # its per-layer metrics silently; it fails here instead.
+    with spans.Tracer() as tracer:
+        assert tracer.missing == set()

@@ -409,17 +409,6 @@ class TestOddSignedSums:
             oracle = math.fsum(beta_signed(j, factorize(n)) for n in odd)
             assert abs(block.value - oracle) <= block.error_radius
 
-    @pytest.mark.parametrize("lo, hi", [(1, 6000), (999_000, 1_011_111)])
-    @pytest.mark.parametrize("term_rows, tile_primes", [(7, 64), (64, 3), (500, 10**9)])
-    def test_block_bits_independent_of_passes(self, monkeypatch, lo, hi, term_rows, tile_primes):
-        # Each element meets the same factors in the same order however the
-        # rows are cut into passes and whichever primes are applied per pass.
-        j_list = [1, 2, 5, 8]
-        expected = beta_module._block_odd_signed(lo, hi, j_list)
-        monkeypatch.setattr(beta_module, "_TERM_ROWS", term_rows)
-        monkeypatch.setattr(beta_module, "_TILE_PRIMES", tile_primes)
-        assert beta_module._block_odd_signed(lo, hi, j_list) == expected
-
 
 def _euler_store(directory, J, P, block_size):
     """The checkpoint store euler_log_sums keeps under directory."""

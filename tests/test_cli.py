@@ -43,6 +43,15 @@ class TestExitCodes:
         assert "parameter error" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # no report records the bad count
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "12", "--workers", "0"],
+        ["selftest", "--block-size", "4096"],
+    ], ids=["trace", "selftest"])
+    def test_block_flags_only_on_block_verbs(self, tmp_path, argv):
+        # trace and selftest run no blocks, so they take neither flag.
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestMeansVerb:
     def test_reference_value_and_reports(self, tmp_path):

@@ -13,7 +13,7 @@ same moment from above in mpmath at 80 bits, by a different route.  Since
 which is at most j p^-m (r_{m-1} - r_m) = j p^(m-1) / (p^m sigma(p^(m-1)) sigma(p^m))
 <= j p^-2m, as x^j - y^j <= j (x - y) on [0, 1].
 
-* Odd p <= 10^5 (the float bound's prime_cutoff): the exact terms for
+* Odd p <= 10^5 (the float bound's _RANKIN_CUTOFF): the exact terms for
   p^m <= 10^12, then j p^((m+1)(delta-2)) / (1 - p^(delta-2)) for the
   powers past them.  The float bound stops its powers at 10^6.
 * p > 10^5: log(1 + x) <= x and the per-prime bound
