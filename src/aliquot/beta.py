@@ -40,6 +40,8 @@ log beta_j(p) = log1p(-d_{p,j}) for every j at once:
   1.5 tau <= 3u |log1p(-d)|.  Each term is within 41u = 20.5 EPS of
   log beta_j(p), inside parts_to_certified's allowance of 64 EPS per
   term, so each block's value +- radius encloses its exact log sum.
+* Large primes.  For p >= SERIES_FROM = 2^20 the pass takes log beta_j(p)
+  from its power series in u = 1/p instead (below).
 * Primes past P.  prod over p > P of beta_j(p) >= 1 - sum over p > P
   of d_{p,j} (each d is in [0, 1]) >= 1 - j T(P), where
   T(P) = 2 * 1.25506/(P log P) >= sum over p > P of p^-2 by partial
@@ -53,6 +55,41 @@ log beta_j(p) = log1p(-d_{p,j}) for every j at once:
   each within (5 + |S|)u of their exact values, the radius adds
   8 EPS (1 + |S|) times the upper end, and the product with 1 - j T(P)
   (T rounded up) is multiplied by 1 - 4 EPS, which rounds it down.
+
+The series for large primes.  Write u = 1/p.  Then
+r_m = (1 - u)/(1 - u^(m+1)) and beta_j(p) = (1 - u) (1 + sum over m >= 1
+of u^m r_m^j), a power series in u with integer coefficients, and
+
+    log beta_j(p) = sum over k >= 2 of c_k(j) u^k,
+    c_2 = -j,  c_3 = j(j + 1)/2,  c_4 = -j(j + 2)(j + 4)/6, ...
+
+with exact rational c_k(j) (_series_coefficients; the log's coefficients
+follow from k b_k = sum over i = 1..k of i c_i b_(k-i), b_k those of
+beta_j).  Each block sums S_k = sum of p^-k over its primes >= 2^20 for
+k = 2..K+1 (K = SERIES_TERMS); the S_k are merged over the blocks, and
+their primes' log sum is sum over k of c_k(j) S_k plus a remainder
+(_series_log_sum):
+
+* Remainder (Cauchy).  On the complex disc |u| <= rho = 1/(8j),
+  |r_m| <= (1 + rho)/(1 - rho^2) = 1/(1 - rho), so
+  |r_m|^j <= exp(j rho/(1 - rho)) <= e^(1/7), and
+  d = 1 - beta_j = u - (1 - u) sum over m >= 1 of u^m r_m^j has
+  |d| <= rho (1 + (9/7) e^(1/7)) <= 2.49 rho <= 0.3113.  So log(1 - d)
+  is analytic there with |log beta_j| <= -log(1 - 0.3113) <= 0.373, and
+  Cauchy's estimate gives |c_k| <= 0.373 rho^-k.  For p >= 2^20 and
+  j <= MAX_J, u/rho = 8j/p <= 2^-7, so the terms past k = K + 1 add at
+  most 0.373 (8j/p)^(K+2)/(1 - 8j/p) <= 0.373 (8j)^(K+2) p^-(K+1)/(2^20 - 8j)
+  per prime: 0.373 (8j)^(K+2) S_(K+1)/(2^20 - 8j) over them all, taken at
+  S_(K+1)'s upper end and raised by 1 + 8 EPS over its few roundings.
+* Float radius.  p^-k is (1/p)^2 times k - 2 more factors 1/p, within
+  (2k - 1)u <= 17u, inside parts_to_certified's 64 EPS per term, so each
+  certified S_k encloses its exact sum.  Each c_k(j) is rounded to the
+  nearest double (radius EPS |c_k|), and certified_product and
+  certified_combine carry the products and their sum.
+
+A block that straddles 2^20 splits its primes between the two paths; its
+record holds per-j parts for the primes below and per-k parts for those
+above.  The block's work above 2^20 is K power sums, whatever J is.
 
 The odd-sum route expands the product instead: each j-term becomes a sum
 of the signed multiplicative function
@@ -98,6 +135,7 @@ from .numerics import (
     CertifiedValue,
     aligned_blocks,
     block_sum_parts,
+    certified_combine,
     certified_product,
     certified_quotient,
     combine_blocks,
@@ -121,6 +159,12 @@ _FLUSH_INTEGERS = 10**7  # the prime pass saves its checkpoint this often
 MIN_PRIME_CUTOFF = 1000  # the least prime cutoff P beta_lower takes
 MAX_J = 1024  # the most j-terms J beta_lower takes
 _PI_BOUND = 1.25506  # pi(x) < 1.25506 x / log x for x > 1 (Rosser-Schoenfeld)
+SERIES_FROM = 1 << 20  # the prime pass takes p >= SERIES_FROM from power sums
+SERIES_TERMS = 8  # K: the power sums S_2..S_(K+1) a block keeps
+_CAUCHY_BOUND = 0.373  # |log beta_j(u)| on |u| <= 1/(8j), see the module docstring
+# Names the layout and bits of the prime pass's block records; it is part
+# of the checkpoint key, so a file another kernel wrote never loads.
+EULER_KERNEL = f"euler-2 series_from={SERIES_FROM} K={SERIES_TERMS}"
 
 
 def _sigma_pp(p: int, m: int) -> int:
@@ -297,6 +341,60 @@ def _log_beta_terms(primes: np.ndarray, J: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _series_coefficients(j: int, K: int) -> tuple[Fraction, ...]:
+    """c_2(j), ..., c_(K+1)(j): the exact Taylor coefficients of
+    log beta_j(u) at u = 0, where u = 1/p (module docstring).
+
+    beta_j = (1 - u) (1 + (1 - u)^j sum over m >= 1 of u^m (1 - u^(m+1))^-j)
+    has integer coefficients b_k, cut at degree D = K + 1; the log's
+    follow from k b_k = sum over i = 1..k of i c_i b_(k-i) (b_0 = 1).
+    """
+    D = K + 1
+    powers = [0] * (D + 1)  # sum over m >= 1 of u^m (1 - u^(m+1))^-j
+    for m in range(1, D + 1):
+        for t in range((D - m) // (m + 1) + 1):
+            powers[m + t * (m + 1)] += math.comb(j + t - 1, t)
+    one_minus = [(-1) ** i * math.comb(j, i) for i in range(D + 1)]  # (1 - u)^j
+    bracket = [int(k == 0) + sum(one_minus[i] * powers[k - i] for i in range(k + 1))
+               for k in range(D + 1)]
+    b = [bracket[0]] + [bracket[k] - bracket[k - 1] for k in range(1, D + 1)]  # times 1 - u
+    c = [Fraction(0)] * (D + 1)
+    for k in range(1, D + 1):
+        c[k] = b[k] - Fraction(sum(i * c[i] * b[k - i] for i in range(1, k)), k)
+    return tuple(c[2:])
+
+
+def _power_sum_parts(primes: np.ndarray) -> dict[str, tuple]:
+    """block_sum_parts of p^-k over the primes for k = 2..K+1 (K =
+    SERIES_TERMS), keyed "s<k>".
+
+    Each term is (1/p)^2 times k - 2 more factors 1/p (module docstring).
+    """
+    inv = 1.0 / primes.astype(np.float64)
+    w = inv * inv
+    parts = {"s2": block_sum_parts(w)}
+    for k in range(3, SERIES_TERMS + 2):
+        w *= inv
+        parts[f"s{k}"] = block_sum_parts(w)
+    return parts
+
+
+def _series_log_sum(j: int, power_sums: list[CertifiedValue]) -> CertifiedValue:
+    """sum of log beta_j(p) over primes p >= SERIES_FROM, certified, from
+    their power sums S_2..S_(K+1) (K = len(power_sums)): sum over k of
+    c_k(j) S_k, widened by the Cauchy remainder of the module docstring.
+    """
+    K = len(power_sums)
+    terms = []
+    for c, s in zip(_series_coefficients(j, K), power_sums):
+        c = float(c)  # correctly rounded
+        terms.append(certified_product(CertifiedValue(c, EPS * abs(c)), s))
+    remainder = (_CAUCHY_BOUND * float(8 * j) ** (K + 2) * power_sums[-1].upper
+                 / (SERIES_FROM - 8 * j) * (1.0 + 8.0 * EPS))
+    return combine_blocks(terms).widened(remainder)
+
+
 def euler_log_sums(
     J: int,
     P: int,
@@ -310,7 +408,11 @@ def euler_log_sums(
 
     One pass over the primes in blocks aligned to multiples of block_size
     (each block one sieve segment), merged in ascending order, so the
-    sums are independent of the worker count.
+    sums are independent of the worker count.  A block sums the primes
+    below SERIES_FROM per j (_log_beta_terms) and those above as power
+    sums (_power_sum_parts); the power sums are merged over the blocks
+    before each j's coefficients apply (_series_log_sum), and only a pass
+    that reaches SERIES_FROM computes coefficients.
 
     With a checkpoint_dir, completed blocks are saved as they finish
     (every _FLUSH_INTEGERS integers, and at the end if blocks were added
@@ -325,23 +427,37 @@ def euler_log_sums(
     check_range(3, P, block_size)
     blocks = aligned_blocks(3, P, block_size)
 
+    direct_keys = {str(j) for j in range(1, J + 1)}
+    series_keys = {f"s{k}" for k in range(2, SERIES_TERMS + 2)}
+
+    def layout(lo: int, hi: int) -> set[str]:
+        """The parts a block's record holds."""
+        return (direct_keys if lo < SERIES_FROM else set()) | (
+            series_keys if hi >= SERIES_FROM else set())
+
     def record(lo: int, hi: int) -> BlockRecord:
         # An aligned block is exactly one sieve segment.
         (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
-        rows = _log_beta_terms(primes, J)
-        parts = {str(j): block_sum_parts(row) for j, row in enumerate(rows, start=1)}
+        split = int(np.searchsorted(primes, SERIES_FROM))
+        parts = {}
+        if lo < SERIES_FROM:
+            rows = _log_beta_terms(primes[:split], J)
+            parts = {str(j): block_sum_parts(row) for j, row in enumerate(rows, start=1)}
+        if hi >= SERIES_FROM:
+            parts.update(_power_sum_parts(primes[split:]))
         return BlockRecord(lo // block_size, lo, hi, parts)
 
     store = None
     records: list[BlockRecord] = []
     if checkpoint_dir is not None:
-        key = {"kind": "beta-euler", "P": P, "block_size": block_size,
-               "j_list": list(range(1, J + 1))}
+        key = {"kind": "beta-euler", "kernel": EULER_KERNEL, "P": P,
+               "block_size": block_size, "j_list": list(range(1, J + 1))}
         store = CheckpointStore(checkpoint_dir, "beta-euler", key)
         records = store.load()
         if records and not (
             len(records) <= len(blocks)
-            and all(r.parts.keys() == records[0].parts.keys() for r in records)
+            and all((r.lo, r.hi) == b and r.parts.keys() == layout(*b)
+                    for r, b in zip(records, blocks))
             and all(records[k] == record(*blocks[k]) for k in sorted({0, len(records) - 1}))
         ):
             records = []
@@ -365,10 +481,20 @@ def euler_log_sums(
         store.save(records)
     if len(records) < len(blocks):
         return None
-    return {
-        j: combine_blocks([parts_to_certified(*rec.parts[str(j)]) for rec in records])
+    sums = {
+        j: combine_blocks([parts_to_certified(*rec.parts[str(j)])
+                           for rec in records if rec.lo < SERIES_FROM])
         for j in range(1, J + 1)
     }
+    if P >= SERIES_FROM:
+        power_sums = [
+            combine_blocks([parts_to_certified(*rec.parts[f"s{k}"])
+                            for rec in records if rec.hi >= SERIES_FROM])
+            for k in range(2, SERIES_TERMS + 2)
+        ]
+        for j in sums:
+            sums[j] = certified_combine(sums[j], _series_log_sum(j, power_sums))
+    return sums
 
 
 # The paper's exponents e_j for j = 1..8.

@@ -8,7 +8,8 @@ exceptional-set fixture, the trajectory fixtures, the vectorized block
 sum against math.fsum, worker-count bit-identity for alpha's block sums,
 beta's odd-sum oracle and beta's prime pass (the one the certificate
 runs), alpha's per-block depths against a full-depth oracle, and beta's
-Euler route against the Euler-factor series per prime and against the
+Euler route against the Euler-factor series per prime, its power-sum
+series past 2^20 against the per-prime kernel, and the route against the
 odd-sum route (with its Rankin charge) at j = 1.
 """
 
@@ -21,7 +22,11 @@ import numpy as np
 from .alpha import AlphaParams, _block_sums, alpha_two_part, alpha_upper_bound, tail_a
 from .arith import factorize, sigma, sigma_oracle
 from .beta import (
+    SERIES_FROM,
+    SERIES_TERMS,
     _log_beta_terms,
+    _power_sum_parts,
+    _series_log_sum,
     beta_lower,
     beta_prime,
     beta_signed,
@@ -39,6 +44,7 @@ from .means import log_mean
 from .numerics import (
     EPS,
     aligned_blocks,
+    block_sum_parts,
     certified_combine,
     combine_blocks,
     exact_sum,
@@ -189,6 +195,20 @@ def run_selftest() -> bool:
             if lo > min(math.exp(kernel.upper), bp.upper) * (1 + 4 * EPS):
                 apart.append((j, p))
     results.append(_check("Euler kernel vs beta_prime per prime", not apart, str(apart or "")))
+
+    # Past 2^20 the pass takes log sums from power sums: on the primes of
+    # [2^20, 2^20 + 2^14] both kernels' certified sums must meet.
+    primes = primes_in_range(SERIES_FROM, SERIES_FROM + (1 << 14))
+    parts = _power_sum_parts(primes)
+    power_sums = [parts_to_certified(*parts[f"s{k}"]) for k in range(2, SERIES_TERMS + 2)]
+    apart = []
+    for j, row in enumerate(_log_beta_terms(primes, 32), start=1):
+        direct = parts_to_certified(*block_sum_parts(row))
+        series = _series_log_sum(j, power_sums)
+        if max(direct.lower, series.lower) > min(direct.upper, series.upper):
+            apart.append(j)
+    results.append(_check("series vs _log_beta_terms on the primes of [2^20, 2^20 + 2^14]",
+                          not apart, str(apart or "")))
 
     # The j = 1 term by two algorithms: each is within its tail charge of t_1.
     (euler,) = beta_lower(1, 10**5).reports

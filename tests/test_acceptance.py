@@ -12,6 +12,7 @@ import time
 from aliquot.alpha import AlphaParams, alpha_upper_bound
 from aliquot.arith import factorize, sigma, sigma_oracle
 from aliquot.beta import (
+    EULER_KERNEL,
     PAPER_E,
     beta_lower,
     beta_signed,
@@ -229,7 +230,9 @@ def test_criterion_7_property_suites():
 def test_criterion_8_full_scale_configuration(tmp_path):
     # The published full-scale cutoff 1e9, now beta's prime cutoff P: the
     # engine must accept the configuration and make checkpointed,
-    # resumable progress through its prime pass.
+    # resumable progress through its prime pass.  Its blocks 0 and 1 hold
+    # the primes below and above 2^20, so both kernels are checkpointed;
+    # the key names the kernel, so no record of another layout is loaded.
     first = beta_lower(8, 10**9, checkpoint_dir=str(tmp_path),
                        stop_after_blocks=2)
     ok = first is None
@@ -237,6 +240,7 @@ def test_criterion_8_full_scale_configuration(tmp_path):
     ok = ok and len(files) == 1
     key = {
         "kind": "beta-euler",
+        "kernel": EULER_KERNEL,
         "P": 10**9,
         "block_size": 1 << 20,
         "j_list": list(range(1, 9)),

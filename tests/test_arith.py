@@ -6,6 +6,7 @@ import pytest
 from aliquot.arith import (
     Factorization,
     _perfect_power_root,
+    _rho_brent,
     aliquot_sum,
     factorize,
     is_prime,
@@ -103,6 +104,18 @@ class TestFactorize:
         assert _perfect_power_root(m61**3) == (m61, 3)
         assert _perfect_power_root(m61**3 + 2) is None
         assert factorize(12 * m61**6).entries == ((2, 2), (3, 1), (m61, 6))
+
+    @pytest.mark.parametrize("n,budget,factor,left", [
+        (1000003 * 1000033, 10**6, 1000033, 999489),
+        (4294967291 * 4294967279, 10**6, 4294967291, 946497),
+        (1000000000000037 * 10000000000000061, 2000, None, -47),  # budget exhausted
+    ])
+    def test_rho_factor_and_budget_pinned(self, n, budget, factor, left):
+        # The factor and the budget left, as the product over |x - y| gave
+        # them: dropping the abs changes neither.
+        remaining = [budget]
+        assert _rho_brent(n, remaining) == factor
+        assert remaining == [left]
 
     def test_cofactor_beyond_float_range_is_typed_error(self):
         # The composite cofactor exceeds the double range; the perfect-power

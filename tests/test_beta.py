@@ -412,8 +412,8 @@ class TestOddSignedSums:
 
 def _euler_store(directory, J, P, block_size):
     """The checkpoint store euler_log_sums keeps under directory."""
-    key = {"kind": "beta-euler", "P": P, "block_size": block_size,
-           "j_list": list(range(1, J + 1))}
+    key = {"kind": "beta-euler", "kernel": beta_module.EULER_KERNEL, "P": P,
+           "block_size": block_size, "j_list": list(range(1, J + 1))}
     return CheckpointStore(directory, "beta-euler", key)
 
 
@@ -814,3 +814,53 @@ class TestEulerRoute:
         beta_module._odd_primes.cache_clear()
         assert calls == [(3, 100_000)]
         assert got == pinned
+
+
+class TestSeriesPass:
+    """The prime pass past SERIES_FROM = 2^20, where blocks keep power sums."""
+
+    P = (1 << 20) + (1 << 17)
+    STRADDLING = 3 << 14  # block 21, [1032192, 1081343], holds 2^20
+
+    def test_block_sizes_agree_within_radii(self):
+        runs = [euler_log_sums(32, self.P, block_size=size)
+                for size in (1 << 14, self.STRADDLING, 1 << 20)]
+        for a, b in itertools.combinations(runs, 2):
+            for j in range(1, 33):
+                assert abs(a[j].value - b[j].value) <= a[j].error_radius + b[j].error_radius, j
+
+    def test_workers_bit_identical(self):
+        one = euler_log_sums(32, self.P, block_size=self.STRADDLING, workers=1)
+        two = euler_log_sums(32, self.P, block_size=self.STRADDLING, workers=2)
+        assert one == two
+
+    def test_records_split_at_the_series_start(self, tmp_path):
+        # Blocks below 2^20 keep per-j parts, those above per-k power sums,
+        # the straddling one both; resuming past it reproduces one shot.
+        store = _euler_store(tmp_path, 2, self.P, self.STRADDLING)
+        assert euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path,
+                              stop_after_blocks=23) is None
+        records = store.load()
+        sums = {f"s{k}" for k in range(2, beta_module.SERIES_TERMS + 2)}
+        assert records[20].parts.keys() == {"1", "2"}
+        assert records[21].parts.keys() == {"1", "2"} | sums
+        assert records[22].parts.keys() == sums
+        resumed = euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
+        assert resumed == euler_log_sums(2, self.P, block_size=self.STRADDLING)
+
+    def test_record_with_the_wrong_layout_is_discarded(self, tmp_path):
+        store = _euler_store(tmp_path, 2, self.P, self.STRADDLING)
+        euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path,
+                       stop_after_blocks=23)
+        records = store.load()
+        del records[21].parts["s3"]
+        store.save(records)
+        resumed = euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
+        assert resumed == euler_log_sums(2, self.P, block_size=self.STRADDLING)
+
+    def test_coefficients_only_past_the_series_start(self):
+        beta_module._series_coefficients.cache_clear()
+        euler_log_sums(8, beta_module.SERIES_FROM - 1)
+        assert beta_module._series_coefficients.cache_info().currsize == 0
+        euler_log_sums(8, self.P)
+        assert beta_module._series_coefficients.cache_info().currsize == 8
