@@ -12,14 +12,39 @@ The package computes, with rigorous error accounting:
 s(n) is the sum of divisors of n below n.
 """
 
-from .alpha import AlphaParams, AlphaResult, alpha_upper_bound
-from .arith import Factorization, aliquot_sum, factorize, is_prime, nu, sigma, sigma_oracle
-from .beta import BetaSummary, beta_lower
-from .errors import ParameterError, ResourceError, SSetBudgetExceeded, UnresolvedCofactorError
-from .means import arithmetic_mean, closed_form, log_mean
-from .numerics import CertifiedValue, certified_combine, compensated_sum
-from .primes import factored_range, primes_in_range
-from .trajectory import TrajectoryRecord, trace
+from importlib import import_module
+
+# Each public name and the submodule that defines it.  A name's submodule is
+# imported on first access (PEP 562), so ``import aliquot`` and the verbs that
+# need no numeric module (trace, help, usage errors) never load numpy.
+_EXPORTS = {
+    "AlphaParams": "alpha",
+    "AlphaResult": "alpha",
+    "alpha_upper_bound": "alpha",
+    "Factorization": "arith",
+    "aliquot_sum": "arith",
+    "factorize": "arith",
+    "is_prime": "arith",
+    "nu": "arith",
+    "sigma": "arith",
+    "sigma_oracle": "arith",
+    "BetaSummary": "beta",
+    "beta_lower": "beta",
+    "ParameterError": "errors",
+    "ResourceError": "errors",
+    "SSetBudgetExceeded": "errors",
+    "UnresolvedCofactorError": "errors",
+    "arithmetic_mean": "means",
+    "closed_form": "means",
+    "log_mean": "means",
+    "CertifiedValue": "numerics",
+    "certified_combine": "numerics",
+    "compensated_sum": "numerics",
+    "factored_range": "primes",
+    "primes_in_range": "primes",
+    "TrajectoryRecord": "trajectory",
+    "trace": "trajectory",
+}
 
 __version__ = "0.1.0"
 
@@ -52,3 +77,17 @@ __all__ = [
     "trace",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

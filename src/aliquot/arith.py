@@ -185,6 +185,8 @@ def factorize(n: int, rho_budget: int = 500_000) -> Factorization:
     """
     if n < 1:
         raise ParameterError(f"factorize requires n >= 1, got {n}")
+    if rho_budget < 0:
+        raise ParameterError(f"rho_budget must be >= 0, got {rho_budget}")
     if n == 1:
         return Factorization((), 1)
     factors: dict[int, int] = {}

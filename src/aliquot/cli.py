@@ -19,6 +19,9 @@ primes past P.  --checkpoint-dir and --stop-after-blocks save and resume
 that prime pass.  Reports are written as JSON (always) and CSV (tabular
 verbs) under --out.  Exit status: 0 on success, 1 on parameter errors, 2
 on resource or effort errors.
+
+Each verb imports the modules it runs when it runs: trace, --help,
+--version and usage errors start without numpy.
 """
 
 from __future__ import annotations
@@ -32,19 +35,20 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .alpha import AlphaParams, AlphaResult, alpha_upper_bound
-from .beta import BetaSummary, beta_lower
 from .errors import ParameterError, ResourceError, UnresolvedCofactorError
-from .means import CSV_HEADER, mean_report
-from .primes import check_range
 from .trajectory import trace
+
+if TYPE_CHECKING:
+    from .alpha import AlphaParams, AlphaResult
+    from .beta import BetaSummary
+    from .means import MeanReport
 
 DEFAULT_BETA_P = 10**6
 DEFAULT_J = 32
+_MAX_DIGITS = 4300  # int()'s default limit on the digits of a decimal string
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,14 +61,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_flag(text: str) -> int:
-    """Integer flag accepting scientific notation ('1e6')."""
+    """Integer flag accepting scientific notation ('1e6'), parsed exactly.
+
+    A value may have as many digits as int() takes from a decimal string;
+    the exponent is checked first, so a typo such as 1e999999999 fails at
+    once instead of building the number.
+    """
     try:
         return int(text)
     except ValueError:
-        value = float(text)
-        if not value.is_integer():  # also rejects inf and nan
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        return int(value)
+        from fractions import Fraction
+
+        _, e, exponent = text.lower().partition("e")
+        if "/" not in text and not (e and abs(int(exponent)) > _MAX_DIGITS):
+            value = Fraction(text)  # ValueError on inf, nan and non-numbers
+            if value.denominator == 1 and abs(value.numerator) < 10**_MAX_DIGITS:
+                return value.numerator
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer of at most {_MAX_DIGITS} digits")
+
+
+# The numeric verbs' entry points.  Each imports its module when first
+# called, so numpy loads only for the verbs that use it.  They stay names of
+# this module, where tests and the benchmark's tracer replace them.
+def alpha_upper_bound(*args, **kwargs) -> AlphaResult:
+    from .alpha import alpha_upper_bound
+
+    return alpha_upper_bound(*args, **kwargs)
+
+
+def beta_lower(*args, **kwargs) -> BetaSummary | None:
+    from .beta import beta_lower
+
+    return beta_lower(*args, **kwargs)
+
+
+def mean_report(*args, **kwargs) -> MeanReport:
+    from .means import mean_report
+
+    return mean_report(*args, **kwargs)
 
 
 @dataclass
@@ -141,6 +176,9 @@ def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
 
 def _alpha_params(args) -> AlphaParams:
     """alpha's parameters, checked before any work starts."""
+    from .alpha import AlphaParams
+    from .primes import check_range
+
     params = AlphaParams(N=args.N, L=args.L, M=args.M)
     check_range(2, params.N, args.block_size)
     return params
@@ -198,6 +236,8 @@ def _run_beta(args, out_dir: Path) -> BetaSummary | None:
 
 
 def _provenance(args, params: dict) -> dict:
+    import numpy as np
+
     return {
         "version": __version__,
         "params": params,
@@ -231,6 +271,8 @@ def _cmd_lambda(args, out_dir: Path) -> int:
 
 
 def _cmd_means(args, out_dir: Path) -> int:
+    from .means import CSV_HEADER
+
     report = mean_report(args.mean_class, args.N, block_size=args.block_size, workers=args.workers)
     doc = report.to_json_dict()
     doc["provenance"] = _provenance(args, {"class": args.mean_class, "N": args.N})

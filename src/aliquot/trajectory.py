@@ -89,6 +89,8 @@ def trace(start: int, max_steps: int = 1000, rho_budget: int = 500_000) -> Traje
         raise ParameterError(f"trace requires start >= 2, got {start}")
     if max_steps < 0:
         raise ParameterError(f"max_steps must be >= 0, got {max_steps}")
+    if rho_budget < 0:
+        raise ParameterError(f"rho_budget must be >= 0, got {rho_budget}")
     terms = [start]
     seen = {start: 0}
     parity_events = []

@@ -79,6 +79,11 @@ class TestFactorize:
         with pytest.raises(ParameterError):
             factorize(0)
 
+    def test_rejects_negative_budget(self):
+        # Even where trial division alone finishes the factorization.
+        with pytest.raises(ParameterError):
+            factorize(12, rho_budget=-1)
+
     def test_effort_exhausted_carries_partial(self):
         p = 1000000000000066600000000000001  # 31-digit prime
         q = 100000000000000000000000000000253  # 33-digit prime

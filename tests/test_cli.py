@@ -64,7 +64,7 @@ class TestMeansVerb:
         assert csv_text[0] == "class,N,arithmetic_mean,log_mean,closed_form,error_radius"
         assert csv_text[1].startswith("even,10000,")
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e-3"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e-3", "4/2", "1e4300", "1e999999999"])
     def test_non_integer_flag_is_a_usage_error(self, tmp_path, value):
         assert run(["means", "--N", value, "--out", str(tmp_path)]) == 1
 
@@ -72,6 +72,11 @@ class TestMeansVerb:
         assert run(["means", "--class", "odd", "--N", "2e3",
                     "--out", str(tmp_path)]) == 0
         assert read_json(tmp_path / "means.json")["N"] == 2000
+
+    @pytest.mark.parametrize("text, value", [("1e23", 10**23), ("2.5e1", 25), ("1E6", 10**6)])
+    def test_scientific_notation_is_exact(self, text, value):
+        # 1e23 has no float; rounding through one gave 99999999999999991611392.
+        assert build_parser().parse_args(["trace", text]).start == value
 
 
 class TestTraceVerb:
@@ -81,6 +86,11 @@ class TestTraceVerb:
         assert doc["classification"]["kind"] == "cycle"
         assert doc["classification"]["cycle_length"] == 2
         assert doc["terms"] == ["220", "284", "220"]
+
+    def test_negative_rho_budget_is_a_parameter_error(self, tmp_path, capsys):
+        assert run(["trace", "12", "--rho-budget", "-5", "--out", str(tmp_path)]) == 1
+        assert "parameter error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestAlphaVerb:

@@ -76,6 +76,10 @@ class TestContracts:
         with pytest.raises(ParameterError):
             trace(1)
 
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ParameterError):
+            trace(12, 10, rho_budget=-5)
+
     def test_parity_preserved_off_events(self):
         rng = random.Random(42)
         starts = [2 * rng.randrange(1, 500_000) for _ in range(1000)]
