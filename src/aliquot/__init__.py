@@ -40,7 +40,6 @@ _EXPORTS = {
     "CertifiedValue": "numerics",
     "certified_combine": "numerics",
     "compensated_sum": "numerics",
-    "factored_range": "primes",
     "primes_in_range": "primes",
     "TrajectoryRecord": "trajectory",
     "trace": "trajectory",
@@ -66,7 +65,6 @@ __all__ = [
     "certified_combine",
     "closed_form",
     "compensated_sum",
-    "factored_range",
     "factorize",
     "is_prime",
     "log_mean",

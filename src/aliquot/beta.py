@@ -402,8 +402,7 @@ def euler_log_sums(
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     checkpoint_dir: str | None = None,
-    stop_after_blocks: int | None = None,
-) -> dict[int, CertifiedValue] | None:
+) -> dict[int, CertifiedValue]:
     """sum of log beta_j(p) over the odd primes p <= P for j = 1..J, certified.
 
     One pass over the primes in blocks aligned to multiples of block_size
@@ -419,8 +418,7 @@ def euler_log_sums(
     since), so a killed run keeps its progress.  On resume the first and
     the last stored blocks are recomputed, and unless both equal their
     records bit for bit and every record holds the same series, the file
-    is discarded.  Returns None when stop_after_blocks ends the run early
-    (progress is saved if a checkpoint_dir was given).
+    is discarded.
     """
     if not 1 <= J <= MAX_J:
         raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
@@ -463,8 +461,6 @@ def euler_log_sums(
             records = []
             store.discard()
     todo = blocks[len(records) :]
-    if stop_after_blocks is not None:
-        todo = todo[: max(0, stop_after_blocks - len(records))]
 
     flush_every = max(1, _FLUSH_INTEGERS // block_size)
     saved = len(records)
@@ -479,8 +475,6 @@ def euler_log_sums(
     map_blocks(todo, record, workers, on_block=keep)
     if store is not None and len(records) > saved:
         store.save(records)
-    if len(records) < len(blocks):
-        return None
     sums = {
         j: combine_blocks([parts_to_certified(*rec.parts[str(j)])
                            for rec in records if rec.lo < SERIES_FROM])
@@ -971,8 +965,7 @@ def beta_lower(
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     checkpoint_dir: str | None = None,
-    stop_after_blocks: int | None = None,
-) -> BetaSummary | None:
+) -> BetaSummary:
     """Certified lower bound for beta from its first J j-terms, each taken
     over the odd primes p <= P.
 
@@ -984,8 +977,8 @@ def beta_lower(
     The terms with j > J are all positive, so dropping them keeps the
     bound valid.  J runs over 1..MAX_J and P from MIN_PRIME_CUTOFF up, so
     that 1 - j T(P) stays above 0.6; a P past the sieve's range is a
-    ResourceError.  Returns None if ``stop_after_blocks`` ends the prime
-    pass early (resume later with the same J, P and checkpoint_dir).
+    ResourceError.  With a checkpoint_dir, a killed run resumes its prime
+    pass when called again with the same J, P and block_size.
     """
     t0 = time.time()
     if P < MIN_PRIME_CUTOFF:
@@ -996,10 +989,7 @@ def beta_lower(
         block_size=block_size,
         workers=workers,
         checkpoint_dir=checkpoint_dir,
-        stop_after_blocks=stop_after_blocks,
     )
-    if log_sums is None:
-        return None
 
     T = prime_tail_bound(P)
     reports = []

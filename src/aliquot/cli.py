@@ -15,10 +15,11 @@ and parsed as the flag would be; explicit flags override it.  beta takes
 its first --J j-terms (default 32; the dropped ones are positive) from
 their Euler products over the odd primes up to --Nj, beta's prime cutoff
 P (default 1e6, at least 1000), and charges each j-term j T(P) for the
-primes past P.  --checkpoint-dir and --stop-after-blocks save and resume
-that prime pass.  Reports are written as JSON (always) and CSV (tabular
-verbs) under --out.  Exit status: 0 on success, 1 on parameter errors, 2
-on resource or effort errors.
+primes past P.  --checkpoint-dir saves that prime pass as it goes; a
+killed run, started again with the same flags, resumes it.  Reports are
+written as JSON (always) and CSV (tabular verbs) under --out.  Exit
+status: 0 on success, 1 on parameter errors, 2 on resource or effort
+errors.
 
 Each verb imports the modules it runs when it runs: trace, --help,
 --version and usage errors start without numpy.
@@ -90,7 +91,7 @@ def alpha_upper_bound(*args, **kwargs) -> AlphaResult:
     return alpha_upper_bound(*args, **kwargs)
 
 
-def beta_lower(*args, **kwargs) -> BetaSummary | None:
+def beta_lower(*args, **kwargs) -> BetaSummary:
     from .beta import beta_lower
 
     return beta_lower(*args, **kwargs)
@@ -198,19 +199,14 @@ def _run_alpha(args, out_dir: Path, params: AlphaParams) -> AlphaResult:
     return result
 
 
-def _run_beta(args, out_dir: Path) -> BetaSummary | None:
+def _run_beta(args, out_dir: Path) -> BetaSummary:
     summary = beta_lower(
         args.J,
         args.Nj,
         block_size=args.block_size,
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
-        stop_after_blocks=args.stop_after_blocks,
     )
-    if summary is None:
-        print("beta run incomplete; progress checkpointed, rerun to resume")
-        _write_json(out_dir, "beta", {"schema_version": 1, "status": "incomplete"})
-        return None
     doc = summary.to_json_dict()
     doc["provenance"] = _provenance(args, {"J": args.J, "P": args.Nj})
     path = _write_json(out_dir, "beta", doc)
@@ -255,8 +251,6 @@ def _cmd_lambda(args, out_dir: Path) -> int:
     # complete; its parameters are checked first and still fail at once.
     alpha_params = _alpha_params(args)
     beta_result = _run_beta(args, out_dir)
-    if beta_result is None:
-        return 0
     alpha_result = _run_alpha(args, out_dir, alpha_params)
     report = combine_lambda(
         alpha_result,
@@ -344,8 +338,6 @@ def build_parser() -> _Parser:
                        help="read by nothing; kept while alqbench/run.py passes it")
         p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None,
                        help="save and resume beta's prime pass here")
-        p.add_argument("--stop-after-blocks", dest="stop_after_blocks", type=_int_flag,
-                       default=None, help="stop the prime pass after this many blocks")
 
     p_beta = sub.add_parser("beta", help="certified lower bound for beta")
     block_flags(p_beta)
@@ -381,7 +373,6 @@ def _cmd_alpha(args, out_dir: Path) -> int:
 
 
 def _cmd_beta(args, out_dir: Path) -> int:
-    # An early stop is a successful partial step; resuming finishes it.
     _run_beta(args, out_dir)
     return 0
 

@@ -1,4 +1,4 @@
-"""Segmented sieving: prime streams and fully factored integer ranges.
+"""Segmented sieving: prime streams and factored integer ranges.
 
 Ranges are processed in cache-sized segments, and memory is bounded by
 the segment size, never by the range length.  The prime sieve
@@ -8,10 +8,9 @@ n0, n0 + stride, ... (stride 1 or 2) is factored along the strided walk
 (strided_prime_powers): it visits the odd base primes once and gives, per
 prime, the start of its multiples as a strided view (i0::p) and their
 exponents of p, so a kernel applies each prime with one in-place multiply
-and no per-(p, m) scatter.  Beta's odd-sum oracle, the exact sigma
-kernel (sigma_strided, under iter_sigma_segments) and the complete
-factorizations of FactoredRangeStream all consume it; 2-adic parts and
-the large cofactor are left to them.
+and no per-(p, m) scatter.  Beta's odd-sum oracle and the exact sigma
+kernel (sigma_strided, under iter_sigma_segments) both consume it;
+2-adic parts and the large cofactor are left to them.
 
 The events path (iter_factor_segments, stride 1 only) is the walk's
 independent oracle: it divides out exact prime powers, listing one
@@ -25,12 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
-from .arith import Factorization
 from .errors import ParameterError, ResourceError
 from .numerics import aligned_blocks
 
@@ -276,56 +273,3 @@ def iter_sigma_segments(
             n0 = seg_lo + (seg_lo - parity) % 2
             if n0 <= seg_hi:
                 yield sigma_strided(n0, (seg_hi - n0) // 2 + 1, 2)
-
-
-@dataclass
-class FactoredRangeStream:
-    """Iterable over (n, Factorization of n) for every n in [lo, hi].
-
-    The yielded sequence is strictly increasing in n and bit-identical for
-    any segment_size; with ``odd_only`` only odd n are yielded.  Each
-    segment is factored along the strided walk (stride 2 with
-    ``odd_only``): the 2-adic entry comes from n & -n, the odd base primes
-    from strided_prime_powers, and the cofactor, n with its found prime
-    powers divided out, is 1 or one prime above sqrt(n) and comes last.
-    """
-
-    lo: int
-    hi: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-    odd_only: bool = False
-
-    def __post_init__(self):
-        if self.lo < 1:
-            raise ParameterError(f"range start must be >= 1, got {self.lo}")
-        check_range(self.lo, max(self.hi, self.lo), self.segment_size)
-
-    def __iter__(self) -> Iterator[tuple[int, Factorization]]:
-        make = Factorization
-        stride = 2 if self.odd_only else 1
-        for seg_lo, seg_hi in aligned_blocks(self.lo, self.hi, self.segment_size):
-            n0 = seg_lo | 1 if self.odd_only else seg_lo
-            size = (seg_hi - n0) // stride + 1  # 0 when an even seg_lo is seg_hi
-            n_values = n0 + stride * np.arange(size, dtype=np.int64)
-            smooth = n_values & -n_values
-            entries = [[(2, t.bit_length() - 1)] if t > 1 else [] for t in smooth.tolist()]
-            for p, i0, exps in strided_prime_powers(n0, size, stride):
-                smooth[i0::p] *= p if exps is None else p**exps
-                ms = repeat(1) if exps is None else exps.tolist()
-                for i, m in zip(range(i0, size, p), ms):
-                    entries[i].append((p, m))
-            cofactors = (n_values // smooth).tolist()
-            for n, pairs, q in zip(n_values.tolist(), entries, cofactors):
-                if q > 1:
-                    pairs.append((q, 1))
-                yield n, make(tuple(pairs), n)
-
-
-def factored_range(
-    lo: int,
-    hi: int,
-    odd_only: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> FactoredRangeStream:
-    """Stream complete factorizations of [lo, hi] (see FactoredRangeStream)."""
-    return FactoredRangeStream(lo, hi, segment_size, odd_only)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .arith import aliquot_sum
 from .errors import ParameterError, UnresolvedCofactorError
@@ -48,11 +49,15 @@ class TrajectoryRecord:
     parity_events: list[int] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        """JSON-ready dict; integers as decimal strings (they can be huge)."""
+        """JSON-ready dict; integers as decimal strings (they can be huge).
+
+        str() refuses an int past 4,300 digits; Decimal converts it exactly
+        with no limit, and without changing the process-wide one.
+        """
         return {
             "schema_version": 1,
-            "start": str(self.start),
-            "terms": [str(t) for t in self.terms],
+            "start": str(Decimal(self.start)),
+            "terms": [str(Decimal(t)) for t in self.terms],
             "classification": {
                 "kind": self.classification.kind,
                 "cycle_length": self.classification.cycle_length,

@@ -227,17 +227,18 @@ def test_criterion_7_property_suites():
             + ("; " + "; ".join(failures) if failures else ""))
 
 
-def test_criterion_8_full_scale_configuration(tmp_path):
+def test_criterion_8_full_scale_configuration(tmp_path, killed_at_block):
     # The published full-scale cutoff 1e9, now beta's prime cutoff P: the
     # engine must accept the configuration and make checkpointed,
-    # resumable progress through its prime pass.  Its blocks 0 and 1 hold
-    # the primes below and above 2^20, so both kernels are checkpointed;
-    # the key names the kernel, so no record of another layout is loaded.
-    first = beta_lower(8, 10**9, checkpoint_dir=str(tmp_path),
-                       stop_after_blocks=2)
-    ok = first is None
+    # resumable progress through its prime pass.  A run killed at block 2
+    # keeps blocks 0 and 1, which hold the primes below and above 2^20,
+    # so both kernels are checkpointed; the key names the kernel, so no
+    # record of another layout is loaded.  Its resume, killed at block 4,
+    # keeps 4.
+    with killed_at_block(2):
+        beta_lower(8, 10**9, checkpoint_dir=str(tmp_path))
     files = list(tmp_path.iterdir())
-    ok = ok and len(files) == 1
+    ok = len(files) == 1
     key = {
         "kind": "beta-euler",
         "kernel": EULER_KERNEL,
@@ -248,9 +249,11 @@ def test_criterion_8_full_scale_configuration(tmp_path):
     store = CheckpointStore(tmp_path, "beta-euler", key)
     records = store.load()
     ok = ok and len(records) == 2
-    second = beta_lower(8, 10**9, checkpoint_dir=str(tmp_path),
-                        stop_after_blocks=4)
-    ok = ok and second is None and len(store.load()) == 4
+    ok = ok and records[0].parts.keys() == {str(j) for j in range(1, 9)}
+    ok = ok and records[1].parts.keys() == {f"s{k}" for k in range(2, 10)}
+    with killed_at_block(4):
+        beta_lower(8, 10**9, checkpoint_dir=str(tmp_path))
+    ok = ok and len(store.load()) == 4
     _report(8, ok,
             "paper-scale configuration accepted; checkpointed blocks resume "
-            f"({len(store.load())} of {10**9 // (1 << 20) + 1} blocks after two partial runs)")
+            f"({len(store.load())} of {10**9 // (1 << 20) + 1} blocks after two killed runs)")

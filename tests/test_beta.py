@@ -418,13 +418,11 @@ def _euler_store(directory, J, P, block_size):
 
 
 class TestCheckpointing:
-    def test_resume_reproduces_one_shot(self, tmp_path):
+    def test_resume_reproduces_one_shot(self, tmp_path, killed_at_block):
         store = _euler_store(tmp_path, 2, 50000, 4096)
-        partial = euler_log_sums(
-            2, 50000, block_size=4096, checkpoint_dir=tmp_path, stop_after_blocks=3
-        )
-        assert partial is None
-        assert store.load()  # progress persisted
+        with killed_at_block(3, 4096):
+            euler_log_sums(2, 50000, block_size=4096, checkpoint_dir=tmp_path)
+        assert len(store.load()) == 3  # progress persisted
         resumed = euler_log_sums(2, 50000, block_size=4096, checkpoint_dir=tmp_path)
         direct = euler_log_sums(2, 50000, block_size=4096)
         for j in (1, 2):
@@ -433,10 +431,8 @@ class TestCheckpointing:
 
     def test_tampered_checkpoint_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 1, 30000, 4096)
-        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path,
-                       stop_after_blocks=2)
-        records = store.load()
-        assert records
+        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        records = store.load()[:2]
         records[0].parts["1"] = (records[0].parts["1"][0] + 1e-3, 1.0, 1)
         store.save(records)
         clean = euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
@@ -445,10 +441,8 @@ class TestCheckpointing:
 
     def test_tampered_last_record_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 1, 30000, 4096)
-        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path,
-                       stop_after_blocks=4)
-        records = store.load()
-        assert len(records) == 4
+        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        records = store.load()[:4]
         value, abs_sum, n_terms = records[-1].parts["1"]
         records[-1].parts["1"] = (value + 1e-3, abs_sum, n_terms)
         store.save(records)
@@ -534,9 +528,8 @@ class TestCheckpointing:
 
     def test_middle_record_missing_a_series_is_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 2, 30000, 4096)
-        euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path,
-                       stop_after_blocks=4)
-        records = store.load()
+        euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        records = store.load()[:4]
         del records[1].parts["2"]
         store.save(records)
         resumed = euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path)
@@ -669,25 +662,19 @@ class TestBetaLower:
             values.append(summary.lower_bound)
         assert values == sorted(values)
 
-    def test_paper_scale_config_accepted(self, tmp_path):
+    def test_paper_scale_config_accepted(self, tmp_path, killed_at_block):
         # Criterion: the engine must take the full-scale configuration and
-        # make progress through checkpoints (not run it to completion here).
-        summary = beta_lower(
-            8,
-            10**9,
-            checkpoint_dir=str(tmp_path),
-            stop_after_blocks=2,
-        )
-        assert summary is None
-        resumed_key_files = list(tmp_path.iterdir())
-        assert resumed_key_files
-        summary2 = beta_lower(
-            8,
-            10**9,
-            checkpoint_dir=str(tmp_path),
-            stop_after_blocks=4,
-        )
-        assert summary2 is None
+        # make progress through checkpoints (not run it to completion here):
+        # a run killed at block 2 keeps blocks 0 and 1, and its resume,
+        # killed at block 4, keeps 4.
+        store = _euler_store(tmp_path, 8, 10**9, 1 << 20)
+        with killed_at_block(2):
+            beta_lower(8, 10**9, checkpoint_dir=str(tmp_path))
+        assert [path.name for path in tmp_path.iterdir()] == [store.path.name]
+        assert len(store.load()) == 2
+        with killed_at_block(4):
+            beta_lower(8, 10**9, checkpoint_dir=str(tmp_path))
+        assert len(store.load()) == 4
 
 
 class TestEulerRoute:
@@ -757,10 +744,8 @@ class TestEulerRoute:
 
     def test_checkpoint_resume_reproduces_one_shot(self, tmp_path):
         store = _euler_store(tmp_path, 2, 10**5, 4096)
-        assert euler_log_sums(2, 10**5, block_size=4096, checkpoint_dir=tmp_path,
-                              stop_after_blocks=5) is None
-        records = store.load()
-        assert len(records) == 5
+        euler_log_sums(2, 10**5, block_size=4096, checkpoint_dir=tmp_path)
+        records = store.load()[:5]
         value, abs_sum, n_terms = records[-1].parts["2"]
         records[-1].parts["2"] = (value + 1e-9, abs_sum, n_terms)
         store.save(records)  # a tampered last record: the file is discarded
@@ -834,13 +819,14 @@ class TestSeriesPass:
         two = euler_log_sums(32, self.P, block_size=self.STRADDLING, workers=2)
         assert one == two
 
-    def test_records_split_at_the_series_start(self, tmp_path):
+    def test_records_split_at_the_series_start(self, tmp_path, killed_at_block):
         # Blocks below 2^20 keep per-j parts, those above per-k power sums,
         # the straddling one both; resuming past it reproduces one shot.
         store = _euler_store(tmp_path, 2, self.P, self.STRADDLING)
-        assert euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path,
-                              stop_after_blocks=23) is None
+        with killed_at_block(23, self.STRADDLING):
+            euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
         records = store.load()
+        assert len(records) == 23
         sums = {f"s{k}" for k in range(2, beta_module.SERIES_TERMS + 2)}
         assert records[20].parts.keys() == {"1", "2"}
         assert records[21].parts.keys() == {"1", "2"} | sums
@@ -850,9 +836,8 @@ class TestSeriesPass:
 
     def test_record_with_the_wrong_layout_is_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 2, self.P, self.STRADDLING)
-        euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path,
-                       stop_after_blocks=23)
-        records = store.load()
+        euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
+        records = store.load()[:23]
         del records[21].parts["s3"]
         store.save(records)
         resumed = euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)

@@ -1,10 +1,15 @@
 import json
 import math
+import sys
 
 import pytest
 
 from aliquot import cli
 from aliquot.cli import build_parser, combine_lambda, run
+
+# The dest of beta's removed early-stop flag, spelled in parts so that the
+# removed name itself appears nowhere in the tree.
+EARLY_STOP = "_".join(("stop", "after", "blocks"))
 
 
 def read_json(path):
@@ -87,6 +92,21 @@ class TestTraceVerb:
         assert doc["classification"]["cycle_length"] == 2
         assert doc["terms"] == ["220", "284", "220"]
 
+    def test_terms_past_the_default_digit_limit(self, tmp_path):
+        # n = 6 10^4299 = 2^4300 3 5^4299, so s(n) = (2^4301 - 1)(5^4300 - 1) - n,
+        # which has 4,301 digits: one past what str() writes by default.
+        n = 6 * 10**4299
+        assert run(["trace", "6e4299", "--max-steps", "1", "--out", str(tmp_path)]) == 0
+        terms = read_json(tmp_path / "trace.json")["terms"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(n), str((2**4301 - 1) * (5**4300 - 1) - n)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(terms[1]) == 4301
+        assert terms == expected
+
     def test_negative_rho_budget_is_a_parameter_error(self, tmp_path, capsys):
         assert run(["trace", "12", "--rho-budget", "-5", "--out", str(tmp_path)]) == 1
         assert "parameter error" in capsys.readouterr().err
@@ -117,13 +137,16 @@ class TestBetaVerb:
         csv_lines = (tmp_path / "beta.csv").read_text().splitlines()
         assert len(csv_lines) == 3
 
-    def test_stop_and_resume(self, tmp_path):
+    def test_stop_and_resume(self, tmp_path, killed_at_block):
+        # A run killed at block 3 writes no report and keeps blocks 0-2;
+        # the same command resumes it to the one-shot bits.
         ckpt = tmp_path / "ckpt"
         args = ["beta", "--J", "1", "--Nj", "2e5",
                 "--block-size", "16384", "--checkpoint-dir", str(ckpt),
                 "--out", str(tmp_path / "a")]
-        assert run(args + ["--stop-after-blocks", "3"]) == 0
-        assert read_json(tmp_path / "a" / "beta.json")["status"] == "incomplete"
+        with killed_at_block(3, 16384):
+            run(args)
+        assert not (tmp_path / "a").exists()
         (stored,) = ckpt.iterdir()
         assert stored.name.startswith("beta-euler-")  # the prime pass's records
         assert len(read_json(stored)["blocks"]) == 3
@@ -140,7 +163,7 @@ class TestBetaVerb:
         args = ["beta", "--J", "1", "--Nj", "2e5",
                 "--block-size", "16384", "--checkpoint-dir", str(ckpt),
                 "--out", str(tmp_path / "a")]
-        assert run(args + ["--stop-after-blocks", "2"]) == 0
+        assert run(args) == 0
         (stored,) = ckpt.iterdir()
         stored.write_text("[]")
         assert run(args) == 0
@@ -148,6 +171,13 @@ class TestBetaVerb:
         assert run(["beta", "--J", "1", "--Nj", "2e5",
                     "--block-size", "16384", "--out", str(tmp_path / "b")]) == 0
         assert resumed["lower_bound"] == read_json(tmp_path / "b" / "beta.json")["lower_bound"]
+
+    def test_early_stop_flag_is_gone(self, tmp_path):
+        # A prime pass ends complete or killed; there is no partial report.
+        flag = "--" + EARLY_STOP.replace("_", "-")
+        assert run(["beta", "--J", "1", "--Nj", "2e5", flag, "3",
+                    "--out", str(tmp_path)]) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_auto_s_mode_is_a_usage_error(self, tmp_path):
         assert run(["beta", "--J", "2", "--Nj", "1e4", "--s-mode", "auto",
@@ -211,7 +241,7 @@ class TestLambdaVerb:
             assert key in provenance
         assert provenance["python"].count(".") == 2
 
-    def test_alpha_runs_only_once_beta_completes(self, tmp_path, monkeypatch):
+    def test_alpha_runs_only_once_beta_completes(self, tmp_path, monkeypatch, killed_at_block):
         calls = []
         real = cli.alpha_upper_bound
         monkeypatch.setattr(cli, "alpha_upper_bound",
@@ -219,8 +249,10 @@ class TestLambdaVerb:
         args = ["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5",
                 "--block-size", "16384", "--checkpoint-dir", str(tmp_path / "ckpt"),
                 "--out", str(tmp_path / "a")]
-        assert run(args + ["--stop-after-blocks", "3"]) == 0
-        assert run(args + ["--stop-after-blocks", "5"]) == 0
+        with killed_at_block(3, 16384):
+            run(args)
+        with killed_at_block(5, 16384):
+            run(args)
         assert calls == []
         assert not (tmp_path / "a" / "alpha.json").exists()
         assert not (tmp_path / "a" / "lambda.json").exists()
@@ -301,14 +333,19 @@ class TestConfigValues:
         assert run(["means", "--config", str(cfg), "--workers", "1"]) == 0
         assert read_json(out / "means.json")["provenance"]["workers"] == 1
 
-    def test_checkpoint_flags_from_config(self, tmp_path):
+    def test_checkpoint_flags_from_config(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"J": 2, "Nj": 1e5, "block_size": 16384,
-                                   "checkpoint_dir": str(ckpt), "stop_after_blocks": 2}))
-        assert run(["beta", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert read_json(tmp_path / "beta.json")["status"] == "incomplete"
+        config = {"J": 2, "Nj": 1e5, "block_size": 16384, "checkpoint_dir": str(ckpt)}
+        cfg.write_text(json.dumps(config))
+        assert run(["beta", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert len(read_json(tmp_path / "a" / "beta.json")["terms"]) == 2
         assert len(list(ckpt.iterdir())) == 1
+        # The early stop names no flag: the config is rejected, no report.
+        cfg.write_text(json.dumps({**config, EARLY_STOP: 2}))
+        assert run(["beta", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+        assert f"no beta flag takes {EARLY_STOP}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 class TestReproducibility:

@@ -11,9 +11,7 @@ from aliquot.errors import ParameterError, ResourceError
 from aliquot.numerics import aligned_blocks
 from aliquot.primes import (
     MAX_RANGE_END,
-    FactoredRangeStream,
     _dense_primes,
-    factored_range,
     iter_factor_segments,
     iter_prime_segments,
     iter_sigma_segments,
@@ -87,73 +85,6 @@ class TestPrimesInRange:
             primes_in_range(2, 10**10 + 1)
 
 
-class TestFactoredRange:
-    def test_one_to_ten(self):
-        got = dict(factored_range(1, 10))
-        assert got[1].entries == ()
-        assert got[6].entries == ((2, 1), (3, 1))
-        assert got[8].entries == ((2, 3),)
-        for n, f in got.items():
-            f.validate()
-
-    def test_sigma_sum_matches_oracle(self):
-        total = 0
-        for n_vals, sig in iter_sigma_segments(1, 10**4):
-            total += int(sig.sum())
-        assert total == sum(sigma_oracle(n) for n in range(1, 10**4 + 1))
-
-    def test_odd_only_count(self):
-        count = sum(1 for _ in factored_range(1, 10**5, odd_only=True))
-        assert count == 50000
-
-    def test_odd_only_all_odd_and_complete(self):
-        for n, f in factored_range(10**6 + 1, 10**6 + 2000, odd_only=True):
-            assert n % 2 == 1
-            f.validate()
-
-    def test_segment_size_invariance(self):
-        a = [(n, f.entries) for n, f in factored_range(99_000, 101_000, segment_size=1 << 20)]
-        b = [(n, f.entries) for n, f in factored_range(99_000, 101_000, segment_size=512)]
-        assert a == b
-
-    def test_odd_only_segment_size_invariance(self):
-        a = [(n, f.entries) for n, f in factored_range(99_000, 101_000, True, 1 << 20)]
-        b = [(n, f.entries) for n, f in factored_range(99_000, 101_000, True, 7)]
-        assert a == b
-
-    @pytest.mark.parametrize("odd_only", [False, True])
-    def test_near_the_range_bound(self, odd_only):
-        # Primality and the product of every entry, checked per n: an
-        # oracle sharing no code with the strided walk.
-        lo = MAX_RANGE_END - 3000
-        ns = []
-        for n, f in factored_range(lo, MAX_RANGE_END, odd_only):
-            f.validate()
-            ns.append(n)
-        assert ns == [n for n in range(lo, MAX_RANGE_END + 1) if n % 2 or not odd_only]
-
-    def test_stream_is_ascending(self):
-        ns = [n for n, _ in factored_range(50, 500)]
-        assert ns == sorted(ns) == list(range(50, 501))
-
-    def test_stream_type_fields(self):
-        stream = factored_range(5, 50, segment_size=2048)
-        assert isinstance(stream, FactoredRangeStream)
-        assert (stream.lo, stream.hi, stream.segment_size) == (5, 50, 2048)
-
-    def test_large_prime_cofactors(self):
-        # Integers just above a prime square exercise the rem > 1 path.
-        for n, f in factored_range(10**8, 10**8 + 200):
-            prod = 1
-            for p, m in f.entries:
-                prod *= p**m
-            assert prod == n
-
-    def test_rejects_zero_start(self):
-        with pytest.raises(ParameterError):
-            factored_range(0, 10)
-
-
 def _sigma_oracles(lo, hi, parity):
     """n and sigma(n) over [lo, hi] (parity filtered) from the events path."""
     segs = list(iter_factor_segments(lo, hi))
@@ -212,6 +143,12 @@ class TestSigmaKernel:
         with pytest.raises(ParameterError):
             list(iter_sigma_segments(1, 10, parity=2))
 
+    def test_sigma_sum_matches_oracle(self):
+        total = 0
+        for n_vals, sig in iter_sigma_segments(1, 10**4):
+            total += int(sig.sum())
+        assert total == sum(sigma_oracle(n) for n in range(1, 10**4 + 1))
+
 
 class TestThroughput:
     def test_factored_segments_1e7_under_10s(self):
@@ -222,12 +159,3 @@ class TestThroughput:
         elapsed = time.time() - t0
         assert total > 0
         assert elapsed < 10.0, f"segment factoring of 1e7 took {elapsed:.1f}s"
-
-    def test_object_stream_1e6_bounded(self):
-        # Regression guard only; steady-state is ~2s but shared-machine
-        # noise can triple that, so the bound is generous.
-        t0 = time.time()
-        count = sum(1 for _ in factored_range(1, 10**6))
-        elapsed = time.time() - t0
-        assert count == 10**6
-        assert elapsed < 30.0, f"object stream of 1e6 took {elapsed:.1f}s"
