@@ -2,18 +2,18 @@
 #
 # alpha = 2*alpha(2) + sum over odd primes of alpha(p), each alpha(p) a
 # fast-converging series.  Everything is finite here: series cut at depth
-# L or at most M, primes cut at N, and every cut covered by an explicit
-# tail (2*A(2,L), sum of A(p,m_b), and 1/N for the missing primes).  The
-# odd primes go in aligned blocks of 2^20, and a block takes the least
-# depth m_b <= M whose tail charge is below its float radius; every table
-# row below is one block holding 3, so it keeps depth M.  The upper bound
-# is finite sums + float radius + tails; growing N tightens it.
+# L = 15 or at most M = 15, primes cut at N, and every cut covered by an
+# explicit tail (2*A(2,L), sum of A(p,m_b), and 1/N for the missing
+# primes).  The odd primes go in aligned blocks of 2^20, and a block takes
+# the least depth m_b <= M whose tail charge is below its float radius;
+# every table row below is one block holding 3, so it keeps depth M.  The
+# upper bound is finite sums + float radius + tails; growing N tightens it.
 
-from aliquot.alpha import AlphaParams, alpha_upper_bound
+from aliquot.alpha import alpha_upper_bound
 
 print("N, finite sums, tail total, certified upper bound (L = M = 15):")
 for exponent in (3, 4, 5, 6):
-    result = alpha_upper_bound(AlphaParams(10**exponent, 15, 15))
+    result = alpha_upper_bound(10**exponent)
     print(
         f"  10^{exponent}: sums={result.sums.value:.10f}"
         f"  tail={result.tail_total:.3e}"

@@ -13,11 +13,11 @@
 # in about a second; the package defaults (alpha N=1e6, beta P=1e6,
 # J=32) certify lambda <= -0.033258 in under a second via `alq lambda`.
 
-from aliquot.alpha import AlphaParams, alpha_upper_bound
+from aliquot.alpha import alpha_upper_bound
 from aliquot.beta import beta_lower
 from aliquot.cli import combine_lambda
 
-alpha_result = alpha_upper_bound(AlphaParams(10**5, 15, 15))
+alpha_result = alpha_upper_bound(10**5)
 print(f"alpha <= {alpha_result.upper_bound:.8f}")
 
 beta_result = beta_lower(16, 10**5)

@@ -18,7 +18,6 @@ from importlib import import_module
 # imported on first access (PEP 562), so ``import aliquot`` and the verbs that
 # need no numeric module (trace, help, usage errors) never load numpy.
 _EXPORTS = {
-    "AlphaParams": "alpha",
     "AlphaResult": "alpha",
     "alpha_upper_bound": "alpha",
     "Factorization": "arith",
@@ -48,7 +47,6 @@ _EXPORTS = {
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaParams",
     "AlphaResult",
     "BetaSummary",
     "CertifiedValue",

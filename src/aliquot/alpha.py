@@ -4,10 +4,11 @@ alpha = 2*alpha(2) + sum over odd primes p of alpha(p), where
 
     alpha(p) = sum over m >= 1 of (1/p^m) * log((1+p+...+p^m)/(p+...+p^m)).
 
-The computation truncates the p = 2 series at depth L (in a rearranged
-form whose tail is quadratically small, see alpha_two_part), truncates
-the odd primes' series at a per-block depth m_b <= M, cuts primes at N,
-and adds explicit tail bounds for all three truncations:
+The computation truncates the p = 2 series at depth L = 15 (in a
+rearranged form whose tail is quadratically small, see alpha_two_part),
+truncates the odd primes' series at a per-block depth m_b <= M = 15,
+cuts primes at N, and adds explicit tail bounds for all three
+truncations:
 
     upper bound = finite sums + float radius
                   + 2*A(2,L) + sum over odd p <= N of A(p,m_b) + 1/N,
@@ -55,26 +56,13 @@ from .numerics import (
 from .primes import check_range, iter_prime_segments
 
 DEFAULT_BLOCK_SIZE = 1 << 20
-
-
-@dataclass(frozen=True)
-class AlphaParams:
-    """Prime cutoff N, dyadic depth L, odd-prime depth M (N > 2, L, M > 1)."""
-
-    N: int
-    L: int
-    M: int
-
-    def __post_init__(self):
-        if self.N <= 2:
-            raise ParameterError(f"N must exceed 2, got {self.N}")
-        if self.L <= 1 or self.M <= 1:
-            raise ParameterError(f"L and M must exceed 1, got L={self.L}, M={self.M}")
+L = 15  # depth of the p = 2 series
+M = 15  # the odd primes' series depth, at most
 
 
 @dataclass
 class AlphaResult:
-    params: AlphaParams
+    N: int
     sums: CertifiedValue
     tail_total: float
     upper_bound: float
@@ -85,7 +73,7 @@ class AlphaResult:
     def to_json_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "params": {"N": self.params.N, "L": self.params.L, "M": self.params.M},
+            "params": {"N": self.N, "L": L, "M": M},
             "sums_value": self.sums.value,
             "sums_error_radius": self.sums.error_radius,
             "tail_total": self.tail_total,
@@ -123,7 +111,10 @@ def tail_a(p, M: int):
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
-    p = np.asarray(p, dtype=np.float64)
+    try:
+        p = np.asarray(p, dtype=np.float64)
+    except OverflowError:
+        raise ParameterError("p is past the float range") from None
     with np.errstate(under="ignore"):
         a = (p / (p - 1.0)) * p ** (-2.0 * (M + 1))
     return a if a.ndim else float(a)
@@ -137,6 +128,12 @@ def alpha_two_part(L: int) -> CertifiedValue:
     constant log 2 exactly leaves a tail of order 4^-L, which the caller
     covers with 2*A(2, L).  (The unrearranged truncation would leave a
     tail of order 2^-L instead.)
+
+    Every dropped term is negative, so the truncated sum already lies
+    above 2*alpha(2): by 1.55e-10 at L = 15 (50-digit mpmath), and the
+    2*A(2, L) charge is redundant on the upper side.  It stays until a
+    two-sided enclosure replaces it, since dropping it moves the
+    certificate's bits.
     """
     if L <= 1:
         raise ParameterError(f"L must exceed 1, got {L}")
@@ -161,6 +158,18 @@ def _block_sums(primes: np.ndarray, M: int) -> tuple[tuple, tuple]:
 
     Vectorized over the block's primes; powers beyond the float range
     underflow harmlessly to zero-value terms.
+
+    Rounding, in units u = EPS/2 of one rounding (numpy's log1p within
+    one ulp, 2u), to first order.  p is exact and q = p^k comes from k - 1
+    multiplies, so it is within (k - 1)u.  q*p is within ku, and taking p
+    off scales that by p^k/(p^k - 1) <= 3/2 and adds one rounding, as the
+    division by the exact p - 1 does: geom is within (1.5k + 2)u.  The
+    reciprocal adds u, log1p (condition number below 1 for x > 0) 2u, and
+    the division by q its (k - 1)u plus u: the depth-k term is within
+    (2.5k + 5)u.  At depth k <= M = 15 that is at most 42.5u = 21.25 EPS
+    of the term, inside parts_to_certified's allowance of 64 EPS per
+    term.  A term that underflows is off by less than 2^-1074, far below
+    EPS times its block's first terms.
     """
     p = primes.astype(np.float64)
     term_arrays = []
@@ -174,29 +183,34 @@ def _block_sums(primes: np.ndarray, M: int) -> tuple[tuple, tuple]:
     return block_sum_parts(terms), block_sum_parts(tail_a(p, M))
 
 
+def check_cutoff(N: int, block_size: int) -> None:
+    """ParameterError for N <= 2; the sieve's limits on N and block_size."""
+    if N <= 2:
+        raise ParameterError(f"N must exceed 2, got {N}")
+    check_range(2, N, block_size)
+
+
 def alpha_upper_bound(
-    params: AlphaParams,
+    N: int,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
 ) -> AlphaResult:
-    """Certified upper bound for alpha at the given truncation parameters.
+    """Certified upper bound for alpha from the primes p <= N.
 
     The odd primes p <= N are summed in aligned blocks of block_size,
     each at its own depth m_b <= M (_block_depth, the rule and its
-    argument in the module docstring; M is the maximum depth).  The
-    finite sums are alpha_two_part(L) plus the depth-m_b terms of every
-    block, block-reduced deterministically; the tail total is
-    2*A(2,L) + sum of A(p,m_b) over the same primes + 1/N.  The bound is
-    sums value + sums radius + tails, nudged up two ulps to cover the
-    final additions.  ``depths`` counts the odd primes summed at each
-    chosen depth.
+    argument in the module docstring).  The finite sums are
+    alpha_two_part(L) plus the depth-m_b terms of every block,
+    block-reduced deterministically; the tail total is 2*A(2,L) + sum of
+    A(p,m_b) over the same primes + 1/N.  The bound is sums value + sums
+    radius + tails, nudged up two ulps to cover the final additions.
+    ``depths`` counts the odd primes summed at each chosen depth.
     """
     import time
 
     t0 = time.time()
-    N, L, M = params.N, params.L, params.M
-    check_range(2, N, block_size)
+    check_cutoff(N, block_size)
 
     def eval_block(lo: int, hi: int):
         # An aligned block is exactly one sieve segment.
@@ -225,7 +239,7 @@ def alpha_upper_bound(
     for r in results:
         depths[r[3]] = depths.get(r[3], 0) + r[2]
     return AlphaResult(
-        params=params,
+        N=N,
         sums=sums,
         tail_total=tail_total,
         upper_bound=ub,

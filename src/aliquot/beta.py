@@ -496,14 +496,17 @@ PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
 
 
 def error_term(j: int, e: float, N: int) -> float:
-    """Bound (2 j e N^e)^-1 (2/3)^j for the odd n > N with h_j(n) <= n^-e."""
+    """Bound (2 j e N^e)^-1 (2/3)^j for the odd n > N with h_j(n) <= n^-e.
+
+    N past 2^1000 is evaluated at 2^1000; the bound falls with N."""
     if j < 1:
         raise ParameterError(f"j must be >= 1, got {j}")
     if not 0 < e <= 1:
         raise ParameterError(f"e must lie in (0, 1], got {e}")
     if N < 2:
         raise ParameterError(f"N must be >= 2, got {N}")
-    return (2.0 / 3.0) ** j / (2.0 * j * e * N**e)
+    x = float(min(N, 1 << 1000))
+    return (2.0 / 3.0) ** j / (2.0 * j * e * x**e)
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +792,13 @@ def main_term(j: int, N: int, *, odd_sum: CertifiedValue | None = None) -> Certi
 def mixed_region_bound(j: int, e: float, N: int) -> float:
     """Bound for the even integers a direct sum over n <= N misses
     (odd part at most N but 2^k n_o beyond N): (2/3)^j 2 M / ((1-e) N^e);
-    for e = 1 (j = 1) the integral picks up a log factor instead.
+    for e = 1 (j = 1) the integral picks up a log factor instead.  Both
+    fall with N, so N past 2^1000 is evaluated at 2^1000.
     """
+    x = float(min(N, 1 << 1000))
     if e == 1.0:
-        return (2.0 / 3.0) ** j * 2.0 * (0.5 * math.log(N) + 1.0) / N
-    return (2.0 / 3.0) ** j * 2.0 * m_const(j, e) / ((1.0 - e) * N**e)
+        return (2.0 / 3.0) ** j * 2.0 * (0.5 * math.log(x) + 1.0) / x
+    return (2.0 / 3.0) ** j * 2.0 * m_const(j, e) / ((1.0 - e) * x**e)
 
 
 def main_term_direct(j: int, N: int) -> CertifiedValue:
@@ -855,6 +860,7 @@ def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
     pi(x) < 1.25506 x / log x.  As g_j h_j = |beta_j| (g_j, h_j >= 0), it
     bounds |sum over odd n > N of beta_j(n)| by the triangle inequality,
     so it covers the whole odd tail past N, exceptional set included.
+    The bound falls with N, so N past 2^1000 is evaluated at 2^1000.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
@@ -892,7 +898,8 @@ def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
         * _RANKIN_CUTOFF ** (1.0 - s)
         / math.log(_RANKIN_CUTOFF)
     )
-    return N ** (-delta) * math.exp(log_total + prime_tail) * (1.0 + 1e-6)
+    x = float(min(N, 1 << 1000))
+    return x ** (-delta) * math.exp(log_total + prime_tail) * (1.0 + 1e-6)
 
 
 @dataclass

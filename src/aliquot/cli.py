@@ -2,7 +2,7 @@
 
 Verbs:
 
-  alpha     upper bound for the per-prime constant (params N, L, M)
+  alpha     upper bound for the per-prime constant (prime cutoff N)
   beta      lower bound for the signed-series constant (per-j params)
   lambda    alpha + beta + their difference, the aliquot growth constant
   means     arithmetic and logarithmic means of s(n)/n by residue class
@@ -43,7 +43,7 @@ from .errors import ParameterError, ResourceError, UnresolvedCofactorError
 from .trajectory import trace
 
 if TYPE_CHECKING:
-    from .alpha import AlphaParams, AlphaResult
+    from .alpha import AlphaResult
     from .beta import BetaSummary
     from .means import MeanReport
 
@@ -175,22 +175,10 @@ def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
     return argv
 
 
-def _alpha_params(args) -> AlphaParams:
-    """alpha's parameters, checked before any work starts."""
-    from .alpha import AlphaParams
-    from .primes import check_range
-
-    params = AlphaParams(N=args.N, L=args.L, M=args.M)
-    check_range(2, params.N, args.block_size)
-    return params
-
-
-def _run_alpha(args, out_dir: Path, params: AlphaParams) -> AlphaResult:
-    result = alpha_upper_bound(
-        params, block_size=args.block_size, workers=args.workers
-    )
+def _run_alpha(args, out_dir: Path) -> AlphaResult:
+    result = alpha_upper_bound(args.N, block_size=args.block_size, workers=args.workers)
     doc = result.to_json_dict()
-    doc["provenance"] = _provenance(args, {"N": params.N, "L": params.L, "M": params.M})
+    doc["provenance"] = _provenance(args, doc["params"])
     path = _write_json(out_dir, "alpha", doc)
     print(f"alpha upper bound: {result.upper_bound!r}")
     print(f"  finite sums {result.sums.value!r} (radius {result.sums.error_radius:.3e})")
@@ -247,16 +235,15 @@ def _provenance(args, params: dict) -> dict:
 
 
 def _cmd_lambda(args, out_dir: Path) -> int:
+    from .alpha import check_cutoff
+
     # Only beta resumes from a checkpoint, so alpha runs once beta is
-    # complete; its parameters are checked first and still fail at once.
-    alpha_params = _alpha_params(args)
+    # complete; its cutoff is checked first and still fails at once.
+    check_cutoff(args.N, args.block_size)
     beta_result = _run_beta(args, out_dir)
-    alpha_result = _run_alpha(args, out_dir, alpha_params)
-    report = combine_lambda(
-        alpha_result,
-        beta_result,
-        _provenance(args, {"alpha": alpha_result.to_json_dict()["params"]}),
-    )
+    alpha_result = _run_alpha(args, out_dir)
+    params = {"alpha": alpha_result.to_json_dict()["params"], "beta": {"J": args.J, "P": args.Nj}}
+    report = combine_lambda(alpha_result, beta_result, _provenance(args, params))
     path = _write_json(out_dir, "lambda", report.to_json_dict())
     print(f"lambda upper bound: {report.lambda_upper!r}")
     print(f"mu upper bound:     {report.mu_upper!r}")
@@ -317,13 +304,7 @@ def build_parser() -> _Parser:
     p_alpha = sub.add_parser("alpha", help="certified upper bound for alpha")
     block_flags(p_alpha)
 
-    def alpha_flags(p, cutoff_help):
-        p.add_argument("--N", type=_int_flag, default=10**6, help=cutoff_help)
-        p.add_argument("--L", type=_int_flag, default=15, help="dyadic depth")
-        p.add_argument("--M", type=_int_flag, default=15,
-                       help="maximum odd prime depth; blocks of large primes stop earlier")
-
-    alpha_flags(p_alpha, "prime cutoff")
+    p_alpha.add_argument("--N", type=_int_flag, default=10**6, help="prime cutoff")
 
     def beta_flags(p):
         p.add_argument("--J", type=_int_flag, default=DEFAULT_J,
@@ -345,7 +326,7 @@ def build_parser() -> _Parser:
 
     p_lambda = sub.add_parser("lambda", help="alpha, beta, and their difference")
     block_flags(p_lambda)
-    alpha_flags(p_lambda, "alpha prime cutoff")
+    p_lambda.add_argument("--N", type=_int_flag, default=10**6, help="alpha prime cutoff")
     beta_flags(p_lambda)
 
     p_means = sub.add_parser("means", help="means of s(n)/n by residue class")
@@ -368,7 +349,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_alpha(args, out_dir: Path) -> int:
-    _run_alpha(args, out_dir, _alpha_params(args))
+    _run_alpha(args, out_dir)
     return 0
 
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .alpha import AlphaParams, _block_sums, alpha_two_part, alpha_upper_bound, tail_a
+from .alpha import L, M, _block_sums, alpha_two_part, alpha_upper_bound, tail_a
 from .arith import factorize, sigma, sigma_oracle
 from .beta import (
     SERIES_FROM,
@@ -61,14 +61,13 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def full_depth_alpha_bound(params: AlphaParams, block_size: int) -> tuple[float, int]:
+def full_depth_alpha_bound(N: int, block_size: int) -> tuple[float, int]:
     """Oracle for alpha_upper_bound's per-block depths: its bound with every
     aligned block summed at the full depth M, and the odd primes counted.
 
     The assembly repeats alpha_upper_bound's operations in its order, so
     the two agree bit for bit where every block keeps depth M.
     """
-    N, L, M = params.N, params.L, params.M
     segments = [next(iter_prime_segments(lo, hi, block_size))
                 for lo, hi in aligned_blocks(3, N, block_size)]
     parts = [_block_sums(primes, M) for primes in segments]
@@ -154,8 +153,8 @@ def run_selftest() -> bool:
         )
     )
 
-    a1 = alpha_upper_bound(AlphaParams(10**4, 15, 15), workers=1)
-    a4 = alpha_upper_bound(AlphaParams(10**4, 15, 15), workers=4)
+    a1 = alpha_upper_bound(10**4, workers=1)
+    a4 = alpha_upper_bound(10**4, workers=4)
     results.append(
         _check(
             "alpha block sum worker bit-identity",
@@ -163,9 +162,8 @@ def run_selftest() -> bool:
         )
     )
 
-    params = AlphaParams(3 * 10**6, 15, 15)
-    short = alpha_upper_bound(params, block_size=1 << 16)
-    oracle, n_primes = full_depth_alpha_bound(params, 1 << 16)
+    short = alpha_upper_bound(3 * 10**6, block_size=1 << 16)
+    oracle, n_primes = full_depth_alpha_bound(3 * 10**6, 1 << 16)
     results.append(
         _check(
             "alpha per-block depth never loosens the bound",

@@ -9,7 +9,7 @@ import itertools
 import math
 import time
 
-from aliquot.alpha import AlphaParams, alpha_upper_bound
+from aliquot.alpha import alpha_upper_bound
 from aliquot.arith import factorize, sigma, sigma_oracle
 from aliquot.beta import (
     EULER_KERNEL,
@@ -67,7 +67,7 @@ def test_criterion_1_alpha_table():
     t0 = time.time()
     failures = []
     for N, (sums_ref, tail_ref) in ALPHA_TABLE.items():
-        result = alpha_upper_bound(AlphaParams(N, 15, 15))
+        result = alpha_upper_bound(N)
         if abs(result.sums.value - sums_ref) >= 1e-9:
             failures.append(f"sums at N={N}: {result.sums.value!r}")
         if abs(result.tail_total - tail_ref) / tail_ref >= 5e-7:
@@ -82,7 +82,7 @@ def test_criterion_1_alpha_table():
 
 def test_criterion_2_alpha_corollary():
     t0 = time.time()
-    result = alpha_upper_bound(AlphaParams(10**8, 15, 15))
+    result = alpha_upper_bound(10**8)
     elapsed = time.time() - t0
     ok = result.upper_bound < 0.69831705 and elapsed < 1800
     _report(2, ok,
@@ -124,7 +124,7 @@ def test_criterion_4_beta_main_terms():
 
 def test_criterion_5_certified_lambda():
     t0 = time.time()
-    alpha_result = alpha_upper_bound(AlphaParams(10**6, 15, 15))
+    alpha_result = alpha_upper_bound(10**6)
     beta_result = beta_lower(8, 10**7)
     report = combine_lambda(alpha_result, beta_result)
     elapsed = time.time() - t0
@@ -210,8 +210,8 @@ def test_criterion_7_property_suites():
     if r25.terms != [25, 6, 6] or 0 not in r25.parity_events:
         failures.append("trajectory 25")
 
-    a1 = alpha_upper_bound(AlphaParams(10**5, 15, 15), workers=1)
-    a8 = alpha_upper_bound(AlphaParams(10**5, 15, 15), workers=8)
+    a1 = alpha_upper_bound(10**5, workers=1)
+    a8 = alpha_upper_bound(10**5, workers=8)
     if a1.sums.value != a8.sums.value:
         failures.append("alpha thread identity")
     b1 = odd_signed_sums([2], 10**5, block_size=1 << 14, workers=1)[2]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aliquot.alpha import (
-    AlphaParams,
+    M,
     _block_depth,
     _block_sums,
     alpha_p_product_form,
@@ -53,6 +53,10 @@ class TestTailA:
     def test_p3_depth15(self):
         assert tail_a(3, 15) == pytest.approx(1.5 * 3.0**-32, rel=1e-15)
 
+    def test_prime_past_the_float_range(self):
+        with pytest.raises(ParameterError):
+            tail_a(10**400, 3)
+
     def test_dominates_dropped_terms(self):
         # Tail beyond depth M, evaluated out to depth 60, never exceeds A(p, M).
         for p in primes_in_range(2, 100).tolist():
@@ -83,58 +87,52 @@ class TestAlphaTwoPart:
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            AlphaParams(2, 15, 15)
-        with pytest.raises(ParameterError):
-            AlphaParams(100, 1, 15)
-        with pytest.raises(ParameterError):
-            AlphaParams(100, 15, 1)
+        with pytest.raises(ParameterError, match="N must exceed 2, got 2"):
+            alpha_upper_bound(2)
 
 
 class TestUpperBound:
     @pytest.mark.parametrize("N", [10**4, 10**5])
     def test_reference_table(self, N):
-        result = alpha_upper_bound(AlphaParams(N, 15, 15))
+        result = alpha_upper_bound(N)
         sums_ref, tail_ref = SUMS_TABLE[N]
         assert abs(result.sums.value - sums_ref) < 1e-9
         assert abs(result.tail_total - tail_ref) / tail_ref < 5e-7
 
     def test_upper_bound_exceeds_sums(self):
-        result = alpha_upper_bound(AlphaParams(10**4, 15, 15))
+        result = alpha_upper_bound(10**4)
         assert result.upper_bound >= result.sums.value
         assert result.tail_total > 0
 
     def test_monotone_in_N(self):
         ub = [
-            alpha_upper_bound(AlphaParams(N, 15, 15)).upper_bound
+            alpha_upper_bound(N).upper_bound
             for N in (10**3, 10**4, 10**5)
         ]
         for tighter, looser in zip(ub[1:], ub[:-1]):
             assert tighter <= looser + 1e-12
 
     def test_worker_and_block_bit_identity(self):
-        a = alpha_upper_bound(AlphaParams(10**5, 15, 15), workers=1)
-        b = alpha_upper_bound(AlphaParams(10**5, 15, 15), workers=8)
+        a = alpha_upper_bound(10**5, workers=1)
+        b = alpha_upper_bound(10**5, workers=8)
         assert a.sums.value == b.sums.value
         assert a.upper_bound == b.upper_bound
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_prime_count_is_exact_across_workers(self, workers):
         # 245 blocks, each counting its own odd primes below 10^6.
-        result = alpha_upper_bound(
-            AlphaParams(10**6, 15, 15), block_size=1 << 12, workers=workers
-        )
+        result = alpha_upper_bound(10**6, block_size=1 << 12, workers=workers)
         assert result.n_primes == 78497
 
     def test_block_size_within_radii(self):
-        a = alpha_upper_bound(AlphaParams(10**5, 15, 15), block_size=1 << 20)
-        b = alpha_upper_bound(AlphaParams(10**5, 15, 15), block_size=4096)
+        a = alpha_upper_bound(10**5, block_size=1 << 20)
+        b = alpha_upper_bound(10**5, block_size=4096)
         assert abs(a.sums.value - b.sums.value) <= a.sums.error_radius + b.sums.error_radius
 
     def test_json_round_trip(self):
         import json
 
-        result = alpha_upper_bound(AlphaParams(10**4, 15, 15))
+        result = alpha_upper_bound(10**4)
         doc = json.loads(result.to_json())
         assert doc["params"] == {"N": 10**4, "L": 15, "M": 15}
         assert doc["upper_bound"] == result.upper_bound
@@ -164,9 +162,8 @@ class TestBlockSums:
 class TestBlockDepths:
     @pytest.mark.parametrize("N, block_size", [(3 * 10**6, 1 << 16), (10**6, 1 << 12)])
     def test_never_looser_than_full_depth(self, N, block_size):
-        params = AlphaParams(N, 15, 15)
-        result = alpha_upper_bound(params, block_size=block_size)
-        oracle, n_primes = full_depth_alpha_bound(params, block_size)
+        result = alpha_upper_bound(N, block_size=block_size)
+        oracle, n_primes = full_depth_alpha_bound(N, block_size)
         assert result.upper_bound <= oracle
         assert result.n_primes == n_primes == sum(result.depths.values())
         assert min(result.depths) < 15  # the rule cut some blocks short
@@ -186,13 +183,15 @@ class TestBlockDepths:
             assert tail_a(int(primes[0]), depth - 1) > EPS * math.log1p(1.0 / p_max) / p_max
 
     def test_default_scale_keeps_full_depth(self):
-        result = alpha_upper_bound(AlphaParams(10**6, 15, 15))
+        result = alpha_upper_bound(10**6)
         assert result.depths == {15: 78497}
         assert result.to_json_dict()["depths"] == {"15": 78497}
 
     def test_M_caps_the_depth(self):
-        result = alpha_upper_bound(AlphaParams(3 * 10**6, 15, 2), block_size=1 << 16)
-        assert set(result.depths) == {2}  # {15, 2} at M = 15
+        # The block holding 3 takes the cap, whatever it is: 15 at M = 15.
+        primes = primes_in_range(3, (1 << 16) - 1)
+        assert _block_depth(primes, 2) == 2
+        assert _block_depth(primes, M) == M == 15
 
 
 class TestTwoForms:
@@ -208,7 +207,7 @@ class TestAllPrimeConstant:
         # alpha(p) summed over all primes (p = 2 counted once) tends to
         # about 0.4457; at N = 1e6, depth 15, the partial sum sits within
         # 2e-5 of that value.
-        result = alpha_upper_bound(AlphaParams(10**6, 15, 15))
+        result = alpha_upper_bound(10**6)
         odd_part = result.sums.value - alpha_two_part(15).value
         a_estimate = alpha_two_part(60).value / 2 + odd_part
         assert abs(a_estimate - 0.4457) < 2e-5

@@ -677,6 +677,21 @@ class TestBetaLower:
         assert len(store.load()) == 4
 
 
+# The odd-sum route's tail bounds, each falling with N.
+TAIL_BOUNDS = {
+    "s_tail_bound": lambda N: s_tail_bound(2, N),
+    "error_term": lambda N: error_term(3, 0.6, N),
+    "mixed_region_bound e=1": lambda N: mixed_region_bound(1, 1.0, N),
+    "mixed_region_bound e<1": lambda N: mixed_region_bound(2, 0.75, N),
+}
+
+
+@pytest.mark.parametrize("bound", TAIL_BOUNDS.values(), ids=TAIL_BOUNDS)
+def test_tail_bound_past_the_float_range(bound):
+    # N past 2^1000 is evaluated at 2^1000, which still bounds the tail.
+    assert 0.0 < bound(10**400) == bound(2**1000) < bound(10**6)
+
+
 class TestEulerRoute:
     def test_config_domain(self):
         assert len(beta_lower(1, MIN_PRIME_CUTOFF).reports) == 1

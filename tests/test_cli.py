@@ -115,17 +115,27 @@ class TestTraceVerb:
 
 class TestAlphaVerb:
     def test_reference_sums(self, tmp_path):
-        assert run(["alpha", "--N", "1e4", "--L", "15", "--M", "15",
-                    "--out", str(tmp_path)]) == 0
+        assert run(["alpha", "--N", "1e4", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "alpha.json")
         assert abs(doc["sums_value"] - 0.6983072233) < 1e-9
         assert doc["params"] == {"N": 10000, "L": 15, "M": 15}
 
     def test_reference_sums_1e6(self, tmp_path):
-        assert run(["alpha", "--N", "1e6", "--L", "15", "--M", "15",
-                    "--out", str(tmp_path)]) == 0
+        assert run(["alpha", "--N", "1e6", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "alpha.json")
         assert abs(doc["sums_value"] - 0.6983169710) < 1e-9
+
+    def test_depth_flags_are_gone(self, tmp_path):
+        # The series depths L = M = 15 are constants of the alpha module.
+        assert run(["alpha", "--L", "15", "--out", str(tmp_path)]) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_depth_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": 1000, "L": 15}))
+        assert run(["alpha", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "no alpha flag takes L=15" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBetaVerb:
@@ -240,6 +250,8 @@ class TestLambdaVerb:
         for key in ("version", "python", "numpy", "cpu_count", "workers", "block_size"):
             assert key in provenance
         assert provenance["python"].count(".") == 2
+        assert provenance["params"] == {"alpha": {"N": 10000, "L": 15, "M": 15},
+                                        "beta": {"J": 2, "P": 10000}}
 
     def test_alpha_runs_only_once_beta_completes(self, tmp_path, monkeypatch, killed_at_block):
         calls = []
@@ -268,8 +280,8 @@ class TestLambdaVerb:
 
     @pytest.mark.parametrize("flags, code", [
         (["--N", "2"], 1),
-        (["--L", "1"], 1),
-        (["--M", "0"], 1),
+        (["--block-size", "0"], 1),
+        (["--M", "15"], 1),
         (["--N", "2e10"], 2),
     ])
     def test_bad_alpha_flags_fail_before_beta(self, tmp_path, monkeypatch, flags, code):
@@ -278,6 +290,7 @@ class TestLambdaVerb:
 
         monkeypatch.setattr(cli, "beta_lower", no_beta)
         assert run(["lambda", *flags, "--J", "2", "--Nj", "1e4", "--out", str(tmp_path)]) == code
+        assert not list(tmp_path.iterdir())
 
 
 class TestConfigFile:
@@ -361,13 +374,11 @@ class TestReproducibility:
 
 class TestCombineLambda:
     def test_equal_bounds_give_zero(self):
-        from aliquot.alpha import AlphaParams, AlphaResult
+        from aliquot.alpha import AlphaResult
         from aliquot.beta import BetaSummary
         from aliquot.numerics import CertifiedValue
 
-        alpha_result = AlphaResult(
-            AlphaParams(10, 2, 2), CertifiedValue(0.7, 0.0), 0.0, 0.7, 0, 0.0
-        )
+        alpha_result = AlphaResult(10, CertifiedValue(0.7, 0.0), 0.0, 0.7, 0, 0.0)
         beta_result = BetaSummary(CertifiedValue(0.7, 0.0), [], 0.0)
         report = combine_lambda(alpha_result, beta_result)
         assert abs(report.lambda_upper) < 1e-15
