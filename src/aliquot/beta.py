@@ -495,16 +495,21 @@ def euler_log_sums(
 PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
 
 
+def _check_bound_args(j: int, N: int, least_N: int, e: float | None = None) -> None:
+    """The argument checks of the bounds on sums over n > N."""
+    if j < 1:
+        raise ParameterError(f"j must be >= 1, got {j}")
+    if e is not None and not 0 < e <= 1:
+        raise ParameterError(f"e must lie in (0, 1], got {e}")
+    if N < least_N:
+        raise ParameterError(f"N must be >= {least_N}, got {N}")
+
+
 def error_term(j: int, e: float, N: int) -> float:
     """Bound (2 j e N^e)^-1 (2/3)^j for the odd n > N with h_j(n) <= n^-e.
 
     N past 2^1000 is evaluated at 2^1000; the bound falls with N."""
-    if j < 1:
-        raise ParameterError(f"j must be >= 1, got {j}")
-    if not 0 < e <= 1:
-        raise ParameterError(f"e must lie in (0, 1], got {e}")
-    if N < 2:
-        raise ParameterError(f"N must be >= 2, got {N}")
+    _check_bound_args(j, N, 2, e)
     x = float(min(N, 1 << 1000))
     return (2.0 / 3.0) ** j / (2.0 * j * e * x**e)
 
@@ -795,6 +800,7 @@ def mixed_region_bound(j: int, e: float, N: int) -> float:
     for e = 1 (j = 1) the integral picks up a log factor instead.  Both
     fall with N, so N past 2^1000 is evaluated at 2^1000.
     """
+    _check_bound_args(j, N, 1, e)
     x = float(min(N, 1 << 1000))
     if e == 1.0:
         return (2.0 / 3.0) ** j * 2.0 * (0.5 * math.log(x) + 1.0) / x
@@ -862,6 +868,7 @@ def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
     so it covers the whole odd tail past N, exceptional set included.
     The bound falls with N, so N past 2^1000 is evaluated at 2^1000.
     """
+    _check_bound_args(j, N, 1)
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     power_limit = 10**6

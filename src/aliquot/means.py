@@ -93,15 +93,17 @@ def _sum_over_ranges(
     def eval_block(b_lo: int, b_hi: int) -> tuple[CertifiedValue | None, ...]:
         # An aligned block is exactly one segment, or none when it holds no
         # integer of the wanted parity.
-        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity), None)
-        n_vals, sig = segment if segment is not None else (np.empty(0, np.int64),) * 2
-        ratios = (sig - n_vals).astype(np.float64) / n_vals.astype(np.float64)
+        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity, ratio=True), None)
+        n_vals, ratios = segment if segment is not None else (np.empty(0, np.int64), np.empty(0))
         sums = []
         for kind, (r_lo, r_hi) in (("ratio", ratio_range), ("log", log_range)):
             if b_hi < r_lo or r_hi < b_lo:
                 sums.append(None)
                 continue
-            values = ratios[(n_vals >= max(r_lo, 2)) & (n_vals <= r_hi)]
+            # n_vals ascends, so the members of [r_lo, r_hi] are one slice.
+            values = ratios[
+                np.searchsorted(n_vals, max(r_lo, 2)) : np.searchsorted(n_vals, r_hi, side="right")
+            ]
             if kind == "log":
                 values = np.log(values)
             sums.append(parts_to_certified(*block_sum_parts(values)))

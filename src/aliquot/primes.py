@@ -5,12 +5,17 @@ the segment size, never by the range length.  The prime sieve
 (iter_prime_segments) marks odd numbers only, half a segment's length,
 and puts the prime 2 back where a segment holds it.  A segment of integers
 n0, n0 + stride, ... (stride 1 or 2) is factored along the strided walk
-(strided_prime_powers): it visits the odd base primes once and gives, per
-prime, the start of its multiples as a strided view (i0::p) and their
-exponents of p, so a kernel applies each prime with one in-place multiply
-and no per-(p, m) scatter.  Beta's odd-sum oracle and the exact sigma
-kernel (sigma_strided, under iter_sigma_segments) both consume it;
-2-adic parts and the large cofactor are left to them.
+(_prime_power_starts): it visits the odd base primes once and gives, per
+prime p, the start of the multiples of p, p^2, ... as strided views
+(i0::p, i1::p^2, ...), so a kernel applies each prime power with in-place
+strided operations and no per-(p, m) scatter.  Beta's odd-sum oracle
+consumes it through strided_prime_powers (the exponents of p as one
+array per prime); the exact sigma kernel (_sigma_tiles, under
+sigma_strided, ratio_strided and iter_sigma_segments) consumes the starts
+directly.  2-adic parts and the large cofactor are left to them.  The
+sigma kernel accumulates in uint32 where that is provably exact and in
+int64 past it, and finishes each tile of SIGMA_TILE integers, up to
+(sigma(n) - n) / n for the means, while the tile is in cache.
 
 The events path (iter_factor_segments, stride 1 only) is the walk's
 independent oracle: it divides out exact prime powers, listing one
@@ -34,6 +39,11 @@ from .numerics import aligned_blocks
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_SEGMENT_SIZE = 1 << 25
 MAX_RANGE_END = 10**10
+# Integers per tile of the sigma kernel: on a Xeon with 2 MB of L2 per core,
+# 1 << 14 to 1 << 16 ran alike on the means and 1 << 17 and up ran slower.
+SIGMA_TILE = 1 << 16
+# The largest n_max for uint32 sigma accumulators: n (1 + ln n) < 2^32 there.
+UINT32_N_MAX = 210_000_000
 
 
 @lru_cache(maxsize=8)
@@ -167,85 +177,137 @@ def sigma_of_segment(seg: SegmentFactors) -> np.ndarray:
     return sig
 
 
-def strided_prime_powers(
-    n0: int, size: int, stride: int
-) -> Iterator[tuple[int, int, np.ndarray | None]]:
-    """The odd base primes of the integers n0 + stride * i, 0 <= i < size.
+def _prime_power_starts(n0: int, size: int, stride: int) -> Iterator[tuple[int, list[int]]]:
+    """The strided walk: the odd base primes of n0 + stride * i, 0 <= i < size.
 
-    stride is 1 or 2.  Yields (p, i0, exps), in ascending order, for each
-    odd prime p with p^2 at most the largest integer that divides one of
-    the integers: its
-    multiples are the positions i0::p, i0 = -n0 * stride^-1 mod p, and
-    exps[k] is the exponent of p in the integer at position i0 + k * p,
-    or exps is None when every exponent is 1.  The multiples of p^m are
-    the progression from -n0 * stride^-1 mod p^m in steps of p^m.
+    stride is 1 or 2.  Yields (p, starts), in ascending p, for each odd
+    prime p <= sqrt(n_max) that divides one of the integers: the multiples
+    of p^m are the positions starts[m - 1]::p^m, with
+    starts[m - 1] = -n0 * stride^-1 mod p^m, for every m with a multiple
+    of p^m among the integers.
     """
     if size <= 0:
         return
     n_max = n0 + stride * (size - 1)
     base = _dense_primes(math.isqrt(n_max))
     for p in base[1:].tolist():
+        starts = []
+        pm = p
         # stride^-1 mod p^m is 1 for stride 1 and (p^m + 1) / 2 for stride 2.
-        i0 = (-n0 * ((p + 1) // 2 if stride == 2 else 1)) % p
-        if i0 >= size:
-            continue
-        exps = None
-        pm = p * p
-        while (i0m := (-n0 * ((pm + 1) // 2 if stride == 2 else 1)) % pm) < size:
-            if exps is None:
-                exps = np.ones((size - 1 - i0) // p + 1, dtype=np.intp)
-            exps[(i0m - i0) // p :: pm // p] += 1
+        while (i := (-n0 * ((pm + 1) // 2 if stride == 2 else 1)) % pm) < size:
+            starts.append(i)
             pm *= p
+        if starts:
+            yield p, starts
+
+
+def strided_prime_powers(
+    n0: int, size: int, stride: int
+) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """The strided walk (_prime_power_starts) with exponent arrays.
+
+    Yields (p, i0, exps): the multiples of p are the positions i0::p, and
+    exps[k] is the exponent of p in the integer at position i0 + k * p,
+    or exps is None when every exponent is 1.
+    """
+    for p, (i0, *deeper) in _prime_power_starts(n0, size, stride):
+        exps = None
+        if deeper:
+            exps = np.ones((size - 1 - i0) // p + 1, dtype=np.intp)
+            step = 1
+            for i0m in deeper:
+                step *= p
+                exps[(i0m - i0) // p :: step] += 1
         yield p, i0, exps
 
 
-@lru_cache(maxsize=1 << 12)
-def _sigma_rows(p: int, m_max: int) -> np.ndarray:
-    """sigma(p^m) (row 0) and p^m (row 1) for m = 0..m_max, int64, read-only."""
-    table = np.array(
-        [[(p ** (m + 1) - 1) // (p - 1) for m in range(m_max + 1)],
-         [p**m for m in range(m_max + 1)]],
-        dtype=np.int64,
-    )
-    table.flags.writeable = False
-    return table
+def _sigma_tiles(n0: int, size: int, stride: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, n, sigma(n)) per tile of n = n0 + stride * i, 0 <= i < size.
+
+    stride is 1 or 2.  Tiles hold SIGMA_TILE integers; n and sigma(n) come
+    as float64 (both exact).
+
+    Two accumulators hold the sigma part and the smooth part of every
+    integer.  Along the strided walk, each odd base prime p multiplies
+    its multiples by p + 1 and p; at each multiple of p^m, m >= 2, the
+    sigma part's factor sigma(p^(m-1)) becomes sigma(p^m) (an exact
+    division, then a multiply) and the smooth part gains one more p.
+    The walk runs once over the whole range: per tile it would repeat the
+    Python loop over the primes, which costs more than the cache misses it
+    saves.  The rest runs tile by tile, in cache.  Where n can be even,
+    its 2-adic part is low = n & -n, with sigma(low) = 2 low - 1.  What is
+    left, q = n / smooth, is 1 or one prime above sqrt(n), which adds the
+    factor q + 1 (the factor is 1 where q = 1).
+
+    Exactness.  sigma(n) / n = sum over d | n of 1/d <= H_n <= 1 + ln n.
+    Every partial product divides n or sigma(n), and 2 low - 1 < 2n, so
+    uint32 accumulators are exact when n_max (1 + ln n_max) < 2^32, which
+    holds for n_max <= UINT32_N_MAX; a range past it keeps int64.  The
+    choice depends only on the range's own n_max.  n and smooth are
+    integers below 2^53, and smooth divides n, so the float64 quotient q
+    is exact, and so is sigma(n) = (sigma part) * (q + 1), below 2^53 for
+    n <= MAX_RANGE_END.
+    """
+    n_max = n0 + stride * (size - 1)
+    dtype = np.uint32 if n_max <= UINT32_N_MAX else np.int64
+    sig = np.ones(size, dtype=dtype)
+    smooth = np.ones(size, dtype=dtype)
+    for p, (i0, *deeper) in _prime_power_starts(n0, size, stride):
+        sig[i0::p] *= p + 1
+        smooth[i0::p] *= p
+        pm, sigma_pm = p, p + 1
+        for i in deeper:
+            # A multiple of p^m holds sigma(p^(m-1)) from the level above.
+            pm *= p
+            view = sig[i::pm]
+            view //= sigma_pm
+            sigma_pm = sigma_pm * p + 1
+            view *= sigma_pm
+            smooth[i::pm] *= p
+    has_two = stride == 1 or n0 % 2 == 0
+    for start in range(0, size, SIGMA_TILE):
+        stop = min(start + SIGMA_TILE, size)
+        n = np.arange(n0 + stride * start, n0 + stride * stop, stride, dtype=dtype)
+        tile_sig, tile_smooth = sig[start:stop], smooth[start:stop]
+        if has_two:
+            low = n & -n
+            tile_smooth *= low
+            low *= 2
+            low -= 1
+            tile_sig *= low
+        n_float = n.astype(np.float64)
+        q = tile_smooth.astype(np.float64)
+        np.divide(n_float, q, out=q)
+        q += q != 1
+        q *= tile_sig
+        yield start, n_float, q
 
 
 def sigma_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, sigma(n)) for n = n0 + stride * i, 0 <= i < size, exact int64; stride 1 or 2.
 
-    Two accumulators hold the sigma part and the smooth part of every
-    integer; each odd base prime multiplies its strided view of both by
-    the sigma(p^m) and p^m its exponents pick.  Where n can be even, its
-    2-adic part is low = n & -n, with sigma(low) = 2 low - 1.  What is
-    left, n // smooth, is 1 or one prime q above sqrt(n), which adds the
-    factor q + 1 (the factor is 1 where nothing is left).  Every partial
-    product divides n or sigma(n), both below 2^63 for n <= MAX_RANGE_END,
-    so all of it is exact int64.
+    The kernel and its exactness argument are _sigma_tiles'.
     """
-    n_values = n0 + stride * np.arange(size, dtype=np.int64)
-    sig = np.ones(size, dtype=np.int64)
-    smooth = np.ones(size, dtype=np.int64)
-    for p, i0, exps in strided_prime_powers(n0, size, stride):
-        if exps is None:
-            sig[i0::p] *= p + 1
-            smooth[i0::p] *= p
-        else:
-            rows = _sigma_rows(p, int(exps.max()))
-            sig[i0::p] *= rows[0][exps]
-            smooth[i0::p] *= rows[1][exps]
-    if stride == 1 or n0 % 2 == 0:
-        low = n_values & -n_values
-        smooth *= low
-        low *= 2
-        low -= 1
-        sig *= low
-    cofactor = n_values // smooth
-    ones = np.flatnonzero(cofactor == 1)
-    cofactor += 1
-    cofactor[ones] = 1
-    sig *= cofactor
+    n_values = np.arange(n0, n0 + stride * size, stride, dtype=np.int64)
+    sig = np.empty(size, dtype=np.int64)
+    for start, _, sigma in _sigma_tiles(n0, size, stride):
+        sig[start : start + sigma.size] = sigma
     return n_values, sig
+
+
+def ratio_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, (sigma(n) - n) / n) for n = n0 + stride * i, 0 <= i < size; stride 1 or 2.
+
+    Each ratio is formed while its tile is in cache.  sigma(n) - n is an
+    exact integer below 2^53, so the ratio has the bits of
+    float(sigma(n) - n) / float(n).
+    """
+    n_values = np.arange(n0, n0 + stride * size, stride, dtype=np.int64)
+    ratios = np.empty(size, dtype=np.float64)
+    for start, n, sigma in _sigma_tiles(n0, size, stride):
+        sigma -= n
+        np.divide(sigma, n, out=ratios[start : start + n.size])
+    return n_values, ratios
 
 
 def iter_sigma_segments(
@@ -253,11 +315,15 @@ def iter_sigma_segments(
     hi: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     parity: int | None = None,
+    *,
+    ratio: bool = False,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (n_values, sigma_values) per segment over [lo, hi].
 
     With ``parity`` (0 or 1) the arrays hold only the n of [lo, hi] with
-    n % 2 == parity, and segments without one are skipped.
+    n % 2 == parity, and segments without one are skipped.  With ``ratio``
+    the second array holds (sigma(n) - n) / n as float64 (ratio_strided)
+    instead of sigma(n).
     """
     if lo < 1:
         raise ParameterError(f"range start must be >= 1, got {lo}")
@@ -266,10 +332,11 @@ def iter_sigma_segments(
     if hi < lo:
         return
     check_range(lo, hi, segment_size)
+    kernel = ratio_strided if ratio else sigma_strided
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         if parity is None:
-            yield sigma_strided(seg_lo, seg_hi - seg_lo + 1, 1)
+            yield kernel(seg_lo, seg_hi - seg_lo + 1, 1)
         else:
             n0 = seg_lo + (seg_lo - parity) % 2
             if n0 <= seg_hi:
-                yield sigma_strided(n0, (seg_hi - n0) // 2 + 1, 2)
+                yield kernel(n0, (seg_hi - n0) // 2 + 1, 2)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,36 @@ from aliquot.primes import primes_in_range
 TWO_BETA2_J1 = 0.6066951524152918
 #   (2/3) * sum over m = 0..40 of (1/3^m) (3^m/sigma(3^m))
 BETA_PRIME_1_3 = 0.9095380034736508
+
+ORACLE_JS = (1, 2, 8, 32, 64)
+
+
+def _encloses(cv: CertifiedValue, exact) -> bool:
+    """Whether [value - radius, value + radius], taken exactly, holds exact."""
+    with mpmath.workdps(60):
+        value, radius = mpmath.mpf(cv.value), mpmath.mpf(cv.error_radius)
+        return value - radius <= exact <= value + radius
+
+
+def _exact_two_beta2_minus_one(j: int):
+    """sum over m >= 1 of (2^m / (2^(m+1) - 1))^j / 2^m at 50 digits; the
+    terms past m = 250 add less than 2^-250 (2/3)^j."""
+    with mpmath.workdps(50):
+        return mpmath.fsum(
+            (mpmath.mpf(2**m) / (2 ** (m + 1) - 1)) ** j / 2**m for m in range(1, 251)
+        )
+
+
+def _exact_beta_prime(j: int, p: int):
+    """(1 - 1/p) sum over m >= 0 of (p^m / sigma(p^m))^j / p^m at 50 digits,
+    until p^-m < 10^-70 (the dropped tail is below p^-m / (p - 1))."""
+    with mpmath.workdps(50):
+        terms, m = [], 0
+        while p**m <= 10**70:
+            sigma = (p ** (m + 1) - 1) // (p - 1)
+            terms.append((mpmath.mpf(p**m) / sigma) ** j / p**m)
+            m += 1
+        return (1 - mpmath.mpf(1) / p) * mpmath.fsum(terms)
 
 
 class TestGH:
@@ -123,6 +154,10 @@ class TestDyadicFactor:
             z = two_beta2_minus_one(j)
             assert z.value - z.error_radius > 0
 
+    @pytest.mark.parametrize("j", ORACLE_JS)
+    def test_encloses_the_50_digit_value(self, j):
+        assert _encloses(two_beta2_minus_one(j), _exact_two_beta2_minus_one(j))
+
     def test_consistent_with_euler_factor(self):
         # 2 beta_j(2) - 1 recomputed through the Euler-factor series.
         for j in (1, 2, 5):
@@ -135,6 +170,12 @@ class TestBetaPrime:
     def test_oracle_value(self):
         bp = beta_prime(1, 3, 40)
         assert abs(bp.value - BETA_PRIME_1_3) <= bp.error_radius + 1e-15
+
+    @pytest.mark.parametrize("depth", [4, 40])
+    @pytest.mark.parametrize("p", [3, 5, 1009])
+    @pytest.mark.parametrize("j", ORACLE_JS)
+    def test_encloses_the_50_digit_value(self, j, p, depth):
+        assert _encloses(beta_prime(j, p, depth), _exact_beta_prime(j, p))
 
     def test_in_unit_interval(self):
         for j in (1, 2, 6, 12):
@@ -690,6 +731,32 @@ TAIL_BOUNDS = {
 def test_tail_bound_past_the_float_range(bound):
     # N past 2^1000 is evaluated at 2^1000, which still bounds the tail.
     assert 0.0 < bound(10**400) == bound(2**1000) < bound(10**6)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: s_tail_bound(1, -5), "N must be >= 1"),  # was a complex number
+        (lambda: s_tail_bound(1, 0), "N must be >= 1"),  # was a ZeroDivisionError
+        (lambda: s_tail_bound(0, 10), "j must be >= 1"),
+        (lambda: s_tail_bound(-1, 10), "j must be >= 1"),
+        (lambda: mixed_region_bound(2, 0.75, -5), "N must be >= 1"),  # was a complex number
+        (lambda: mixed_region_bound(2, 0.75, 0), "N must be >= 1"),
+        (lambda: mixed_region_bound(0, 0.75, 10), "j must be >= 1"),
+        (lambda: mixed_region_bound(2, 0.0, 10), r"e must lie in \(0, 1\]"),
+        (lambda: mixed_region_bound(2, -0.5, 10), r"e must lie in \(0, 1\]"),
+        (lambda: mixed_region_bound(2, 1.5, 10), r"e must lie in \(0, 1\]"),
+    ],
+)
+def test_tail_bounds_reject_bad_arguments(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_tail_bounds_accept_the_least_N():
+    for value in (s_tail_bound(1, 1), mixed_region_bound(1, 1.0, 1),
+                  mixed_region_bound(2, 0.75, 1), error_term(3, 0.6, 2)):
+        assert isinstance(value, float) and 0.0 < value < math.inf
 
 
 class TestEulerRoute:

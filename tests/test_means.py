@@ -92,7 +92,7 @@ class TestLogMean:
     def test_worker_bit_identity(self):
         a = log_mean("even", 10**5, block_size=1 << 14, workers=1)
         b = log_mean("even", 10**5, block_size=1 << 14, workers=4)
-        assert a.value == b.value
+        assert (a.value, a.error_radius) == (b.value, b.error_radius)
 
     def test_block_size_within_radii(self):
         a = log_mean("even", 10**5, block_size=1 << 20)
@@ -131,3 +131,22 @@ class TestReport:
         assert doc["closed_form"] == closed_form("even")
         row = rep.csv_row()
         assert len(row) == len(CSV_HEADER)
+
+
+# Report bits pinned as hex floats (numpy 2.4.6): any change to the sigma
+# kernel, the ratio or the block sums that moves one bit fails here.
+PINNED_MEANS = [
+    ("even", 10**6, "log", "-0x1.107cd2484ee89p-5", "0x1.5181866d2550fp-35"),
+    ("even", 10**6, "arithmetic", "0x1.0e609297f4802p+0", "0x1.027e9368fbc6fp-33"),
+    ("all", 2 * 10**5, "log", "-0x1.c34c693cfcec1p+0", None),
+    ("odd", 2 * 10**5, "log", "-0x1.bf0aafa39481ap+1", None),
+]
+
+
+@pytest.mark.parametrize("mean_class,N,kind,value,radius", PINNED_MEANS)
+def test_pinned_report_bits(mean_class, N, kind, value, radius):
+    report = mean_report(mean_class, N)
+    got = report.logarithmic if kind == "log" else report.arithmetic
+    assert got.value.hex() == value
+    if radius is not None:
+        assert got.error_radius.hex() == radius

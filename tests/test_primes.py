@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from aliquot.arith import is_prime, sigma_oracle
 from aliquot.errors import ParameterError, ResourceError
 from aliquot.numerics import aligned_blocks
+from aliquot import primes as primes_module
 from aliquot.primes import (
     MAX_RANGE_END,
+    SIGMA_TILE,
+    UINT32_N_MAX,
     _dense_primes,
     iter_factor_segments,
     iter_prime_segments,
@@ -94,9 +97,9 @@ def _sigma_oracles(lo, hi, parity):
     return n_vals[keep], sig[keep]
 
 
-def _check_sigma_kernel(lo, length, parity, samples):
+def _check_sigma_kernel(lo, length, parity, samples, segment_size=1024):
     hi = lo + length - 1
-    got = list(iter_sigma_segments(lo, hi, 1024, parity))
+    got = list(iter_sigma_segments(lo, hi, segment_size, parity))
     n_got = np.concatenate([n for n, _ in got]) if got else np.empty(0, np.int64)
     sig_got = np.concatenate([s for _, s in got]) if got else np.empty(0, np.int64)
     n_ref, sig_ref = _sigma_oracles(lo, hi, parity) if hi >= lo else (n_got, sig_got)
@@ -132,6 +135,53 @@ class TestSigmaKernel:
     def test_near_the_range_bound(self, lo, length, parity, samples):
         # Large prime cofactors and 2-adic parts from n & -n near 10^10.
         _check_sigma_kernel(lo, min(length, MAX_RANGE_END - lo + 1), parity, samples)
+
+    @pytest.mark.parametrize("parity", [None, 0, 1])
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            # The last segment ends at UINT32_N_MAX: every segment is uint32.
+            (UINT32_N_MAX - 5 * SIGMA_TILE - 5, UINT32_N_MAX),
+            # The segment that holds UINT32_N_MAX + 1 is int64, those below uint32.
+            (UINT32_N_MAX - 3 * SIGMA_TILE + 3, UINT32_N_MAX + 3 * SIGMA_TILE + 7),
+        ],
+    )
+    def test_tile_edges_and_the_uint32_bound(self, lo, hi, parity):
+        # Segments of 4 SIGMA_TILE integers: whole ones hold four tiles of
+        # stride 1 and two of stride 2, and the ranges stop inside tiles.
+        samples = [0, 1, SIGMA_TILE - 1, SIGMA_TILE, 3 * SIGMA_TILE + 17]
+        _check_sigma_kernel(lo, hi - lo + 1, parity, samples, 4 * SIGMA_TILE)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 10**6),
+        st.integers(1, 600),
+        st.sampled_from([None, 0, 1]),
+        st.integers(1, 40),
+    )
+    def test_small_tiles(self, lo, length, parity, tile):
+        # Many tiles per segment, and tiles of one integer.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "SIGMA_TILE", tile)
+            _check_sigma_kernel(lo, length, parity, [])
+
+    def test_uint32_bound_holds(self):
+        # sigma(n) <= n (1 + ln n) < 2^32 for n <= UINT32_N_MAX.
+        assert UINT32_N_MAX * (1 + math.log(UINT32_N_MAX)) < 2**32
+
+    @pytest.mark.parametrize("parity", [None, 0, 1])
+    def test_ratio_segments(self, parity):
+        # ratio=True gives (sigma(n) - n) / n, bit for bit the float
+        # quotient of the exact integers, over the same n.
+        lo, hi = UINT32_N_MAX - 5000, UINT32_N_MAX + 5000
+        for (n_s, sig), (n_r, ratio) in zip(
+            iter_sigma_segments(lo, hi, 4096, parity),
+            iter_sigma_segments(lo, hi, 4096, parity, ratio=True),
+            strict=True,
+        ):
+            assert np.array_equal(n_s, n_r)
+            expected = (sig - n_s).astype(np.float64) / n_s.astype(np.float64)
+            assert ratio.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("parity", [None, 0, 1])
     def test_segment_size_invariance(self, parity):
