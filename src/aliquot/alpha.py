@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .numerics import (
+    DEFAULT_BLOCK_SIZE,
     EPS,
     CertifiedValue,
     aligned_blocks,
@@ -55,7 +56,6 @@ from .numerics import (
 )
 from .primes import check_range, iter_prime_segments
 
-DEFAULT_BLOCK_SIZE = 1 << 20
 L = 15  # depth of the p = 2 series
 M = 15  # the odd primes' series depth, at most
 
@@ -167,9 +167,9 @@ def _block_sums(primes: np.ndarray, M: int) -> tuple[tuple, tuple]:
     reciprocal adds u, log1p (condition number below 1 for x > 0) 2u, and
     the division by q its (k - 1)u plus u: the depth-k term is within
     (2.5k + 5)u.  At depth k <= M = 15 that is at most 42.5u = 21.25 EPS
-    of the term, inside parts_to_certified's allowance of 64 EPS per
-    term.  A term that underflows is off by less than 2^-1074, far below
-    EPS times its block's first terms.
+    of the term, inside parts_to_certified's allowance of
+    numerics.OPS_ALLOWANCE = 64 EPS per term.  A term that underflows is
+    off by less than 2^-1074, far below EPS times its block's first terms.
     """
     p = primes.astype(np.float64)
     term_arrays = []
@@ -187,7 +187,7 @@ def check_cutoff(N: int, block_size: int) -> None:
     """ParameterError for N <= 2; the sieve's limits on N and block_size."""
     if N <= 2:
         raise ParameterError(f"N must exceed 2, got {N}")
-    check_range(2, N, block_size)
+    check_range(N, block_size)
 
 
 def alpha_upper_bound(

@@ -38,8 +38,9 @@ log beta_j(p) = log1p(-d_{p,j}) for every j at once:
   d is within 28.5u; log1p(-d) (condition number <= 1.24 for d <= 1/3)
   within 37.4u; and tau's one-sided shift moves log beta_j(p) by at most
   1.5 tau <= 3u |log1p(-d)|.  Each term is within 41u = 20.5 EPS of
-  log beta_j(p), inside parts_to_certified's allowance of 64 EPS per
-  term, so each block's value +- radius encloses its exact log sum.
+  log beta_j(p), inside parts_to_certified's allowance of
+  OPS_ALLOWANCE = 64 EPS per term (numerics), so each block's value
+  +- radius encloses its exact log sum.
 * Large primes.  For p >= SERIES_FROM = 2^20 the pass takes log beta_j(p)
   from its power series in u = 1/p instead (below).
 * Primes past P.  prod over p > P of beta_j(p) >= 1 - sum over p > P
@@ -82,7 +83,7 @@ their primes' log sum is sum over k of c_k(j) S_k plus a remainder
   per prime: 0.373 (8j)^(K+2) S_(K+1)/(2^20 - 8j) over them all, taken at
   S_(K+1)'s upper end and raised by 1 + 8 EPS over its few roundings.
 * Float radius.  p^-k is (1/p)^2 times k - 2 more factors 1/p, within
-  (2k - 1)u <= 17u, inside parts_to_certified's 64 EPS per term, so each
+  (2k - 1)u <= 17u, inside OPS_ALLOWANCE = 64 EPS per term, so each
   certified S_k encloses its exact sum.  Each c_k(j) is rounded to the
   nearest double (radius EPS |c_k|), and certified_product and
   certified_combine carry the products and their sum.
@@ -111,7 +112,7 @@ oracle of the Euler values.  The paper's route splits that tail into the
 integers with h_j(n) <= n^-e, bounded by error_term, and the finite
 exceptional set S = {n : h_j(n) > n^-e} (s_set; its members are products
 of prime powers from the finite set t_set).  Those functions reproduce
-the paper's tables and bound main_term_direct's mixed region.
+the paper's tables.
 
 Every quantity feeding the final bound carries an explicit error radius;
 subtractions are always taken on the pessimistic side.
@@ -131,6 +132,7 @@ from .arith import Factorization
 from .checkpoint import BlockRecord, CheckpointStore
 from .errors import ParameterError, ResourceError, SSetBudgetExceeded
 from .numerics import (
+    DEFAULT_BLOCK_SIZE,
     EPS,
     CertifiedValue,
     aligned_blocks,
@@ -145,13 +147,12 @@ from .numerics import (
 )
 from .primes import (
     check_range,
-    iter_factor_segments,
+    iter_factor_segments,  # read by nothing; kept while alqbench/spans.py wraps it
     iter_prime_segments,
     primes_in_range,
     strided_prime_powers,
 )
 
-DEFAULT_BLOCK_SIZE = 1 << 20
 K2 = 64  # two_beta2_minus_one's truncation depth
 DEFAULT_NODE_BUDGET = 500_000
 _RANKIN_CUTOFF = 100_000  # s_tail_bound evaluates the odd primes up to this directly
@@ -422,7 +423,7 @@ def euler_log_sums(
     """
     if not 1 <= J <= MAX_J:
         raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
-    check_range(3, P, block_size)
+    check_range(P, block_size)
     blocks = aligned_blocks(3, P, block_size)
 
     direct_keys = {str(j) for j in range(1, J + 1)}
@@ -690,10 +691,10 @@ def _prime_power_rows(p: int, m_max: int, js: tuple[int, ...]) -> np.ndarray:
 
     Row m holds -h_j(p^m) for each j in js, then p^m / sigma(p^m) and p^m
     (row 0 is all ones): the per-prime factors of the columns that
-    _block_odd_signed accumulates, and of main_term_direct's terms.  The
-    sign is the prime power's factor -1 of (-1)^nu(n), so a product of
-    h rows is (-1)^nu(n) h_j(n); negation is exact, so this gives the bits
-    of a separate sign factor.  Read-only, as rows are shared.
+    _block_odd_signed accumulates.  The sign is the prime power's factor
+    -1 of (-1)^nu(n), so a product of h rows is (-1)^nu(n) h_j(n);
+    negation is exact, so this gives the bits of a separate sign factor.
+    Read-only, as rows are shared.
     """
     rows = [[1.0] * (len(js) + 2)]
     for m in range(1, m_max + 1):
@@ -768,7 +769,7 @@ def odd_signed_sums(
     ascending order, so results are independent of worker count.
     """
     j_list = sorted(set(j_list))
-    check_range(1, N, block_size)
+    check_range(N, block_size)
     parts = map_blocks(
         aligned_blocks(1, N, block_size), lambda lo, hi: _block_odd_signed(lo, hi, j_list), workers
     )
@@ -792,56 +793,6 @@ def main_term(j: int, N: int, *, odd_sum: CertifiedValue | None = None) -> Certi
         odd_sum = odd_signed_sums([j], N)[j]
     z = two_beta2_minus_one(j)
     return certified_quotient(certified_product(z, odd_sum), j)
-
-
-def mixed_region_bound(j: int, e: float, N: int) -> float:
-    """Bound for the even integers a direct sum over n <= N misses
-    (odd part at most N but 2^k n_o beyond N): (2/3)^j 2 M / ((1-e) N^e);
-    for e = 1 (j = 1) the integral picks up a log factor instead.  Both
-    fall with N, so N past 2^1000 is evaluated at 2^1000.
-    """
-    _check_bound_args(j, N, 1, e)
-    x = float(min(N, 1 << 1000))
-    if e == 1.0:
-        return (2.0 / 3.0) ** j * 2.0 * (0.5 * math.log(x) + 1.0) / x
-    return (2.0 / 3.0) ** j * 2.0 * m_const(j, e) / ((1.0 - e) * x**e)
-
-
-def main_term_direct(j: int, N: int) -> CertifiedValue:
-    """Cross-check form: (1/j) * sum of beta*_j(n) over even n <= N, where
-    beta*_j(2^k n_o) = g_j(2^k) beta_j(n_o).
-
-    Used in place of the factorized form, its uncertainty must also cover
-    mixed_region_bound(j, e, N) at one of the paper's exponents e.
-    """
-    check_range(1, N, DEFAULT_BLOCK_SIZE)
-
-    def eval_block(lo: int, hi: int) -> CertifiedValue:
-        # An aligned block is exactly one segment.
-        (seg,) = iter_factor_segments(lo, hi, segment_size=DEFAULT_BLOCK_SIZE)
-        size = seg.n_values.size
-        ratio = np.ones(size)
-        h_arr = np.ones(size)
-        two_part = np.ones(size)
-        odd_part = seg.n_values.copy()
-        for p, m, idx in seg.events:
-            if p == 2:
-                two_part[idx] = g_prime_power(j, 2, m)
-                odd_part[idx] //= 2**m
-                continue
-            h_pm, ratio_pm, _ = _prime_power_rows(p, m, (j,))[m]
-            ratio[idx] *= ratio_pm
-            h_arr[idx] *= h_pm
-        tail = seg.rem > 1
-        if tail.any():
-            q = seg.rem[tail].astype(np.float64)
-            ratio[tail] *= q / (q + 1.0)
-            h_arr[tail] *= -np.expm1(j * np.log1p(1.0 / q))
-        vals = two_part * (ratio**j) * h_arr / odd_part.astype(np.float64)
-        return parts_to_certified(*block_sum_parts(vals[seg.n_values % 2 == 0]))
-
-    total = combine_blocks(map_blocks(aligned_blocks(2, N, DEFAULT_BLOCK_SIZE), eval_block, 1))
-    return certified_quotient(total, j)
 
 
 @lru_cache(maxsize=1)

@@ -146,7 +146,7 @@ def _write_json(out_dir: Path, name: str, doc: dict) -> Path:
     return path
 
 
-def _write_csv(out_dir: Path, name: str, header: list, rows: list[list]) -> Path:
+def _write_csv(out_dir: Path, name: str, header: list, rows: list) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.csv"
     with open(path, "w", newline="") as fh:
@@ -198,19 +198,7 @@ def _run_beta(args, out_dir: Path) -> BetaSummary:
     doc = summary.to_json_dict()
     doc["provenance"] = _provenance(args, {"J": args.J, "P": args.Nj})
     path = _write_json(out_dir, "beta", doc)
-    rows = [
-        [
-            r.j,
-            r.P,
-            repr(r.log_product.value),
-            repr(r.log_product.error_radius),
-            repr(r.main.value),
-            repr(r.main.error_radius),
-            repr(r.tail_charge),
-            repr(r.contribution_lower),
-        ]
-        for r in summary.reports
-    ]
+    rows = [r.to_json_dict().values() for r in summary.reports]  # csv writes str(float) == repr
     header = ["j", "P", "log_product", "log_product_radius", "main", "main_radius",
               "tail_charge", "contribution_lower"]
     _write_csv(out_dir, "beta", header, rows)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .numerics import (
+    DEFAULT_BLOCK_SIZE,
     ZERO,
     CertifiedValue,
     aligned_blocks,
@@ -88,7 +89,7 @@ def _sum_over_ranges(
         return ZERO, ZERO
     lo = min(r_lo for r_lo, _ in ranges)
     hi = max(r_hi for _, r_hi in ranges)
-    check_range(lo, hi, block_size)
+    check_range(hi, block_size)
 
     def eval_block(b_lo: int, b_hi: int) -> tuple[CertifiedValue | None, ...]:
         # An aligned block is exactly one segment, or none when it holds no
@@ -117,7 +118,7 @@ def arithmetic_mean(
     mean_class: MeanClass,
     N: int,
     *,
-    block_size: int = 1 << 20,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
 ) -> CertifiedValue:
     """(1/N) * sum over n = 1..N of s(n)/n, s(2n)/(2n), or s(2n-1)/(2n-1)."""
@@ -131,7 +132,7 @@ def log_mean(
     mean_class: MeanClass,
     N: int,
     *,
-    block_size: int = 1 << 20,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
 ) -> CertifiedValue:
     """Average of log(s(n)/n) over the class members up to N.
@@ -182,7 +183,7 @@ CSV_HEADER = ["class", "N", "arithmetic_mean", "log_mean", "closed_form", "error
 
 
 def mean_report(
-    mean_class: MeanClass, N: int, *, block_size: int = 1 << 20, workers: int = 1
+    mean_class: MeanClass, N: int, *, block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1
 ) -> MeanReport:
     """arithmetic_mean and log_mean of a class at N, bit for bit, from one pass.
 

@@ -35,6 +35,10 @@ from .errors import ParameterError
 # around 1; deliberately the conservative choice, twice the unit roundoff).
 EPS = 2.0 ** -52
 
+# parts_to_certified's allowance, in EPS per term, for the roundings that
+# form each term; alpha's and beta's docstrings bound their terms inside it.
+OPS_ALLOWANCE = 64
+
 # exact_sum: a term's high piece keeps its sign, its exponent and the top
 # 20 of its 52 fraction bits.
 _SUM_CHUNK = 1 << 15  # cache-sized; the exactness argument allows up to 2^20
@@ -186,6 +190,11 @@ def combine_blocks(block_values: Sequence[CertifiedValue]) -> CertifiedValue:
     return acc
 
 
+# The block size of every pass (alpha, beta, the means) unless a caller
+# passes its own; alq's --block-size default repeats it.
+DEFAULT_BLOCK_SIZE = 1 << 20
+
+
 def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
     """The inclusive pieces of [lo, hi] cut at multiples of ``block_size``.
 
@@ -254,11 +263,11 @@ def block_sum_parts(values: np.ndarray) -> tuple[float, float, int]:
     return exact_sum(values), float(np.abs(values).sum()), n
 
 
-def parts_to_certified(value: float, abs_sum: float, n_terms: int, ops_allowance: int = 64) -> CertifiedValue:
+def parts_to_certified(value: float, abs_sum: float, n_terms: int) -> CertifiedValue:
     """CertifiedValue from block_sum_parts output.
 
-    ``ops_allowance`` covers the relative error of computing each term from
+    OPS_ALLOWANCE covers the relative error of computing each term from
     exact inputs (a bounded number of roundings per term), on top of the
     summation budget.
     """
-    return CertifiedValue(value, (n_terms + ops_allowance) * EPS * abs_sum)
+    return CertifiedValue(value, (n_terms + OPS_ALLOWANCE) * EPS * abs_sum)

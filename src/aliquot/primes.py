@@ -21,7 +21,7 @@ The events path (iter_factor_segments, stride 1 only) is the walk's
 independent oracle: it divides out exact prime powers, listing one
 (p, m, positions) event per prime power, and whatever remains after all
 base primes is either 1 or a single prime above sqrt(hi).  It feeds
-sigma_of_segment and beta.main_term_direct.
+sigma_of_segment, which the tests check the sigma kernel against.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError, ResourceError
-from .numerics import aligned_blocks
+from .numerics import DEFAULT_BLOCK_SIZE, aligned_blocks
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_SEGMENT_SIZE = 1 << 25
 MAX_RANGE_END = 10**10
 # Integers per tile of the sigma kernel: on a Xeon with 2 MB of L2 per core,
@@ -59,7 +58,7 @@ def _dense_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def check_range(lo: int, hi: int, segment_size: int) -> None:
+def check_range(hi: int, segment_size: int) -> None:
     if segment_size <= 0:
         raise ParameterError(f"segment_size must be positive, got {segment_size}")
     if segment_size > MAX_SEGMENT_SIZE:
@@ -75,7 +74,7 @@ def check_range(lo: int, hi: int, segment_size: int) -> None:
 
 
 def iter_prime_segments(
-    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
+    lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE
 ) -> Iterator[np.ndarray]:
     """Yield the primes of [lo, hi] as int64 arrays, one per segment.
 
@@ -91,7 +90,7 @@ def iter_prime_segments(
         lo = 2
     if hi < lo:
         return
-    check_range(lo, hi, segment_size)
+    check_range(hi, segment_size)
     base = _dense_primes(math.isqrt(hi))[1:]
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         n0 = seg_lo | 1
@@ -108,7 +107,7 @@ def iter_prime_segments(
         yield found.astype(np.int64, copy=False)
 
 
-def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
     """Exactly the primes in the inclusive range [lo, hi], ascending."""
     if lo > hi:
         return np.empty(0, dtype=np.int64)
@@ -133,7 +132,7 @@ class SegmentFactors:
 
 
 def iter_factor_segments(
-    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
+    lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE
 ) -> Iterator[SegmentFactors]:
     """Factor [lo, hi] segment by segment along the events path.
 
@@ -144,7 +143,7 @@ def iter_factor_segments(
         raise ParameterError(f"range start must be >= 1, got {lo}")
     if hi < lo:
         return
-    check_range(lo, hi, segment_size)
+    check_range(hi, segment_size)
     base = _dense_primes(math.isqrt(hi))
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         n_values = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
@@ -313,7 +312,7 @@ def ratio_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarr
 def iter_sigma_segments(
     lo: int,
     hi: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    segment_size: int = DEFAULT_BLOCK_SIZE,
     parity: int | None = None,
     *,
     ratio: bool = False,
@@ -331,7 +330,7 @@ def iter_sigma_segments(
         raise ParameterError(f"parity must be None, 0 or 1, got {parity!r}")
     if hi < lo:
         return
-    check_range(lo, hi, segment_size)
+    check_range(hi, segment_size)
     kernel = ratio_strided if ratio else sigma_strided
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         if parity is None:

@@ -103,12 +103,8 @@ def trace(start: int, max_steps: int = 1000, rho_budget: int = 500_000) -> Traje
         parity_events.append(0)
     classification = Classification(STEP_LIMIT_REACHED)
     for _ in range(max_steps):
-        current = terms[-1]
-        if current == 1:
-            classification = Classification(TERMINATES_AT_1)
-            break
         try:
-            nxt = aliquot_sum(current, rho_budget)
+            nxt = aliquot_sum(terms[-1], rho_budget)
         except UnresolvedCofactorError:
             classification = Classification(EFFORT_EXHAUSTED)
             break
@@ -125,6 +121,4 @@ def trace(start: int, max_steps: int = 1000, rho_budget: int = 500_000) -> Traje
         if nxt == 1:
             classification = Classification(TERMINATES_AT_1)
             break
-    else:
-        classification = Classification(STEP_LIMIT_REACHED)
     return TrajectoryRecord(start, terms, classification, parity_events)

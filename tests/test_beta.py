@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aliquot import beta as beta_module
@@ -28,8 +28,6 @@ from aliquot.beta import (
     h_prime_power_binomial,
     m_const,
     main_term,
-    main_term_direct,
-    mixed_region_bound,
     odd_signed_sums,
     prime_tail_bound,
     s_set,
@@ -43,9 +41,6 @@ from aliquot.numerics import (
     EPS,
     CertifiedValue,
     aligned_blocks,
-    certified_product,
-    certified_quotient,
-    combine_blocks,
     parts_to_certified,
 )
 from aliquot.primes import primes_in_range
@@ -360,28 +355,6 @@ class TestSSet:
 
 
 class TestMainTerm:
-    def test_direct_hand_example(self):
-        cv = main_term_direct(1, 6)
-        assert cv.value == pytest.approx(1 / 3 + 1 / 7 - 1 / 36, rel=1e-14)
-        assert mixed_region_bound(1, 1.0, 6) > 0
-
-    def test_direct_matches_per_n_oracle(self):
-        # beta*_j(n) summed over even n <= N, evaluated per-n from the
-        # definition with explicit factorizations.
-        N = 600
-        for j in (1, 2, 3):
-            expected = 0.0
-            terms = []
-            for n in range(2, N + 1, 2):
-                k = (n & -n).bit_length() - 1
-                odd = n >> k
-                terms.append(
-                    g_prime_power(j, 2, k) * beta_signed(j, factorize(odd))
-                )
-            expected = math.fsum(terms) / j
-            got = main_term_direct(j, N)
-            assert abs(got.value - expected) <= got.error_radius + 1e-13
-
     def test_factorized_matches_per_n_oracle(self):
         N = 2000
         for j in (1, 2):
@@ -392,24 +365,6 @@ class TestMainTerm:
             expected = z.value * odd_sum / j
             got = main_term(j, N)
             assert abs(got.value - expected) <= got.error_radius + 1e-12
-
-    def test_direct_matches_strided_odd_sums_at_scale(self):
-        # Sum over even n <= N of g_j(2^k) beta_j(n >> k) regrouped by k is
-        # sum over k >= 1 of g_j(2^k) * (odd sum to N >> k): the events path
-        # (main_term_direct) against the strided block kernel.
-        N = 10**6
-        js = list(range(1, 9))
-        odd = {k: odd_signed_sums(js, N >> k) for k in range(1, N.bit_length())}
-        for j in js:
-            got = main_term_direct(j, N)
-            expected = certified_quotient(
-                combine_blocks([
-                    certified_product(CertifiedValue(g_prime_power(j, 2, k), 0.0), sums[j])
-                    for k, sums in odd.items()
-                ]),
-                j,
-            )
-            assert abs(got.value - expected.value) <= got.error_radius + expected.error_radius
 
 
 class TestOddSignedSums:
@@ -438,16 +393,21 @@ class TestOddSignedSums:
         st.integers(0, 400),
         st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
     )
+    # Whole blocks far past lo <= 1e6: base primes to sqrt(1e9), deep prime
+    # powers and large cofactors.
+    @example(10**7, 1 << 12, list(range(1, 9)))
+    @example(10**9 - (1 << 12), 1 << 12, list(range(1, 9)))
     def test_block_kernel_matches_per_n_oracle(self, lo, length, j_list):
         # The strided block kernel against beta_j(n) from factorize, per n.
         hi = lo + length - 1
         odd = range(lo | 1, hi + 1, 2)
         parts = beta_module._block_odd_signed(lo, hi, j_list)
         assert sorted(parts) == sorted(j_list)
+        factored = [factorize(n) for n in odd]
         for j in j_list:
             block = parts_to_certified(*parts[j])
             assert parts[j][2] == len(odd)
-            oracle = math.fsum(beta_signed(j, factorize(n)) for n in odd)
+            oracle = math.fsum(beta_signed(j, f) for f in factored)
             assert abs(block.value - oracle) <= block.error_radius
 
 
@@ -722,8 +682,6 @@ class TestBetaLower:
 TAIL_BOUNDS = {
     "s_tail_bound": lambda N: s_tail_bound(2, N),
     "error_term": lambda N: error_term(3, 0.6, N),
-    "mixed_region_bound e=1": lambda N: mixed_region_bound(1, 1.0, N),
-    "mixed_region_bound e<1": lambda N: mixed_region_bound(2, 0.75, N),
 }
 
 
@@ -740,12 +698,12 @@ def test_tail_bound_past_the_float_range(bound):
         (lambda: s_tail_bound(1, 0), "N must be >= 1"),  # was a ZeroDivisionError
         (lambda: s_tail_bound(0, 10), "j must be >= 1"),
         (lambda: s_tail_bound(-1, 10), "j must be >= 1"),
-        (lambda: mixed_region_bound(2, 0.75, -5), "N must be >= 1"),  # was a complex number
-        (lambda: mixed_region_bound(2, 0.75, 0), "N must be >= 1"),
-        (lambda: mixed_region_bound(0, 0.75, 10), "j must be >= 1"),
-        (lambda: mixed_region_bound(2, 0.0, 10), r"e must lie in \(0, 1\]"),
-        (lambda: mixed_region_bound(2, -0.5, 10), r"e must lie in \(0, 1\]"),
-        (lambda: mixed_region_bound(2, 1.5, 10), r"e must lie in \(0, 1\]"),
+        (lambda: error_term(3, 0.6, -5), "N must be >= 2"),
+        (lambda: error_term(3, 0.6, 1), "N must be >= 2"),
+        (lambda: error_term(0, 0.6, 10), "j must be >= 1"),
+        (lambda: error_term(3, 0.0, 10), r"e must lie in \(0, 1\]"),
+        (lambda: error_term(3, -0.5, 10), r"e must lie in \(0, 1\]"),
+        (lambda: error_term(3, 1.5, 10), r"e must lie in \(0, 1\]"),
     ],
 )
 def test_tail_bounds_reject_bad_arguments(call, message):
@@ -754,8 +712,7 @@ def test_tail_bounds_reject_bad_arguments(call, message):
 
 
 def test_tail_bounds_accept_the_least_N():
-    for value in (s_tail_bound(1, 1), mixed_region_bound(1, 1.0, 1),
-                  mixed_region_bound(2, 0.75, 1), error_term(3, 0.6, 2)):
+    for value in (s_tail_bound(1, 1), error_term(3, 0.6, 2)):
         assert isinstance(value, float) and 0.0 < value < math.inf
 
 

@@ -23,6 +23,12 @@ def test_lambda_bits(tmp_path):
     assert doc["lambda_upper"].hex() == "-0x1.1062223e0e56fp-5"
 
 
+def test_beta_series_bits(tmp_path):
+    # P = 5e6 runs the power-series pass for the primes past 2^20.
+    doc = _report(tmp_path, ["beta", "--J", "32", "--Nj", "5e6"], "beta")
+    assert doc["lower_bound"].hex() == "0x1.76913134d34fap-1"
+
+
 def test_even_means_bits(tmp_path):
     doc = _report(tmp_path, ["means", "--class", "even", "--N", "1e5"], "means")
     assert doc["log_mean"].hex() == "-0x1.10b7f788ea01fp-5"

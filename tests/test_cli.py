@@ -387,3 +387,10 @@ class TestCombineLambda:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "alq"
+
+    @pytest.mark.parametrize("verb", ["alpha", "beta", "lambda", "means"])
+    def test_block_size_default_is_the_package_default(self, verb):
+        # The parser repeats the literal so that alq starts without numpy.
+        from aliquot.numerics import DEFAULT_BLOCK_SIZE
+
+        assert build_parser().parse_args([verb]).block_size == DEFAULT_BLOCK_SIZE
