@@ -41,6 +41,9 @@ from aliquot.numerics import (
     EPS,
     CertifiedValue,
     aligned_blocks,
+    certified_product,
+    certified_quotient,
+    combine_blocks,
     parts_to_certified,
 )
 from aliquot.primes import primes_in_range
@@ -365,6 +368,33 @@ class TestMainTerm:
             expected = z.value * odd_sum / j
             got = main_term(j, N)
             assert abs(got.value - expected) <= got.error_radius + 1e-12
+
+    def test_direct_matches_strided_odd_sums_at_scale(self):
+        # (1/j) * sum over even n <= N of g_j(2^k) beta_j(n >> k), evaluated
+        # per n from factorize and grouped by the odd part m, against the
+        # same sum regrouped by k: sum over k >= 1 of g_j(2^k) times the
+        # strided odd sum to N >> k.
+        N = 2 * 10**5
+        js = list(range(1, 9))
+        odd = {k: odd_signed_sums(js, N >> k) for k in range(1, N.bit_length())}
+        factored = [factorize(m) for m in range(1, N // 2 + 1, 2)]
+        for j in js:
+            weight = list(itertools.accumulate(
+                (g_prime_power(j, 2, k) for k in range(1, N.bit_length())),
+                initial=0.0,
+            ))
+            direct = math.fsum(
+                weight[(N // f.n).bit_length() - 1] * beta_signed(j, f)
+                for f in factored
+            ) / j
+            expected = certified_quotient(
+                combine_blocks([
+                    certified_product(CertifiedValue(g_prime_power(j, 2, k), 0.0), sums[j])
+                    for k, sums in odd.items()
+                ]),
+                j,
+            )
+            assert abs(direct - expected.value) <= expected.error_radius + 1e-12
 
 
 class TestOddSignedSums:
