@@ -8,16 +8,15 @@ is always carried together with a rigorous absolute error radius covering
 floating-point effects; truncation tails of infinite series are added by
 the callers that know them.
 
-Block sums use exact_sum, a vectorized small superaccumulator (after
-R. Neal, arXiv:1505.05571, and Demmel & Nguyen, ARITH 2013): terms are
-grouped by exponent and split exactly by a bit mask into a high piece
-(the top 20 fraction bits) and a low piece (the other 32), each on its
-group's fixed grid, and the pieces are added per group with no rounding
-at all.  The exact group totals are then rounded once by math.fsum.
-Correct rounding of the same exact real gives one answer, so exact_sum
-returns the same bits as math.fsum over the terms, on any machine and in
-any term order; stored checkpoints and reference certificates keep their
-bits.
+Block sums use exact_sum, error-free level extraction (ExtractVector of
+S. M. Rump, T. Ogita and S. Oishi, "Accurate floating-point summation
+part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008): each chunk
+of terms is split, level by level, into pieces on one power-of-two grid
+per level, which numpy adds with no rounding at all, and the exact level
+totals are rounded once by math.fsum.  Correct rounding of the same exact
+real gives one answer, so exact_sum returns the same bits as math.fsum
+over the terms, on any machine and in any term order; stored checkpoints
+and reference certificates keep their bits.
 """
 
 from __future__ import annotations
@@ -39,11 +38,19 @@ EPS = 2.0 ** -52
 # form each term; alpha's and beta's docstrings bound their terms inside it.
 OPS_ALLOWANCE = 64
 
-# exact_sum: a term's high piece keeps its sign, its exponent and the top
-# 20 of its 52 fraction bits.
-_SUM_CHUNK = 1 << 15  # cache-sized; the exactness argument allows up to 2^20
-_FALLBACK_EXP = 1023 + 900  # E of 2^900
-_HI_MASK = -(1 << 32)
+# exact_sum: sigma = 2^(ceil(log2 max|r|) + _SIGMA_BITS) for a chunk's
+# residual r.
+_SIGMA_BITS = 15
+# Cache-sized; it may not exceed 2^_SIGMA_BITS, or a level's q.sum() can
+# round.
+_SUM_CHUNK = 1 << 15
+# Terms that reach this send the sum to math.fsum (sigma and the level
+# totals then stay far below overflow).
+_FALLBACK_ABS = 2.0**900
+# Levels one chunk can take: k starts at most 900 + _SIGMA_BITS and falls
+# by at least 53 - _SIGMA_BITS = 38 per level, so after 51 levels it is
+# clamped at -1022, where one more level leaves no residual.
+_MAX_LEVELS = 52
 
 
 @dataclass(frozen=True)
@@ -82,44 +89,62 @@ ZERO = CertifiedValue(0.0, 0.0)
 def exact_sum(values) -> float:
     """The correctly rounded sum of a float array: bit for bit math.fsum.
 
-    The terms are processed in chunks of _SUM_CHUNK (sized for the cache;
-    the argument below allows up to 2^20).  Let x be a term with biased
-    exponent E, so |x| < 2^(E - 1022), and x is a multiple of
-    u = 2^(max(E, 1) - 1075).  hi is x with the low 32 bits of its
-    fraction cleared (its sign, exponent and top 20 fraction bits kept):
-    a multiple of 2^32 u with |hi| <= |x| < 2^(E - 1022), so fewer than
-    2^21 such units.  lo = x - hi is exact (Sterbenz: hi <= x <= 2 hi for
-    x > 0, and alike for x < 0; for a subnormal below 2^32 u, hi is zero
-    and lo = x): it is the cleared bits, fewer than 2^32 units of u.
-    Terms are grouped by E (np.bincount), so within a group every partial
-    sum of at most 2^20 hi pieces is an integer of fewer than 2^41 units
-    of 2^32 u, and of lo pieces one of fewer than 2^52 units of u: all are
-    doubles, and both group sums are exact in whatever order they
-    accumulate.  math.fsum over these exact totals then rounds their
-    exact real sum, which is the exact sum of the terms, once and
-    correctly, exactly as math.fsum over the terms would.
+    Error-free extraction, ExtractVector of Rump, Ogita & Oishi ("Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31(1), 2008), on chunks of n <= 2^M terms (M = _SIGMA_BITS =
+    15, n <= _SUM_CHUNK).  A chunk's residual r starts as its terms.  While
+    r is not zero, take sigma = 2^k with k = max(ceil(log2 max|r|) + M,
+    -1022), so |r| <= 2^-M sigma, form q = (r + sigma) - sigma and
+    r <- r - q, and keep q's sum as one level total:
 
-    Terms that are not finite or reach 2^900 (where a group total could
-    overflow) send the whole sum to math.fsum unchanged, and so does a
-    zero result, whose sign follows the running Python's fsum.
+    * r + sigma lies in [sigma/2, 3 sigma/2], where the doubles are
+      multiples of 2^(k-53), and subtracting sigma from its rounding is
+      exact (Sterbenz), so q is a multiple of 2^(k-53).  Rounding is
+      monotone and sigma -+ 2^-M sigma are doubles, so |q| <= 2^-M sigma.
+    * q is r rounded to the nearest point of a grid through 0, so
+      |r - q| <= |r|, and both are multiples of the spacing of the doubles
+      at r (at most 2^(k-M-52), a power of two dividing 2^(k-53)), so
+      r - q is a double: the split is exact.  Also |r - q| <= 2^(k-53),
+      half the grid's widest step.
+    * Any partial sum of the n <= 2^M pieces q is a multiple of 2^(k-53)
+      of magnitude at most 2^M * 2^-M sigma = 2^53 such units: a double.
+      q.sum() is exact in numpy's pairwise order or any other.
+    * Each level leaves |r| <= 2^(k-53), so k falls by at least 53 - M;
+      at k = -1022 the doubles around sigma are spaced 2^-1074, which
+      divides every double, so q = r and the residual is zero.  A chunk
+      takes at most _MAX_LEVELS levels; more means sigma was wrong, and
+      raises rather than loops.
+
+    The level totals sum exactly to the terms' sum, and math.fsum over them
+    rounds that real once and correctly, as math.fsum over the terms would.
+
+    Terms that are not finite or reach 2^900 send the whole sum to
+    math.fsum unchanged, and so does a zero result, whose sign follows the
+    running Python's fsum.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    residual = np.empty(min(x.size, _SUM_CHUNK))
+    level = np.empty_like(residual)
     totals = []
     for start in range(0, x.size, _SUM_CHUNK):
-        chunk = x[start : start + _SUM_CHUNK]
-        bits = chunk.view(np.int64)
-        exp = bits >> 52
-        exp &= 0x7FF
-        if exp.max() >= _FALLBACK_EXP:
+        r = x[start : start + _SUM_CHUNK]
+        top = max(r.max(), -r.min())
+        if not top < _FALLBACK_ABS:
             return math.fsum(x.tolist())
-        hi = (bits & _HI_MASK).view(np.float64)
-        lo = chunk - hi
-        totals.append(np.bincount(exp, weights=hi))
-        totals.append(np.bincount(exp, weights=lo))
-    if not totals:
-        return 0.0
-    parts = np.concatenate(totals)
-    total = math.fsum(parts[parts != 0.0].tolist())
+        q = level[: r.size]
+        levels = 0
+        while top != 0.0:
+            if levels == _MAX_LEVELS:
+                raise RuntimeError(f"exact_sum: residual left after {_MAX_LEVELS} levels")
+            levels += 1
+            frac, exp = math.frexp(top)
+            sigma = math.ldexp(1.0, max(exp - (frac == 0.5) + _SIGMA_BITS, -1022))
+            np.add(r, sigma, out=q)
+            q -= sigma
+            r = np.subtract(r, q, out=residual[: r.size])
+            totals.append(float(q.sum()))
+            top = max(r.max(), -r.min())
+    total = math.fsum(totals)
     if total == 0.0:
         return math.fsum(x.tolist())
     return total

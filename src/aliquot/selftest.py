@@ -146,10 +146,29 @@ def run_selftest() -> bool:
     terms = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
     terms[: n // 4] = -terms[n // 4 : 2 * (n // 4)]
     terms[-3:] = (5e-324, -0.0, 2.0**-1060)
+    # The extraction's edges: a full chunk of 2^15 negative terms just
+    # below a power of two, whose pieces sum to -sigma (then two terms that
+    # cancel its sum, so a rounded level total would show), and a chunk
+    # whose last level is clamped at 2^-1022 (bits down to 2^-1074).
+    below = rng.integers(1, 1 << 30, 1 << 15)
+    full_chunk = -(np.float64(1.0).view(np.int64) - below).view(np.float64)
+    first = math.fsum(full_chunk.tolist())
+    second = math.fsum(full_chunk.tolist() + [-first])
+    full_chunk = np.concatenate([full_chunk, [-first, -second, 2.0**-70]])
+    clamped = np.concatenate(
+        [
+            rng.random(4096) * 2.0**-1000,
+            2.0**-1022 + rng.random(4096) * 2.0**-1022,
+            rng.integers(1, 1 << 52, 4096).view(np.float64),
+        ]
+    )
     results.append(
         _check(
             "exact block sum equals math.fsum",
-            exact_sum(terms).hex() == math.fsum(terms.tolist()).hex(),
+            all(
+                exact_sum(t).hex() == math.fsum(t.tolist()).hex()
+                for t in (terms, full_chunk, clamped)
+            ),
         )
     )
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aliquot import numerics
 from aliquot.errors import ParameterError
 from aliquot.numerics import (
     EPS,
@@ -140,6 +141,87 @@ class TestExactSumMaskSplit:
         _assert_matches_fsum(values)
         values[-1] = -math.fsum(values[:-1].tolist())
         _assert_matches_fsum(values)
+
+
+def _cancel_to(values, rest):
+    """values plus two doubles that cancel their exact sum, plus ``rest``:
+    the exact total is then sum(rest), so a level total that rounded shows
+    at full size instead of hiding below the result's last bit."""
+    first = math.fsum(values.tolist())
+    second = math.fsum(values.tolist() + [-first])
+    return np.concatenate([values, [-first, -second], rest])
+
+
+class TestExactSumExtraction:
+    """Edge cases of the level extraction: sigma's size, the -1022 clamp and
+    the number of levels one chunk can take."""
+
+    @pytest.mark.parametrize("low_bits", [13, 30, 52])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_full_chunk_just_below_a_power_of_two(self, low_bits, sign):
+        # 2^15 terms in (2^(e-1), 2^e): sigma = 2^(e+15), and the pieces q
+        # round up to 2^e, so their sum can reach sigma itself.  Negative
+        # terms put q on the finer grid below sigma, where a sigma one
+        # power of two smaller makes that sum round.
+        rng = np.random.default_rng(low_bits)
+        for e in (0, 40, -700):
+            for _ in range(8):
+                below = rng.integers(1, 1 << low_bits, 1 << 15, dtype=np.int64)
+                below[0] = 1
+                values = sign * (np.float64(2.0**e).view(np.int64) - below).view(np.float64)
+                _assert_matches_fsum(values)
+                _assert_matches_fsum(_cancel_to(values, [3.0 * 2.0 ** (e - 70)]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residual_reaches_the_clamp(self, seed):
+        # Normal terms down to [2^-1022, 2^-1021), whose last bit is
+        # 2^-1074, and subnormals: the last level has sigma = 2^-1022.
+        rng = np.random.default_rng(seed)
+        n = 1 << 15
+        normal = _random_bits(rng, n // 2, [1, 2, 3, 10, 30]).view(np.float64)
+        sub = _random_bits(rng, n - n // 2, [0]).view(np.float64)
+        values = np.concatenate([normal, sub])
+        rng.shuffle(values)
+        _assert_matches_fsum(values)
+        _assert_matches_fsum(np.abs(values))
+        _assert_matches_fsum(_cancel_to(np.abs(values), [5e-324]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_levels_from_two_to_minus_600_to_600(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 << 15
+        values = _random_bits(rng, n, np.arange(1023 - 600, 1023 + 601)).view(np.float64)
+        _assert_matches_fsum(values)
+        _assert_matches_fsum(np.concatenate([values, -values[: n // 2]]))
+
+    def test_every_binade_takes_the_most_levels(self, monkeypatch):
+        # One 53-bit term per binade from 2^899 down to 2^-1022, and
+        # subnormals: sigma starts at 2^915 and every level down to the
+        # clamp leaves a residual, so the chunk takes all _MAX_LEVELS, and
+        # one level fewer raises instead of looping on.
+        rng = np.random.default_rng(11)
+        exps = np.arange(899, -1023, -1)
+        mantissas = rng.integers(1 << 52, 1 << 53, exps.size, dtype=np.int64)
+        values = np.ldexp(mantissas.astype(np.float64), exps - 52)
+        tiny = rng.integers(1, 1 << 52, 50, dtype=np.int64).view(np.float64)
+        values = np.concatenate([values, [math.nextafter(2.0**900, 0.0)], tiny])
+        _assert_matches_fsum(values)
+        _assert_matches_fsum(-values)
+        monkeypatch.setattr(numerics, "_MAX_LEVELS", numerics._MAX_LEVELS - 1)
+        with pytest.raises(RuntimeError, match="residual left"):
+            exact_sum(values)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_chunks_between_nonzero_ones(self, zero):
+        rng = np.random.default_rng(5)
+        n = 1 << 15
+        live = rng.standard_normal(3 * n) * 10.0 ** rng.integers(-30, 30, 3 * n)
+        zeros = np.full(2 * n, zero)
+        values = np.concatenate(
+            [zeros[:n], live[:n], zeros, live[n : 2 * n], zeros[: n - 7], live[2 * n :]]
+        )
+        _assert_matches_fsum(values)
+        _assert_matches_fsum(np.concatenate([live[:n], zeros, -live[:n]]))
 
 
 class TestCompensatedSum:
