@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +52,14 @@ from .numerics import (
     certified_combine,
     combine_blocks,
     compensated_sum,
-    map_blocks,
+    map_blocks,  # read by nothing; kept while alqbench/spans.py wraps it
     parts_to_certified,
 )
-from .primes import check_range, iter_prime_segments
+from .primes import (
+    check_range,
+    iter_prime_segments,  # read by nothing; kept while alqbench/spans.py wraps it
+    prime_pass,
+)
 
 L = 15  # depth of the p = 2 series
 M = 15  # the odd primes' series depth, at most
@@ -69,6 +74,7 @@ class AlphaResult:
     n_primes: int
     elapsed_seconds: float
     depths: dict[int, int] = field(default_factory=dict)  # depth -> odd primes summed
+    engine: str = "serial"  # the block engine the pass ran on
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,6 +196,57 @@ def check_cutoff(N: int, block_size: int) -> None:
     check_range(N, block_size)
 
 
+class AlphaPass:
+    """alpha's kernel on the prime pass (primes.prime_pass): the aligned
+    blocks of the odd primes p <= N, each summed at its own depth
+    (_block_depth), and the assembly of the bound from their results."""
+
+    def __init__(self, N: int, block_size: int):
+        check_cutoff(N, block_size)
+        self.N = N
+        self.blocks = aligned_blocks(3, N, block_size)
+        self.results: list[tuple] = []
+        self.keep = self.results.append
+
+    @staticmethod
+    def kernel(lo: int, hi: int, primes: np.ndarray) -> tuple:
+        depth = _block_depth(primes, M)
+        term_parts, tail_parts = _block_sums(primes, depth)
+        return (
+            parts_to_certified(*term_parts),
+            parts_to_certified(*tail_parts),
+            primes.size,
+            depth,
+        )
+
+    def result(self, elapsed_seconds: float, engine: str) -> AlphaResult:
+        """The bound from every block's result (alpha_upper_bound)."""
+        N = self.N
+        odd_sum = combine_blocks([r[0] for r in self.results])
+        tail_sum = combine_blocks([r[1] for r in self.results])
+
+        sums = certified_combine(alpha_two_part(L), odd_sum, "add")
+        # Tail pieces are upper bounds themselves; their float radius is
+        # folded into the total on the high side.
+        tail_total = 2.0 * tail_a(2, L) + tail_sum.value + tail_sum.error_radius + 1.0 / N
+
+        ub = sums.value + sums.error_radius + tail_total
+        ub = math.nextafter(math.nextafter(ub, math.inf), math.inf)
+        depths: dict[int, int] = {}
+        for r in self.results:
+            depths[r[3]] = depths.get(r[3], 0) + r[2]
+        return AlphaResult(
+            N=N,
+            sums=sums,
+            tail_total=tail_total,
+            upper_bound=ub,
+            n_primes=sum(depths.values()),
+            elapsed_seconds=elapsed_seconds,
+            depths=depths,
+            engine=engine,
+        )
+
+
 def alpha_upper_bound(
     N: int,
     *,
@@ -200,53 +257,18 @@ def alpha_upper_bound(
 
     The odd primes p <= N are summed in aligned blocks of block_size,
     each at its own depth m_b <= M (_block_depth, the rule and its
-    argument in the module docstring).  The finite sums are
-    alpha_two_part(L) plus the depth-m_b terms of every block,
-    block-reduced deterministically; the tail total is 2*A(2,L) + sum of
-    A(p,m_b) over the same primes + 1/N.  The bound is sums value + sums
-    radius + tails, nudged up two ulps to cover the final additions.
-    ``depths`` counts the odd primes summed at each chosen depth.
+    argument in the module docstring), on one prime pass (AlphaPass).
+    The finite sums are alpha_two_part(L) plus the depth-m_b terms of
+    every block, block-reduced deterministically; the tail total is
+    2*A(2,L) + sum of A(p,m_b) over the same primes + 1/N.  The bound is
+    sums value + sums radius + tails, nudged up two ulps to cover the
+    final additions.  ``depths`` counts the odd primes summed at each
+    chosen depth, and ``engine`` names the engine the pass ran on.
     """
-    import time
-
     t0 = time.time()
-    check_cutoff(N, block_size)
-
-    def eval_block(lo: int, hi: int):
-        # An aligned block is exactly one sieve segment.
-        (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
-        depth = _block_depth(primes, M)
-        term_parts, tail_parts = _block_sums(primes, depth)
-        return (
-            parts_to_certified(*term_parts),
-            parts_to_certified(*tail_parts),
-            primes.size,
-            depth,
-        )
-
-    results = map_blocks(aligned_blocks(3, N, block_size), eval_block, workers)
-    odd_sum = combine_blocks([r[0] for r in results])
-    tail_sum = combine_blocks([r[1] for r in results])
-
-    sums = certified_combine(alpha_two_part(L), odd_sum, "add")
-    # Tail pieces are upper bounds themselves; their float radius is folded
-    # into the total on the high side.
-    tail_total = 2.0 * tail_a(2, L) + tail_sum.value + tail_sum.error_radius + 1.0 / N
-
-    ub = sums.value + sums.error_radius + tail_total
-    ub = math.nextafter(math.nextafter(ub, math.inf), math.inf)
-    depths: dict[int, int] = {}
-    for r in results:
-        depths[r[3]] = depths.get(r[3], 0) + r[2]
-    return AlphaResult(
-        N=N,
-        sums=sums,
-        tail_total=tail_total,
-        upper_bound=ub,
-        n_primes=sum(depths.values()),
-        elapsed_seconds=time.time() - t0,
-        depths=depths,
-    )
+    alpha = AlphaPass(N, block_size)
+    engine = prime_pass([alpha], block_size, workers)
+    return alpha.result(time.time() - t0, engine)
 
 
 def alpha_p_product_form(p: int, depth: int) -> float:

@@ -146,9 +146,11 @@ from .numerics import (
     parts_to_certified,
 )
 from .primes import (
+    base_primes,
     check_range,
     iter_factor_segments,  # read by nothing; kept while alqbench/spans.py wraps it
     iter_prime_segments,
+    prime_pass,
     primes_in_range,
     strided_prime_powers,
 )
@@ -396,6 +398,100 @@ def _series_log_sum(j: int, power_sums: list[CertifiedValue]) -> CertifiedValue:
     return combine_blocks(terms).widened(remainder)
 
 
+class EulerPass:
+    """beta's kernel on the prime pass (primes.prime_pass): the log sums of
+    log beta_j(p) over the odd primes p <= P for j = 1..J, and their
+    checkpoint (euler_log_sums).
+
+    ``blocks`` are the aligned blocks the pass still has to run: all of
+    them, or those after the records a checkpoint_dir holds.  A stored
+    file is trusted only if its first and last records equal a
+    recomputation bit for bit and every record holds the series of its
+    block; otherwise it is discarded.
+    """
+
+    def __init__(self, J: int, P: int, block_size: int, checkpoint_dir: str | None = None):
+        if not 1 <= J <= MAX_J:
+            raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
+        check_range(P, block_size)
+        self.J, self.P, self.block_size = J, P, block_size
+        blocks = aligned_blocks(3, P, block_size)
+        self.records: list[BlockRecord] = []
+        self.store = None
+        if checkpoint_dir is not None:
+            key = {"kind": "beta-euler", "kernel": EULER_KERNEL, "P": P,
+                   "block_size": block_size, "j_list": list(range(1, J + 1))}
+            self.store = CheckpointStore(checkpoint_dir, "beta-euler", key)
+            self.records = self.store.load()
+            if self.records and not self._trusted(blocks):
+                self.records = []
+                self.store.discard()
+        self.blocks = blocks[len(self.records) :]
+        self.flush_every = max(1, _FLUSH_INTEGERS // block_size)
+        self.saved = len(self.records)
+
+    def _layout(self, lo: int, hi: int) -> set[str]:
+        """The parts a block's record holds."""
+        direct = {str(j) for j in range(1, self.J + 1)} if lo < SERIES_FROM else set()
+        series = {f"s{k}" for k in range(2, SERIES_TERMS + 2)} if hi >= SERIES_FROM else set()
+        return direct | series
+
+    def _trusted(self, blocks: list[tuple[int, int]]) -> bool:
+        records = self.records
+
+        def recomputed(k: int) -> BlockRecord:
+            (primes,) = iter_prime_segments(*blocks[k], segment_size=self.block_size,
+                                            pass_hi=self.P)
+            return self.kernel(*blocks[k], primes)
+
+        return (
+            len(records) <= len(blocks)
+            and all((r.lo, r.hi) == b and r.parts.keys() == self._layout(*b)
+                    for r, b in zip(records, blocks))
+            and all(records[k] == recomputed(k) for k in sorted({0, len(records) - 1}))
+        )
+
+    def kernel(self, lo: int, hi: int, primes: np.ndarray) -> BlockRecord:
+        """The block's record: per-j log sums of its primes below
+        SERIES_FROM, power sums of those above."""
+        split = int(np.searchsorted(primes, SERIES_FROM))
+        parts = {}
+        if lo < SERIES_FROM:
+            rows = _log_beta_terms(primes[:split], self.J)
+            parts = {str(j): block_sum_parts(row) for j, row in enumerate(rows, start=1)}
+        if hi >= SERIES_FROM:
+            parts.update(_power_sum_parts(primes[split:]))
+        return BlockRecord(lo // self.block_size, lo, hi, parts)
+
+    def keep(self, rec: BlockRecord) -> None:
+        self.records.append(rec)
+        if self.store is not None and len(self.records) % self.flush_every == 0:
+            self.store.save(self.records)
+            self.saved = len(self.records)
+
+    def log_sums(self) -> dict[int, CertifiedValue]:
+        """Each j's certified log sum, once the pass is complete; saves the
+        checkpoint if records were added since its last flush."""
+        records = self.records
+        if self.store is not None and len(records) > self.saved:
+            self.store.save(records)
+            self.saved = len(records)
+        sums = {
+            j: combine_blocks([parts_to_certified(*rec.parts[str(j)])
+                               for rec in records if rec.lo < SERIES_FROM])
+            for j in range(1, self.J + 1)
+        }
+        if self.P >= SERIES_FROM:
+            power_sums = [
+                combine_blocks([parts_to_certified(*rec.parts[f"s{k}"])
+                                for rec in records if rec.hi >= SERIES_FROM])
+                for k in range(2, SERIES_TERMS + 2)
+            ]
+            for j in sums:
+                sums[j] = certified_combine(sums[j], _series_log_sum(j, power_sums))
+        return sums
+
+
 def euler_log_sums(
     J: int,
     P: int,
@@ -406,8 +502,8 @@ def euler_log_sums(
 ) -> dict[int, CertifiedValue]:
     """sum of log beta_j(p) over the odd primes p <= P for j = 1..J, certified.
 
-    One pass over the primes in blocks aligned to multiples of block_size
-    (each block one sieve segment), merged in ascending order, so the
+    One pass over the primes (primes.prime_pass with EulerPass) in blocks
+    aligned to multiples of block_size, merged in ascending order, so the
     sums are independent of the worker count.  A block sums the primes
     below SERIES_FROM per j (_log_beta_terms) and those above as power
     sums (_power_sum_parts); the power sums are merged over the blocks
@@ -421,75 +517,9 @@ def euler_log_sums(
     records bit for bit and every record holds the same series, the file
     is discarded.
     """
-    if not 1 <= J <= MAX_J:
-        raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
-    check_range(P, block_size)
-    blocks = aligned_blocks(3, P, block_size)
-
-    direct_keys = {str(j) for j in range(1, J + 1)}
-    series_keys = {f"s{k}" for k in range(2, SERIES_TERMS + 2)}
-
-    def layout(lo: int, hi: int) -> set[str]:
-        """The parts a block's record holds."""
-        return (direct_keys if lo < SERIES_FROM else set()) | (
-            series_keys if hi >= SERIES_FROM else set())
-
-    def record(lo: int, hi: int) -> BlockRecord:
-        # An aligned block is exactly one sieve segment.
-        (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
-        split = int(np.searchsorted(primes, SERIES_FROM))
-        parts = {}
-        if lo < SERIES_FROM:
-            rows = _log_beta_terms(primes[:split], J)
-            parts = {str(j): block_sum_parts(row) for j, row in enumerate(rows, start=1)}
-        if hi >= SERIES_FROM:
-            parts.update(_power_sum_parts(primes[split:]))
-        return BlockRecord(lo // block_size, lo, hi, parts)
-
-    store = None
-    records: list[BlockRecord] = []
-    if checkpoint_dir is not None:
-        key = {"kind": "beta-euler", "kernel": EULER_KERNEL, "P": P,
-               "block_size": block_size, "j_list": list(range(1, J + 1))}
-        store = CheckpointStore(checkpoint_dir, "beta-euler", key)
-        records = store.load()
-        if records and not (
-            len(records) <= len(blocks)
-            and all((r.lo, r.hi) == b and r.parts.keys() == layout(*b)
-                    for r, b in zip(records, blocks))
-            and all(records[k] == record(*blocks[k]) for k in sorted({0, len(records) - 1}))
-        ):
-            records = []
-            store.discard()
-    todo = blocks[len(records) :]
-
-    flush_every = max(1, _FLUSH_INTEGERS // block_size)
-    saved = len(records)
-
-    def keep(rec: BlockRecord) -> None:
-        nonlocal saved
-        records.append(rec)
-        if store is not None and len(records) % flush_every == 0:
-            store.save(records)
-            saved = len(records)
-
-    map_blocks(todo, record, workers, on_block=keep)
-    if store is not None and len(records) > saved:
-        store.save(records)
-    sums = {
-        j: combine_blocks([parts_to_certified(*rec.parts[str(j)])
-                           for rec in records if rec.lo < SERIES_FROM])
-        for j in range(1, J + 1)
-    }
-    if P >= SERIES_FROM:
-        power_sums = [
-            combine_blocks([parts_to_certified(*rec.parts[f"s{k}"])
-                            for rec in records if rec.hi >= SERIES_FROM])
-            for k in range(2, SERIES_TERMS + 2)
-        ]
-        for j in sums:
-            sums[j] = certified_combine(sums[j], _series_log_sum(j, power_sums))
-    return sums
+    euler = EulerPass(J, P, block_size, checkpoint_dir)
+    prime_pass([euler], block_size, workers)
+    return euler.log_sums()
 
 
 # The paper's exponents e_j for j = 1..8.
@@ -708,7 +738,9 @@ def _prime_power_rows(p: int, m_max: int, js: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
+def _block_odd_signed(
+    lo: int, hi: int, j_list: list[int], pass_hi: int | None = None
+) -> dict[int, tuple]:
     """Per-j (value, abs_sum, n_terms) of sum of beta_j(n) over odd n in [lo, hi].
 
     The block's odd integers n0, n0 + 2, ... are factored in place into one
@@ -735,7 +767,7 @@ def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     size = (hi - n0) // 2 + 1
 
     acc = np.ones((size, len(js) + 2))
-    for p, i0, exps in strided_prime_powers(n0, size, 2):
+    for p, i0, exps in strided_prime_powers(n0, size, 2, pass_hi):
         rows = _prime_power_rows(p, 1 if exps is None else int(exps.max()), js)
         acc[i0::p] *= rows[1] if exps is None else rows.take(exps, axis=0)
 
@@ -770,9 +802,9 @@ def odd_signed_sums(
     """
     j_list = sorted(set(j_list))
     check_range(N, block_size)
-    parts = map_blocks(
-        aligned_blocks(1, N, block_size), lambda lo, hi: _block_odd_signed(lo, hi, j_list), workers
-    )
+    base_primes(N)  # built once, before any worker is forked
+    parts = map_blocks(aligned_blocks(1, N, block_size),
+                       lambda lo, hi: _block_odd_signed(lo, hi, j_list, N), workers)
     return {j: combine_blocks([parts_to_certified(*p[j]) for p in parts]) for j in j_list}
 
 
@@ -891,6 +923,7 @@ class BetaSummary:
     certified: CertifiedValue
     reports: list[BetaJReport]
     elapsed_seconds: float
+    engine: str = "serial"  # the block engine the prime pass ran on
 
     @property
     def lower_bound(self) -> float:
@@ -934,28 +967,38 @@ def beta_lower(
     """Certified lower bound for beta from its first J j-terms, each taken
     over the odd primes p <= P.
 
-    One prime pass (euler_log_sums) gives every j's log sum S of
-    log beta_j(p) over the odd primes p <= P, euler_term turns it into
-    (z/j) exp(S), and the primes past P are charged j T(P): the j-term's
-    lower end is that term's lower end times 1 - j T(P), times 1 - 4 EPS
-    to round it down.  The rigor argument is in the module docstring.
-    The terms with j > J are all positive, so dropping them keeps the
-    bound valid.  J runs over 1..MAX_J and P from MIN_PRIME_CUTOFF up, so
-    that 1 - j T(P) stays above 0.6; a P past the sieve's range is a
-    ResourceError.  With a checkpoint_dir, a killed run resumes its prime
-    pass when called again with the same J, P and block_size.
+    One prime pass (EulerPass, as in euler_log_sums) gives every j's log
+    sum S of log beta_j(p) over the odd primes p <= P, and beta_summary
+    turns the sums into the bound.  J runs over 1..MAX_J and P from
+    MIN_PRIME_CUTOFF up, so that 1 - j T(P) stays above 0.6; a P past the
+    sieve's range is a ResourceError.  With a checkpoint_dir, a killed run
+    resumes its prime pass when called again with the same J, P and
+    block_size.
     """
     t0 = time.time()
+    euler = euler_pass(J, P, block_size, checkpoint_dir)
+    engine = prime_pass([euler], block_size, workers)
+    return beta_summary(euler.log_sums(), P, time.time() - t0, engine)
+
+
+def euler_pass(J: int, P: int, block_size: int, checkpoint_dir: str | None) -> EulerPass:
+    """beta_lower's EulerPass: P below MIN_PRIME_CUTOFF is a ParameterError."""
     if P < MIN_PRIME_CUTOFF:
         raise ParameterError(f"P must be >= {MIN_PRIME_CUTOFF}, got {P}")
-    log_sums = euler_log_sums(
-        J,
-        P,
-        block_size=block_size,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-    )
+    return EulerPass(J, P, block_size, checkpoint_dir)
 
+
+def beta_summary(
+    log_sums: dict[int, CertifiedValue], P: int, elapsed_seconds: float, engine: str
+) -> BetaSummary:
+    """The lower bound from each j's log sum S over the odd primes p <= P.
+
+    euler_term turns S into (z/j) exp(S), and the primes past P are
+    charged j T(P): the j-term's lower end is that term's lower end times
+    1 - j T(P), times 1 - 4 EPS to round it down.  The rigor argument is
+    in the module docstring.  The terms with j > J are all positive, so
+    dropping them keeps the bound valid.
+    """
     T = prime_tail_bound(P)
     reports = []
     for j, log_product in log_sums.items():
@@ -969,4 +1012,4 @@ def beta_lower(
     total_value = math.fsum(r.main.value for r in reports)
     total_lower = math.nextafter(math.fsum(r.contribution_lower for r in reports), -math.inf)
     certified = CertifiedValue(total_value, max(0.0, total_value - total_lower))
-    return BetaSummary(certified, reports, time.time() - t0)
+    return BetaSummary(certified, reports, elapsed_seconds, engine)

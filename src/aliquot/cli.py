@@ -4,7 +4,8 @@ Verbs:
 
   alpha     upper bound for the per-prime constant (prime cutoff N)
   beta      lower bound for the signed-series constant (per-j params)
-  lambda    alpha + beta + their difference, the aliquot growth constant
+  lambda    alpha and beta from one prime pass, and their difference,
+            the aliquot growth constant
   means     arithmetic and logarithmic means of s(n)/n by residue class
   trace     one aliquot sequence with classification
   selftest  quick oracle suite
@@ -15,9 +16,11 @@ and parsed as the flag would be; explicit flags override it.  beta takes
 its first --J j-terms (default 32; the dropped ones are positive) from
 their Euler products over the odd primes up to --Nj, beta's prime cutoff
 P (default 1e6, at least 1000), and charges each j-term j T(P) for the
-primes past P.  --checkpoint-dir saves that prime pass as it goes; a
-killed run, started again with the same flags, resumes it.  Reports are
-written as JSON (always) and CSV (tabular verbs) under --out.  Exit
+primes past P.  --checkpoint-dir saves beta's part of the prime pass as
+it goes; a killed run, started again with the same flags, resumes it.
+--workers above 1 runs a pass of 2^22 integers or more on forked worker
+processes.  Reports are written as JSON (always) and CSV (tabular verbs)
+under --out; each records the engine its pass ran on.  Exit
 status: 0 on success, 1 on parameter errors, 2 on resource or effort
 errors.
 
@@ -103,6 +106,32 @@ def mean_report(*args, **kwargs) -> MeanReport:
     return mean_report(*args, **kwargs)
 
 
+def lambda_bounds(
+    N: int, J: int, P: int, *, block_size: int, workers: int = 1,
+    checkpoint_dir: str | None = None,
+) -> tuple[AlphaResult, BetaSummary]:
+    """alpha_upper_bound(N) and beta_lower(J, P), bit for bit, from one
+    prime pass to max(N, P): each block is sieved once, and its primes go
+    to alpha's kernel up to N and to beta's up to P.
+
+    alpha's arguments are checked first.  beta's checkpoint works as
+    beta_lower's, and beta's and lambda's runs resume each other's files;
+    alpha is recomputed on the blocks a resumed run skips.  Both results
+    carry the pass's engine and time.
+    """
+    from .alpha import AlphaPass
+    from .beta import beta_summary, euler_pass
+    from .primes import prime_pass
+
+    t0 = time.time()
+    alpha = AlphaPass(N, block_size)
+    euler = euler_pass(J, P, block_size, checkpoint_dir)
+    engine = prime_pass([alpha, euler], block_size, workers)
+    log_sums = euler.log_sums()
+    elapsed = time.time() - t0
+    return alpha.result(elapsed, engine), beta_summary(log_sums, P, elapsed, engine)
+
+
 @dataclass
 class LambdaReport:
     alpha_result: AlphaResult
@@ -175,28 +204,22 @@ def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
     return argv
 
 
-def _run_alpha(args, out_dir: Path) -> AlphaResult:
-    result = alpha_upper_bound(args.N, block_size=args.block_size, workers=args.workers)
+def _report_alpha(args, out_dir: Path, result: AlphaResult) -> None:
     doc = result.to_json_dict()
-    doc["provenance"] = _provenance(args, doc["params"])
+    doc["provenance"] = _provenance(args, doc["params"], result.engine)
     path = _write_json(out_dir, "alpha", doc)
     print(f"alpha upper bound: {result.upper_bound!r}")
     print(f"  finite sums {result.sums.value!r} (radius {result.sums.error_radius:.3e})")
     print(f"  tail total  {result.tail_total!r}")
     print(f"report: {path}")
-    return result
 
 
-def _run_beta(args, out_dir: Path) -> BetaSummary:
-    summary = beta_lower(
-        args.J,
-        args.Nj,
-        block_size=args.block_size,
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+def _report_beta(args, out_dir: Path, summary: BetaSummary) -> None:
+    from .beta import EULER_KERNEL
+
     doc = summary.to_json_dict()
-    doc["provenance"] = _provenance(args, {"J": args.J, "P": args.Nj})
+    doc["provenance"] = _provenance(args, {"J": args.J, "P": args.Nj}, summary.engine,
+                                    EULER_KERNEL)
     path = _write_json(out_dir, "beta", doc)
     rows = [r.to_json_dict().values() for r in summary.reports]  # csv writes str(float) == repr
     header = ["j", "P", "log_product", "log_product_radius", "main", "main_radius",
@@ -204,34 +227,40 @@ def _run_beta(args, out_dir: Path) -> BetaSummary:
     _write_csv(out_dir, "beta", header, rows)
     print(f"beta lower bound: {summary.lower_bound!r}")
     print(f"report: {path}")
-    return summary
 
 
-def _provenance(args, params: dict) -> dict:
+def _provenance(args, params: dict, engine: str, kernel: str | None = None) -> dict:
+    """The report's provenance: ``engine`` is the block engine the pass ran
+    on, and ``kernel`` names beta's prime-pass kernel where it ran."""
     import numpy as np
 
-    return {
+    doc = {
         "version": __version__,
         "params": params,
         "workers": args.workers,
+        "engine": engine,
         "block_size": args.block_size,
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+    if kernel is not None:
+        doc["kernel"] = kernel
+    return doc
 
 
 def _cmd_lambda(args, out_dir: Path) -> int:
-    from .alpha import check_cutoff
+    from .beta import EULER_KERNEL
 
-    # Only beta resumes from a checkpoint, so alpha runs once beta is
-    # complete; its cutoff is checked first and still fails at once.
-    check_cutoff(args.N, args.block_size)
-    beta_result = _run_beta(args, out_dir)
-    alpha_result = _run_alpha(args, out_dir)
+    alpha_result, beta_result = lambda_bounds(
+        args.N, args.J, args.Nj, block_size=args.block_size, workers=args.workers,
+        checkpoint_dir=args.checkpoint_dir)
+    _report_alpha(args, out_dir, alpha_result)
+    _report_beta(args, out_dir, beta_result)
     params = {"alpha": alpha_result.to_json_dict()["params"], "beta": {"J": args.J, "P": args.Nj}}
-    report = combine_lambda(alpha_result, beta_result, _provenance(args, params))
+    provenance = _provenance(args, params, alpha_result.engine, EULER_KERNEL)
+    report = combine_lambda(alpha_result, beta_result, provenance)
     path = _write_json(out_dir, "lambda", report.to_json_dict())
     print(f"lambda upper bound: {report.lambda_upper!r}")
     print(f"mu upper bound:     {report.mu_upper!r}")
@@ -244,7 +273,7 @@ def _cmd_means(args, out_dir: Path) -> int:
 
     report = mean_report(args.mean_class, args.N, block_size=args.block_size, workers=args.workers)
     doc = report.to_json_dict()
-    doc["provenance"] = _provenance(args, {"class": args.mean_class, "N": args.N})
+    doc["provenance"] = _provenance(args, {"class": args.mean_class, "N": args.N}, report.engine)
     path = _write_json(out_dir, "means", doc)
     _write_csv(out_dir, "means", CSV_HEADER, [report.csv_row()])
     print(f"arithmetic mean: {report.arithmetic.value!r} (limit {report.closed_form_limit!r})")
@@ -337,12 +366,15 @@ def build_parser() -> _Parser:
 
 
 def _cmd_alpha(args, out_dir: Path) -> int:
-    _run_alpha(args, out_dir)
+    result = alpha_upper_bound(args.N, block_size=args.block_size, workers=args.workers)
+    _report_alpha(args, out_dir, result)
     return 0
 
 
 def _cmd_beta(args, out_dir: Path) -> int:
-    _run_beta(args, out_dir)
+    summary = beta_lower(args.J, args.Nj, block_size=args.block_size, workers=args.workers,
+                         checkpoint_dir=args.checkpoint_dir)
+    _report_beta(args, out_dir, summary)
     return 0
 
 

@@ -20,13 +20,14 @@ from .numerics import (
     ZERO,
     CertifiedValue,
     aligned_blocks,
+    block_engine,
     block_sum_parts,
     certified_quotient,
     combine_blocks,
     map_blocks,
     parts_to_certified,
 )
-from .primes import check_range, iter_sigma_segments
+from .primes import base_primes, check_range, iter_sigma_segments
 
 MeanClass = Literal["all", "even", "odd"]
 
@@ -71,9 +72,10 @@ def _sum_over_ranges(
     log_range: tuple[int, int],
     block_size: int,
     workers: int,
-) -> tuple[CertifiedValue, CertifiedValue]:
+) -> tuple[CertifiedValue, CertifiedValue, str]:
     """Blockwise compensated sums of s(n)/n over ratio_range and of
-    log(s(n)/n) over log_range (inclusive ranges; (1, 0) is empty).
+    log(s(n)/n) over log_range (inclusive ranges; (1, 0) is empty), and
+    the block engine that ran them.
 
     ``parity`` restricts to n with n % 2 == parity; n = 1 is always
     skipped (s(1) = 0 contributes nothing to sums and has no logarithm).
@@ -86,7 +88,7 @@ def _sum_over_ranges(
     """
     ranges = [r for r in (ratio_range, log_range) if r[0] <= r[1]]
     if not ranges:
-        return ZERO, ZERO
+        return ZERO, ZERO, "serial"
     lo = min(r_lo for r_lo, _ in ranges)
     hi = max(r_hi for _, r_hi in ranges)
     check_range(hi, block_size)
@@ -94,7 +96,8 @@ def _sum_over_ranges(
     def eval_block(b_lo: int, b_hi: int) -> tuple[CertifiedValue | None, ...]:
         # An aligned block is exactly one segment, or none when it holds no
         # integer of the wanted parity.
-        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity, ratio=True), None)
+        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity, ratio=True,
+                                           pass_hi=hi), None)
         n_vals, ratios = segment if segment is not None else (np.empty(0, np.int64), np.empty(0))
         sums = []
         for kind, (r_lo, r_hi) in (("ratio", ratio_range), ("log", log_range)):
@@ -110,8 +113,11 @@ def _sum_over_ranges(
             sums.append(parts_to_certified(*block_sum_parts(values)))
         return tuple(sums)
 
-    results = map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers)
-    return tuple(combine_blocks([r[k] for r in results if r[k] is not None]) for k in (0, 1))
+    blocks = aligned_blocks(lo, hi, block_size)
+    base_primes(hi)  # built once, before any worker is forked
+    results = map_blocks(blocks, eval_block, workers)
+    sums = (combine_blocks([r[k] for r in results if r[k] is not None]) for k in (0, 1))
+    return *sums, block_engine(blocks, workers)
 
 
 def arithmetic_mean(
@@ -124,7 +130,7 @@ def arithmetic_mean(
     """(1/N) * sum over n = 1..N of s(n)/n, s(2n)/(2n), or s(2n-1)/(2n-1)."""
     _check_N("arithmetic_mean", N, 2)
     parity, ratio_range, _, _ = _class_ranges(mean_class, N)
-    total, _ = _sum_over_ranges(parity, ratio_range, _EMPTY, block_size, workers)
+    total, _, _ = _sum_over_ranges(parity, ratio_range, _EMPTY, block_size, workers)
     return certified_quotient(total, N)
 
 
@@ -144,7 +150,7 @@ def log_mean(
     """
     _check_N("log_mean", N, 4)
     parity, _, log_range, count = _class_ranges(mean_class, N)
-    _, total = _sum_over_ranges(parity, _EMPTY, log_range, block_size, workers)
+    _, total, _ = _sum_over_ranges(parity, _EMPTY, log_range, block_size, workers)
     return certified_quotient(total, count)
 
 
@@ -155,6 +161,7 @@ class MeanReport:
     arithmetic: CertifiedValue
     logarithmic: CertifiedValue
     closed_form_limit: float
+    engine: str = "serial"  # the block engine the pass ran on
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,11 +201,13 @@ def mean_report(
     _check_N("arithmetic_mean", N, 2)
     parity, ratio_range, log_range, count = _class_ranges(mean_class, N)
     _check_N("log_mean", N, 4)
-    ratio_total, log_total = _sum_over_ranges(parity, ratio_range, log_range, block_size, workers)
+    ratio_total, log_total, engine = _sum_over_ranges(
+        parity, ratio_range, log_range, block_size, workers)
     return MeanReport(
         mean_class,
         N,
         certified_quotient(ratio_total, N),
         certified_quotient(log_total, count),
         closed_form(mean_class),
+        engine,
     )

@@ -2,7 +2,8 @@
 
 Every long sum in this package flows through one block engine: the range
 is cut at multiples of a block size (aligned_blocks), each block is summed
-correctly rounded on its own (map_blocks, on any number of threads), and
+correctly rounded on its own (map_blocks: serially, or on forked worker
+processes when a pass with more than one worker is large enough), and
 the block results are merged in ascending order (combine_blocks).  A value
 is always carried together with a rigorous absolute error radius covering
 floating-point effects; truncation tails of infinite series are added by
@@ -22,7 +23,7 @@ and reference certificates keep their bits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -238,6 +239,30 @@ def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
     ]
 
 
+# A pass over fewer integers than this runs serially whatever the worker
+# count: starting its worker processes (~12 ms on a 2-vCPU Xeon) would cost
+# more than they save.
+SERIAL_INTEGERS = 1 << 22
+
+
+def block_engine(blocks: Sequence[tuple[int, int]], workers: int) -> str:
+    """How map_blocks runs these blocks: "processes" or "serial".
+
+    Serial for one worker, for at most one block and for blocks spanning
+    fewer than SERIAL_INTEGERS integers; also when the caller runs other
+    threads, since a forked worker could inherit a lock one of them
+    holds.  Forked processes otherwise.  A worker count below 1 is a
+    ParameterError.
+    """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(blocks) <= 1:
+        return "serial"
+    if sum(hi - lo + 1 for lo, hi in blocks) < SERIAL_INTEGERS:
+        return "serial"
+    return "serial" if threading.active_count() > 1 else "processes"
+
+
 def map_blocks(
     blocks: Sequence[tuple[int, int]],
     eval_block: Callable[[int, int], Any],
@@ -246,32 +271,141 @@ def map_blocks(
 ) -> list:
     """Evaluate ``eval_block(lo, hi)`` for every block, results in block order.
 
-    ``on_block(result)`` runs in the caller's thread, in block order, as
-    each result arrives, so a caller can persist progress while later
-    blocks still run.  If a block raises, every block before it has been
-    passed to on_block, blocks not yet started are cancelled and the
-    exception propagates.
+    ``on_block(result)`` runs in the caller, in block order, as each
+    result arrives, so a caller can persist progress while later blocks
+    still run.  If a block raises, every block before it has been passed
+    to on_block, no later block is passed and the exception propagates.
 
-    Workers (threads) only add concurrency; the returned list (and hence
-    any ordered merge of it) is bit-identical for every worker count
-    because each block is evaluated independently by a pure function.
-    A worker count below 1 is a ParameterError.
+    The engine is block_engine's.  On "processes" the pass forks up to
+    ``workers`` worker processes, which inherit eval_block (it is never
+    pickled; its results are) and take blocks one at a time as they come
+    free; every worker has exited and been joined before map_blocks
+    returns or raises.  Each block is evaluated independently by a pure
+    function, so the returned list (and hence any ordered merge of it) is
+    bit-identical on either engine and for every worker count.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    out = []
 
-    def drain(results) -> list:
-        out = []
-        for result in results:
-            if on_block is not None:
-                on_block(result)
-            out.append(result)
-        return out
+    def keep(result) -> None:
+        if on_block is not None:
+            on_block(result)
+        out.append(result)
 
-    if workers <= 1 or len(blocks) <= 1:
-        return drain(eval_block(lo, hi) for lo, hi in blocks)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return drain(pool.map(lambda b: eval_block(*b), blocks))
+    if block_engine(blocks, workers) == "serial":
+        for lo, hi in blocks:
+            keep(eval_block(lo, hi))
+    else:
+        _map_forked(blocks, eval_block, workers, keep)
+    return out
+
+
+def _map_forked(blocks, eval_block, workers: int, keep) -> None:
+    """map_blocks' process engine: keep(result) for each block, in order.
+
+    Each worker has its own pipe.  The caller keeps two block indices in
+    flight per worker, buffers results that arrive early, and raises a
+    block's exception once every block before it has been kept.  On any
+    exit the workers are terminated and joined.  A worker that dies
+    without replying closes its pipe, which raises a RuntimeError here; a
+    caller that dies closes the workers' pipes, and they exit.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    workers = min(workers, len(blocks))
+    ends, procs = [], []  # the caller's pipe ends and their workers
+    try:
+        for _ in range(workers):
+            ours, theirs = ctx.Pipe()
+            ends.append(ours)
+            proc = ctx.Process(target=_serve, args=(theirs, list(ends), blocks, eval_block),
+                               daemon=True)
+            proc.start()
+            procs.append(proc)
+            theirs.close()
+        sent, kept, arrived, failed = 0, 0, {}, False
+
+        def give(end) -> None:
+            """Send end's worker the next block, unless a block has failed."""
+            nonlocal sent
+            if not failed and sent < len(blocks):
+                try:
+                    end.send(sent)
+                except OSError:
+                    lost(end)
+                sent += 1
+
+        def lost(end):
+            """end's worker has gone: its pipe closed with no reply."""
+            proc = procs[ends.index(end)]
+            proc.join()
+            raise RuntimeError(f"a block worker exited with code {proc.exitcode}") from None
+
+        for end in ends * 2:
+            give(end)
+        while kept < len(blocks):
+            for end in wait(ends):
+                try:
+                    index, ok, value = end.recv()
+                except (EOFError, OSError):
+                    lost(end)
+                arrived[index] = ok, value
+                failed |= not ok  # every block before a failed one is already sent
+                give(end)
+            while kept in arrived:
+                ok, value = arrived.pop(kept)
+                if not ok:
+                    exc, trace = value
+                    exc.__cause__ = RuntimeError(f"block {blocks[kept]} failed in a worker "
+                                                 f"process:\n{trace}")
+                    raise exc
+                keep(value)
+                kept += 1
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for end in ends:
+            end.close()
+
+
+def _serve(conn, ends, blocks, eval_block) -> None:
+    """A worker of _map_forked: evaluate the blocks whose indices arrive on
+    conn and send back (index, True, result) or (index, False, (exception,
+    traceback text)); the caller raises the exception from the text.
+
+    It closes the caller's pipe ends it inherited, so that the caller's
+    exit closes its pipe, and leaves Ctrl-C to the caller, which stops it.
+    An exception that would not survive pickling is sent as a RuntimeError
+    naming it.
+    """
+    import pickle
+    import signal
+    import traceback
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for end in ends:
+        end.close()
+    while True:
+        try:
+            index = conn.recv()
+        except (EOFError, OSError):  # the caller is done, or gone
+            return
+        try:
+            reply = (index, True, eval_block(*blocks[index]))
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            reply = (index, False, (exc, traceback.format_exc().rstrip()))
+        try:
+            conn.send(reply)
+        except OSError:  # the caller has gone
+            return
 
 
 def block_sum_parts(values: np.ndarray) -> tuple[float, float, int]:

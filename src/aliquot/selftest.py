@@ -172,12 +172,14 @@ def run_selftest() -> bool:
         )
     )
 
-    a1 = alpha_upper_bound(10**4, workers=1)
-    a4 = alpha_upper_bound(10**4, workers=4)
+    # 5e6 integers: enough for two workers to run on forked processes.
+    a1 = alpha_upper_bound(5 * 10**6, workers=1)
+    a2 = alpha_upper_bound(5 * 10**6, workers=2)
     results.append(
         _check(
             "alpha block sum worker bit-identity",
-            (a1.sums.value, a1.upper_bound) == (a4.sums.value, a4.upper_bound),
+            (a1.sums.value, a1.upper_bound) == (a2.sums.value, a2.upper_bound),
+            f"engine {a2.engine}",
         )
     )
 
@@ -196,9 +198,9 @@ def run_selftest() -> bool:
     results.append(
         _check("beta block sum worker bit-identity", b1.value == b4.value)
     )
-    e1 = euler_log_sums(8, 10**5, block_size=1 << 14, workers=1)
-    e4 = euler_log_sums(8, 10**5, block_size=1 << 14, workers=4)
-    results.append(_check("beta prime pass worker bit-identity", e1 == e4))
+    e1 = euler_log_sums(8, 5 * 10**6, workers=1)
+    e2 = euler_log_sums(8, 5 * 10**6, workers=2)
+    results.append(_check("beta prime pass worker bit-identity", e1 == e2))
 
     # Per prime, exp of the Euler kernel's certified log beta_j(p) meets
     # beta_prime's Euler-factor series within both radii.

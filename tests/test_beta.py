@@ -655,15 +655,15 @@ class TestBetaLower:
     def test_one_prime_pass_per_P(self, monkeypatch):
         # Every j-term shares the one prime pass to P.
         calls = []
-        real = beta_module.euler_log_sums
+        real = beta_module.prime_pass
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(kernels, *args, **kwargs):
+            calls.append([(k.J, k.P) for k in kernels])
+            return real(kernels, *args, **kwargs)
 
-        monkeypatch.setattr(beta_module, "euler_log_sums", counting)
+        monkeypatch.setattr(beta_module, "prime_pass", counting)
         beta_lower(3, 10**4)
-        assert calls == [(3, 10**4)]
+        assert calls == [[(3, 10**4)]]
 
     def test_takes_no_odd_sum_and_no_rankin_bound(self, monkeypatch):
         def refuse(*args, **kwargs):

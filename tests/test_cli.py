@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from aliquot import cli
+from aliquot.beta import EULER_KERNEL
 from aliquot.cli import build_parser, combine_lambda, run
 
 # The dest of beta's removed early-stop flag, spelled in parts so that the
@@ -252,31 +252,65 @@ class TestLambdaVerb:
         assert provenance["python"].count(".") == 2
         assert provenance["params"] == {"alpha": {"N": 10000, "L": 15, "M": 15},
                                         "beta": {"J": 2, "P": 10000}}
+        # The engine the pass ran on, and beta's kernel where it ran.
+        assert provenance["engine"] == "serial"
+        assert provenance["kernel"] == EULER_KERNEL
+        assert read_json(tmp_path / "beta.json")["provenance"]["kernel"] == EULER_KERNEL
+        assert read_json(tmp_path / "alpha.json")["provenance"]["engine"] == "serial"
 
-    def test_alpha_runs_only_once_beta_completes(self, tmp_path, monkeypatch, killed_at_block):
-        calls = []
-        real = cli.alpha_upper_bound
-        monkeypatch.setattr(cli, "alpha_upper_bound",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        args = ["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5",
-                "--block-size", "16384", "--checkpoint-dir", str(tmp_path / "ckpt"),
-                "--out", str(tmp_path / "a")]
+    @pytest.mark.parametrize("argv, name", [
+        (["lambda", "--N", "1e4", "--J", "2", "--Nj", "1e4"], "lambda"),
+        (["alpha", "--N", "1e4"], "alpha"),
+        (["beta", "--J", "2", "--Nj", "1e4"], "beta"),
+        (["means", "--N", "1e4"], "means"),
+    ], ids=["lambda", "alpha", "beta", "means"])
+    def test_provenance_names_the_engine_run(self, tmp_path, monkeypatch, argv, name):
+        # Two workers on a pass this small run serially, and say so; with
+        # the serial threshold at 0 the same pass forks.
+        from aliquot import numerics
+
+        assert run([*argv, "--workers", "2", "--block-size", "4096",
+                    "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
+        assert run([*argv, "--workers", "2", "--block-size", "4096",
+                    "--out", str(tmp_path / "b")]) == 0
+        engines = [read_json(tmp_path / d / f"{name}.json")["provenance"]["engine"] for d in "ab"]
+        assert engines == ["serial", "processes"]
+
+    def test_killed_lambda_resumes_and_shares_beta_records(self, tmp_path, monkeypatch,
+                                                            killed_at_block):
+        # One prime pass serves alpha (to N = 3e5, 19 blocks) and beta (to
+        # P = 2e5, 13 blocks).  Killed at block 3, lambda writes no report
+        # and keeps beta's blocks 0-2; beta resumes that file (checking
+        # blocks 0 and 2, then running 3 and 4 before its kill at block 5),
+        # and lambda resumes beta's file to the one-shot bits.
+        from aliquot import beta
+
+        beta_flags = ["--J", "2", "--Nj", "2e5", "--block-size", "16384"]
+        ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        lam = ["lambda", "--N", "3e5", *beta_flags]
         with killed_at_block(3, 16384):
-            run(args)
+            run([*lam, *ckpt, "--out", str(tmp_path / "a")])
+        assert not (tmp_path / "a").exists()
+        (stored,) = (tmp_path / "ckpt").iterdir()
+        assert len(read_json(stored)["blocks"]) == 3
+
+        kernel, calls = beta._log_beta_terms, []
+        monkeypatch.setattr(beta, "_log_beta_terms",
+                            lambda primes, J: calls.append(int(primes[0]) // 16384)
+                            or kernel(primes, J))
         with killed_at_block(5, 16384):
-            run(args)
-        assert calls == []
-        assert not (tmp_path / "a" / "alpha.json").exists()
-        assert not (tmp_path / "a" / "lambda.json").exists()
-        assert run(args) == 0
-        assert calls == [1]
-        resumed = read_json(tmp_path / "a" / "lambda.json")
-        assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "2e5",
-                    "--block-size", "16384", "--out", str(tmp_path / "b")]) == 0
-        oneshot = read_json(tmp_path / "b" / "lambda.json")
+            run(["beta", *beta_flags, *ckpt, "--out", str(tmp_path / "a")])
+        assert calls == [0, 2, 3, 4]
+        assert not (tmp_path / "a").exists()
+        assert len(read_json(stored)["blocks"]) == 5
+
+        assert run([*lam, *ckpt, "--out", str(tmp_path / "a")]) == 0
+        assert run([*lam, "--out", str(tmp_path / "b")]) == 0
+        resumed, oneshot = (read_json(tmp_path / d / "lambda.json") for d in "ab")
         assert resumed["lambda_upper"].hex() == oneshot["lambda_upper"].hex()
-        assert read_json(tmp_path / "a" / "alpha.json")["upper_bound"] == \
-            read_json(tmp_path / "b" / "alpha.json")["upper_bound"]
+        assert resumed["alpha"] | {"elapsed_seconds": 0} == oneshot["alpha"] | {"elapsed_seconds": 0}
+        assert resumed["beta"]["terms"] == oneshot["beta"]["terms"]
 
     @pytest.mark.parametrize("flags, code", [
         (["--N", "2"], 1),
@@ -285,10 +319,12 @@ class TestLambdaVerb:
         (["--N", "2e10"], 2),
     ])
     def test_bad_alpha_flags_fail_before_beta(self, tmp_path, monkeypatch, flags, code):
+        from aliquot import beta
+
         def no_beta(*args, **kwargs):
             raise AssertionError("beta ran")
 
-        monkeypatch.setattr(cli, "beta_lower", no_beta)
+        monkeypatch.setattr(beta, "euler_pass", no_beta)
         assert run(["lambda", *flags, "--J", "2", "--Nj", "1e4", "--out", str(tmp_path)]) == code
         assert not list(tmp_path.iterdir())
 
