@@ -440,8 +440,7 @@ class EulerPass:
         records = self.records
 
         def recomputed(k: int) -> BlockRecord:
-            (primes,) = iter_prime_segments(*blocks[k], segment_size=self.block_size,
-                                            pass_hi=self.P)
+            (primes,) = iter_prime_segments(*blocks[k], segment_size=self.block_size)
             return self.kernel(*blocks[k], primes)
 
         return (
@@ -738,9 +737,7 @@ def _prime_power_rows(p: int, m_max: int, js: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _block_odd_signed(
-    lo: int, hi: int, j_list: list[int], pass_hi: int | None = None
-) -> dict[int, tuple]:
+def _block_odd_signed(lo: int, hi: int, j_list: list[int]) -> dict[int, tuple]:
     """Per-j (value, abs_sum, n_terms) of sum of beta_j(n) over odd n in [lo, hi].
 
     The block's odd integers n0, n0 + 2, ... are factored in place into one
@@ -767,7 +764,7 @@ def _block_odd_signed(
     size = (hi - n0) // 2 + 1
 
     acc = np.ones((size, len(js) + 2))
-    for p, i0, exps in strided_prime_powers(n0, size, 2, pass_hi):
+    for p, i0, exps in strided_prime_powers(n0, size, 2):
         rows = _prime_power_rows(p, 1 if exps is None else int(exps.max()), js)
         acc[i0::p] *= rows[1] if exps is None else rows.take(exps, axis=0)
 
@@ -803,8 +800,8 @@ def odd_signed_sums(
     j_list = sorted(set(j_list))
     check_range(N, block_size)
     base_primes(N)  # built once, before any worker is forked
-    parts = map_blocks(aligned_blocks(1, N, block_size),
-                       lambda lo, hi: _block_odd_signed(lo, hi, j_list, N), workers)
+    parts, _ = map_blocks(aligned_blocks(1, N, block_size),
+                          lambda lo, hi: _block_odd_signed(lo, hi, j_list), workers)
     return {j: combine_blocks([parts_to_certified(*p[j]) for p in parts]) for j in j_list}
 
 

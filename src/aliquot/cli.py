@@ -18,7 +18,7 @@ their Euler products over the odd primes up to --Nj, beta's prime cutoff
 P (default 1e6, at least 1000), and charges each j-term j T(P) for the
 primes past P.  --checkpoint-dir saves beta's part of the prime pass as
 it goes; a killed run, started again with the same flags, resumes it.
---workers above 1 runs a pass of 2^22 integers or more on forked worker
+--workers above 1 runs a pass of 2^23 integers or more on forked worker
 processes.  Reports are written as JSON (always) and CSV (tabular verbs)
 under --out; each records the engine its pass ran on.  Exit
 status: 0 on success, 1 on parameter errors, 2 on resource or effort

@@ -20,7 +20,6 @@ from .numerics import (
     ZERO,
     CertifiedValue,
     aligned_blocks,
-    block_engine,
     block_sum_parts,
     certified_quotient,
     combine_blocks,
@@ -96,8 +95,7 @@ def _sum_over_ranges(
     def eval_block(b_lo: int, b_hi: int) -> tuple[CertifiedValue | None, ...]:
         # An aligned block is exactly one segment, or none when it holds no
         # integer of the wanted parity.
-        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity, ratio=True,
-                                           pass_hi=hi), None)
+        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity, ratio=True), None)
         n_vals, ratios = segment if segment is not None else (np.empty(0, np.int64), np.empty(0))
         sums = []
         for kind, (r_lo, r_hi) in (("ratio", ratio_range), ("log", log_range)):
@@ -113,11 +111,10 @@ def _sum_over_ranges(
             sums.append(parts_to_certified(*block_sum_parts(values)))
         return tuple(sums)
 
-    blocks = aligned_blocks(lo, hi, block_size)
     base_primes(hi)  # built once, before any worker is forked
-    results = map_blocks(blocks, eval_block, workers)
+    results, engine = map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers)
     sums = (combine_blocks([r[k] for r in results if r[k] is not None]) for k in (0, 1))
-    return *sums, block_engine(blocks, workers)
+    return *sums, engine
 
 
 def arithmetic_mean(

@@ -240,9 +240,15 @@ def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
 
 
 # A pass over fewer integers than this runs serially whatever the worker
-# count: starting its worker processes (~12 ms on a 2-vCPU Xeon) would cost
-# more than they save.
-SERIAL_INTEGERS = 1 << 22
+# count.  Measured on a shared 2-vCPU Xeon (medians of 5 passes in one
+# process, 2 forked workers against 1): at 6e6 integers alpha_upper_bound
+# took 50-69 ms against 51-70 ms serial and euler_log_sums(32, P) 109-117
+# ms against 80-99 ms; at 8e6 to 2^23 = 8.4e6, 58-68 against 62-80 ms and
+# 89-107 against 88-126 ms; from 1e7 on, processes win.  The even log mean
+# wins on processes from 4.2e6 on.  A block runs up to 1.6 times slower in
+# a forked worker than in the caller (alpha's block 0 at N = 4.2e6: 67-73
+# ms against 40-46 ms).
+SERIAL_INTEGERS = 1 << 23
 
 
 def block_engine(blocks: Sequence[tuple[int, int]], workers: int) -> str:
@@ -268,20 +274,21 @@ def map_blocks(
     eval_block: Callable[[int, int], Any],
     workers: int = 1,
     on_block: Callable[[Any], None] | None = None,
-) -> list:
-    """Evaluate ``eval_block(lo, hi)`` for every block, results in block order.
+) -> tuple[list, str]:
+    """Evaluate ``eval_block(lo, hi)`` for every block: the results in
+    block order, and the engine that ran them.
 
     ``on_block(result)`` runs in the caller, in block order, as each
     result arrives, so a caller can persist progress while later blocks
     still run.  If a block raises, every block before it has been passed
     to on_block, no later block is passed and the exception propagates.
 
-    The engine is block_engine's.  On "processes" the pass forks up to
-    ``workers`` worker processes, which inherit eval_block (it is never
-    pickled; its results are) and take blocks one at a time as they come
-    free; every worker has exited and been joined before map_blocks
+    The engine is block_engine's choice.  On "processes" the pass forks
+    up to ``workers`` worker processes, which inherit eval_block (it is
+    never pickled; its results are) and take blocks one at a time as they
+    come free; every worker has exited and been joined before map_blocks
     returns or raises.  Each block is evaluated independently by a pure
-    function, so the returned list (and hence any ordered merge of it) is
+    function, so the results (and hence any ordered merge of them) are
     bit-identical on either engine and for every worker count.
     """
     out = []
@@ -291,12 +298,13 @@ def map_blocks(
             on_block(result)
         out.append(result)
 
-    if block_engine(blocks, workers) == "serial":
+    engine = block_engine(blocks, workers)
+    if engine == "serial":
         for lo, hi in blocks:
             keep(eval_block(lo, hi))
     else:
         _map_forked(blocks, eval_block, workers, keep)
-    return out
+    return out, engine
 
 
 def _map_forked(blocks, eval_block, workers: int, keep) -> None:

@@ -23,25 +23,24 @@ independent oracle: it divides out exact prime powers, listing one
 base primes is either 1 or a single prime above sqrt(hi).  It feeds
 sigma_of_segment, which the tests check the sigma kernel against.
 
-Every block of a pass takes its base primes from one cached sieve up to
-the square root of the pass's last integer (base_primes, and the sieve's
-and the walk's ``pass_hi``), which the pass builds before any worker is
-forked.  prime_pass is the one pass over the primes: it sieves each
-aligned block once and hands the block's primes to every kernel that
-takes that block (alpha's terms, beta's log sums).
+Every block of a pass cuts its base primes from one cached sieve up to
+the square root of the pass's last integer (base_primes), which the pass
+builds before any worker is forked.  prime_pass is the one pass over
+the primes: it sieves each aligned block once and hands the block's
+primes to every kernel that takes that block (alpha's terms, beta's log
+sums).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ResourceError
-from .numerics import DEFAULT_BLOCK_SIZE, aligned_blocks, block_engine, map_blocks
+from .numerics import DEFAULT_BLOCK_SIZE, aligned_blocks, map_blocks
 
 MAX_SEGMENT_SIZE = 1 << 25
 MAX_RANGE_END = 10**10
@@ -52,7 +51,6 @@ SIGMA_TILE = 1 << 16
 UINT32_N_MAX = 210_000_000
 
 
-@lru_cache(maxsize=8)
 def _dense_primes(limit: int) -> np.ndarray:
     """All primes <= limit by a plain dense sieve (int64)."""
     if limit < 2:
@@ -65,9 +63,23 @@ def _dense_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+# (limit, every prime <= limit): the largest base-prime sieve built so far,
+# replaced as one tuple so a reader never pairs a limit with other primes.
+_base = (1, _dense_primes(1))
+
+
 def base_primes(hi: int) -> np.ndarray:
-    """All primes <= isqrt(hi), cached: the base primes of a pass ending at hi."""
-    return _dense_primes(math.isqrt(hi))
+    """All primes <= isqrt(hi), a prefix of the largest sieve built so far.
+
+    A larger hi rebuilds that sieve up to isqrt(hi), so a pass that asks
+    for its last integer first builds it once, and its blocks only cut it.
+    """
+    global _base
+    limit = math.isqrt(hi)
+    built, primes = _base
+    if limit > built:
+        built, primes = _base = limit, _dense_primes(limit)
+    return primes[: np.searchsorted(primes, limit, side="right")]
 
 
 def check_range(hi: int, segment_size: int) -> None:
@@ -86,12 +98,11 @@ def check_range(hi: int, segment_size: int) -> None:
 
 
 def iter_prime_segments(
-    lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE, *, pass_hi: int | None = None
+    lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE
 ) -> Iterator[np.ndarray]:
     """Yield the primes of [lo, hi] as int64 arrays, one per segment.
 
     Segments are cut at multiples of segment_size (numerics.aligned_blocks).
-    The base primes are base_primes(pass_hi), the pass's (default hi).
     The sieve marks odd numbers only: position i of a segment's mask is
     n0 + 2i, n0 its first odd number, so an odd base prime p crosses out
     the positions from max(i0, (p^2 - n0) / 2) in steps of p, with
@@ -104,7 +115,7 @@ def iter_prime_segments(
     if hi < lo:
         return
     check_range(hi, segment_size)
-    base = base_primes(max(hi, pass_hi or hi))[1:]
+    base = base_primes(hi)[1:]
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         n0 = seg_lo | 1
         mask = np.ones((seg_hi - n0) // 2 + 1, dtype=bool)  # size 0 when seg_lo == seg_hi is even
@@ -122,7 +133,7 @@ def iter_prime_segments(
 
 def prime_pass(kernels: Sequence, block_size: int, workers: int = 1) -> str:
     """One pass over the primes for several block kernels; returns the
-    engine it ran on (numerics.block_engine).
+    engine it ran on (numerics.map_blocks').
 
     Each kernel has ``blocks``, pieces of aligned_blocks(..., block_size);
     ``kernel(lo, hi, primes)``, which gets the primes of its own block
@@ -138,13 +149,12 @@ def prime_pass(kernels: Sequence, block_size: int, workers: int = 1) -> str:
     for cell in sorted(set().union(*wanted)):
         pieces = [w[cell] for w in wanted if cell in w]
         blocks.append((min(lo for lo, _ in pieces), max(hi for _, hi in pieces)))
-    pass_hi = blocks[-1][1] if blocks else 0
     if blocks:
-        base_primes(pass_hi)  # built once, before any worker is forked
+        base_primes(blocks[-1][1])  # built once, before any worker is forked
 
     def eval_block(lo: int, hi: int) -> list:
         # An aligned block is exactly one sieve segment.
-        (primes,) = iter_prime_segments(lo, hi, segment_size=block_size, pass_hi=pass_hi)
+        (primes,) = iter_prime_segments(lo, hi, segment_size=block_size)
         out = []
         for i, (k, want) in enumerate(zip(kernels, wanted)):
             own = want.get(lo // block_size)
@@ -158,8 +168,7 @@ def prime_pass(kernels: Sequence, block_size: int, workers: int = 1) -> str:
         for i, result in results:
             kernels[i].keep(result)
 
-    map_blocks(blocks, eval_block, workers, on_block)
-    return block_engine(blocks, workers)
+    return map_blocks(blocks, eval_block, workers, on_block)[1]
 
 
 def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
@@ -231,23 +240,19 @@ def sigma_of_segment(seg: SegmentFactors) -> np.ndarray:
     return sig
 
 
-def _prime_power_starts(
-    n0: int, size: int, stride: int, pass_hi: int | None = None
-) -> Iterator[tuple[int, list[int]]]:
+def _prime_power_starts(n0: int, size: int, stride: int) -> Iterator[tuple[int, list[int]]]:
     """The strided walk: the odd base primes of n0 + stride * i, 0 <= i < size.
 
     stride is 1 or 2.  Yields (p, starts), in ascending p, for each odd
     prime p <= sqrt(n_max) that divides one of the integers: the multiples
     of p^m are the positions starts[m - 1]::p^m, with
     starts[m - 1] = -n0 * stride^-1 mod p^m, for every m with a multiple
-    of p^m among the integers.  The primes are cut from
-    base_primes(pass_hi), the pass's (default n_max).
+    of p^m among the integers.
     """
     if size <= 0:
         return
     n_max = n0 + stride * (size - 1)
-    base = base_primes(max(n_max, pass_hi or n_max))
-    for p in base[1 : np.searchsorted(base, math.isqrt(n_max), side="right")].tolist():
+    for p in base_primes(n_max)[1:].tolist():
         starts = []
         pm = p
         # stride^-1 mod p^m is 1 for stride 1 and (p^m + 1) / 2 for stride 2.
@@ -259,7 +264,7 @@ def _prime_power_starts(
 
 
 def strided_prime_powers(
-    n0: int, size: int, stride: int, pass_hi: int | None = None
+    n0: int, size: int, stride: int
 ) -> Iterator[tuple[int, int, np.ndarray | None]]:
     """The strided walk (_prime_power_starts) with exponent arrays.
 
@@ -267,7 +272,7 @@ def strided_prime_powers(
     exps[k] is the exponent of p in the integer at position i0 + k * p,
     or exps is None when every exponent is 1.
     """
-    for p, (i0, *deeper) in _prime_power_starts(n0, size, stride, pass_hi):
+    for p, (i0, *deeper) in _prime_power_starts(n0, size, stride):
         exps = None
         if deeper:
             exps = np.ones((size - 1 - i0) // p + 1, dtype=np.intp)
@@ -278,9 +283,7 @@ def strided_prime_powers(
         yield p, i0, exps
 
 
-def _sigma_tiles(
-    n0: int, size: int, stride: int, pass_hi: int | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _sigma_tiles(n0: int, size: int, stride: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(start, n, sigma(n)) per tile of n = n0 + stride * i, 0 <= i < size.
 
     stride is 1 or 2.  Tiles hold SIGMA_TILE integers; n and sigma(n) come
@@ -311,7 +314,7 @@ def _sigma_tiles(
     dtype = np.uint32 if n_max <= UINT32_N_MAX else np.int64
     sig = np.ones(size, dtype=dtype)
     smooth = np.ones(size, dtype=dtype)
-    for p, (i0, *deeper) in _prime_power_starts(n0, size, stride, pass_hi):
+    for p, (i0, *deeper) in _prime_power_starts(n0, size, stride):
         sig[i0::p] *= p + 1
         smooth[i0::p] *= p
         pm, sigma_pm = p, p + 1
@@ -342,23 +345,19 @@ def _sigma_tiles(
         yield start, n_float, q
 
 
-def sigma_strided(
-    n0: int, size: int, stride: int, pass_hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def sigma_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, sigma(n)) for n = n0 + stride * i, 0 <= i < size, exact int64; stride 1 or 2.
 
     The kernel and its exactness argument are _sigma_tiles'.
     """
     n_values = np.arange(n0, n0 + stride * size, stride, dtype=np.int64)
     sig = np.empty(size, dtype=np.int64)
-    for start, _, sigma in _sigma_tiles(n0, size, stride, pass_hi):
+    for start, _, sigma in _sigma_tiles(n0, size, stride):
         sig[start : start + sigma.size] = sigma
     return n_values, sig
 
 
-def ratio_strided(
-    n0: int, size: int, stride: int, pass_hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def ratio_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, (sigma(n) - n) / n) for n = n0 + stride * i, 0 <= i < size; stride 1 or 2.
 
     Each ratio is formed while its tile is in cache.  sigma(n) - n is an
@@ -367,7 +366,7 @@ def ratio_strided(
     """
     n_values = np.arange(n0, n0 + stride * size, stride, dtype=np.int64)
     ratios = np.empty(size, dtype=np.float64)
-    for start, n, sigma in _sigma_tiles(n0, size, stride, pass_hi):
+    for start, n, sigma in _sigma_tiles(n0, size, stride):
         sigma -= n
         np.divide(sigma, n, out=ratios[start : start + n.size])
     return n_values, ratios
@@ -380,15 +379,13 @@ def iter_sigma_segments(
     parity: int | None = None,
     *,
     ratio: bool = False,
-    pass_hi: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (n_values, sigma_values) per segment over [lo, hi].
 
     With ``parity`` (0 or 1) the arrays hold only the n of [lo, hi] with
     n % 2 == parity, and segments without one are skipped.  With ``ratio``
     the second array holds (sigma(n) - n) / n as float64 (ratio_strided)
-    instead of sigma(n).  Every segment takes its base primes from
-    base_primes(pass_hi), the pass's (default hi).
+    instead of sigma(n).
     """
     if lo < 1:
         raise ParameterError(f"range start must be >= 1, got {lo}")
@@ -398,11 +395,10 @@ def iter_sigma_segments(
         return
     check_range(hi, segment_size)
     kernel = ratio_strided if ratio else sigma_strided
-    pass_hi = max(hi, pass_hi or hi)
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         if parity is None:
-            yield kernel(seg_lo, seg_hi - seg_lo + 1, 1, pass_hi)
+            yield kernel(seg_lo, seg_hi - seg_lo + 1, 1)
         else:
             n0 = seg_lo + (seg_lo - parity) % 2
             if n0 <= seg_hi:
-                yield kernel(n0, (seg_hi - n0) // 2 + 1, 2, pass_hi)
+                yield kernel(n0, (seg_hi - n0) // 2 + 1, 2)

@@ -172,9 +172,10 @@ def run_selftest() -> bool:
         )
     )
 
-    # 5e6 integers: enough for two workers to run on forked processes.
-    a1 = alpha_upper_bound(5 * 10**6, workers=1)
-    a2 = alpha_upper_bound(5 * 10**6, workers=2)
+    # 1e7 integers: enough for two workers to run on forked processes
+    # (numerics.SERIAL_INTEGERS).
+    a1 = alpha_upper_bound(10**7, workers=1)
+    a2 = alpha_upper_bound(10**7, workers=2)
     results.append(
         _check(
             "alpha block sum worker bit-identity",
@@ -198,8 +199,8 @@ def run_selftest() -> bool:
     results.append(
         _check("beta block sum worker bit-identity", b1.value == b4.value)
     )
-    e1 = euler_log_sums(8, 5 * 10**6, workers=1)
-    e2 = euler_log_sums(8, 5 * 10**6, workers=2)
+    e1 = euler_log_sums(8, 10**7, workers=1)
+    e2 = euler_log_sums(8, 10**7, workers=2)
     results.append(_check("beta prime pass worker bit-identity", e1 == e2))
 
     # Per prime, exp of the Euler kernel's certified log beta_j(p) meets

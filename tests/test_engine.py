@@ -39,11 +39,11 @@ def fail_at(lo, exc):
 class TestSerialRule:
     def test_small_passes_stay_serial(self):
         assert block_engine(BLOCKS, 2) == "serial"  # 100 integers
-        big = aligned_blocks(0, (1 << 22) - 1, 1 << 20)
+        big = aligned_blocks(0, (1 << 23) - 1, 1 << 20)
         assert block_engine(big, 2) == "processes"
         assert block_engine(big, 1) == "serial"
         assert block_engine(big[:1], 2) == "serial"
-        assert block_engine(aligned_blocks(0, (1 << 22) - 2, 1 << 20), 2) == "serial"
+        assert block_engine(aligned_blocks(0, (1 << 23) - 2, 1 << 20), 2) == "serial"
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one(self, workers):
@@ -56,8 +56,9 @@ class TestProcessPath:
     @pytest.mark.parametrize("workers", [2, 5])  # 5: more workers than this host's cores
     def test_results_in_block_order_and_no_child_left(self, workers):
         seen = []
-        out = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
+        out, engine = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
         assert seen == out == BLOCKS
+        assert engine == "processes"
         assert multiprocessing.active_children() == []
 
     def test_serial_beside_other_threads(self):
@@ -155,7 +156,14 @@ class TestSameBitsOnProcesses:
 
 
 class TestBasePrimes:
-    """Every block of a pass takes its base primes from one cached sieve."""
+    """Every block of a pass cuts its base primes from one cached sieve."""
+
+    def test_prefix_of_the_largest_sieve(self, monkeypatch):
+        monkeypatch.setattr(primes, "_base", (1, primes._dense_primes(1)))
+        assert primes.base_primes(10**6).tolist() == primes._dense_primes(1000).tolist()
+        assert primes.base_primes(99).tolist() == [2, 3, 5, 7]
+        assert primes.base_primes(3).size == 0
+        assert primes._base[0] == 1000
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("run", [
@@ -167,9 +175,12 @@ class TestBasePrimes:
     ], ids=["alpha", "beta", "lambda", "means", "odd-sums"])
     def test_one_miss_per_pass(self, monkeypatch, run, workers):
         monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
-        primes._dense_primes.cache_clear()
+        monkeypatch.setattr(primes, "_base", (1, primes._dense_primes(1)))
+        limits = []
+        sieve = primes._dense_primes
+        monkeypatch.setattr(primes, "_dense_primes", lambda n: limits.append(n) or sieve(n))
         run(workers)
-        assert primes._dense_primes.cache_info().misses == 1
+        assert len(limits) == 1
 
 
 def test_serial_path_never_imports_multiprocessing(tmp_path):

@@ -314,7 +314,7 @@ def _block_reduce(lo, hi, block_size, term, workers=1, vectorized=False):
     else:
         def eval_block(b_lo, b_hi):
             return compensated_sum([term(n) for n in range(b_lo, b_hi + 1)])
-    return combine_blocks(map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers))
+    return combine_blocks(map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers)[0])
 
 
 class TestAlignedBlocks:
@@ -402,8 +402,9 @@ class TestMapBlocks:
     def test_on_block_once_per_block_in_order(self, workers):
         blocks = aligned_blocks(5, 1000, 64)
         seen = []
-        out = map_blocks(blocks, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
+        out, engine = map_blocks(blocks, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
         assert seen == out == blocks
+        assert engine == "serial"  # under numerics.SERIAL_INTEGERS
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_block_stops_after_earlier_blocks(self, workers):
