@@ -46,33 +46,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaResult",
-    "BetaSummary",
-    "CertifiedValue",
-    "Factorization",
-    "ParameterError",
-    "ResourceError",
-    "SSetBudgetExceeded",
-    "TrajectoryRecord",
-    "UnresolvedCofactorError",
-    "aliquot_sum",
-    "alpha_upper_bound",
-    "arithmetic_mean",
-    "beta_lower",
-    "certified_combine",
-    "closed_form",
-    "compensated_sum",
-    "factorize",
-    "is_prime",
-    "log_mean",
-    "nu",
-    "primes_in_range",
-    "sigma",
-    "sigma_oracle",
-    "trace",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str):

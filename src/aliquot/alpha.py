@@ -189,20 +189,17 @@ def _block_sums(primes: np.ndarray, M: int) -> tuple[tuple, tuple]:
     return block_sum_parts(terms), block_sum_parts(tail_a(p, M))
 
 
-def check_cutoff(N: int, block_size: int) -> None:
-    """ParameterError for N <= 2; the sieve's limits on N and block_size."""
-    if N <= 2:
-        raise ParameterError(f"N must exceed 2, got {N}")
-    check_range(N, block_size)
-
-
 class AlphaPass:
     """alpha's kernel on the prime pass (primes.prime_pass): the aligned
     blocks of the odd primes p <= N, each summed at its own depth
-    (_block_depth), and the assembly of the bound from their results."""
+    (_block_depth), and the assembly of the bound from their results.
+    N <= 2 is a ParameterError, as are N and block_size past the sieve's
+    limits."""
 
     def __init__(self, N: int, block_size: int):
-        check_cutoff(N, block_size)
+        if N <= 2:
+            raise ParameterError(f"N must exceed 2, got {N}")
+        check_range(N, block_size)
         self.N = N
         self.blocks = aligned_blocks(3, N, block_size)
         self.results: list[tuple] = []

@@ -405,9 +405,9 @@ class EulerPass:
 
     ``blocks`` are the aligned blocks the pass still has to run: all of
     them, or those after the records a checkpoint_dir holds.  A stored
-    file is trusted only if its first and last records equal a
-    recomputation bit for bit and every record holds the series of its
-    block; otherwise it is discarded.
+    file is trusted only if its records are the first aligned blocks in
+    order, each holds the series of its block, and the first and the last
+    equal a recomputation bit for bit; otherwise it is discarded.
     """
 
     def __init__(self, J: int, P: int, block_size: int, checkpoint_dir: str | None = None):
@@ -421,14 +421,13 @@ class EulerPass:
         if checkpoint_dir is not None:
             key = {"kind": "beta-euler", "kernel": EULER_KERNEL, "P": P,
                    "block_size": block_size, "j_list": list(range(1, J + 1))}
-            self.store = CheckpointStore(checkpoint_dir, "beta-euler", key)
+            self.store = CheckpointStore(checkpoint_dir, key)
             self.records = self.store.load()
             if self.records and not self._trusted(blocks):
                 self.records = []
                 self.store.discard()
         self.blocks = blocks[len(self.records) :]
         self.flush_every = max(1, _FLUSH_INTEGERS // block_size)
-        self.saved = len(self.records)
 
     def _layout(self, lo: int, hi: int) -> set[str]:
         """The parts a block's record holds."""
@@ -460,21 +459,17 @@ class EulerPass:
             parts = {str(j): block_sum_parts(row) for j, row in enumerate(rows, start=1)}
         if hi >= SERIES_FROM:
             parts.update(_power_sum_parts(primes[split:]))
-        return BlockRecord(lo // self.block_size, lo, hi, parts)
+        return BlockRecord(lo, hi, parts)
 
     def keep(self, rec: BlockRecord) -> None:
         self.records.append(rec)
-        if self.store is not None and len(self.records) % self.flush_every == 0:
+        if self.store is not None and (len(self.records) % self.flush_every == 0
+                                       or rec.hi == self.P):
             self.store.save(self.records)
-            self.saved = len(self.records)
 
     def log_sums(self) -> dict[int, CertifiedValue]:
-        """Each j's certified log sum, once the pass is complete; saves the
-        checkpoint if records were added since its last flush."""
+        """Each j's certified log sum, once the pass is complete."""
         records = self.records
-        if self.store is not None and len(records) > self.saved:
-            self.store.save(records)
-            self.saved = len(records)
         sums = {
             j: combine_blocks([parts_to_certified(*rec.parts[str(j)])
                                for rec in records if rec.lo < SERIES_FROM])
@@ -510,11 +505,11 @@ def euler_log_sums(
     that reaches SERIES_FROM computes coefficients.
 
     With a checkpoint_dir, completed blocks are saved as they finish
-    (every _FLUSH_INTEGERS integers, and at the end if blocks were added
-    since), so a killed run keeps its progress.  On resume the first and
-    the last stored blocks are recomputed, and unless both equal their
-    records bit for bit and every record holds the same series, the file
-    is discarded.
+    (every _FLUSH_INTEGERS integers, and at the last block), so a killed
+    run keeps its progress.  On resume the first and the last stored
+    blocks are recomputed, and unless both equal their records bit for
+    bit and every record holds the series of its block, in block order,
+    the file is discarded.
     """
     euler = EulerPass(J, P, block_size, checkpoint_dir)
     prime_pass([euler], block_size, workers)

@@ -1,10 +1,11 @@
 """Restartable block sums for long runs.
 
 A checkpoint file stores, for one summation keyed by its full
-configuration, the per-block compensated partial sums produced so far.
-On resume the key must match and the first and last stored blocks are
-recomputed and compared bit-for-bit before any stored data is trusted; a
-mismatch discards the file (stale or foreign data never mixes in).
+configuration, the per-block compensated partial sums produced so far,
+each block known by its bounds.  The store checks only the key; the
+summation that resumes decides whether the records are its own blocks
+(beta.EulerPass recomputes the first and the last and compares every
+record's bounds), and a mismatch discards the file.
 """
 
 from __future__ import annotations
@@ -24,16 +25,14 @@ def config_hash(key: dict) -> str:
 
 @dataclass
 class BlockRecord:
-    """Partial sums of one block: per tracked series (value, abs_sum, n_terms)."""
+    """Partial sums of block [lo, hi]: per tracked series (value, abs_sum, n_terms)."""
 
-    index: int
     lo: int
     hi: int
     parts: dict[str, tuple[float, float, int]]
 
     def to_json_dict(self) -> dict:
         return {
-            "index": self.index,
             "lo": self.lo,
             "hi": self.hi,
             "parts": {k: [v[0], v[1], v[2]] for k, v in self.parts.items()},
@@ -42,7 +41,6 @@ class BlockRecord:
     @staticmethod
     def from_json_dict(d: dict) -> "BlockRecord":
         return BlockRecord(
-            index=int(d["index"]),
             lo=int(d["lo"]),
             hi=int(d["hi"]),
             parts={k: (float(v[0]), float(v[1]), int(v[2])) for k, v in d["parts"].items()},
@@ -52,32 +50,25 @@ class BlockRecord:
 class CheckpointStore:
     """One summation's checkpoint file under ``directory``.
 
-    The filename is content-addressed by the configuration hash, so runs
-    with different parameters can never collide.
+    The filename is the key's ``"kind"`` and its configuration hash, so
+    runs with different parameters can never collide.
     """
 
-    def __init__(self, directory: str | Path, kind: str, key: dict):
+    def __init__(self, directory: str | Path, key: dict):
         self.directory = Path(directory)
         self.key = key
-        self.path = self.directory / f"{kind}-{config_hash(key)}.json"
+        self.path = self.directory / f"{key['kind']}-{config_hash(key)}.json"
 
     def load(self) -> list[BlockRecord]:
-        """Stored block records in index order; [] if absent, malformed or keyed otherwise."""
-        if not self.path.exists():
-            return []
+        """Stored block records in file order; [] if absent, malformed or keyed otherwise."""
         try:
             with open(self.path) as fh:
                 doc = json.load(fh)
             if doc["key"] != self.key:
                 return []
-            records = [BlockRecord.from_json_dict(b) for b in doc["blocks"]]
+            return [BlockRecord.from_json_dict(b) for b in doc["blocks"]]
         except (OSError, ValueError, LookupError, TypeError, AttributeError, OverflowError):
             return []
-        records.sort(key=lambda r: r.index)
-        expect = list(range(len(records)))
-        if [r.index for r in records] != expect:
-            return []
-        return records
 
     def save(self, records: list[BlockRecord]) -> None:
         """Atomically rewrite the file with the given records."""
@@ -93,5 +84,4 @@ class CheckpointStore:
         os.replace(tmp, self.path)
 
     def discard(self) -> None:
-        if self.path.exists():
-            self.path.unlink()
+        self.path.unlink(missing_ok=True)

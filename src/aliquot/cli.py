@@ -19,10 +19,11 @@ P (default 1e6, at least 1000), and charges each j-term j T(P) for the
 primes past P.  --checkpoint-dir saves beta's part of the prime pass as
 it goes; a killed run, started again with the same flags, resumes it.
 --workers above 1 runs a pass of 2^23 integers or more on forked worker
-processes.  Reports are written as JSON (always) and CSV (tabular verbs)
-under --out; each records the engine its pass ran on.  Exit
-status: 0 on success, 1 on parameter errors, 2 on resource or effort
-errors.
+processes, at most one per CPU the process may use.  Reports are written
+as JSON (always) and CSV (tabular verbs) under --out; each records the
+engine its pass ran on.  Exit status: 0 on success, 1 on parameter
+errors, 2 on resource or effort errors, among them an --out or
+--checkpoint-dir that cannot be written, reported before the pass.
 
 Each verb imports the modules it runs when it runs: trace, --help,
 --version and usage errors start without numpy.
@@ -164,6 +165,16 @@ def combine_lambda(
     mu = math.exp(lam)
     mu = math.nextafter(math.nextafter(mu, math.inf), math.inf)
     return LambdaReport(alpha_result, beta_result, lam, mu, provenance or {})
+
+
+def _check_writable(flag: str, directory: Path) -> None:
+    """ResourceError unless directory's nearest existing ancestor is a
+    writable directory.  Creates nothing, so a failed run leaves none."""
+    parent = directory.absolute()
+    while not parent.exists():
+        parent = parent.parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
+        raise ResourceError(f"{flag} {directory}: {parent} is not a writable directory")
 
 
 def _write_json(out_dir: Path, name: str, doc: dict) -> Path:
@@ -315,7 +326,7 @@ def build_parser() -> _Parser:
 
     def block_flags(p):  # the verbs that run blocks through map_blocks
         common(p)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_int_flag, default=1)
         p.add_argument("--block-size", dest="block_size", type=_int_flag, default=1 << 20)
 
     p_alpha = sub.add_parser("alpha", help="certified upper bound for alpha")
@@ -401,6 +412,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.verb != "selftest":
+            _check_writable("--out", Path(args.out))
+        if getattr(args, "checkpoint_dir", None) is not None:
+            _check_writable("--checkpoint-dir", Path(args.checkpoint_dir))
         return _COMMANDS[args.verb](args, Path(args.out))
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

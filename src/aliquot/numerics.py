@@ -23,6 +23,7 @@ and reference certificates keep their bits.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -251,18 +252,27 @@ def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
 SERIAL_INTEGERS = 1 << 23
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or
+    os.cpu_count() where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def block_engine(blocks: Sequence[tuple[int, int]], workers: int) -> str:
     """How map_blocks runs these blocks: "processes" or "serial".
 
-    Serial for one worker, for at most one block and for blocks spanning
-    fewer than SERIAL_INTEGERS integers; also when the caller runs other
-    threads, since a forked worker could inherit a lock one of them
-    holds.  Forked processes otherwise.  A worker count below 1 is a
-    ParameterError.
+    Serial for one worker or one usable CPU (usable_cpus), for at most
+    one block and for blocks spanning fewer than SERIAL_INTEGERS
+    integers; also when the caller runs other threads, since a forked
+    worker could inherit a lock one of them holds.  Forked processes
+    otherwise.  A worker count below 1 is a ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(blocks) <= 1:
+    if min(workers, usable_cpus()) == 1 or len(blocks) <= 1:
         return "serial"
     if sum(hi - lo + 1 for lo, hi in blocks) < SERIAL_INTEGERS:
         return "serial"
@@ -284,12 +294,13 @@ def map_blocks(
     to on_block, no later block is passed and the exception propagates.
 
     The engine is block_engine's choice.  On "processes" the pass forks
-    up to ``workers`` worker processes, which inherit eval_block (it is
-    never pickled; its results are) and take blocks one at a time as they
-    come free; every worker has exited and been joined before map_blocks
-    returns or raises.  Each block is evaluated independently by a pure
-    function, so the results (and hence any ordered merge of them) are
-    bit-identical on either engine and for every worker count.
+    ``workers`` worker processes, or fewer where there are fewer blocks or
+    usable CPUs, which inherit eval_block (it is never pickled; its results
+    are) and take blocks one at a time as they come free; every worker has
+    exited and been joined before map_blocks returns or raises.  Each
+    block is evaluated independently by a pure function, so the results
+    (and hence any ordered merge of them) are bit-identical on either
+    engine and for every worker count.
     """
     out = []
 
@@ -321,7 +332,7 @@ def _map_forked(blocks, eval_block, workers: int, keep) -> None:
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    workers = min(workers, len(blocks))
+    workers = min(workers, len(blocks), usable_cpus())
     ends, procs = [], []  # the caller's pipe ends and their workers
     try:
         for _ in range(workers):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .alpha import L, M, _block_sums, alpha_two_part, alpha_upper_bound, tail_a
+from .alpha import M, AlphaPass, _block_sums, alpha_upper_bound
 from .arith import factorize, sigma, sigma_oracle
 from .beta import (
     SERIES_FROM,
@@ -41,15 +41,7 @@ from .beta import (
     two_beta2_minus_one,
 )
 from .means import log_mean
-from .numerics import (
-    EPS,
-    aligned_blocks,
-    block_sum_parts,
-    certified_combine,
-    combine_blocks,
-    exact_sum,
-    parts_to_certified,
-)
+from .numerics import EPS, block_sum_parts, exact_sum, parts_to_certified
 from .primes import iter_prime_segments, iter_sigma_segments, primes_in_range
 from .trajectory import trace
 
@@ -65,19 +57,16 @@ def full_depth_alpha_bound(N: int, block_size: int) -> tuple[float, int]:
     """Oracle for alpha_upper_bound's per-block depths: its bound with every
     aligned block summed at the full depth M, and the odd primes counted.
 
-    The assembly repeats alpha_upper_bound's operations in its order, so
-    the two agree bit for bit where every block keeps depth M.
+    The blocks go through AlphaPass's own assembly, so the two agree bit
+    for bit where every block keeps depth M.
     """
-    segments = [next(iter_prime_segments(lo, hi, block_size))
-                for lo, hi in aligned_blocks(3, N, block_size)]
-    parts = [_block_sums(primes, M) for primes in segments]
-    odd_sum = combine_blocks([parts_to_certified(*terms) for terms, _ in parts])
-    tail_sum = combine_blocks([parts_to_certified(*tails) for _, tails in parts])
-    sums = certified_combine(alpha_two_part(L), odd_sum, "add")
-    tail_total = 2.0 * tail_a(2, L) + tail_sum.value + tail_sum.error_radius + 1.0 / N
-    ub = sums.value + sums.error_radius + tail_total
-    ub = math.nextafter(math.nextafter(ub, math.inf), math.inf)
-    return ub, sum(primes.size for primes in segments)
+    alpha = AlphaPass(N, block_size)
+    for lo, hi in alpha.blocks:
+        (primes,) = iter_prime_segments(lo, hi, block_size)
+        terms, tails = _block_sums(primes, M)
+        alpha.keep((parts_to_certified(*terms), parts_to_certified(*tails), primes.size, M))
+    result = alpha.result(0.0, "serial")
+    return result.upper_bound, result.n_primes
 
 
 def run_selftest() -> bool:

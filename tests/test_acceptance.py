@@ -246,7 +246,7 @@ def test_criterion_8_full_scale_configuration(tmp_path, killed_at_block):
         "block_size": 1 << 20,
         "j_list": list(range(1, 9)),
     }
-    store = CheckpointStore(tmp_path, "beta-euler", key)
+    store = CheckpointStore(tmp_path, key)
     records = store.load()
     ok = ok and len(records) == 2
     ok = ok and records[0].parts.keys() == {str(j) for j in range(1, 9)}

@@ -445,7 +445,7 @@ def _euler_store(directory, J, P, block_size):
     """The checkpoint store euler_log_sums keeps under directory."""
     key = {"kind": "beta-euler", "kernel": beta_module.EULER_KERNEL, "P": P,
            "block_size": block_size, "j_list": list(range(1, J + 1))}
-    return CheckpointStore(directory, "beta-euler", key)
+    return CheckpointStore(directory, key)
 
 
 class TestCheckpointing:
@@ -566,6 +566,41 @@ class TestCheckpointing:
         resumed = euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path)
         direct = euler_log_sums(2, 30000, block_size=4096)
         assert resumed == direct
+
+    @pytest.mark.parametrize("case", ["swapped", "missing"])
+    def test_middle_records_out_of_block_order_are_discarded(self, tmp_path, case):
+        # The records are known by their bounds: the pass, not the store,
+        # finds a middle record out of place, and rewrites the file in
+        # block order.
+        P, block_size = 30000, 4096
+        store = _euler_store(tmp_path, 2, P, block_size)
+        euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
+        records = store.load()[:5]
+        if case == "swapped":
+            records[1], records[2] = records[2], records[1]
+        else:
+            del records[2]
+        store.save(records)
+        resumed = euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
+        assert resumed == euler_log_sums(2, P, block_size=block_size)
+        assert [(r.lo, r.hi) for r in store.load()] == aligned_blocks(3, P, block_size)
+
+    def test_records_with_an_index_still_resume(self, tmp_path, monkeypatch):
+        # Files that number their records load with the numbers ignored.
+        P, block_size = 30000, 4096
+        store = _euler_store(tmp_path, 2, P, block_size)
+        euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
+        doc = json.loads(store.path.read_text())
+        doc["blocks"] = [{"index": k, **b} for k, b in enumerate(doc["blocks"][:5])]
+        store.path.write_text(json.dumps(doc))
+        kernel, calls = beta_module._log_beta_terms, []
+        monkeypatch.setattr(beta_module, "_log_beta_terms",
+                            lambda primes, J: calls.append(int(primes[0]) // block_size)
+                            or kernel(primes, J))
+        resumed = euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
+        assert calls == [0, 4, 5, 6, 7]
+        monkeypatch.setattr(beta_module, "_log_beta_terms", kernel)
+        assert resumed == euler_log_sums(2, P, block_size=block_size)
 
     def test_foreign_key_ignored(self, tmp_path):
         store_a = _euler_store(tmp_path, 1, 30000, 4096)

@@ -48,6 +48,27 @@ class TestExitCodes:
         assert "parameter error" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # no report records the bad count
 
+    @pytest.mark.parametrize("argv, entry", [
+        (["trace", "12", "--out", "{file}/x"], "trace"),
+        (["beta", "--J", "2", "--Nj", "1e4", "--checkpoint-dir", "{file}/ck",
+          "--out", "{tmp}/r"], "beta_lower"),
+        (["lambda", "--J", "2", "--Nj", "1e4", "--out", "{file}"], "lambda_bounds"),
+    ], ids=["trace-out", "beta-checkpoint-dir", "lambda-out"])
+    def test_unwritable_directory_fails_before_the_pass(self, tmp_path, capsys, monkeypatch,
+                                                         argv, entry):
+        # A file where a directory should be: one line, exit 2, nothing run
+        # and nothing created.
+        from aliquot import cli
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, entry, lambda *a, **k: pytest.fail(f"{entry} ran"))
+        argv = [a.format(file=blocker, tmp=tmp_path) for a in argv]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("resource error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [blocker]
+
     @pytest.mark.parametrize("argv", [
         ["trace", "12", "--workers", "0"],
         ["selftest", "--block-size", "4096"],
@@ -72,6 +93,10 @@ class TestMeansVerb:
     @pytest.mark.parametrize("value", ["inf", "nan", "1e-3", "4/2", "1e4300", "1e999999999"])
     def test_non_integer_flag_is_a_usage_error(self, tmp_path, value):
         assert run(["means", "--N", value, "--out", str(tmp_path)]) == 1
+
+    def test_scientific_notation_workers(self, tmp_path):
+        assert run(["lambda", "--workers", "2e0", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "lambda.json")["provenance"]["workers"] == 2
 
     def test_scientific_notation_flag(self, tmp_path):
         assert run(["means", "--class", "odd", "--N", "2e3",
@@ -272,6 +297,7 @@ class TestLambdaVerb:
         assert run([*argv, "--workers", "2", "--block-size", "4096",
                     "--out", str(tmp_path / "a")]) == 0
         monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
         assert run([*argv, "--workers", "2", "--block-size", "4096",
                     "--out", str(tmp_path / "b")]) == 0
         engines = [read_json(tmp_path / d / f"{name}.json")["provenance"]["engine"] for d in "ab"]

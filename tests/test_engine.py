@@ -2,11 +2,14 @@
 
 Passes under numerics.SERIAL_INTEGERS integers run serially, so each test
 here sets that threshold to 0 (the ``forked`` fixture): test sizes then
-fork their worker processes as a full-scale run does.
+fork their worker processes as a full-scale run does.  The fixture also
+gives the process two usable CPUs, so the passes fork on any host.
 """
 
 import json
 import multiprocessing
+import multiprocessing.context
+import os
 
 import pytest
 
@@ -21,10 +24,26 @@ from aliquot.numerics import aligned_blocks, block_engine, map_blocks
 BLOCKS = aligned_blocks(0, 99, 10)
 
 
+def usable_cpus(monkeypatch, n):
+    """Make the process's CPU set n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 @pytest.fixture
 def forked(monkeypatch):
     monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
+    usable_cpus(monkeypatch, 2)
     assert block_engine(BLOCKS, 2) == "processes"
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes map_blocks starts, as a growing list."""
+    procs = []
+    start = multiprocessing.context.ForkProcess.start
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        lambda self: procs.append(self) or start(self))
+    return procs
 
 
 def fail_at(lo, exc):
@@ -53,13 +72,27 @@ class TestSerialRule:
 
 @pytest.mark.usefixtures("forked")
 class TestProcessPath:
-    @pytest.mark.parametrize("workers", [2, 5])  # 5: more workers than this host's cores
+    @pytest.mark.parametrize("workers", [2, 5])  # 5: more workers than usable CPUs
     def test_results_in_block_order_and_no_child_left(self, workers):
         seen = []
         out, engine = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
         assert seen == out == BLOCKS
         assert engine == "processes"
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, count", [(2, 2), (1, 0)])
+    def test_five_workers_capped_at_usable_cpus(self, monkeypatch, started, cpus, count):
+        usable_cpus(monkeypatch, cpus)
+        out, engine = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), 5)
+        assert out == BLOCKS
+        assert engine == ("processes" if count else "serial")
+        assert len(started) == count
+
+    def test_cpu_count_where_there_is_no_cpu_set(self, monkeypatch, started):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert map_blocks(BLOCKS, lambda lo, hi: lo, 5)[1] == "processes"
+        assert len(started) == 2
 
     def test_serial_beside_other_threads(self):
         import threading
@@ -175,6 +208,7 @@ class TestBasePrimes:
     ], ids=["alpha", "beta", "lambda", "means", "odd-sums"])
     def test_one_miss_per_pass(self, monkeypatch, run, workers):
         monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(primes, "_base", (1, primes._dense_primes(1)))
         limits = []
         sieve = primes._dense_primes
