@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import sigma_prime_power
 from .errors import ParameterError
 from .numerics import (
     DEFAULT_BLOCK_SIZE,
@@ -74,7 +75,7 @@ class AlphaResult:
     n_primes: int
     elapsed_seconds: float
     depths: dict[int, int] = field(default_factory=dict)  # depth -> odd primes summed
-    engine: str = "serial"  # the block engine the pass ran on
+    workers: int = 1  # the processes the pass ran on; 1 is serial
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,7 +105,7 @@ def alpha_term(p: int, m: int) -> float:
     q = p**m
     if q > 10**300:
         raise ParameterError(f"p**m = {p}**{m} too large")
-    geom = (q * p - p) // (p - 1)  # p + p^2 + ... + p^m, exact
+    geom = sigma_prime_power(p, m) - 1  # p + p^2 + ... + p^m, exact
     return math.log1p(1.0 / geom) / q
 
 
@@ -216,13 +217,13 @@ class AlphaPass:
             depth,
         )
 
-    def result(self, elapsed_seconds: float, engine: str) -> AlphaResult:
+    def result(self, elapsed_seconds: float, workers: int) -> AlphaResult:
         """The bound from every block's result (alpha_upper_bound)."""
         N = self.N
         odd_sum = combine_blocks([r[0] for r in self.results])
         tail_sum = combine_blocks([r[1] for r in self.results])
 
-        sums = certified_combine(alpha_two_part(L), odd_sum, "add")
+        sums = certified_combine(alpha_two_part(L), odd_sum)
         # Tail pieces are upper bounds themselves; their float radius is
         # folded into the total on the high side.
         tail_total = 2.0 * tail_a(2, L) + tail_sum.value + tail_sum.error_radius + 1.0 / N
@@ -240,7 +241,7 @@ class AlphaPass:
             n_primes=sum(depths.values()),
             elapsed_seconds=elapsed_seconds,
             depths=depths,
-            engine=engine,
+            workers=workers,
         )
 
 
@@ -260,12 +261,12 @@ def alpha_upper_bound(
     2*A(2,L) + sum of A(p,m_b) over the same primes + 1/N.  The bound is
     sums value + sums radius + tails, nudged up two ulps to cover the
     final additions.  ``depths`` counts the odd primes summed at each
-    chosen depth, and ``engine`` names the engine the pass ran on.
+    chosen depth, and ``workers`` counts the processes the pass ran on.
     """
     t0 = time.time()
     alpha = AlphaPass(N, block_size)
-    engine = prime_pass([alpha], block_size, workers)
-    return alpha.result(time.time() - t0, engine)
+    processes = prime_pass([alpha], block_size, workers)
+    return alpha.result(time.time() - t0, processes)
 
 
 def alpha_p_product_form(p: int, depth: int) -> float:
@@ -278,7 +279,6 @@ def alpha_p_product_form(p: int, depth: int) -> float:
     terms = []
     for m in range(1, depth + 1):
         q = p**m
-        partial = (q * p - 1) // (p - 1)  # 1 + p + ... + p^m, exact
-        terms.append(math.log(partial / q) / q)
+        terms.append(math.log(sigma_prime_power(p, m) / q) / q)
     total = math.fsum(terms)
     return (1.0 - 1.0 / p) * total

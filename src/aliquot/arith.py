@@ -234,11 +234,16 @@ def factorize(n: int, rho_budget: int = 500_000) -> Factorization:
     return Factorization(tuple(sorted(factors.items())), n)
 
 
+def sigma_prime_power(p: int, m: int) -> int:
+    """sigma(p^m) = 1 + p + ... + p^m, exact."""
+    return (p ** (m + 1) - 1) // (p - 1)
+
+
 def sigma(f: Factorization) -> int:
-    """sigma(n) = prod over p^m || n of (1 + p + ... + p^m), exactly."""
+    """sigma(n) = prod over p^m || n of sigma(p^m), exactly."""
     total = 1
     for p, m in f.entries:
-        total *= (p ** (m + 1) - 1) // (p - 1)
+        total *= sigma_prime_power(p, m)
     return total
 
 

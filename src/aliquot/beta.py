@@ -128,7 +128,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import Factorization
+from .arith import Factorization, sigma_prime_power
 from .checkpoint import BlockRecord, CheckpointStore
 from .errors import ParameterError, ResourceError, SSetBudgetExceeded
 from .numerics import (
@@ -146,7 +146,6 @@ from .numerics import (
     parts_to_certified,
 )
 from .primes import (
-    base_primes,
     check_range,
     iter_factor_segments,  # read by nothing; kept while alqbench/spans.py wraps it
     iter_prime_segments,
@@ -170,15 +169,10 @@ _CAUCHY_BOUND = 0.373  # |log beta_j(u)| on |u| <= 1/(8j), see the module docstr
 EULER_KERNEL = f"euler-2 series_from={SERIES_FROM} K={SERIES_TERMS}"
 
 
-def _sigma_pp(p: int, m: int) -> int:
-    """sigma(p^m) = 1 + p + ... + p^m, exact."""
-    return (p ** (m + 1) - 1) // (p - 1)
-
-
 def g_prime_power(j: int, p: int, m: int) -> float:
     """g_j(p^m) = p^-m (p^m/sigma(p^m))^j."""
     pm = p**m
-    ratio = pm / _sigma_pp(p, m)
+    ratio = pm / sigma_prime_power(p, m)
     if pm > 10**300:
         return 0.0
     return ratio**j / pm
@@ -186,7 +180,7 @@ def g_prime_power(j: int, p: int, m: int) -> float:
 
 def h_prime_power(j: int, p: int, m: int) -> float:
     """h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1, stably via expm1/log1p."""
-    den = p * _sigma_pp(p, m - 1)
+    den = p * sigma_prime_power(p, m - 1)
     if den > 10**300:
         return 0.0
     return math.expm1(j * math.log1p(1.0 / den))
@@ -194,7 +188,7 @@ def h_prime_power(j: int, p: int, m: int) -> float:
 
 def h_prime_power_binomial(j: int, p: int, m: int) -> float:
     """Reference form: sum over k = 1..j of C(j,k) / (p sigma(p^{m-1}))^k."""
-    den = p * _sigma_pp(p, m - 1)
+    den = p * sigma_prime_power(p, m - 1)
     total = Fraction(0)
     for k in range(1, j + 1):
         total += Fraction(math.comb(j, k), den**k)
@@ -231,11 +225,7 @@ def two_beta2_minus_one(j: int) -> CertifiedValue:
     The dropped tail is below (2/3)^j 2^(1-K2) (each term is at most
     (2/3)^j 2^-m) and is folded into the radius.
     """
-    terms = []
-    for m in range(1, K2 + 1):
-        num = 1 << m
-        den = (1 << (m + 1)) - 1
-        terms.append((num / den) ** j / num)
+    terms = [g_prime_power(j, 2, m) for m in range(1, K2 + 1)]
     return compensated_sum(terms).widened((2.0 / 3.0) ** j * 2.0 ** (1 - K2))
 
 
@@ -697,7 +687,7 @@ def _wide_membership(j: int, e: float, n: int) -> bool:
         ctx.prec = 60
         log_total = Decimal(0)
         for p, m in factorize(n).entries:
-            den = p * _sigma_pp(p, m - 1)
+            den = p * sigma_prime_power(p, m - 1)
             ratio = (Decimal(den + 1) / Decimal(den)) ** j - 1
             log_total += ratio.ln()
         log_total += Decimal(e) * Decimal(n).ln()
@@ -723,10 +713,8 @@ def _prime_power_rows(p: int, m_max: int, js: tuple[int, ...]) -> np.ndarray:
     rows = [[1.0] * (len(js) + 2)]
     for m in range(1, m_max + 1):
         pm = p**m
-        sig_m = (p ** (m + 1) - 1) // (p - 1)
-        sig_prev = (pm - 1) // (p - 1)
-        lx = math.log1p(1.0 / (p * sig_prev))
-        rows.append([-math.expm1(j * lx) for j in js] + [pm / sig_m, float(pm)])
+        rows.append([-h_prime_power(j, p, m) for j in js]
+                    + [pm / sigma_prime_power(p, m), float(pm)])
     table = np.array(rows)
     table.flags.writeable = False
     return table
@@ -794,7 +782,6 @@ def odd_signed_sums(
     """
     j_list = sorted(set(j_list))
     check_range(N, block_size)
-    base_primes(N)  # built once, before any worker is forked
     parts, _ = map_blocks(aligned_blocks(1, N, block_size),
                           lambda lo, hi: _block_odd_signed(lo, hi, j_list), workers)
     return {j: combine_blocks([parts_to_certified(*p[j]) for p in parts]) for j in j_list}
@@ -874,7 +861,7 @@ def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
     coeff_tail = j * math.exp(j / _RANKIN_CUTOFF) / (1.0 - _RANKIN_CUTOFF ** (delta - 2.0))
     prime_tail = (
         coeff_tail
-        * 1.25506
+        * _PI_BOUND
         * s
         / (s - 1.0)
         * _RANKIN_CUTOFF ** (1.0 - s)
@@ -915,7 +902,7 @@ class BetaSummary:
     certified: CertifiedValue
     reports: list[BetaJReport]
     elapsed_seconds: float
-    engine: str = "serial"  # the block engine the prime pass ran on
+    workers: int = 1  # the processes the prime pass ran on; 1 is serial
 
     @property
     def lower_bound(self) -> float:
@@ -969,8 +956,8 @@ def beta_lower(
     """
     t0 = time.time()
     euler = euler_pass(J, P, block_size, checkpoint_dir)
-    engine = prime_pass([euler], block_size, workers)
-    return beta_summary(euler.log_sums(), P, time.time() - t0, engine)
+    processes = prime_pass([euler], block_size, workers)
+    return beta_summary(euler.log_sums(), P, time.time() - t0, processes)
 
 
 def euler_pass(J: int, P: int, block_size: int, checkpoint_dir: str | None) -> EulerPass:
@@ -981,7 +968,7 @@ def euler_pass(J: int, P: int, block_size: int, checkpoint_dir: str | None) -> E
 
 
 def beta_summary(
-    log_sums: dict[int, CertifiedValue], P: int, elapsed_seconds: float, engine: str
+    log_sums: dict[int, CertifiedValue], P: int, elapsed_seconds: float, workers: int
 ) -> BetaSummary:
     """The lower bound from each j's log sum S over the odd primes p <= P.
 
@@ -1004,4 +991,4 @@ def beta_summary(
     total_value = math.fsum(r.main.value for r in reports)
     total_lower = math.nextafter(math.fsum(r.contribution_lower for r in reports), -math.inf)
     certified = CertifiedValue(total_value, max(0.0, total_value - total_lower))
-    return BetaSummary(certified, reports, elapsed_seconds, engine)
+    return BetaSummary(certified, reports, elapsed_seconds, workers)

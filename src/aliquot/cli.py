@@ -21,9 +21,10 @@ it goes; a killed run, started again with the same flags, resumes it.
 --workers above 1 runs a pass of 2^23 integers or more on forked worker
 processes, at most one per CPU the process may use.  Reports are written
 as JSON (always) and CSV (tabular verbs) under --out; each records the
-engine its pass ran on.  Exit status: 0 on success, 1 on parameter
-errors, 2 on resource or effort errors, among them an --out or
---checkpoint-dir that cannot be written, reported before the pass.
+processes its pass ran on and the CPUs it could use.  Exit status: 0 on
+success, 1 on parameter errors, 2 on resource or effort errors, among
+them an --out or --checkpoint-dir that cannot be written, reported
+before the pass.
 
 Each verb imports the modules it runs when it runs: trace, --help,
 --version and usage errors start without numpy.
@@ -118,7 +119,7 @@ def lambda_bounds(
     alpha's arguments are checked first.  beta's checkpoint works as
     beta_lower's, and beta's and lambda's runs resume each other's files;
     alpha is recomputed on the blocks a resumed run skips.  Both results
-    carry the pass's engine and time.
+    carry the pass's process count and time.
     """
     from .alpha import AlphaPass
     from .beta import beta_summary, euler_pass
@@ -127,10 +128,10 @@ def lambda_bounds(
     t0 = time.time()
     alpha = AlphaPass(N, block_size)
     euler = euler_pass(J, P, block_size, checkpoint_dir)
-    engine = prime_pass([alpha, euler], block_size, workers)
+    processes = prime_pass([alpha, euler], block_size, workers)
     log_sums = euler.log_sums()
     elapsed = time.time() - t0
-    return alpha.result(elapsed, engine), beta_summary(log_sums, P, elapsed, engine)
+    return alpha.result(elapsed, processes), beta_summary(log_sums, P, elapsed, processes)
 
 
 @dataclass
@@ -217,7 +218,7 @@ def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
 
 def _report_alpha(args, out_dir: Path, result: AlphaResult) -> None:
     doc = result.to_json_dict()
-    doc["provenance"] = _provenance(args, doc["params"], result.engine)
+    doc["provenance"] = _provenance(args, doc["params"], result.workers)
     path = _write_json(out_dir, "alpha", doc)
     print(f"alpha upper bound: {result.upper_bound!r}")
     print(f"  finite sums {result.sums.value!r} (radius {result.sums.error_radius:.3e})")
@@ -229,7 +230,7 @@ def _report_beta(args, out_dir: Path, summary: BetaSummary) -> None:
     from .beta import EULER_KERNEL
 
     doc = summary.to_json_dict()
-    doc["provenance"] = _provenance(args, {"J": args.J, "P": args.Nj}, summary.engine,
+    doc["provenance"] = _provenance(args, {"J": args.J, "P": args.Nj}, summary.workers,
                                     EULER_KERNEL)
     path = _write_json(out_dir, "beta", doc)
     rows = [r.to_json_dict().values() for r in summary.reports]  # csv writes str(float) == repr
@@ -240,20 +241,23 @@ def _report_beta(args, out_dir: Path, summary: BetaSummary) -> None:
     print(f"report: {path}")
 
 
-def _provenance(args, params: dict, engine: str, kernel: str | None = None) -> dict:
-    """The report's provenance: ``engine`` is the block engine the pass ran
-    on, and ``kernel`` names beta's prime-pass kernel where it ran."""
+def _provenance(args, params: dict, workers: int, kernel: str | None = None) -> dict:
+    """The report's provenance: ``workers`` counts the processes the pass
+    ran on (1 is serial, and ``engine`` says so), ``cpu_count`` the CPUs it
+    could use, and ``kernel`` names beta's prime-pass kernel where it ran."""
     import numpy as np
+
+    from .numerics import usable_cpus
 
     doc = {
         "version": __version__,
         "params": params,
-        "workers": args.workers,
-        "engine": engine,
+        "workers": workers,
+        "engine": "serial" if workers == 1 else "processes",
         "block_size": args.block_size,
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     if kernel is not None:
@@ -270,7 +274,7 @@ def _cmd_lambda(args, out_dir: Path) -> int:
     _report_alpha(args, out_dir, alpha_result)
     _report_beta(args, out_dir, beta_result)
     params = {"alpha": alpha_result.to_json_dict()["params"], "beta": {"J": args.J, "P": args.Nj}}
-    provenance = _provenance(args, params, alpha_result.engine, EULER_KERNEL)
+    provenance = _provenance(args, params, alpha_result.workers, EULER_KERNEL)
     report = combine_lambda(alpha_result, beta_result, provenance)
     path = _write_json(out_dir, "lambda", report.to_json_dict())
     print(f"lambda upper bound: {report.lambda_upper!r}")
@@ -284,7 +288,7 @@ def _cmd_means(args, out_dir: Path) -> int:
 
     report = mean_report(args.mean_class, args.N, block_size=args.block_size, workers=args.workers)
     doc = report.to_json_dict()
-    doc["provenance"] = _provenance(args, {"class": args.mean_class, "N": args.N}, report.engine)
+    doc["provenance"] = _provenance(args, {"class": args.mean_class, "N": args.N}, report.workers)
     path = _write_json(out_dir, "means", doc)
     _write_csv(out_dir, "means", CSV_HEADER, [report.csv_row()])
     print(f"arithmetic mean: {report.arithmetic.value!r} (limit {report.closed_form_limit!r})")

@@ -26,7 +26,7 @@ from .numerics import (
     map_blocks,
     parts_to_certified,
 )
-from .primes import base_primes, check_range, iter_sigma_segments
+from .primes import check_range, iter_sigma_segments
 
 MeanClass = Literal["all", "even", "odd"]
 
@@ -71,10 +71,10 @@ def _sum_over_ranges(
     log_range: tuple[int, int],
     block_size: int,
     workers: int,
-) -> tuple[CertifiedValue, CertifiedValue, str]:
+) -> tuple[CertifiedValue, CertifiedValue, int]:
     """Blockwise compensated sums of s(n)/n over ratio_range and of
     log(s(n)/n) over log_range (inclusive ranges; (1, 0) is empty), and
-    the block engine that ran them.
+    the number of processes that ran them.
 
     ``parity`` restricts to n with n % 2 == parity; n = 1 is always
     skipped (s(1) = 0 contributes nothing to sums and has no logarithm).
@@ -87,7 +87,7 @@ def _sum_over_ranges(
     """
     ranges = [r for r in (ratio_range, log_range) if r[0] <= r[1]]
     if not ranges:
-        return ZERO, ZERO, "serial"
+        return ZERO, ZERO, 1
     lo = min(r_lo for r_lo, _ in ranges)
     hi = max(r_hi for _, r_hi in ranges)
     check_range(hi, block_size)
@@ -111,10 +111,9 @@ def _sum_over_ranges(
             sums.append(parts_to_certified(*block_sum_parts(values)))
         return tuple(sums)
 
-    base_primes(hi)  # built once, before any worker is forked
-    results, engine = map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers)
+    results, processes = map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers)
     sums = (combine_blocks([r[k] for r in results if r[k] is not None]) for k in (0, 1))
-    return *sums, engine
+    return *sums, processes
 
 
 def arithmetic_mean(
@@ -158,7 +157,7 @@ class MeanReport:
     arithmetic: CertifiedValue
     logarithmic: CertifiedValue
     closed_form_limit: float
-    engine: str = "serial"  # the block engine the pass ran on
+    workers: int = 1  # the processes the pass ran on; 1 is serial
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,7 +197,7 @@ def mean_report(
     _check_N("arithmetic_mean", N, 2)
     parity, ratio_range, log_range, count = _class_ranges(mean_class, N)
     _check_N("log_mean", N, 4)
-    ratio_total, log_total, engine = _sum_over_ranges(
+    ratio_total, log_total, processes = _sum_over_ranges(
         parity, ratio_range, log_range, block_size, workers)
     return MeanReport(
         mean_class,
@@ -206,5 +205,5 @@ def mean_report(
         certified_quotient(ratio_total, N),
         certified_quotient(log_total, count),
         closed_form(mean_class),
-        engine,
+        processes,
     )

@@ -176,18 +176,13 @@ def compensated_sum(terms) -> CertifiedValue:
     return CertifiedValue(value, n * EPS * abs_sum)
 
 
-def certified_combine(a: CertifiedValue, b: CertifiedValue, kind: str = "add") -> CertifiedValue:
-    """Add or subtract two certified values.
+def certified_combine(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
+    """The sum of two certified values.
 
     Radii add, plus a rounding allowance EPS * |result| for the one
     floating-point operation performed.
     """
-    if kind == "add":
-        value = a.value + b.value
-    elif kind == "subtract":
-        value = a.value - b.value
-    else:
-        raise ParameterError(f"kind must be 'add' or 'subtract', got {kind!r}")
+    value = a.value + b.value
     return CertifiedValue(value, a.error_radius + b.error_radius + EPS * abs(value))
 
 
@@ -213,7 +208,7 @@ def combine_blocks(block_values: Sequence[CertifiedValue]) -> CertifiedValue:
     """Merge per-block certified sums in the given (ascending) order."""
     acc = ZERO
     for cv in block_values:
-        acc = certified_combine(acc, cv, "add")
+        acc = certified_combine(acc, cv)
     return acc
 
 
@@ -261,22 +256,20 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def block_engine(blocks: Sequence[tuple[int, int]], workers: int) -> str:
-    """How map_blocks runs these blocks: "processes" or "serial".
+def pass_workers(blocks: Sequence[tuple[int, int]], workers: int) -> int:
+    """How many processes map_blocks runs these blocks on; 1 is serial.
 
-    Serial for one worker or one usable CPU (usable_cpus), for at most
-    one block and for blocks spanning fewer than SERIAL_INTEGERS
-    integers; also when the caller runs other threads, since a forked
-    worker could inherit a lock one of them holds.  Forked processes
-    otherwise.  A worker count below 1 is a ParameterError.
+    min(workers, len(blocks), usable_cpus()), or 1 for blocks spanning
+    fewer than SERIAL_INTEGERS integers, or when the caller runs other
+    threads, since a forked worker could inherit a lock one of them holds.
+    A worker count below 1 is a ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    if min(workers, usable_cpus()) == 1 or len(blocks) <= 1:
-        return "serial"
-    if sum(hi - lo + 1 for lo, hi in blocks) < SERIAL_INTEGERS:
-        return "serial"
-    return "serial" if threading.active_count() > 1 else "processes"
+    count = min(workers, len(blocks), usable_cpus())
+    if count <= 1 or sum(hi - lo + 1 for lo, hi in blocks) < SERIAL_INTEGERS:
+        return 1
+    return 1 if threading.active_count() > 1 else count
 
 
 def map_blocks(
@@ -284,23 +277,22 @@ def map_blocks(
     eval_block: Callable[[int, int], Any],
     workers: int = 1,
     on_block: Callable[[Any], None] | None = None,
-) -> tuple[list, str]:
+) -> tuple[list, int]:
     """Evaluate ``eval_block(lo, hi)`` for every block: the results in
-    block order, and the engine that ran them.
+    block order, and the number of processes that ran them.
 
     ``on_block(result)`` runs in the caller, in block order, as each
     result arrives, so a caller can persist progress while later blocks
     still run.  If a block raises, every block before it has been passed
     to on_block, no later block is passed and the exception propagates.
 
-    The engine is block_engine's choice.  On "processes" the pass forks
-    ``workers`` worker processes, or fewer where there are fewer blocks or
-    usable CPUs, which inherit eval_block (it is never pickled; its results
-    are) and take blocks one at a time as they come free; every worker has
-    exited and been joined before map_blocks returns or raises.  Each
-    block is evaluated independently by a pure function, so the results
-    (and hence any ordered merge of them) are bit-identical on either
-    engine and for every worker count.
+    The process count is pass_workers'.  At 1 the caller evaluates every
+    block.  Above 1 the pass forks that many worker processes, which
+    inherit eval_block (it is never pickled; its results are) and take
+    blocks one at a time as they come free; every worker has exited and
+    been joined before map_blocks returns or raises.  Each block is
+    evaluated independently by a pure function, so the results (and hence
+    any ordered merge of them) are bit-identical for every process count.
     """
     out = []
 
@@ -309,17 +301,18 @@ def map_blocks(
             on_block(result)
         out.append(result)
 
-    engine = block_engine(blocks, workers)
-    if engine == "serial":
+    count = pass_workers(blocks, workers)
+    if count == 1:
         for lo, hi in blocks:
             keep(eval_block(lo, hi))
     else:
-        _map_forked(blocks, eval_block, workers, keep)
-    return out, engine
+        _map_forked(blocks, eval_block, count, keep)
+    return out, count
 
 
 def _map_forked(blocks, eval_block, workers: int, keep) -> None:
-    """map_blocks' process engine: keep(result) for each block, in order.
+    """map_blocks on ``workers`` forked processes: keep(result) for each
+    block, in order.
 
     Each worker has its own pipe.  The caller keeps two block indices in
     flight per worker, buffers results that arrive early, and raises a
@@ -332,7 +325,6 @@ def _map_forked(blocks, eval_block, workers: int, keep) -> None:
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    workers = min(workers, len(blocks), usable_cpus())
     ends, procs = [], []  # the caller's pipe ends and their workers
     try:
         for _ in range(workers):

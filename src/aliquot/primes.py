@@ -23,22 +23,24 @@ independent oracle: it divides out exact prime powers, listing one
 base primes is either 1 or a single prime above sqrt(hi).  It feeds
 sigma_of_segment, which the tests check the sigma kernel against.
 
-Every block of a pass cuts its base primes from one cached sieve up to
-the square root of the pass's last integer (base_primes), which the pass
-builds before any worker is forked.  prime_pass is the one pass over
-the primes: it sieves each aligned block once and hands the block's
-primes to every kernel that takes that block (alpha's terms, beta's log
-sums).
+Every block cuts its base primes from one table of the primes up to
+isqrt(MAX_RANGE_END) = 10^5 (base_primes), which each process builds on
+first use, so a pass needs no preparation before it forks its workers.
+prime_pass is the one pass over the primes: it sieves each aligned block
+once and hands the block's primes to every kernel that takes that block
+(alpha's terms, beta's log sums).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .arith import sigma_prime_power
 from .errors import ParameterError, ResourceError
 from .numerics import DEFAULT_BLOCK_SIZE, aligned_blocks, map_blocks
 
@@ -63,23 +65,21 @@ def _dense_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-# (limit, every prime <= limit): the largest base-prime sieve built so far,
-# replaced as one tuple so a reader never pairs a limit with other primes.
-_base = (1, _dense_primes(1))
+@lru_cache(maxsize=1)
+def _base_table() -> np.ndarray:
+    """The primes <= isqrt(MAX_RANGE_END), one read-only table per process."""
+    table = _dense_primes(math.isqrt(MAX_RANGE_END))
+    table.flags.writeable = False
+    return table
 
 
 def base_primes(hi: int) -> np.ndarray:
-    """All primes <= isqrt(hi), a prefix of the largest sieve built so far.
-
-    A larger hi rebuilds that sieve up to isqrt(hi), so a pass that asks
-    for its last integer first builds it once, and its blocks only cut it.
-    """
-    global _base
-    limit = math.isqrt(hi)
-    built, primes = _base
-    if limit > built:
-        built, primes = _base = limit, _dense_primes(limit)
-    return primes[: np.searchsorted(primes, limit, side="right")]
+    """All primes <= isqrt(hi), a prefix of the base-prime table; hi past
+    MAX_RANGE_END is a ResourceError."""
+    if hi > MAX_RANGE_END:
+        raise ResourceError(f"range end {hi} exceeds the supported bound {MAX_RANGE_END}")
+    table = _base_table()
+    return table[: np.searchsorted(table, math.isqrt(hi), side="right")]
 
 
 def check_range(hi: int, segment_size: int) -> None:
@@ -131,9 +131,9 @@ def iter_prime_segments(
         yield found.astype(np.int64, copy=False)
 
 
-def prime_pass(kernels: Sequence, block_size: int, workers: int = 1) -> str:
+def prime_pass(kernels: Sequence, block_size: int, workers: int = 1) -> int:
     """One pass over the primes for several block kernels; returns the
-    engine it ran on (numerics.map_blocks').
+    number of processes it ran on (numerics.map_blocks').
 
     Each kernel has ``blocks``, pieces of aligned_blocks(..., block_size);
     ``kernel(lo, hi, primes)``, which gets the primes of its own block
@@ -149,8 +149,6 @@ def prime_pass(kernels: Sequence, block_size: int, workers: int = 1) -> str:
     for cell in sorted(set().union(*wanted)):
         pieces = [w[cell] for w in wanted if cell in w]
         blocks.append((min(lo for lo, _ in pieces), max(hi for _, hi in pieces)))
-    if blocks:
-        base_primes(blocks[-1][1])  # built once, before any worker is forked
 
     def eval_block(lo: int, hi: int) -> list:
         # An aligned block is exactly one sieve segment.
@@ -233,7 +231,7 @@ def sigma_of_segment(seg: SegmentFactors) -> np.ndarray:
     """sigma(n) for every n of a factored segment, exact int64."""
     sig = np.ones(seg.n_values.size, dtype=np.int64)
     for p, m, idx in seg.events:
-        sig[idx] *= (p ** (m + 1) - 1) // (p - 1)
+        sig[idx] *= sigma_prime_power(p, m)
     tail = seg.rem > 1
     if tail.any():
         sig[tail] *= seg.rem[tail] + 1

@@ -5,12 +5,12 @@ divisor enumeration against the multiplicative sigma and against the
 segment sigma kernel (all, even and odd n), sieve counts against known
 prime counts, the closed-form h values against their binomial sums, the
 exceptional-set fixture, the trajectory fixtures, the vectorized block
-sum against math.fsum, worker-count bit-identity for alpha's block sums,
-beta's odd-sum oracle and beta's prime pass (the one the certificate
-runs), alpha's per-block depths against a full-depth oracle, and beta's
-Euler route against the Euler-factor series per prime, its power-sum
-series past 2^20 against the per-prime kernel, and the route against the
-odd-sum route (with its Rankin charge) at j = 1.
+sum against math.fsum, worker-count bit-identity for alpha's block sums
+and beta's prime pass (the one the certificate runs), alpha's per-block
+depths against a full-depth oracle, and beta's Euler route against the
+Euler-factor series per prime, its power-sum series past 2^20 against
+the per-prime kernel, and the route against the odd-sum route (with its
+Rankin charge) at j = 1.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .beta import (
     h_prime_power,
     h_prime_power_binomial,
     main_term,
-    odd_signed_sums,
     prime_tail_bound,
     s_set,
     s_tail_bound,
@@ -65,7 +64,7 @@ def full_depth_alpha_bound(N: int, block_size: int) -> tuple[float, int]:
         (primes,) = iter_prime_segments(lo, hi, block_size)
         terms, tails = _block_sums(primes, M)
         alpha.keep((parts_to_certified(*terms), parts_to_certified(*tails), primes.size, M))
-    result = alpha.result(0.0, "serial")
+    result = alpha.result(0.0, 1)
     return result.upper_bound, result.n_primes
 
 
@@ -169,7 +168,7 @@ def run_selftest() -> bool:
         _check(
             "alpha block sum worker bit-identity",
             (a1.sums.value, a1.upper_bound) == (a2.sums.value, a2.upper_bound),
-            f"engine {a2.engine}",
+            f"{a2.workers} processes",
         )
     )
 
@@ -183,11 +182,6 @@ def run_selftest() -> bool:
         )
     )
 
-    b1 = odd_signed_sums([2], 10**5, block_size=1 << 14, workers=1)[2]
-    b4 = odd_signed_sums([2], 10**5, block_size=1 << 14, workers=4)[2]
-    results.append(
-        _check("beta block sum worker bit-identity", b1.value == b4.value)
-    )
     e1 = euler_log_sums(8, 10**7, workers=1)
     e2 = euler_log_sums(8, 10**7, workers=2)
     results.append(_check("beta prime pass worker bit-identity", e1 == e2))

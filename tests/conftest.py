@@ -3,7 +3,9 @@ deadline, so a CI failure reproduces exactly; select it with
 HYPOTHESIS_PROFILE=ci.  Local runs keep hypothesis' default profile.
 
 The ``killed_at_block`` fixture stops the prime pass (alpha's, beta's or
-lambda's) the way a kill would, for the checkpoint and resume tests."""
+lambda's) the way a kill would, for the checkpoint and resume tests.
+``cpu_set`` sets the CPUs the process may use, and ``forked`` makes
+passes of any size fork their workers."""
 
 import contextlib
 import os
@@ -39,3 +41,21 @@ def killed_at_block():
                 yield
 
     return killed
+
+
+@pytest.fixture
+def cpu_set(monkeypatch):
+    """``cpu_set(n)`` makes the process's CPU set n CPUs."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def forked(monkeypatch, cpu_set):
+    """Passes under numerics.SERIAL_INTEGERS integers run serially; this sets
+    that threshold to 0 and gives the process two usable CPUs, so test
+    sizes fork their worker processes as a full-scale run does, on any host."""
+    from aliquot import numerics
+
+    monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
+    cpu_set(2)
+    assert numerics.pass_workers(numerics.aligned_blocks(0, 99, 10), 2) == 2

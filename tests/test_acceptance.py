@@ -160,7 +160,7 @@ def test_criterion_6_means():
             + ("; " + "; ".join(failures) if failures else ""))
 
 
-def test_criterion_7_property_suites():
+def test_criterion_7_property_suites(forked):
     t0 = time.time()
     failures = []
 
@@ -210,8 +210,8 @@ def test_criterion_7_property_suites():
     if r25.terms != [25, 6, 6] or 0 not in r25.parity_events:
         failures.append("trajectory 25")
 
-    a1 = alpha_upper_bound(10**5, workers=1)
-    a8 = alpha_upper_bound(10**5, workers=8)
+    a1 = alpha_upper_bound(10**5, block_size=1 << 14, workers=1)
+    a8 = alpha_upper_bound(10**5, block_size=1 << 14, workers=8)
     if a1.sums.value != a8.sums.value:
         failures.append("alpha thread identity")
     b1 = odd_signed_sums([2], 10**5, block_size=1 << 14, workers=1)[2]

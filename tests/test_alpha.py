@@ -112,9 +112,10 @@ class TestUpperBound:
         for tighter, looser in zip(ub[1:], ub[:-1]):
             assert tighter <= looser + 1e-12
 
-    def test_worker_and_block_bit_identity(self):
-        a = alpha_upper_bound(10**5, workers=1)
-        b = alpha_upper_bound(10**5, workers=8)
+    def test_worker_and_block_bit_identity(self, forked):
+        a = alpha_upper_bound(10**5, block_size=1 << 14, workers=1)
+        b = alpha_upper_bound(10**5, block_size=1 << 14, workers=8)
+        assert b.workers == 2
         assert a.sums.value == b.sums.value
         assert a.upper_bound == b.upper_bound
 

@@ -398,7 +398,7 @@ class TestMainTerm:
 
 
 class TestOddSignedSums:
-    def test_worker_bit_identity(self):
+    def test_worker_bit_identity(self, forked):
         a = odd_signed_sums([1, 2, 3], 10**5, block_size=1 << 14, workers=1)
         b = odd_signed_sums([1, 2, 3], 10**5, block_size=1 << 14, workers=6)
         for j in (1, 2, 3):
@@ -828,7 +828,7 @@ class TestEulerRoute:
             assert alone.shape == (j, primes.size)
             assert alone[j - 1].tobytes() == every[j - 1].tobytes()
 
-    def test_workers_and_block_sizes(self):
+    def test_workers_and_block_sizes(self, forked):
         a = euler_log_sums(8, 2 * 10**5, block_size=1 << 14, workers=1)
         b = euler_log_sums(8, 2 * 10**5, block_size=1 << 14, workers=3)
         c = euler_log_sums(8, 2 * 10**5)
@@ -918,7 +918,7 @@ class TestSeriesPass:
             for j in range(1, 33):
                 assert abs(a[j].value - b[j].value) <= a[j].error_radius + b[j].error_radius, j
 
-    def test_workers_bit_identical(self):
+    def test_workers_bit_identical(self, forked):
         one = euler_log_sums(32, self.P, block_size=self.STRADDLING, workers=1)
         two = euler_log_sums(32, self.P, block_size=self.STRADDLING, workers=2)
         assert one == two

@@ -95,8 +95,8 @@ class TestMeansVerb:
         assert run(["means", "--N", value, "--out", str(tmp_path)]) == 1
 
     def test_scientific_notation_workers(self, tmp_path):
+        assert build_parser().parse_args(["lambda", "--workers", "2e0"]).workers == 2
         assert run(["lambda", "--workers", "2e0", "--out", str(tmp_path)]) == 0
-        assert read_json(tmp_path / "lambda.json")["provenance"]["workers"] == 2
 
     def test_scientific_notation_flag(self, tmp_path):
         assert run(["means", "--class", "odd", "--N", "2e3",
@@ -289,19 +289,31 @@ class TestLambdaVerb:
         (["beta", "--J", "2", "--Nj", "1e4"], "beta"),
         (["means", "--N", "1e4"], "means"),
     ], ids=["lambda", "alpha", "beta", "means"])
-    def test_provenance_names_the_engine_run(self, tmp_path, monkeypatch, argv, name):
+    def test_provenance_names_the_engine_run(self, tmp_path, request, argv, name):
         # Two workers on a pass this small run serially, and say so; with
         # the serial threshold at 0 the same pass forks.
-        from aliquot import numerics
-
         assert run([*argv, "--workers", "2", "--block-size", "4096",
                     "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        request.getfixturevalue("forked")
         assert run([*argv, "--workers", "2", "--block-size", "4096",
                     "--out", str(tmp_path / "b")]) == 0
-        engines = [read_json(tmp_path / d / f"{name}.json")["provenance"]["engine"] for d in "ab"]
-        assert engines == ["serial", "processes"]
+        ran = [{k: read_json(tmp_path / d / f"{name}.json")["provenance"][k]
+                for k in ("engine", "workers")} for d in "ab"]
+        assert ran == [{"engine": "serial", "workers": 1}, {"engine": "processes", "workers": 2}]
+
+    @pytest.mark.parametrize("argv, name, ran", [
+        (["means", "--class", "even", "--N", "1e7", "--workers", "64"], "means",
+         {"engine": "processes", "workers": 2, "cpu_count": 2}),
+        (["lambda", "--workers", "2"], "lambda", {"engine": "serial", "workers": 1, "cpu_count": 2}),
+    ], ids=["means-64", "lambda-2"])
+    def test_provenance_counts_the_processes_run(self, tmp_path, cpu_set, argv, name, ran):
+        # The processes that ran, not the --workers asked for, and the CPUs
+        # the process could use: 64 workers on 2 CPUs fork 2, and two
+        # workers on the default lambda (under 2^23 integers) run serially.
+        cpu_set(2)
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        provenance = read_json(tmp_path / f"{name}.json")["provenance"]
+        assert {k: provenance[k] for k in ran} == ran
 
     def test_killed_lambda_resumes_and_shares_beta_records(self, tmp_path, monkeypatch,
                                                             killed_at_block):
@@ -397,7 +409,7 @@ class TestConfigValues:
         cfg.write_text("{")
         assert run(["means", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
-    def test_common_flags_from_config(self, tmp_path):
+    def test_common_flags_from_config(self, tmp_path, forked):
         out = tmp_path / "elsewhere"
         config = {"N": 3000, "workers": 2, "block_size": 1024, "out": str(out)}
         cfg = tmp_path / "cfg.json"

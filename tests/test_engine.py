@@ -1,39 +1,27 @@
 """The block engine's process path and the passes that run on it.
 
-Passes under numerics.SERIAL_INTEGERS integers run serially, so each test
-here sets that threshold to 0 (the ``forked`` fixture): test sizes then
-fork their worker processes as a full-scale run does.  The fixture also
-gives the process two usable CPUs, so the passes fork on any host.
+Passes under numerics.SERIAL_INTEGERS integers run serially, so the tests
+of the process path use conftest's ``forked`` fixture, which sets that
+threshold to 0 and gives the process two usable CPUs.
 """
 
 import json
 import multiprocessing
 import multiprocessing.context
 import os
+from collections import Counter
 
 import pytest
 
-from aliquot import numerics, primes
+from aliquot import primes
 from aliquot.alpha import alpha_upper_bound
 from aliquot.beta import euler_log_sums, odd_signed_sums
 from aliquot.cli import lambda_bounds
-from aliquot.errors import ParameterError
+from aliquot.errors import ParameterError, ResourceError
 from aliquot.means import mean_report
-from aliquot.numerics import aligned_blocks, block_engine, map_blocks
+from aliquot.numerics import aligned_blocks, map_blocks, pass_workers
 
 BLOCKS = aligned_blocks(0, 99, 10)
-
-
-def usable_cpus(monkeypatch, n):
-    """Make the process's CPU set n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
-    usable_cpus(monkeypatch, 2)
-    assert block_engine(BLOCKS, 2) == "processes"
 
 
 @pytest.fixture
@@ -56,18 +44,20 @@ def fail_at(lo, exc):
 
 
 class TestSerialRule:
-    def test_small_passes_stay_serial(self):
-        assert block_engine(BLOCKS, 2) == "serial"  # 100 integers
+    def test_small_passes_stay_serial(self, cpu_set):
+        cpu_set(2)
+        assert pass_workers(BLOCKS, 2) == 1  # 100 integers
         big = aligned_blocks(0, (1 << 23) - 1, 1 << 20)
-        assert block_engine(big, 2) == "processes"
-        assert block_engine(big, 1) == "serial"
-        assert block_engine(big[:1], 2) == "serial"
-        assert block_engine(aligned_blocks(0, (1 << 23) - 2, 1 << 20), 2) == "serial"
+        assert pass_workers(big, 2) == 2
+        assert pass_workers(big, 5) == 2
+        assert pass_workers(big, 1) == 1
+        assert pass_workers(big[:1], 2) == 1
+        assert pass_workers(aligned_blocks(0, (1 << 23) - 2, 1 << 20), 2) == 1
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one(self, workers):
         with pytest.raises(ParameterError, match="workers"):
-            block_engine(BLOCKS, workers)
+            pass_workers(BLOCKS, workers)
 
 
 @pytest.mark.usefixtures("forked")
@@ -75,23 +65,23 @@ class TestProcessPath:
     @pytest.mark.parametrize("workers", [2, 5])  # 5: more workers than usable CPUs
     def test_results_in_block_order_and_no_child_left(self, workers):
         seen = []
-        out, engine = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
+        out, count = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), workers, on_block=seen.append)
         assert seen == out == BLOCKS
-        assert engine == "processes"
+        assert count == 2
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus, count", [(2, 2), (1, 0)])
-    def test_five_workers_capped_at_usable_cpus(self, monkeypatch, started, cpus, count):
-        usable_cpus(monkeypatch, cpus)
-        out, engine = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), 5)
+    def test_five_workers_capped_at_usable_cpus(self, cpu_set, started, cpus, count):
+        cpu_set(cpus)
+        out, ran_on = map_blocks(BLOCKS, lambda lo, hi: (lo, hi), 5)
         assert out == BLOCKS
-        assert engine == ("processes" if count else "serial")
+        assert ran_on == max(count, 1)
         assert len(started) == count
 
     def test_cpu_count_where_there_is_no_cpu_set(self, monkeypatch, started):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert map_blocks(BLOCKS, lambda lo, hi: lo, 5)[1] == "processes"
+        assert map_blocks(BLOCKS, lambda lo, hi: lo, 5)[1] == 2
         assert len(started) == 2
 
     def test_serial_beside_other_threads(self):
@@ -101,7 +91,7 @@ class TestProcessPath:
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            assert block_engine(BLOCKS, 2) == "serial"
+            assert pass_workers(BLOCKS, 2) == 1
         finally:
             stop.set()
             other.join(timeout=10)
@@ -153,7 +143,7 @@ class TestSameBitsOnProcesses:
     def test_alpha(self):
         one = alpha_upper_bound(10**6, block_size=1 << 16)
         two = alpha_upper_bound(10**6, block_size=1 << 16, workers=2)
-        assert (one.engine, two.engine) == ("serial", "processes")
+        assert (one.workers, two.workers) == (1, 2)
         assert one.to_json_dict() | {"elapsed_seconds": 0} == \
             two.to_json_dict() | {"elapsed_seconds": 0}
 
@@ -180,7 +170,7 @@ class TestSameBitsOnProcesses:
     def test_means(self):
         one = mean_report("even", 10**5, block_size=1 << 13)
         two = mean_report("even", 10**5, block_size=1 << 13, workers=2)
-        assert two.engine == "processes"
+        assert two.workers == 2
         assert one.to_json_dict() == two.to_json_dict()
 
     def test_odd_signed_sums(self):
@@ -189,14 +179,19 @@ class TestSameBitsOnProcesses:
 
 
 class TestBasePrimes:
-    """Every block of a pass cuts its base primes from one cached sieve."""
+    """Every block cuts its base primes from one table, which each process
+    builds at most once, on first use."""
 
-    def test_prefix_of_the_largest_sieve(self, monkeypatch):
-        monkeypatch.setattr(primes, "_base", (1, primes._dense_primes(1)))
+    def test_prefix_of_the_table(self):
         assert primes.base_primes(10**6).tolist() == primes._dense_primes(1000).tolist()
         assert primes.base_primes(99).tolist() == [2, 3, 5, 7]
         assert primes.base_primes(3).size == 0
-        assert primes._base[0] == 1000
+        assert primes.base_primes(10**10).tolist() == primes._dense_primes(10**5).tolist()
+        assert primes.base_primes(10**10).size == 9592
+
+    def test_past_the_range_end(self):
+        with pytest.raises(ResourceError, match="10000000001"):
+            primes.base_primes(10**10 + 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("run", [
@@ -206,15 +201,22 @@ class TestBasePrimes:
         lambda w: mean_report("even", 10**5, block_size=1 << 12, workers=w),
         lambda w: odd_signed_sums([2], 10**5, block_size=1 << 12, workers=w),
     ], ids=["alpha", "beta", "lambda", "means", "odd-sums"])
-    def test_one_miss_per_pass(self, monkeypatch, run, workers):
-        monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
-        usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(primes, "_base", (1, primes._dense_primes(1)))
-        limits = []
+    def test_one_miss_per_pass(self, monkeypatch, forked, tmp_path, run, workers):
+        # Each process that builds the table (the caller, or a forked
+        # worker) appends its pid; none may build it twice.
+        primes._base_table.cache_clear()
         sieve = primes._dense_primes
-        monkeypatch.setattr(primes, "_dense_primes", lambda n: limits.append(n) or sieve(n))
+
+        def counted(n):
+            with open(tmp_path / "builds", "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return sieve(n)
+
+        monkeypatch.setattr(primes, "_dense_primes", counted)
         run(workers)
-        assert len(limits) == 1
+        builds = Counter((tmp_path / "builds").read_text().split())
+        assert max(builds.values()) == 1
+        assert (str(os.getpid()) in builds) == (workers == 1)
 
 
 def test_serial_path_never_imports_multiprocessing(tmp_path):

@@ -89,7 +89,7 @@ class TestLogMean:
         values = [log_mean("all", 10**k).value for k in range(3, 7)]
         assert values == sorted(values, reverse=True)
 
-    def test_worker_bit_identity(self):
+    def test_worker_bit_identity(self, forked):
         a = log_mean("even", 10**5, block_size=1 << 14, workers=1)
         b = log_mean("even", 10**5, block_size=1 << 14, workers=4)
         assert (a.value, a.error_radius) == (b.value, b.error_radius)
