@@ -365,7 +365,9 @@ def build_parser() -> _Parser:
     block_flags(p_means)
     p_means.add_argument("--class", dest="mean_class", choices=("all", "even", "odd"),
                          default="even")
-    p_means.add_argument("--N", type=_int_flag, default=10**4)
+    p_means.add_argument("--N", type=_int_flag, default=10**4,
+                         help="arithmetic mean: the first N class members (to 2N for even and odd)"
+                         "; log mean: the members up to N")
 
     p_trace = sub.add_parser("trace", help="trace one aliquot sequence")
     common(p_trace)

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 from .numerics import (
     DEFAULT_BLOCK_SIZE,
     ZERO,
@@ -26,7 +26,7 @@ from .numerics import (
     map_blocks,
     parts_to_certified,
 )
-from .primes import check_range, iter_sigma_segments
+from .primes import MAX_RANGE_END, check_range, iter_sigma_segments
 
 MeanClass = Literal["all", "even", "odd"]
 
@@ -63,6 +63,18 @@ def _class_ranges(mean_class: MeanClass, N: int) -> tuple[int | None, tuple, tup
 def _check_N(name: str, N: int, least: int) -> None:
     if N < least:
         raise ParameterError(f"{name} requires N >= {least}, got {N}")
+
+
+def _arithmetic_ranges(mean_class: MeanClass, N: int) -> tuple[int | None, tuple, tuple, int]:
+    """_class_ranges for a pass that takes the arithmetic mean, whose range
+    holds the first N class members: up to 2N for even and odd."""
+    _check_N("arithmetic_mean", N, 2)
+    parity, ratio_range, log_range, count = _class_ranges(mean_class, N)
+    if ratio_range[1] > MAX_RANGE_END:
+        largest = MAX_RANGE_END // (1 if mean_class == "all" else 2)
+        raise ResourceError(f"N = {N} exceeds {largest}, the largest N for class {mean_class}: "
+                            "the arithmetic mean runs over the class's first N members")
+    return parity, ratio_range, log_range, count
 
 
 def _sum_over_ranges(
@@ -124,8 +136,7 @@ def arithmetic_mean(
     workers: int = 1,
 ) -> CertifiedValue:
     """(1/N) * sum over n = 1..N of s(n)/n, s(2n)/(2n), or s(2n-1)/(2n-1)."""
-    _check_N("arithmetic_mean", N, 2)
-    parity, ratio_range, _, _ = _class_ranges(mean_class, N)
+    parity, ratio_range, _, _ = _arithmetic_ranges(mean_class, N)
     total, _, _ = _sum_over_ranges(parity, ratio_range, _EMPTY, block_size, workers)
     return certified_quotient(total, N)
 
@@ -194,8 +205,7 @@ def mean_report(
     aside), so each block's sigma values serve both sums.
     """
     # The same errors, in the same order, as arithmetic_mean then log_mean.
-    _check_N("arithmetic_mean", N, 2)
-    parity, ratio_range, log_range, count = _class_ranges(mean_class, N)
+    parity, ratio_range, log_range, count = _arithmetic_ranges(mean_class, N)
     _check_N("log_mean", N, 4)
     ratio_total, log_total, processes = _sum_over_ranges(
         parity, ratio_range, log_range, block_size, workers)

@@ -82,13 +82,13 @@ def base_primes(hi: int) -> np.ndarray:
     return table[: np.searchsorted(table, math.isqrt(hi), side="right")]
 
 
-def check_range(hi: int, segment_size: int) -> None:
-    if segment_size <= 0:
-        raise ParameterError(f"segment_size must be positive, got {segment_size}")
-    if segment_size > MAX_SEGMENT_SIZE:
+def check_range(hi: int, block_size: int) -> None:
+    if block_size <= 0:
+        raise ParameterError(f"block size must be positive, got {block_size}")
+    if block_size > MAX_SEGMENT_SIZE:
         raise ResourceError(
-            f"segment_size {segment_size} exceeds the {MAX_SEGMENT_SIZE} cap; "
-            f"use more, smaller segments"
+            f"block size {block_size} exceeds the {MAX_SEGMENT_SIZE} cap on a sieve segment; "
+            f"use more, smaller blocks"
         )
     if hi > MAX_RANGE_END:
         raise ResourceError(

@@ -11,11 +11,15 @@ depths against a full-depth oracle, and beta's Euler route against the
 Euler-factor series per prime, its power-sum series past 2^20 against
 the per-prime kernel, and the route against the odd-sum route (with its
 Rankin charge) at j = 1.
+
+``checks()`` yields the suite, which ``alq selftest`` prints and acceptance
+criterion 7 runs; the unit tests call its oracles at larger sizes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .beta import (
     h_prime_power,
     h_prime_power_binomial,
     main_term,
+    odd_signed_sums,
     prime_tail_bound,
     s_set,
     s_tail_bound,
@@ -43,13 +48,6 @@ from .means import log_mean
 from .numerics import EPS, block_sum_parts, exact_sum, parts_to_certified
 from .primes import iter_prime_segments, iter_sigma_segments, primes_in_range
 from .trajectory import trace
-
-
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    status = "pass" if ok else "FAIL"
-    suffix = f"  ({detail})" if detail else ""
-    print(f"[{status}] {name}{suffix}")
-    return ok
 
 
 def full_depth_alpha_bound(N: int, block_size: int) -> tuple[float, int]:
@@ -68,11 +66,42 @@ def full_depth_alpha_bound(N: int, block_size: int) -> tuple[float, int]:
     return result.upper_bound, result.n_primes
 
 
-def run_selftest() -> bool:
-    results = []
+def kernel_vs_beta_prime(js=(1, 8, 32), ps=(3, 7, 101, 10007)) -> list[tuple[int, int]]:
+    """The (j, p) of js x ps at which exp of the Euler kernel's certified
+    log beta_j(p) misses beta_prime's Euler-factor series, radii included;
+    empty when the two meet at every prime."""
+    apart = []
+    for j in js:
+        for p in ps:
+            t = _log_beta_terms(np.array([p]), j)[j - 1][0]
+            kernel = parts_to_certified(t, abs(t), 1)
+            bp = beta_prime(j, p, 60)
+            lo = max(math.exp(kernel.lower), bp.lower)
+            if lo > min(math.exp(kernel.upper), bp.upper) * (1 + 4 * EPS):
+                apart.append((j, p))
+    return apart
 
+
+def euler_vs_odd_sum(J: int = 1, N: int = 10**5) -> dict[int, tuple[float, float]]:
+    """t_j for j = 1..J by two algorithms: the Euler product over p <= N and
+    the odd sum over n <= N.  Each is within its own tail charge of t_j, so
+    per j this gives the gap between the two and what the gap may be: the
+    odd sum's Rankin charge, the Euler charge j T(N) and both radii."""
+    odd = odd_signed_sums(list(range(1, J + 1)), N)
+    gaps = {}
+    for euler in beta_lower(J, N).reports:
+        j = euler.j
+        main = main_term(j, N, odd_sum=odd[j])
+        allowed = (s_tail_bound(j, N) * two_beta2_minus_one(j).upper / j + j * prime_tail_bound(N)
+                   + euler.main.error_radius + main.error_radius)
+        gaps[j] = (abs(euler.main.value - main.value), allowed)
+    return gaps
+
+
+def checks() -> Iterator[tuple[str, bool, str]]:
+    """Yield each check as (name, ok, detail), in order; detail may be ""."""
     bad = [n for n in range(1, 2001) if sigma(factorize(n)) != sigma_oracle(n)]
-    results.append(_check("sigma vs divisor enumeration, n <= 2000", not bad))
+    yield "sigma vs divisor enumeration, n <= 2000", not bad, ""
 
     for name, parity in (("all", None), ("even", 0), ("odd", 1)):
         bad = [
@@ -81,11 +110,9 @@ def run_selftest() -> bool:
             for n, s in zip(n_vals.tolist(), sig.tolist())
             if s != sigma_oracle(n)
         ]
-        results.append(_check(f"segment sigma vs divisor enumeration, {name} n <= 2000", not bad))
+        yield f"segment sigma vs divisor enumeration, {name} n <= 2000", not bad, ""
 
-    results.append(
-        _check("prime count to 1e6", primes_in_range(2, 10**6).size == 78498)
-    )
+    yield "prime count to 1e6", primes_in_range(2, 10**6).size == 78498, ""
 
     h_ok = all(
         abs(h_prime_power(j, p, m) - h_prime_power_binomial(j, p, m))
@@ -94,38 +121,22 @@ def run_selftest() -> bool:
         for p in (3, 5, 13)
         for m in (1, 2, 3)
     )
-    results.append(_check("h closed form vs binomial sum", h_ok))
+    yield "h closed form vs binomial sum", h_ok, ""
 
-    results.append(_check("exceptional set (j=1, e=1) empty", s_set(1, 1.0) == []))
+    yield "exceptional set (j=1, e=1) empty", s_set(1, 1.0) == [], ""
     members = [el.n for el in s_set(2, 0.5)]
-    results.append(_check("exceptional set (j=2, e=0.5)", members == [3, 15, 21, 105],
-                          str(members)))
+    yield "exceptional set (j=2, e=0.5)", members == [3, 15, 21, 105], str(members)
 
     r12 = trace(12, 50)
-    results.append(
-        _check(
-            "trajectory of 12",
-            r12.terms == [12, 16, 15, 9, 4, 3, 1]
-            and r12.classification.kind == "terminates_at_1",
-        )
-    )
+    yield ("trajectory of 12",
+           r12.terms == [12, 16, 15, 9, 4, 3, 1] and r12.classification.kind == "terminates_at_1",
+           "")
     r220 = trace(220, 50)
-    results.append(
-        _check(
-            "trajectory of 220",
-            r220.classification.kind == "cycle"
-            and r220.classification.cycle_length == 2,
-        )
-    )
+    yield ("trajectory of 220",
+           r220.classification.kind == "cycle" and r220.classification.cycle_length == 2, "")
 
     lm = log_mean("even", 10**4)
-    results.append(
-        _check(
-            "even log mean at 1e4",
-            abs(lm.value - (-0.0335201796)) < 1e-8,
-            f"{lm.value:.10f}",
-        )
-    )
+    yield "even log mean at 1e4", abs(lm.value - (-0.0335201796)) < 1e-8, f"{lm.value:.10f}"
 
     # Forty decades of magnitude, exact cancellations, subnormals, and more
     # than 2^20 terms.
@@ -150,54 +161,31 @@ def run_selftest() -> bool:
             rng.integers(1, 1 << 52, 4096).view(np.float64),
         ]
     )
-    results.append(
-        _check(
-            "exact block sum equals math.fsum",
-            all(
-                exact_sum(t).hex() == math.fsum(t.tolist()).hex()
-                for t in (terms, full_chunk, clamped)
-            ),
-        )
-    )
+    yield ("exact block sum equals math.fsum",
+           all(exact_sum(t).hex() == math.fsum(t.tolist()).hex()
+               for t in (terms, full_chunk, clamped)),
+           "")
 
     # 1e7 integers: enough for two workers to run on forked processes
     # (numerics.SERIAL_INTEGERS).
     a1 = alpha_upper_bound(10**7, workers=1)
     a2 = alpha_upper_bound(10**7, workers=2)
-    results.append(
-        _check(
-            "alpha block sum worker bit-identity",
-            (a1.sums.value, a1.upper_bound) == (a2.sums.value, a2.upper_bound),
-            f"{a2.workers} processes",
-        )
-    )
+    yield ("alpha block sum worker bit-identity",
+           (a1.sums.value, a1.upper_bound) == (a2.sums.value, a2.upper_bound),
+           f"{a2.workers} processes")
 
     short = alpha_upper_bound(3 * 10**6, block_size=1 << 16)
     oracle, n_primes = full_depth_alpha_bound(3 * 10**6, 1 << 16)
-    results.append(
-        _check(
-            "alpha per-block depth never loosens the bound",
-            short.upper_bound <= oracle and short.n_primes == n_primes,
-            f"depths {short.depths}",
-        )
-    )
+    yield ("alpha per-block depth never loosens the bound",
+           short.upper_bound <= oracle and short.n_primes == n_primes,
+           f"depths {short.depths}")
 
     e1 = euler_log_sums(8, 10**7, workers=1)
     e2 = euler_log_sums(8, 10**7, workers=2)
-    results.append(_check("beta prime pass worker bit-identity", e1 == e2))
+    yield "beta prime pass worker bit-identity", e1 == e2, ""
 
-    # Per prime, exp of the Euler kernel's certified log beta_j(p) meets
-    # beta_prime's Euler-factor series within both radii.
-    apart = []
-    for j in (1, 8, 32):
-        for p in (3, 7, 101, 10007):
-            t = _log_beta_terms(np.array([p]), j)[j - 1][0]
-            kernel = parts_to_certified(t, abs(t), 1)
-            bp = beta_prime(j, p, 60)
-            lo = max(math.exp(kernel.lower), bp.lower)
-            if lo > min(math.exp(kernel.upper), bp.upper) * (1 + 4 * EPS):
-                apart.append((j, p))
-    results.append(_check("Euler kernel vs beta_prime per prime", not apart, str(apart or "")))
+    apart = kernel_vs_beta_prime()
+    yield "Euler kernel vs beta_prime per prime", not apart, str(apart or "")
 
     # Past 2^20 the pass takes log sums from power sums: on the primes of
     # [2^20, 2^20 + 2^14] both kernels' certified sums must meet.
@@ -210,23 +198,23 @@ def run_selftest() -> bool:
         series = _series_log_sum(j, power_sums)
         if max(direct.lower, series.lower) > min(direct.upper, series.upper):
             apart.append(j)
-    results.append(_check("series vs _log_beta_terms on the primes of [2^20, 2^20 + 2^14]",
-                          not apart, str(apart or "")))
+    yield ("series vs _log_beta_terms on the primes of [2^20, 2^20 + 2^14]",
+           not apart, str(apart or ""))
 
-    # The j = 1 term by two algorithms: each is within its tail charge of t_1.
-    (euler,) = beta_lower(1, 10**5).reports
-    odd = main_term(1, 10**5)
-    allowed = (s_tail_bound(1, 10**5) * two_beta2_minus_one(1).upper + prime_tail_bound(10**5)
-               + euler.main.error_radius + odd.error_radius)
-    gap = abs(euler.main.value - odd.value)
-    results.append(_check("Euler j = 1 term vs odd-sum term at 1e5", gap <= allowed,
-                          f"gap {gap:.2e}, allowed {allowed:.2e}"))
+    ((gap, allowed),) = euler_vs_odd_sum().values()
+    yield ("Euler j = 1 term vs odd-sum term at 1e5", gap <= allowed,
+           f"gap {gap:.2e}, allowed {allowed:.2e}")
 
     sig = beta_signed(1, factorize(15))
-    results.append(
-        _check("signed series value at 15", math.isclose(sig, 1.0 / 360.0, rel_tol=1e-12))
-    )
+    yield "signed series value at 15", math.isclose(sig, 1.0 / 360.0, rel_tol=1e-12), ""
 
-    ok = all(results)
-    print(f"{sum(results)}/{len(results)} checks passed")
-    return ok
+
+def run_selftest() -> bool:
+    """Print a line per check of checks() and a count; True if all passed."""
+    passed = []
+    for name, ok, detail in checks():
+        suffix = f"  ({detail})" if detail else ""
+        print(f"[{'pass' if ok else 'FAIL'}] {name}{suffix}")
+        passed.append(ok)
+    print(f"{sum(passed)}/{len(passed)} checks passed")
+    return all(passed)

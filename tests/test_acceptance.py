@@ -1,33 +1,20 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single PASS/FAIL line (run with -s to see them on
-success).  Reference values and tolerances are pinned here; nothing is
-deferred to later calibration.
+success).  Reference values and tolerances are pinned here (the even
+log-mean rows in test_means); nothing is deferred to later calibration.
 """
 
-import itertools
-import math
 import time
 
+from test_means import EVEN_LOG_TABLE
+
 from aliquot.alpha import alpha_upper_bound
-from aliquot.arith import factorize, sigma, sigma_oracle
-from aliquot.beta import (
-    EULER_KERNEL,
-    PAPER_E,
-    beta_lower,
-    beta_signed,
-    error_term,
-    h,
-    h_prime_power,
-    h_prime_power_binomial,
-    odd_signed_sums,
-    s_set,
-)
+from aliquot.beta import EULER_KERNEL, PAPER_E, beta_lower, error_term, odd_signed_sums
 from aliquot.checkpoint import CheckpointStore
 from aliquot.cli import combine_lambda
 from aliquot.means import arithmetic_mean, closed_form, log_mean
-from aliquot.primes import primes_in_range
-from aliquot.trajectory import trace
+from aliquot.selftest import checks
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -143,8 +130,8 @@ def test_criterion_5_certified_lambda():
 def test_criterion_6_means():
     t0 = time.time()
     failures = []
-    log_table = {10**2: -0.0567457527, 10**4: -0.0335201796, 10**6: -0.0332626444}
-    for N, ref in log_table.items():
+    for N in (10**2, 10**4, 10**6):
+        ref = EVEN_LOG_TABLE[N]
         value = log_mean("even", N).value
         if abs(value - ref) >= 1e-8:
             failures.append(f"log_mean({N}): {value!r}")
@@ -161,64 +148,10 @@ def test_criterion_6_means():
 
 
 def test_criterion_7_property_suites(forked):
+    # The suite alq selftest runs; the unit tests run each check too.
     t0 = time.time()
-    failures = []
-
-    if any(sigma(factorize(n)) != sigma_oracle(n) for n in range(1, 10001)):
-        failures.append("sigma oracle equivalence")
-
-    for j, cutoff in itertools.product((1, 2, 3, 4), (5, 11)):
-        depth = 5
-        primes = primes_in_range(3, cutoff).tolist()
-        product = 1.0
-        for p in primes:
-            product *= math.fsum(
-                beta_signed(j, factorize(p**m)) for m in range(depth + 1)
-            )
-        total = math.fsum(
-            math.prod(beta_signed(j, factorize(p**m)) for p, m in zip(primes, expo))
-            for expo in itertools.product(range(depth + 1), repeat=len(primes))
-        )
-        if abs(product - total) >= 1e-14:
-            failures.append(f"product-sum identity j={j} P={cutoff}")
-
-    for j, p, m in itertools.product((1, 3, 6), (3, 7), (1, 2)):
-        closed = h_prime_power(j, p, m)
-        binom = h_prime_power_binomial(j, p, m)
-        if abs(closed - binom) > 1e-15 * max(1.0, binom):
-            failures.append(f"h closed form j={j} p={p} m={m}")
-
-    if s_set(1, 1.0) != []:
-        failures.append("S(1,1) not empty")
-
-    members = {el.n for el in s_set(2, 0.5)}
-    if members != {3, 15, 21, 105}:
-        failures.append(f"S(2,0.5) = {sorted(members)}")
-    for n in (1, 3, 5, 7, 15, 21, 35, 105):
-        if (h(2, factorize(n)) > n**-0.5) != (n in members):
-            failures.append(f"S(2,0.5) misclassifies {n}")
-
-    r12 = trace(12, 50)
-    if r12.terms != [12, 16, 15, 9, 4, 3, 1] or r12.classification.kind != "terminates_at_1":
-        failures.append("trajectory 12")
-    if trace(6, 10).classification.cycle_length != 1:
-        failures.append("trajectory 6")
-    r220 = trace(220, 10)
-    if r220.classification.cycle_length != 2 or r220.terms != [220, 284, 220]:
-        failures.append("trajectory 220")
-    r25 = trace(25, 10)
-    if r25.terms != [25, 6, 6] or 0 not in r25.parity_events:
-        failures.append("trajectory 25")
-
-    a1 = alpha_upper_bound(10**5, block_size=1 << 14, workers=1)
-    a8 = alpha_upper_bound(10**5, block_size=1 << 14, workers=8)
-    if a1.sums.value != a8.sums.value:
-        failures.append("alpha thread identity")
-    b1 = odd_signed_sums([2], 10**5, block_size=1 << 14, workers=1)[2]
-    b8 = odd_signed_sums([2], 10**5, block_size=1 << 14, workers=8)[2]
-    if b1.value != b8.value:
-        failures.append("beta thread identity")
-
+    failures = [name + (f" ({detail})" if detail else "")
+                for name, ok, detail in checks() if not ok]
     elapsed = time.time() - t0
     if elapsed >= 60:
         failures.append(f"runtime {elapsed:.1f}s")

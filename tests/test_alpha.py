@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import ALPHA_TABLE
 
 from aliquot.alpha import (
     M,
@@ -19,13 +20,6 @@ from aliquot.errors import ParameterError
 from aliquot.numerics import EPS, block_sum_parts, parts_to_certified
 from aliquot.primes import primes_in_range
 from aliquot.selftest import full_depth_alpha_bound
-
-# Reference values (10 displayed digits) for L = M = 15.
-SUMS_TABLE = {
-    10**4: (0.6983072233, 1.0000093132e-4),
-    10**5: (0.6983162365, 1.0000931323e-5),
-    10**6: (0.6983169710, 1.0009313233e-6),
-}
 
 
 class TestAlphaTerm:
@@ -95,7 +89,7 @@ class TestUpperBound:
     @pytest.mark.parametrize("N", [10**4, 10**5])
     def test_reference_table(self, N):
         result = alpha_upper_bound(N)
-        sums_ref, tail_ref = SUMS_TABLE[N]
+        sums_ref, tail_ref = ALPHA_TABLE[N]
         assert abs(result.sums.value - sums_ref) < 1e-9
         assert abs(result.tail_total - tail_ref) / tail_ref < 5e-7
 

@@ -47,6 +47,7 @@ from aliquot.numerics import (
     parts_to_certified,
 )
 from aliquot.primes import primes_in_range
+from aliquot.selftest import euler_vs_odd_sum, kernel_vs_beta_prime
 
 # Exact-series oracles, frozen from Fraction evaluations:
 #   sum over m = 1..64 of 1/(2^(m+1) - 1)
@@ -809,14 +810,7 @@ class TestEulerRoute:
     def test_kernel_matches_beta_prime(self):
         # Per prime, exp of the kernel's certified log beta_j(p) meets the
         # Euler-factor series of beta_prime within both radii.
-        for j in (1, 2, 8, 32):
-            for p in (3, 5, 7, 13, 101, 997, 10007):
-                t = beta_module._log_beta_terms(np.array([p]), j)[j - 1][0]
-                kernel = parts_to_certified(t, abs(t), 1)
-                bp = beta_prime(j, p, 60)
-                lo = max(math.exp(kernel.lower), bp.lower)
-                hi = min(math.exp(kernel.upper), bp.upper)
-                assert lo <= hi * (1 + 4 * EPS), (j, p)
+        assert kernel_vs_beta_prime((1, 2, 8, 32), (3, 5, 7, 13, 101, 997, 10007)) == []
 
     def test_terms_independent_of_the_other_js(self):
         # Row j - 1 holds j's terms, the bits of the pass to J = j alone.
@@ -869,21 +863,13 @@ class TestEulerRoute:
             assert r.contribution_lower < upper, j
 
     def test_euler_terms_match_the_odd_sum_route(self):
-        # Two algorithms for t_j: the Euler product over p <= 1e6 and the
-        # odd sum over n <= 1e6.  Each is within its own tail charge of t_j.
+        # Two algorithms for t_j, each within its own tail charge of t_j.
         from test_acceptance import BETA_MAIN
 
-        P = N = 10**6
-        js = list(range(1, 9))
-        euler = {r.j: r for r in beta_lower(8, P).reports}
-        odd = odd_signed_sums(js, N)
-        for j in js:
-            odd_main = main_term(j, N, odd_sum=odd[j])
-            rankin = s_tail_bound(j, N) * two_beta2_minus_one(j).upper / j
-            allowed = rankin + j * prime_tail_bound(P) + euler[j].main.error_radius \
-                + odd_main.error_radius
-            assert abs(euler[j].main.value - odd_main.value) <= allowed, j
-            assert abs(euler[j].main.value - BETA_MAIN[j]) <= 1e-6, j
+        for j, (gap, allowed) in euler_vs_odd_sum(8, 10**6).items():
+            assert gap <= allowed, j
+        for r in beta_lower(8, 10**6).reports:
+            assert abs(r.main.value - BETA_MAIN[r.j]) <= 1e-6, r.j
 
     def test_s_tail_bound_sieves_once(self, monkeypatch):
         # The odd primes to the cutoff are sieved once for every j; the

@@ -32,6 +32,12 @@ class TestExitCodes:
         assert run(["means", "--class", "even", "--N", "1e11",
                     "--out", str(tmp_path)]) == 2
 
+    def test_means_error_names_N(self, tmp_path, capsys):
+        # The even class's arithmetic mean would run to 2N = 1.2e10.
+        assert run(["means", "--class", "even", "--N", "6e9", "--out", str(tmp_path)]) == 2
+        assert "N = 6000000000 exceeds 5000000000, the largest N for class even" \
+            in capsys.readouterr().err
+
     def test_success(self, tmp_path):
         assert run(["means", "--class", "even", "--N", "1e3",
                     "--out", str(tmp_path)]) == 0

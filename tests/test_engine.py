@@ -167,9 +167,10 @@ class TestSameBitsOnProcesses:
         assert [r.to_json_dict() for r in one[1].reports] == \
             [r.to_json_dict() for r in two[1].reports]
 
-    def test_means(self):
-        one = mean_report("even", 10**5, block_size=1 << 13)
-        two = mean_report("even", 10**5, block_size=1 << 13, workers=2)
+    @pytest.mark.parametrize("mean_class", ["all", "even", "odd"])  # stride 1, parity 0, 1
+    def test_means(self, mean_class):
+        one = mean_report(mean_class, 10**5, block_size=1 << 13)
+        two = mean_report(mean_class, 10**5, block_size=1 << 13, workers=2)
         assert two.workers == 2
         assert one.to_json_dict() == two.to_json_dict()
 

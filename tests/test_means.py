@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from aliquot.errors import ParameterError
+from aliquot import means
+from aliquot.errors import ParameterError, ResourceError
 from aliquot.means import (
     CSV_HEADER,
     arithmetic_mean,
@@ -131,6 +132,22 @@ class TestReport:
         assert doc["closed_form"] == closed_form("even")
         row = rep.csv_row()
         assert len(row) == len(CSV_HEADER)
+
+    def test_largest_N_by_class(self, monkeypatch):
+        # The arithmetic mean runs over the first N class members, to 2N for
+        # even and odd, so the error names N; the log mean alone runs to N.
+        for mean_class, largest in (("all", 10**10), ("even", 5 * 10**9), ("odd", 5 * 10**9)):
+            with pytest.raises(ResourceError, match=f"^N = {largest + 1} exceeds {largest}, "
+                               f"the largest N for class {mean_class}:"):
+                mean_report(mean_class, largest + 1)
+
+        def started(*args):
+            raise RuntimeError("the pass started")
+
+        monkeypatch.setattr(means, "map_blocks", started)
+        for run in (lambda: mean_report("odd", 5 * 10**9), lambda: log_mean("even", 10**10)):
+            with pytest.raises(RuntimeError, match="the pass started"):
+                run()
 
 
 # Report bits pinned as hex floats (numpy 2.4.6): any change to the sigma
