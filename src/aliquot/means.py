@@ -107,7 +107,7 @@ def _sum_over_ranges(
     def eval_block(b_lo: int, b_hi: int) -> tuple[CertifiedValue | None, ...]:
         # An aligned block is exactly one segment, or none when it holds no
         # integer of the wanted parity.
-        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity, ratio=True), None)
+        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity), None)
         n_vals, ratios = segment if segment is not None else (np.empty(0, np.int64), np.empty(0))
         sums = []
         for kind, (r_lo, r_hi) in (("ratio", ratio_range), ("log", log_range)):
@@ -202,7 +202,7 @@ def mean_report(
     """arithmetic_mean and log_mean of a class at N, bit for bit, from one pass.
 
     The log mean's range is a prefix of the arithmetic mean's (n = 1
-    aside), so each block's sigma values serve both sums.
+    aside), so each block's ratios serve both sums.
     """
     # The same errors, in the same order, as arithmetic_mean then log_mean.
     parity, ratio_range, log_range, count = _arithmetic_ranges(mean_class, N)

@@ -10,18 +10,18 @@ prime p, the start of the multiples of p, p^2, ... as strided views
 (i0::p, i1::p^2, ...), so a kernel applies each prime power with in-place
 strided operations and no per-(p, m) scatter.  Beta's odd-sum oracle
 consumes it through strided_prime_powers (the exponents of p as one
-array per prime); the exact sigma kernel (_sigma_tiles, under
-sigma_strided, ratio_strided and iter_sigma_segments) consumes the starts
-directly.  2-adic parts and the large cofactor are left to them.  The
-sigma kernel accumulates in uint32 where that is provably exact and in
-int64 past it, and finishes each tile of SIGMA_TILE integers, up to
-(sigma(n) - n) / n for the means, while the tile is in cache.
+array per prime); the exact sigma kernel (_sigma_ratios, under
+iter_sigma_segments) consumes the starts directly.  2-adic parts and the
+large cofactor are left to them.  The sigma kernel accumulates in uint32
+where that is provably exact and in int64 past it, and finishes each tile
+of SIGMA_TILE integers, up to the means' (sigma(n) - n) / n, while the
+tile is in cache.
 
 The events path (iter_factor_segments, stride 1 only) is the walk's
 independent oracle: it divides out exact prime powers, listing one
 (p, m, positions) event per prime power, and whatever remains after all
 base primes is either 1 or a single prime above sqrt(hi).  It feeds
-sigma_of_segment, which the tests check the sigma kernel against.
+sigma_of_segment, which the tests check the sigma kernel's ratios against.
 
 Every block cuts its base primes from one table of the primes up to
 isqrt(MAX_RANGE_END) = 10^5 (base_primes), which each process builds on
@@ -281,11 +281,8 @@ def strided_prime_powers(
         yield p, i0, exps
 
 
-def _sigma_tiles(n0: int, size: int, stride: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, n, sigma(n)) per tile of n = n0 + stride * i, 0 <= i < size.
-
-    stride is 1 or 2.  Tiles hold SIGMA_TILE integers; n and sigma(n) come
-    as float64 (both exact).
+def _sigma_ratios(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, (sigma(n) - n) / n) for n = n0 + stride * i, 0 <= i < size; stride 1 or 2.
 
     Two accumulators hold the sigma part and the smooth part of every
     integer.  Along the strided walk, each odd base prime p multiplies
@@ -294,10 +291,11 @@ def _sigma_tiles(n0: int, size: int, stride: int) -> Iterator[tuple[int, np.ndar
     division, then a multiply) and the smooth part gains one more p.
     The walk runs once over the whole range: per tile it would repeat the
     Python loop over the primes, which costs more than the cache misses it
-    saves.  The rest runs tile by tile, in cache.  Where n can be even,
-    its 2-adic part is low = n & -n, with sigma(low) = 2 low - 1.  What is
-    left, q = n / smooth, is 1 or one prime above sqrt(n), which adds the
-    factor q + 1 (the factor is 1 where q = 1).
+    saves.  The rest runs tile by tile of SIGMA_TILE integers, in cache.
+    Where n can be even, its 2-adic part is low = n & -n, with
+    sigma(low) = 2 low - 1.  What is left, q = n / smooth, is 1 or one
+    prime above sqrt(n), which adds the factor q + 1 (the factor is 1
+    where q = 1).
 
     Exactness.  sigma(n) / n = sum over d | n of 1/d <= H_n <= 1 + ln n.
     Every partial product divides n or sigma(n), and 2 low - 1 < 2n, so
@@ -305,8 +303,9 @@ def _sigma_tiles(n0: int, size: int, stride: int) -> Iterator[tuple[int, np.ndar
     holds for n_max <= UINT32_N_MAX; a range past it keeps int64.  The
     choice depends only on the range's own n_max.  n and smooth are
     integers below 2^53, and smooth divides n, so the float64 quotient q
-    is exact, and so is sigma(n) = (sigma part) * (q + 1), below 2^53 for
-    n <= MAX_RANGE_END.
+    is exact, and so are sigma(n) = (sigma part) * (q + 1) and
+    sigma(n) - n, below 2^53 for n <= MAX_RANGE_END: each ratio is the
+    correctly rounded quotient of the exact integers sigma(n) - n and n.
     """
     n_max = n0 + stride * (size - 1)
     dtype = np.uint32 if n_max <= UINT32_N_MAX else np.int64
@@ -325,6 +324,7 @@ def _sigma_tiles(n0: int, size: int, stride: int) -> Iterator[tuple[int, np.ndar
             view *= sigma_pm
             smooth[i::pm] *= p
     has_two = stride == 1 or n0 % 2 == 0
+    ratios = np.empty(size, dtype=np.float64)
     for start in range(0, size, SIGMA_TILE):
         stop = min(start + SIGMA_TILE, size)
         n = np.arange(n0 + stride * start, n0 + stride * stop, stride, dtype=dtype)
@@ -340,50 +340,19 @@ def _sigma_tiles(n0: int, size: int, stride: int) -> Iterator[tuple[int, np.ndar
         np.divide(n_float, q, out=q)
         q += q != 1
         q *= tile_sig
-        yield start, n_float, q
-
-
-def sigma_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, sigma(n)) for n = n0 + stride * i, 0 <= i < size, exact int64; stride 1 or 2.
-
-    The kernel and its exactness argument are _sigma_tiles'.
-    """
-    n_values = np.arange(n0, n0 + stride * size, stride, dtype=np.int64)
-    sig = np.empty(size, dtype=np.int64)
-    for start, _, sigma in _sigma_tiles(n0, size, stride):
-        sig[start : start + sigma.size] = sigma
-    return n_values, sig
-
-
-def ratio_strided(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, (sigma(n) - n) / n) for n = n0 + stride * i, 0 <= i < size; stride 1 or 2.
-
-    Each ratio is formed while its tile is in cache.  sigma(n) - n is an
-    exact integer below 2^53, so the ratio has the bits of
-    float(sigma(n) - n) / float(n).
-    """
-    n_values = np.arange(n0, n0 + stride * size, stride, dtype=np.int64)
-    ratios = np.empty(size, dtype=np.float64)
-    for start, n, sigma in _sigma_tiles(n0, size, stride):
-        sigma -= n
-        np.divide(sigma, n, out=ratios[start : start + n.size])
-    return n_values, ratios
+        q -= n_float
+        np.divide(q, n_float, out=ratios[start:stop])
+    return np.arange(n0, n0 + stride * size, stride, dtype=np.int64), ratios
 
 
 def iter_sigma_segments(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_BLOCK_SIZE,
-    parity: int | None = None,
-    *,
-    ratio: bool = False,
+    lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE, parity: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (n_values, sigma_values) per segment over [lo, hi].
+    """Yield (n_values, ratios) per segment over [lo, hi], ratios[i] being
+    (sigma(n) - n) / n for n = n_values[i] (_sigma_ratios).
 
     With ``parity`` (0 or 1) the arrays hold only the n of [lo, hi] with
-    n % 2 == parity, and segments without one are skipped.  With ``ratio``
-    the second array holds (sigma(n) - n) / n as float64 (ratio_strided)
-    instead of sigma(n).
+    n % 2 == parity, and segments without one are skipped.
     """
     if lo < 1:
         raise ParameterError(f"range start must be >= 1, got {lo}")
@@ -392,11 +361,10 @@ def iter_sigma_segments(
     if hi < lo:
         return
     check_range(hi, segment_size)
-    kernel = ratio_strided if ratio else sigma_strided
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         if parity is None:
-            yield kernel(seg_lo, seg_hi - seg_lo + 1, 1)
+            yield _sigma_ratios(seg_lo, seg_hi - seg_lo + 1, 1)
         else:
             n0 = seg_lo + (seg_lo - parity) % 2
             if n0 <= seg_hi:
-                yield kernel(n0, (seg_hi - n0) // 2 + 1, 2)
+                yield _sigma_ratios(n0, (seg_hi - n0) // 2 + 1, 2)

@@ -2,9 +2,9 @@
 
 Each check exercises one computation against an independent reference:
 divisor enumeration against the multiplicative sigma and against the
-segment sigma kernel (all, even and odd n), sieve counts against known
-prime counts, the closed-form h values against their binomial sums, the
-exceptional-set fixture, the trajectory fixtures, the vectorized block
+segment sigma kernel's ratios (all, even and odd n), sieve counts against
+known prime counts, the closed-form h values against their binomial sums,
+the exceptional-set fixture, the trajectory fixtures, the vectorized block
 sum against math.fsum, worker-count bit-identity for alpha's block sums
 and beta's prime pass (the one the certificate runs), alpha's per-block
 depths against a full-depth oracle, and beta's Euler route against the
@@ -104,11 +104,12 @@ def checks() -> Iterator[tuple[str, bool, str]]:
     yield "sigma vs divisor enumeration, n <= 2000", not bad, ""
 
     for name, parity in (("all", None), ("even", 0), ("odd", 1)):
+        # The kernel's ratio is the correctly rounded (sigma(n) - n) / n.
         bad = [
             n
-            for n_vals, sig in iter_sigma_segments(1, 2000, 512, parity)
-            for n, s in zip(n_vals.tolist(), sig.tolist())
-            if s != sigma_oracle(n)
+            for n_vals, ratios in iter_sigma_segments(1, 2000, 512, parity)
+            for n, r in zip(n_vals.tolist(), ratios.tolist())
+            if r != (sigma_oracle(n) - n) / n
         ]
         yield f"segment sigma vs divisor enumeration, {name} n <= 2000", not bad, ""
 

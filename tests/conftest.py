@@ -5,10 +5,14 @@ HYPOTHESIS_PROFILE=ci.  Local runs keep hypothesis' default profile.
 The ``killed_at_block`` fixture stops the prime pass (alpha's, beta's or
 lambda's) the way a kill would, for the checkpoint and resume tests.
 ``cpu_set`` sets the CPUs the process may use, and ``forked`` makes
-passes of any size fork their workers."""
+passes of any size fork their workers; test_engine's
+TestSameBitsOnProcesses is the one home of process-path bit identity.
+``selftest_results`` runs ``alq selftest``'s suite once per session, for
+acceptance 7 and the README's ``alq selftest`` line."""
 
 import contextlib
 import os
+import time
 
 import pytest
 from hypothesis import settings
@@ -49,13 +53,30 @@ def cpu_set(monkeypatch):
     return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _fork_every_pass(mp):
+    from aliquot import numerics
+
+    mp.setattr(numerics, "SERIAL_INTEGERS", 0)
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert numerics.pass_workers(numerics.aligned_blocks(0, 99, 10), 2) == 2
+
+
 @pytest.fixture
-def forked(monkeypatch, cpu_set):
+def forked(monkeypatch):
     """Passes under numerics.SERIAL_INTEGERS integers run serially; this sets
     that threshold to 0 and gives the process two usable CPUs, so test
     sizes fork their worker processes as a full-scale run does, on any host."""
-    from aliquot import numerics
+    _fork_every_pass(monkeypatch)
 
-    monkeypatch.setattr(numerics, "SERIAL_INTEGERS", 0)
-    cpu_set(2)
-    assert numerics.pass_workers(numerics.aligned_blocks(0, 99, 10), 2) == 2
+
+@pytest.fixture(scope="session")
+def selftest_results():
+    """selftest.checks() as a list of (name, ok, detail), run once per
+    session under ``forked``'s settings, and the seconds it took."""
+    from aliquot.selftest import checks
+
+    with pytest.MonkeyPatch.context() as mp:
+        _fork_every_pass(mp)
+        t0 = time.time()
+        results = list(checks())
+    return results, time.time() - t0

@@ -14,12 +14,21 @@ from aliquot.beta import EULER_KERNEL, PAPER_E, beta_lower, error_term, odd_sign
 from aliquot.checkpoint import CheckpointStore
 from aliquot.cli import combine_lambda
 from aliquot.means import arithmetic_mean, closed_form, log_mean
-from aliquot.selftest import checks
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def _report_checks(criterion: int, measured: str, failures: list[str], total: int,
+                   elapsed: float, budget: float) -> None:
+    """_report for a criterion of ``total`` checks and a time budget: what
+    was measured when all held, else which checks failed and the overrun."""
+    problems = [f"{len(failures)} of {total} checks failed: " + "; ".join(failures)] if failures else []
+    if elapsed >= budget:
+        problems.append(f"took {elapsed:.1f}s, over the {budget}s budget")
+    _report(criterion, not problems, "; ".join(problems) or f"{measured}, {elapsed:.1f}s")
 
 
 ALPHA_TABLE = {
@@ -56,15 +65,11 @@ def test_criterion_1_alpha_table():
     for N, (sums_ref, tail_ref) in ALPHA_TABLE.items():
         result = alpha_upper_bound(N)
         if abs(result.sums.value - sums_ref) >= 1e-9:
-            failures.append(f"sums at N={N}: {result.sums.value!r}")
+            failures.append(f"sums at N={N} are {result.sums.value!r}, table {sums_ref}")
         if abs(result.tail_total - tail_ref) / tail_ref >= 5e-7:
-            failures.append(f"tail at N={N}: {result.tail_total!r}")
-    elapsed = time.time() - t0
-    if elapsed >= 60:
-        failures.append(f"runtime {elapsed:.1f}s")
-    _report(1, not failures,
-            f"alpha table at N=1e4..1e6 within 1e-9 / 6 digits, {elapsed:.1f}s"
-            + ("; " + "; ".join(failures) if failures else ""))
+            failures.append(f"tail at N={N} is {result.tail_total!r}, table {tail_ref}")
+    _report_checks(1, "alpha sums within 1e-9 and tails within 5e-7 (relative) of the table "
+                   "at N=1e4, 1e5, 1e6", failures, 2 * len(ALPHA_TABLE), time.time() - t0, 60)
 
 
 def test_criterion_2_alpha_corollary():
@@ -134,30 +139,24 @@ def test_criterion_6_means():
         ref = EVEN_LOG_TABLE[N]
         value = log_mean("even", N).value
         if abs(value - ref) >= 1e-8:
-            failures.append(f"log_mean({N}): {value!r}")
+            failures.append(f"even log mean at N={N} is {value!r}, table {ref}")
     for mean_class in ("all", "even", "odd"):
         value = arithmetic_mean(mean_class, 10**6).value
         if abs(value - closed_form(mean_class)) >= 1e-3:
-            failures.append(f"arith {mean_class}: {value!r}")
-    elapsed = time.time() - t0
-    if elapsed >= 60:
-        failures.append(f"runtime {elapsed:.1f}s")
-    _report(6, not failures,
-            f"log-mean table and arithmetic-mean limits reproduced, {elapsed:.1f}s"
-            + ("; " + "; ".join(failures) if failures else ""))
+            failures.append(f"{mean_class} arithmetic mean at N=1e6 is {value!r}, "
+                            f"limit {closed_form(mean_class)!r}")
+    _report_checks(6, "even log means at N=1e2, 1e4, 1e6 within 1e-8 of the table; arithmetic "
+                   "means of all, even, odd at N=1e6 within 1e-3 of their limits",
+                   failures, 6, time.time() - t0, 60)
 
 
-def test_criterion_7_property_suites(forked):
-    # The suite alq selftest runs; the unit tests run each check too.
-    t0 = time.time()
-    failures = [name + (f" ({detail})" if detail else "")
-                for name, ok, detail in checks() if not ok]
-    elapsed = time.time() - t0
-    if elapsed >= 60:
-        failures.append(f"runtime {elapsed:.1f}s")
-    _report(7, not failures,
-            f"oracle property suites green, {elapsed:.1f}s"
-            + ("; " + "; ".join(failures) if failures else ""))
+def test_criterion_7_property_suites(selftest_results):
+    # The suite alq selftest runs, once per session (conftest); the unit
+    # tests run each check too.
+    results, elapsed = selftest_results
+    failures = [name + (f" ({detail})" if detail else "") for name, ok, detail in results if not ok]
+    _report_checks(7, f"all {len(results)} checks of alq selftest's suite passed",
+                   failures, len(results), elapsed, 60)
 
 
 def test_criterion_8_full_scale_configuration(tmp_path, killed_at_block):

@@ -106,17 +106,9 @@ class TestUpperBound:
         for tighter, looser in zip(ub[1:], ub[:-1]):
             assert tighter <= looser + 1e-12
 
-    def test_worker_and_block_bit_identity(self, forked):
-        a = alpha_upper_bound(10**5, block_size=1 << 14, workers=1)
-        b = alpha_upper_bound(10**5, block_size=1 << 14, workers=8)
-        assert b.workers == 2
-        assert a.sums.value == b.sums.value
-        assert a.upper_bound == b.upper_bound
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_prime_count_is_exact_across_workers(self, workers):
+    def test_prime_count_is_exact_across_blocks(self):
         # 245 blocks, each counting its own odd primes below 10^6.
-        result = alpha_upper_bound(10**6, block_size=1 << 12, workers=workers)
+        result = alpha_upper_bound(10**6, block_size=1 << 12)
         assert result.n_primes == 78497
 
     def test_block_size_within_radii(self):

@@ -399,13 +399,6 @@ class TestMainTerm:
 
 
 class TestOddSignedSums:
-    def test_worker_bit_identity(self, forked):
-        a = odd_signed_sums([1, 2, 3], 10**5, block_size=1 << 14, workers=1)
-        b = odd_signed_sums([1, 2, 3], 10**5, block_size=1 << 14, workers=6)
-        for j in (1, 2, 3):
-            assert a[j].value == b[j].value
-            assert a[j].error_radius == b[j].error_radius
-
     def test_block_size_within_radii(self):
         a = odd_signed_sums([2], 10**5, block_size=1 << 20)[2]
         b = odd_signed_sums([2], 10**5, block_size=4096)[2]
@@ -822,14 +815,12 @@ class TestEulerRoute:
             assert alone.shape == (j, primes.size)
             assert alone[j - 1].tobytes() == every[j - 1].tobytes()
 
-    def test_workers_and_block_sizes(self, forked):
-        a = euler_log_sums(8, 2 * 10**5, block_size=1 << 14, workers=1)
-        b = euler_log_sums(8, 2 * 10**5, block_size=1 << 14, workers=3)
-        c = euler_log_sums(8, 2 * 10**5)
-        assert a == b
+    def test_j_list_and_block_sizes(self):
+        a = euler_log_sums(8, 2 * 10**5, block_size=1 << 14)
+        b = euler_log_sums(8, 2 * 10**5)
         assert list(a) == list(range(1, 9))
         for j in a:
-            assert abs(a[j].value - c[j].value) <= a[j].error_radius + c[j].error_radius
+            assert abs(a[j].value - b[j].value) <= a[j].error_radius + b[j].error_radius
 
     @pytest.mark.parametrize("j", [0, MAX_J + 1, 10**400])
     def test_pass_rejects_j_outside_the_domain(self, j):
@@ -903,11 +894,6 @@ class TestSeriesPass:
         for a, b in itertools.combinations(runs, 2):
             for j in range(1, 33):
                 assert abs(a[j].value - b[j].value) <= a[j].error_radius + b[j].error_radius, j
-
-    def test_workers_bit_identical(self, forked):
-        one = euler_log_sums(32, self.P, block_size=self.STRADDLING, workers=1)
-        two = euler_log_sums(32, self.P, block_size=self.STRADDLING, workers=2)
-        assert one == two
 
     def test_records_split_at_the_series_start(self, tmp_path, killed_at_block):
         # Blocks below 2^20 keep per-j parts, those above per-k power sums,

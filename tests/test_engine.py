@@ -3,6 +3,12 @@
 Passes under numerics.SERIAL_INTEGERS integers run serially, so the tests
 of the process path use conftest's ``forked`` fixture, which sets that
 threshold to 0 and gives the process two usable CPUs.
+
+TestSameBitsOnProcesses is the one home of process-path bit identity:
+each pass (alpha, beta's prime pass below and past 2^20 and its resume,
+lambda's shared pass, the means of every class, the odd sums) gives on
+two forked workers the bits it gives serially.  No other test compares
+a pass's bits across worker counts.
 """
 
 import json
@@ -177,6 +183,13 @@ class TestSameBitsOnProcesses:
     def test_odd_signed_sums(self):
         one = odd_signed_sums([1, 2], 10**5, block_size=1 << 13)
         assert odd_signed_sums([1, 2], 10**5, block_size=1 << 13, workers=2) == one
+
+    def test_beta_series(self):
+        # Past SERIES_FROM = 2^20 blocks keep power sums; the block of
+        # 3 * 2^14 integers that holds 2^20 keeps both kinds of parts.
+        P = (1 << 20) + (1 << 17)
+        one = euler_log_sums(32, P, block_size=3 << 14)
+        assert euler_log_sums(32, P, block_size=3 << 14, workers=2) == one
 
 
 class TestBasePrimes:

