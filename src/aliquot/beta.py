@@ -15,7 +15,7 @@ x_m = 1 - r_m = (p^m - 1)/(p^(m+1) - 1) < 1/p,
 
 and 0 < 1 - r_m^j <= j x_m < j/p give 0 < d_{p,j} <= j/p^2; the m = 0
 term alone is 1 - 1/p, so d_{p,j} <= 1/p <= 1/3 as well.  One pass over
-the odd primes p <= P, in aligned blocks (euler_log_sums), sums
+the odd primes p <= P, in aligned blocks (EulerPass), sums
 log beta_j(p) = log1p(-d_{p,j}) for every j at once:
 
 * Depth.  A prime's m-series stops at the least M with
@@ -391,16 +391,28 @@ def _series_log_sum(j: int, power_sums: list[CertifiedValue]) -> CertifiedValue:
 class EulerPass:
     """beta's kernel on the prime pass (primes.prime_pass): the log sums of
     log beta_j(p) over the odd primes p <= P for j = 1..J, and their
-    checkpoint (euler_log_sums).
+    checkpoint.  P below MIN_PRIME_CUTOFF is a ParameterError.
+
+    The blocks are aligned to multiples of block_size and merged in
+    ascending order, so the sums are independent of the worker count.  A
+    block sums the primes below SERIES_FROM per j (_log_beta_terms) and
+    those above as power sums (_power_sum_parts); the power sums are
+    merged over the blocks before each j's coefficients apply
+    (_series_log_sum), and only a pass that reaches SERIES_FROM computes
+    coefficients.
 
     ``blocks`` are the aligned blocks the pass still has to run: all of
-    them, or those after the records a checkpoint_dir holds.  A stored
-    file is trusted only if its records are the first aligned blocks in
-    order, each holds the series of its block, and the first and the last
-    equal a recomputation bit for bit; otherwise it is discarded.
+    them, or those after the records a checkpoint_dir holds.  Completed
+    blocks are saved every _FLUSH_INTEGERS integers and at the last block,
+    so a killed run keeps its progress.  A stored file is trusted only if
+    its records are the first aligned blocks in order, each holds the
+    series of its block, and the first and the last equal a recomputation
+    bit for bit; otherwise it is discarded.
     """
 
     def __init__(self, J: int, P: int, block_size: int, checkpoint_dir: str | None = None):
+        if P < MIN_PRIME_CUTOFF:
+            raise ParameterError(f"P must be >= {MIN_PRIME_CUTOFF}, got {P}")
         if not 1 <= J <= MAX_J:
             raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
         check_range(P, block_size)
@@ -474,36 +486,6 @@ class EulerPass:
             for j in sums:
                 sums[j] = certified_combine(sums[j], _series_log_sum(j, power_sums))
         return sums
-
-
-def euler_log_sums(
-    J: int,
-    P: int,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-    checkpoint_dir: str | None = None,
-) -> dict[int, CertifiedValue]:
-    """sum of log beta_j(p) over the odd primes p <= P for j = 1..J, certified.
-
-    One pass over the primes (primes.prime_pass with EulerPass) in blocks
-    aligned to multiples of block_size, merged in ascending order, so the
-    sums are independent of the worker count.  A block sums the primes
-    below SERIES_FROM per j (_log_beta_terms) and those above as power
-    sums (_power_sum_parts); the power sums are merged over the blocks
-    before each j's coefficients apply (_series_log_sum), and only a pass
-    that reaches SERIES_FROM computes coefficients.
-
-    With a checkpoint_dir, completed blocks are saved as they finish
-    (every _FLUSH_INTEGERS integers, and at the last block), so a killed
-    run keeps its progress.  On resume the first and the last stored
-    blocks are recomputed, and unless both equal their records bit for
-    bit and every record holds the series of its block, in block order,
-    the file is discarded.
-    """
-    euler = EulerPass(J, P, block_size, checkpoint_dir)
-    prime_pass([euler], block_size, workers)
-    return euler.log_sums()
 
 
 # The paper's exponents e_j for j = 1..8.
@@ -792,16 +774,14 @@ def odd_signed_sums(
 # ---------------------------------------------------------------------------
 
 
-def main_term(j: int, N: int, *, odd_sum: CertifiedValue | None = None) -> CertifiedValue:
-    """(1/j) * (2 beta_j(2) - 1 truncated) * sum of beta_j(n) over odd n <= N.
+def main_term(j: int, odd_sum: CertifiedValue) -> CertifiedValue:
+    """(1/j) * (2 beta_j(2) - 1 truncated) * odd_sum.
 
-    The odd-sum route's main term: the 2-adic factor multiplies the odd
-    signed sum, which covers every even integer whose odd part is at most
-    N (for all powers of two at once).  ``odd_sum`` lets callers reuse a
-    shared pass.
+    The odd-sum route's main term, given odd_sum = sum of beta_j(n) over
+    odd n <= N (odd_signed_sums): the 2-adic factor multiplies it, which
+    covers every even integer whose odd part is at most N (for all powers
+    of two at once).
     """
-    if odd_sum is None:
-        odd_sum = odd_signed_sums([j], N)[j]
     z = two_beta2_minus_one(j)
     return certified_quotient(certified_product(z, odd_sum), j)
 
@@ -946,25 +926,18 @@ def beta_lower(
     """Certified lower bound for beta from its first J j-terms, each taken
     over the odd primes p <= P.
 
-    One prime pass (EulerPass, as in euler_log_sums) gives every j's log
-    sum S of log beta_j(p) over the odd primes p <= P, and beta_summary
-    turns the sums into the bound.  J runs over 1..MAX_J and P from
-    MIN_PRIME_CUTOFF up, so that 1 - j T(P) stays above 0.6; a P past the
-    sieve's range is a ResourceError.  With a checkpoint_dir, a killed run
-    resumes its prime pass when called again with the same J, P and
-    block_size.
+    One prime pass (EulerPass) gives every j's log sum S of log beta_j(p)
+    over the odd primes p <= P, which each report keeps as its
+    log_product, and beta_summary turns the sums into the bound.  J runs
+    over 1..MAX_J and P from MIN_PRIME_CUTOFF up, so that 1 - j T(P) stays
+    above 0.6; a P past the sieve's range is a ResourceError.  With a
+    checkpoint_dir, a killed run resumes its prime pass when called again
+    with the same J, P and block_size.
     """
     t0 = time.time()
-    euler = euler_pass(J, P, block_size, checkpoint_dir)
+    euler = EulerPass(J, P, block_size, checkpoint_dir)
     processes = prime_pass([euler], block_size, workers)
     return beta_summary(euler.log_sums(), P, time.time() - t0, processes)
-
-
-def euler_pass(J: int, P: int, block_size: int, checkpoint_dir: str | None) -> EulerPass:
-    """beta_lower's EulerPass: P below MIN_PRIME_CUTOFF is a ParameterError."""
-    if P < MIN_PRIME_CUTOFF:
-        raise ParameterError(f"P must be >= {MIN_PRIME_CUTOFF}, got {P}")
-    return EulerPass(J, P, block_size, checkpoint_dir)
 
 
 def beta_summary(

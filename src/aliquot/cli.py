@@ -122,12 +122,12 @@ def lambda_bounds(
     carry the pass's process count and time.
     """
     from .alpha import AlphaPass
-    from .beta import beta_summary, euler_pass
+    from .beta import EulerPass, beta_summary
     from .primes import prime_pass
 
     t0 = time.time()
     alpha = AlphaPass(N, block_size)
-    euler = euler_pass(J, P, block_size, checkpoint_dir)
+    euler = EulerPass(J, P, block_size, checkpoint_dir)
     processes = prime_pass([alpha, euler], block_size, workers)
     log_sums = euler.log_sums()
     elapsed = time.time() - t0

@@ -238,12 +238,12 @@ def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
 # A pass over fewer integers than this runs serially whatever the worker
 # count.  Measured on a shared 2-vCPU Xeon (medians of 5 passes in one
 # process, 2 forked workers against 1): at 6e6 integers alpha_upper_bound
-# took 50-69 ms against 51-70 ms serial and euler_log_sums(32, P) 109-117
-# ms against 80-99 ms; at 8e6 to 2^23 = 8.4e6, 58-68 against 62-80 ms and
-# 89-107 against 88-126 ms; from 1e7 on, processes win.  The even log mean
-# wins on processes from 4.2e6 on.  A block runs up to 1.6 times slower in
-# a forked worker than in the caller (alpha's block 0 at N = 4.2e6: 67-73
-# ms against 40-46 ms).
+# took 50-69 ms against 51-70 ms serial and beta's prime pass (J = 32)
+# 109-117 ms against 80-99 ms; at 8e6 to 2^23 = 8.4e6, 58-68 against
+# 62-80 ms and 89-107 against 88-126 ms; from 1e7 on, processes win.  The
+# even log mean wins on processes from 4.2e6 on.  A block runs up to 1.6
+# times slower in a forked worker than in the caller (alpha's block 0 at
+# N = 4.2e6: 67-73 ms against 40-46 ms).
 SERIAL_INTEGERS = 1 << 23
 
 

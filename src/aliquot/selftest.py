@@ -34,7 +34,6 @@ from .beta import (
     beta_lower,
     beta_prime,
     beta_signed,
-    euler_log_sums,
     h_prime_power,
     h_prime_power_binomial,
     main_term,
@@ -91,7 +90,7 @@ def euler_vs_odd_sum(J: int = 1, N: int = 10**5) -> dict[int, tuple[float, float
     gaps = {}
     for euler in beta_lower(J, N).reports:
         j = euler.j
-        main = main_term(j, N, odd_sum=odd[j])
+        main = main_term(j, odd[j])
         allowed = (s_tail_bound(j, N) * two_beta2_minus_one(j).upper / j + j * prime_tail_bound(N)
                    + euler.main.error_radius + main.error_radius)
         gaps[j] = (abs(euler.main.value - main.value), allowed)
@@ -181,9 +180,9 @@ def checks() -> Iterator[tuple[str, bool, str]]:
            short.upper_bound <= oracle and short.n_primes == n_primes,
            f"depths {short.depths}")
 
-    e1 = euler_log_sums(8, 10**7, workers=1)
-    e2 = euler_log_sums(8, 10**7, workers=2)
-    yield "beta prime pass worker bit-identity", e1 == e2, ""
+    b1 = beta_lower(8, 10**7, workers=1).reports
+    b2 = beta_lower(8, 10**7, workers=2).reports
+    yield "beta prime pass worker bit-identity", b1 == b2, ""
 
     apart = kernel_vs_beta_prime()
     yield "Euler kernel vs beta_prime per prime", not apart, str(apart or "")

@@ -102,7 +102,7 @@ def test_criterion_4_beta_main_terms():
     for j in range(1, 9):
         from aliquot.beta import main_term
 
-        value = main_term(j, 10**7, odd_sum=sums[j]).value
+        value = main_term(j, sums[j]).value
         tolerance = error_term(j, PAPER_E[j - 1], 10**7) + 1e-6
         if abs(value - BETA_MAIN[j]) > tolerance:
             failures.append(f"j={j}: {value:.6f} vs {BETA_MAIN[j]}")

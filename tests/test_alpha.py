@@ -37,6 +37,8 @@ class TestAlphaTerm:
     def test_rejects_bad_m(self):
         with pytest.raises(ParameterError):
             alpha_term(5, 0)
+        with pytest.raises(ParameterError, match="too large"):
+            alpha_term(3, 700)
 
 
 class TestTailA:
@@ -83,6 +85,10 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ParameterError, match="N must exceed 2, got 2"):
             alpha_upper_bound(2)
+        with pytest.raises(ParameterError, match="M must be >= 1"):
+            tail_a(3, 0)
+        with pytest.raises(ParameterError, match="L must exceed 1"):
+            alpha_two_part(1)
 
 
 class TestUpperBound:

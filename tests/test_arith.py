@@ -77,8 +77,9 @@ class TestFactorize:
         assert product == p * q
 
     def test_rejects_zero(self):
-        with pytest.raises(ParameterError):
-            factorize(0)
+        for call in (factorize, aliquot_sum, sigma_oracle):
+            with pytest.raises(ParameterError):
+                call(0)
 
     def test_rejects_negative_budget(self):
         # Even where trial division alone finishes the factorization.
@@ -204,3 +205,7 @@ class TestFactorizationValidate:
     def test_rejects_composite_base(self):
         with pytest.raises(ParameterError):
             Factorization(((4, 1),), 4).validate()
+
+    def test_rejects_zero_exponent(self):
+        with pytest.raises(ParameterError, match="exponent must be >= 1"):
+            Factorization(((3, 0),), 1).validate()

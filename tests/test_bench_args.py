@@ -3,10 +3,12 @@
 alqbench/run.py builds each operation's argv with workload_round; a flag
 it passes that the CLI no longer takes would fail every benchmark round,
 so it fails here first.  Likewise every package function that
-alqbench/spans.py wraps for the traced run must still exist.
+alqbench/spans.py wraps for the traced run must still exist, and a traced
+run must end on its result line.
 """
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +48,25 @@ def test_every_traced_name_resolves():
     # its per-layer metrics silently; it fails here instead.
     with spans.Tracer() as tracer:
         assert tracer.missing == set()
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_traced_run_ends_on_its_result_line():
+    # The benchmark reads the last line of the run's output, stderr
+    # included: output after the result line, from a worker or at exit, or a
+    # metric that strict JSON rejects (NaN, Infinity) loses the whole run.
+    proc = subprocess.run(
+        [sys.executable, str(ALQBENCH / "run.py"), "--workload", "means-even", "--trace", "1"],
+        cwd=ALQBENCH.parent, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout
+    *_, detail_line, last = proc.stdout.splitlines()
+    result = json.loads(last, parse_constant=_strict)
+    assert result.keys() == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] is True and result["failed"] == 0
+    detail = json.loads(detail_line)["detail"]
+    assert detail["missing_metrics"] == [] and detail["missing_wrappers"] == []

@@ -19,7 +19,6 @@ from aliquot.beta import (
     beta_prime,
     beta_signed,
     error_term,
-    euler_log_sums,
     euler_term,
     g,
     g_prime_power,
@@ -192,6 +191,10 @@ class TestBetaPrime:
                 bp = beta_prime(j, p, 24)
                 assert abs(series - bp.value) <= bp.error_radius + 1e-13
 
+    def test_rejects_shallow_depth(self):
+        with pytest.raises(ParameterError, match="depth must be >= 4"):
+            beta_prime(1, 3, 3)
+
 
 class TestProductSumIdentity:
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
@@ -284,6 +287,10 @@ class TestTSet:
             t_set(2, 1.0, 1.0)
         with pytest.raises(ParameterError):
             t_set(2, 0.0, 1.0)
+        with pytest.raises(ParameterError, match="c must be positive"):
+            t_set(2, 0.5, 0)
+        with pytest.raises(ResourceError, match="1.6e"):  # the cutoff is 1.6e19
+            t_set(2, 0.5, 10**9)
 
 
 class TestMConst:
@@ -367,7 +374,7 @@ class TestMainTerm:
             )
             z = two_beta2_minus_one(j)
             expected = z.value * odd_sum / j
-            got = main_term(j, N)
+            got = main_term(j, odd_signed_sums([j], N)[j])
             assert abs(got.value - expected) <= got.error_radius + 1e-12
 
     def test_direct_matches_strided_odd_sums_at_scale(self):
@@ -436,7 +443,7 @@ class TestOddSignedSums:
 
 
 def _euler_store(directory, J, P, block_size):
-    """The checkpoint store euler_log_sums keeps under directory."""
+    """The checkpoint store beta_lower's prime pass keeps under directory."""
     key = {"kind": "beta-euler", "kernel": beta_module.EULER_KERNEL, "P": P,
            "block_size": block_size, "j_list": list(range(1, J + 1))}
     return CheckpointStore(directory, key)
@@ -446,35 +453,29 @@ class TestCheckpointing:
     def test_resume_reproduces_one_shot(self, tmp_path, killed_at_block):
         store = _euler_store(tmp_path, 2, 50000, 4096)
         with killed_at_block(3, 4096):
-            euler_log_sums(2, 50000, block_size=4096, checkpoint_dir=tmp_path)
+            beta_lower(2, 50000, block_size=4096, checkpoint_dir=tmp_path)
         assert len(store.load()) == 3  # progress persisted
-        resumed = euler_log_sums(2, 50000, block_size=4096, checkpoint_dir=tmp_path)
-        direct = euler_log_sums(2, 50000, block_size=4096)
-        for j in (1, 2):
-            assert resumed[j].value == direct[j].value
-            assert resumed[j].error_radius == direct[j].error_radius
+        resumed = beta_lower(2, 50000, block_size=4096, checkpoint_dir=tmp_path).reports
+        assert resumed == beta_lower(2, 50000, block_size=4096).reports
 
     def test_tampered_checkpoint_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 1, 30000, 4096)
-        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        beta_lower(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
         records = store.load()[:2]
         records[0].parts["1"] = (records[0].parts["1"][0] + 1e-3, 1.0, 1)
         store.save(records)
-        clean = euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
-        direct = euler_log_sums(1, 30000, block_size=4096)
-        assert clean[1].value == direct[1].value
+        clean = beta_lower(1, 30000, block_size=4096, checkpoint_dir=tmp_path).reports
+        assert clean == beta_lower(1, 30000, block_size=4096).reports
 
     def test_tampered_last_record_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 1, 30000, 4096)
-        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        beta_lower(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
         records = store.load()[:4]
         value, abs_sum, n_terms = records[-1].parts["1"]
         records[-1].parts["1"] = (value + 1e-3, abs_sum, n_terms)
         store.save(records)
-        resumed = euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
-        direct = euler_log_sums(1, 30000, block_size=4096)
-        assert resumed[1].value == direct[1].value
-        assert resumed[1].error_radius == direct[1].error_radius
+        resumed = beta_lower(1, 30000, block_size=4096, checkpoint_dir=tmp_path).reports
+        assert resumed == beta_lower(1, 30000, block_size=4096).reports
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_run_resumes_from_last_flush(self, tmp_path, monkeypatch, workers):
@@ -497,20 +498,17 @@ class TestCheckpointing:
         monkeypatch.setattr(beta_module, "_FLUSH_INTEGERS", 2 * block_size)
         monkeypatch.setattr(beta_module, "_log_beta_terms", failing)
         with pytest.raises(RuntimeError, match="block 7"):
-            euler_log_sums(2, P, block_size=block_size, workers=workers, checkpoint_dir=tmp_path)
+            beta_lower(2, P, block_size=block_size, workers=workers, checkpoint_dir=tmp_path)
         stored = len(store.load())
         assert stored >= 6
 
         monkeypatch.setattr(beta_module, "_log_beta_terms", counting)
-        resumed = euler_log_sums(2, P, block_size=block_size, workers=workers,
-                                 checkpoint_dir=tmp_path)
+        resumed = beta_lower(2, P, block_size=block_size, workers=workers,
+                             checkpoint_dir=tmp_path).reports
         n_blocks = P // block_size + 1
         assert sorted(calls) == [0, stored - 1, *range(stored, n_blocks)]
         monkeypatch.setattr(beta_module, "_log_beta_terms", kernel)
-        direct = euler_log_sums(2, P, block_size=block_size)
-        for j in (1, 2):
-            assert resumed[j].value == direct[j].value
-            assert resumed[j].error_radius == direct[j].error_radius
+        assert resumed == beta_lower(2, P, block_size=block_size).reports
 
     def test_saves_only_when_records_were_added(self, tmp_path, monkeypatch):
         # 8 blocks and a flush every 2 blocks: 4 saves, none after the last
@@ -525,12 +523,12 @@ class TestCheckpointing:
 
         monkeypatch.setattr(beta_module, "_FLUSH_INTEGERS", 2 * block_size)
         monkeypatch.setattr(CheckpointStore, "save", counting_save)
-        first = euler_log_sums(1, P, block_size=block_size, checkpoint_dir=tmp_path)
+        first = beta_lower(1, P, block_size=block_size, checkpoint_dir=tmp_path).reports
         assert saved == [2, 4, 6, 8]
         saved.clear()
-        resumed = euler_log_sums(1, P, block_size=block_size, checkpoint_dir=tmp_path)
+        resumed = beta_lower(1, P, block_size=block_size, checkpoint_dir=tmp_path).reports
         assert saved == []
-        assert resumed[1] == first[1]
+        assert resumed == first
 
     @pytest.mark.parametrize(
         "doc",
@@ -548,18 +546,17 @@ class TestCheckpointing:
             doc = {"schema_version": 1, "key": store.key, **doc}
         store.path.write_text(json.dumps(doc))
         assert store.load() == []
-        resumed = euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
-        assert resumed[1] == euler_log_sums(1, 30000, block_size=4096)[1]
+        resumed = beta_lower(1, 30000, block_size=4096, checkpoint_dir=tmp_path).reports
+        assert resumed == beta_lower(1, 30000, block_size=4096).reports
 
     def test_middle_record_missing_a_series_is_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 2, 30000, 4096)
-        euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        beta_lower(2, 30000, block_size=4096, checkpoint_dir=tmp_path)
         records = store.load()[:4]
         del records[1].parts["2"]
         store.save(records)
-        resumed = euler_log_sums(2, 30000, block_size=4096, checkpoint_dir=tmp_path)
-        direct = euler_log_sums(2, 30000, block_size=4096)
-        assert resumed == direct
+        resumed = beta_lower(2, 30000, block_size=4096, checkpoint_dir=tmp_path).reports
+        assert resumed == beta_lower(2, 30000, block_size=4096).reports
 
     @pytest.mark.parametrize("case", ["swapped", "missing"])
     def test_middle_records_out_of_block_order_are_discarded(self, tmp_path, case):
@@ -568,22 +565,22 @@ class TestCheckpointing:
         # block order.
         P, block_size = 30000, 4096
         store = _euler_store(tmp_path, 2, P, block_size)
-        euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
+        beta_lower(2, P, block_size=block_size, checkpoint_dir=tmp_path)
         records = store.load()[:5]
         if case == "swapped":
             records[1], records[2] = records[2], records[1]
         else:
             del records[2]
         store.save(records)
-        resumed = euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
-        assert resumed == euler_log_sums(2, P, block_size=block_size)
+        resumed = beta_lower(2, P, block_size=block_size, checkpoint_dir=tmp_path).reports
+        assert resumed == beta_lower(2, P, block_size=block_size).reports
         assert [(r.lo, r.hi) for r in store.load()] == aligned_blocks(3, P, block_size)
 
     def test_records_with_an_index_still_resume(self, tmp_path, monkeypatch):
         # Files that number their records load with the numbers ignored.
         P, block_size = 30000, 4096
         store = _euler_store(tmp_path, 2, P, block_size)
-        euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
+        beta_lower(2, P, block_size=block_size, checkpoint_dir=tmp_path)
         doc = json.loads(store.path.read_text())
         doc["blocks"] = [{"index": k, **b} for k, b in enumerate(doc["blocks"][:5])]
         store.path.write_text(json.dumps(doc))
@@ -591,15 +588,15 @@ class TestCheckpointing:
         monkeypatch.setattr(beta_module, "_log_beta_terms",
                             lambda primes, J: calls.append(int(primes[0]) // block_size)
                             or kernel(primes, J))
-        resumed = euler_log_sums(2, P, block_size=block_size, checkpoint_dir=tmp_path)
+        resumed = beta_lower(2, P, block_size=block_size, checkpoint_dir=tmp_path).reports
         assert calls == [0, 4, 5, 6, 7]
         monkeypatch.setattr(beta_module, "_log_beta_terms", kernel)
-        assert resumed == euler_log_sums(2, P, block_size=block_size)
+        assert resumed == beta_lower(2, P, block_size=block_size).reports
 
     def test_foreign_key_ignored(self, tmp_path):
         store_a = _euler_store(tmp_path, 1, 30000, 4096)
         store_b = _euler_store(tmp_path, 1, 40000, 4096)
-        euler_log_sums(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
+        beta_lower(1, 30000, block_size=4096, checkpoint_dir=tmp_path)
         assert store_a.load()
         assert store_a.path != store_b.path
         assert store_b.load() == []
@@ -670,7 +667,8 @@ class TestBetaLower:
         # Rankin charge.
         (_, term) = beta_lower(2, 10**4).reports
         z_upper = two_beta2_minus_one(2).upper
-        upper = main_term(2, 10**6).upper + s_tail_bound(2, 10**6) * z_upper / 2
+        odd_sum = odd_signed_sums([2], 10**6)[2]
+        upper = main_term(2, odd_sum).upper + s_tail_bound(2, 10**6) * z_upper / 2
         assert term.contribution_lower <= upper
 
     def test_default_mode_never_searches(self, monkeypatch):
@@ -757,6 +755,7 @@ def test_tail_bound_past_the_float_range(bound):
         (lambda: s_tail_bound(1, 0), "N must be >= 1"),  # was a ZeroDivisionError
         (lambda: s_tail_bound(0, 10), "j must be >= 1"),
         (lambda: s_tail_bound(-1, 10), "j must be >= 1"),
+        (lambda: s_tail_bound(1, 10, delta=1.0), r"delta must lie in \(0, 1\)"),
         (lambda: error_term(3, 0.6, -5), "N must be >= 2"),
         (lambda: error_term(3, 0.6, 1), "N must be >= 2"),
         (lambda: error_term(0, 0.6, 10), "j must be >= 1"),
@@ -816,30 +815,25 @@ class TestEulerRoute:
             assert alone[j - 1].tobytes() == every[j - 1].tobytes()
 
     def test_j_list_and_block_sizes(self):
-        a = euler_log_sums(8, 2 * 10**5, block_size=1 << 14)
-        b = euler_log_sums(8, 2 * 10**5)
-        assert list(a) == list(range(1, 9))
-        for j in a:
-            assert abs(a[j].value - b[j].value) <= a[j].error_radius + b[j].error_radius
-
-    @pytest.mark.parametrize("j", [0, MAX_J + 1, 10**400])
-    def test_pass_rejects_j_outside_the_domain(self, j):
-        with pytest.raises(ParameterError):
-            euler_log_sums(j, 10**4)
+        a = beta_lower(8, 2 * 10**5, block_size=1 << 14).reports
+        b = beta_lower(8, 2 * 10**5).reports
+        assert [r.j for r in a] == list(range(1, 9))
+        for ra, rb in zip(a, b):
+            sa, sb = ra.log_product, rb.log_product
+            assert abs(sa.value - sb.value) <= sa.error_radius + sb.error_radius
 
     def test_no_primes_sum_to_zero(self):
         assert beta_module._log_beta_terms(np.empty(0, dtype=np.int64), 2).shape == (2, 0)
-        assert euler_log_sums(2, 2) == {1: CertifiedValue(0.0, 0.0), 2: CertifiedValue(0.0, 0.0)}
 
     def test_checkpoint_resume_reproduces_one_shot(self, tmp_path):
         store = _euler_store(tmp_path, 2, 10**5, 4096)
-        euler_log_sums(2, 10**5, block_size=4096, checkpoint_dir=tmp_path)
+        beta_lower(2, 10**5, block_size=4096, checkpoint_dir=tmp_path)
         records = store.load()[:5]
         value, abs_sum, n_terms = records[-1].parts["2"]
         records[-1].parts["2"] = (value + 1e-9, abs_sum, n_terms)
         store.save(records)  # a tampered last record: the file is discarded
-        resumed = euler_log_sums(2, 10**5, block_size=4096, checkpoint_dir=tmp_path)
-        assert resumed == euler_log_sums(2, 10**5, block_size=4096)
+        resumed = beta_lower(2, 10**5, block_size=4096, checkpoint_dir=tmp_path).reports
+        assert resumed == beta_lower(2, 10**5, block_size=4096).reports
 
     def test_lower_end_below_a_later_upper_end(self):
         # t_j <= (z/j) prod over p <= 1e6 of beta_j(p), since every factor
@@ -847,10 +841,10 @@ class TestEulerRoute:
         # that product's upper end.  Without the 1 - j T(P) charge the
         # lower end at 1e3 passes it for every j.
         small = beta_lower(8, 10**3)
-        logs = euler_log_sums(8, 10**6)
-        for r in small.reports:
+        large = beta_lower(8, 10**6)
+        for r, later in zip(small.reports, large.reports):
             j = r.j
-            upper = two_beta2_minus_one(j).upper / j * math.exp(logs[j].upper)
+            upper = two_beta2_minus_one(j).upper / j * math.exp(later.log_product.upper)
             assert r.contribution_lower < upper, j
 
     def test_euler_terms_match_the_odd_sum_route(self):
@@ -889,39 +883,40 @@ class TestSeriesPass:
     STRADDLING = 3 << 14  # block 21, [1032192, 1081343], holds 2^20
 
     def test_block_sizes_agree_within_radii(self):
-        runs = [euler_log_sums(32, self.P, block_size=size)
+        runs = [beta_lower(32, self.P, block_size=size).reports
                 for size in (1 << 14, self.STRADDLING, 1 << 20)]
         for a, b in itertools.combinations(runs, 2):
-            for j in range(1, 33):
-                assert abs(a[j].value - b[j].value) <= a[j].error_radius + b[j].error_radius, j
+            for ra, rb in zip(a, b):
+                sa, sb = ra.log_product, rb.log_product
+                assert abs(sa.value - sb.value) <= sa.error_radius + sb.error_radius, ra.j
 
     def test_records_split_at_the_series_start(self, tmp_path, killed_at_block):
         # Blocks below 2^20 keep per-j parts, those above per-k power sums,
         # the straddling one both; resuming past it reproduces one shot.
         store = _euler_store(tmp_path, 2, self.P, self.STRADDLING)
         with killed_at_block(23, self.STRADDLING):
-            euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
+            beta_lower(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
         records = store.load()
         assert len(records) == 23
         sums = {f"s{k}" for k in range(2, beta_module.SERIES_TERMS + 2)}
         assert records[20].parts.keys() == {"1", "2"}
         assert records[21].parts.keys() == {"1", "2"} | sums
         assert records[22].parts.keys() == sums
-        resumed = euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
-        assert resumed == euler_log_sums(2, self.P, block_size=self.STRADDLING)
+        resumed = beta_lower(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
+        assert resumed.reports == beta_lower(2, self.P, block_size=self.STRADDLING).reports
 
     def test_record_with_the_wrong_layout_is_discarded(self, tmp_path):
         store = _euler_store(tmp_path, 2, self.P, self.STRADDLING)
-        euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
+        beta_lower(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
         records = store.load()[:23]
         del records[21].parts["s3"]
         store.save(records)
-        resumed = euler_log_sums(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
-        assert resumed == euler_log_sums(2, self.P, block_size=self.STRADDLING)
+        resumed = beta_lower(2, self.P, block_size=self.STRADDLING, checkpoint_dir=tmp_path)
+        assert resumed.reports == beta_lower(2, self.P, block_size=self.STRADDLING).reports
 
     def test_coefficients_only_past_the_series_start(self):
         beta_module._series_coefficients.cache_clear()
-        euler_log_sums(8, beta_module.SERIES_FROM - 1)
+        beta_lower(8, beta_module.SERIES_FROM - 1)
         assert beta_module._series_coefficients.cache_info().currsize == 0
-        euler_log_sums(8, self.P)
+        beta_lower(8, self.P)
         assert beta_module._series_coefficients.cache_info().currsize == 8

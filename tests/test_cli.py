@@ -368,7 +368,7 @@ class TestLambdaVerb:
         def no_beta(*args, **kwargs):
             raise AssertionError("beta ran")
 
-        monkeypatch.setattr(beta, "euler_pass", no_beta)
+        monkeypatch.setattr(beta, "EulerPass", no_beta)
         assert run(["lambda", *flags, "--J", "2", "--Nj", "1e4", "--out", str(tmp_path)]) == code
         assert not list(tmp_path.iterdir())
 

@@ -21,7 +21,7 @@ import pytest
 
 from aliquot import primes
 from aliquot.alpha import alpha_upper_bound
-from aliquot.beta import euler_log_sums, odd_signed_sums
+from aliquot.beta import beta_lower, odd_signed_sums
 from aliquot.cli import lambda_bounds
 from aliquot.errors import ParameterError, ResourceError
 from aliquot.means import mean_report
@@ -154,15 +154,15 @@ class TestSameBitsOnProcesses:
             two.to_json_dict() | {"elapsed_seconds": 0}
 
     def test_beta_resumes_on_processes(self, tmp_path, killed_at_block):
-        one = euler_log_sums(4, 2 * 10**5, block_size=1 << 14)
+        one = beta_lower(4, 2 * 10**5, block_size=1 << 14).reports
         with killed_at_block(5, 1 << 14):
-            euler_log_sums(4, 2 * 10**5, block_size=1 << 14, workers=2, checkpoint_dir=tmp_path)
+            beta_lower(4, 2 * 10**5, block_size=1 << 14, workers=2, checkpoint_dir=tmp_path)
         assert multiprocessing.active_children() == []
         (stored,) = tmp_path.iterdir()
         assert len(json.loads(stored.read_text())["blocks"]) == 5  # blocks 0-4, in order
-        resumed = euler_log_sums(4, 2 * 10**5, block_size=1 << 14, workers=2,
-                                 checkpoint_dir=tmp_path)
-        assert resumed == one
+        resumed = beta_lower(4, 2 * 10**5, block_size=1 << 14, workers=2,
+                             checkpoint_dir=tmp_path)
+        assert resumed.reports == one
 
     def test_lambda_pass(self):
         args = (3 * 10**5, 4, 2 * 10**5)
@@ -188,8 +188,8 @@ class TestSameBitsOnProcesses:
         # Past SERIES_FROM = 2^20 blocks keep power sums; the block of
         # 3 * 2^14 integers that holds 2^20 keeps both kinds of parts.
         P = (1 << 20) + (1 << 17)
-        one = euler_log_sums(32, P, block_size=3 << 14)
-        assert euler_log_sums(32, P, block_size=3 << 14, workers=2) == one
+        one = beta_lower(32, P, block_size=3 << 14).reports
+        assert beta_lower(32, P, block_size=3 << 14, workers=2).reports == one
 
 
 class TestBasePrimes:
@@ -210,7 +210,7 @@ class TestBasePrimes:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("run", [
         lambda w: alpha_upper_bound(10**6, block_size=1 << 14, workers=w),
-        lambda w: euler_log_sums(2, 10**6, block_size=1 << 14, workers=w),
+        lambda w: beta_lower(2, 10**6, block_size=1 << 14, workers=w),
         lambda w: lambda_bounds(10**6, 2, 3 * 10**5, block_size=1 << 14, workers=w),
         lambda w: mean_report("even", 10**5, block_size=1 << 12, workers=w),
         lambda w: odd_signed_sums([2], 10**5, block_size=1 << 12, workers=w),

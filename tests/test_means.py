@@ -39,8 +39,9 @@ class TestClosedForm:
         assert f"{closed_form('odd'):.4f}" == "0.2337"
 
     def test_rejects_unknown_class(self):
-        with pytest.raises(ParameterError):
-            closed_form("prime")
+        for call in (closed_form, lambda c: log_mean(c, 10), lambda c: arithmetic_mean(c, 10)):
+            with pytest.raises(ParameterError):
+                call("prime")
 
 
 class TestArithmeticMean:

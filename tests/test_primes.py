@@ -183,6 +183,9 @@ class TestSigmaKernel:
     def test_rejects_bad_parity(self):
         with pytest.raises(ParameterError):
             list(iter_sigma_segments(1, 10, parity=2))
+        for segments in (iter_sigma_segments, iter_factor_segments):
+            with pytest.raises(ParameterError, match="range start must be >= 1"):
+                list(segments(0, 10))
 
     def test_sigma_sum_matches_oracle(self):
         total = 0

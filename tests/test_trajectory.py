@@ -79,6 +79,8 @@ class TestContracts:
     def test_rejects_negative_budget(self):
         with pytest.raises(ParameterError):
             trace(12, 10, rho_budget=-5)
+        with pytest.raises(ParameterError, match="max_steps"):
+            trace(12, max_steps=-1)
 
     def test_parity_preserved_off_events(self):
         rng = random.Random(42)
