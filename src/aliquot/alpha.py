@@ -120,10 +120,11 @@ def tail_a(p, M: int):
         raise ParameterError(f"M must be >= 1, got {M}")
     try:
         p = np.asarray(p, dtype=np.float64)
+        exponent = -2.0 * (M + 1)
     except OverflowError:
-        raise ParameterError("p is past the float range") from None
+        raise ParameterError("p or M is past the float range") from None
     with np.errstate(under="ignore"):
-        a = (p / (p - 1.0)) * p ** (-2.0 * (M + 1))
+        a = (p / (p - 1.0)) * p**exponent
     return a if a.ndim else float(a)
 
 
@@ -140,10 +141,11 @@ def alpha_two_part(L: int) -> CertifiedValue:
     above 2*alpha(2): by 1.55e-10 at L = 15 (50-digit mpmath), and the
     2*A(2, L) charge is redundant on the upper side.  It stays until a
     two-sided enclosure replaces it, since dropping it moves the
-    certificate's bits.
+    certificate's bits.  Every term past m = 536 underflows to zero, so
+    L past 536 is a ParameterError.
     """
-    if L <= 1:
-        raise ParameterError(f"L must exceed 1, got {L}")
+    if not 1 < L <= 536:
+        raise ParameterError(f"L must exceed 1 and be at most 536, got {L}")
     terms = [math.log(2.0)]
     terms += [2.0**-m * math.log1p(-(2.0 ** -(m + 1))) for m in range(1, L + 1)]
     return compensated_sum(terms)

@@ -159,7 +159,7 @@ DEFAULT_NODE_BUDGET = 500_000
 _RANKIN_CUTOFF = 100_000  # s_tail_bound evaluates the odd primes up to this directly
 _FLUSH_INTEGERS = 10**7  # the prime pass saves its checkpoint this often
 MIN_PRIME_CUTOFF = 1000  # the least prime cutoff P beta_lower takes
-MAX_J = 1024  # the most j-terms J beta_lower takes
+MAX_J = 1024  # j runs over 1..MAX_J here, and beta_lower takes J up to it
 _PI_BOUND = 1.25506  # pi(x) < 1.25506 x / log x for x > 1 (Rosser-Schoenfeld)
 SERIES_FROM = 1 << 20  # the prime pass takes p >= SERIES_FROM from power sums
 SERIES_TERMS = 8  # K: the power sums S_2..S_(K+1) a block keeps
@@ -169,8 +169,15 @@ _CAUCHY_BOUND = 0.373  # |log beta_j(u)| on |u| <= 1/(8j), see the module docstr
 EULER_KERNEL = f"euler-2 series_from={SERIES_FROM} K={SERIES_TERMS}"
 
 
+def _check_j(j: int) -> None:
+    """The domain of j for every function here that takes one."""
+    if not 1 <= j <= MAX_J:
+        raise ParameterError(f"j must be >= 1 and <= {MAX_J}, got {j}")
+
+
 def g_prime_power(j: int, p: int, m: int) -> float:
     """g_j(p^m) = p^-m (p^m/sigma(p^m))^j."""
+    _check_j(j)
     pm = p**m
     ratio = pm / sigma_prime_power(p, m)
     if pm > 10**300:
@@ -180,6 +187,7 @@ def g_prime_power(j: int, p: int, m: int) -> float:
 
 def h_prime_power(j: int, p: int, m: int) -> float:
     """h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1, stably via expm1/log1p."""
+    _check_j(j)
     den = p * sigma_prime_power(p, m - 1)
     if den > 10**300:
         return 0.0
@@ -188,6 +196,7 @@ def h_prime_power(j: int, p: int, m: int) -> float:
 
 def h_prime_power_binomial(j: int, p: int, m: int) -> float:
     """Reference form: sum over k = 1..j of C(j,k) / (p sigma(p^{m-1}))^k."""
+    _check_j(j)
     den = p * sigma_prime_power(p, m - 1)
     total = Fraction(0)
     for k in range(1, j + 1):
@@ -237,19 +246,14 @@ def beta_prime(j: int, p: int, depth: int) -> CertifiedValue:
     """
     if depth < 4:
         raise ParameterError(f"depth must be >= 4, got {depth}")
-    terms = []
-    pm = 1
-    sig = 1
-    for m in range(depth + 1):
-        if m > 0:
-            pm *= p
-            sig = sig * p + 1
-        if pm > 10**300:
-            break
-        terms.append((pm / sig) ** j / pm)
-    value = compensated_sum(terms)
+    try:
+        inverse = 1.0 / p
+    except OverflowError:
+        raise ParameterError("p is past the float range") from None
+    # Stop at the first p^m past 10^300: the radius counts every term, zeros too.
+    value = compensated_sum([g_prime_power(j, p, m) for m in range(depth + 1) if p**m <= 10**300])
     scaled = CertifiedValue(
-        (1.0 - 1.0 / p) * value.value,
+        (1.0 - inverse) * value.value,
         value.error_radius + EPS * abs(value.value),
     )
     return scaled.widened(float(p) ** (-depth) / (p - 1))
@@ -494,8 +498,7 @@ PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
 
 def _check_bound_args(j: int, N: int, least_N: int, e: float | None = None) -> None:
     """The argument checks of the bounds on sums over n > N."""
-    if j < 1:
-        raise ParameterError(f"j must be >= 1, got {j}")
+    _check_j(j)
     if e is not None and not 0 < e <= 1:
         raise ParameterError(f"e must lie in (0, 1], got {e}")
     if N < least_N:
@@ -531,6 +534,7 @@ def t_set(j: int, e: float, c: float) -> list[PrimePowerEntry]:
     for every scanned entry), nothing beyond p^m = (2jc)^(1/(1-e)) can
     qualify, so scanning prime powers up to that cutoff is exhaustive.
     """
+    _check_j(j)
     if not 0.0 < e < 1.0:
         raise ParameterError(f"t_set requires 0 < e < 1, got {e}")
     if c <= 0:
@@ -763,6 +767,8 @@ def odd_signed_sums(
     ascending order, so results are independent of worker count.
     """
     j_list = sorted(set(j_list))
+    for j in j_list:
+        _check_j(j)
     check_range(N, block_size)
     parts, _ = map_blocks(aligned_blocks(1, N, block_size),
                           lambda lo, hi: _block_odd_signed(lo, hi, j_list), workers)

@@ -4,6 +4,9 @@ Passes under numerics.SERIAL_INTEGERS integers run serially, so the tests
 of the process path use conftest's ``forked`` fixture, which sets that
 threshold to 0 and gives the process two usable CPUs.
 
+TestProcessPath is the one home of the engine's forked behaviour;
+test_numerics.TestMapBlocks covers only its serial path.
+
 TestSameBitsOnProcesses is the one home of process-path bit identity:
 each pass (alpha, beta's prime pass below and past 2^20 and its resume,
 lambda's shared pass, the means of every class, the odd sums) gives on

@@ -78,7 +78,7 @@ class TestLogMean:
         got = log_mean("even", 4)
         assert abs(got.value - expected) < 1e-15
 
-    @pytest.mark.parametrize("N", [10**2, 10**3, 10**4])
+    @pytest.mark.parametrize("N", [10**3])  # 1e2 and 1e4: acceptance criterion 6
     def test_even_reference_table(self, N):
         got = log_mean("even", N)
         assert abs(got.value - EVEN_LOG_TABLE[N]) < 1e-8

@@ -363,6 +363,10 @@ class TestBlockReduce:
 
 
 class TestMapBlocks:
+    """map_blocks on its serial path only: every pass here is under
+    numerics.SERIAL_INTEGERS, so workers > 1 still runs serially.  The
+    forked path is tested in test_engine.TestProcessPath."""
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_on_block_once_per_block_in_order(self, workers):
         blocks = aligned_blocks(5, 1000, 64)
@@ -371,8 +375,7 @@ class TestMapBlocks:
         assert seen == out == blocks
         assert count == 1  # under numerics.SERIAL_INTEGERS
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_block_stops_after_earlier_blocks(self, workers):
+    def test_failed_block_stops_after_earlier_blocks(self):
         blocks = aligned_blocks(0, 99, 10)
 
         def eval_block(lo, hi):
@@ -382,7 +385,7 @@ class TestMapBlocks:
 
         seen = []
         with pytest.raises(ValueError, match="block 7"):
-            map_blocks(blocks, eval_block, workers, on_block=seen.append)
+            map_blocks(blocks, eval_block, 1, on_block=seen.append)
         assert seen == [0, 10, 20, 30, 40, 50, 60]
 
     @pytest.mark.parametrize("workers", [0, -1])
