@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import sigma_prime_power
-from .errors import ParameterError
+from .errors import ParameterError, reject, shown
 from .numerics import (
     DEFAULT_BLOCK_SIZE,
     EPS,
@@ -100,11 +100,10 @@ def alpha_term(p: int, m: int) -> float:
     The ratio equals 1 + 1/(p+...+p^m); the denominator is formed exactly
     in integer arithmetic while it fits a float, else in floating point.
     """
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    reject(m < 1, "m must be >= 1", m)
     q = p**m
     if q > 10**300:
-        raise ParameterError(f"p**m = {p}**{m} too large")
+        raise ParameterError(f"p**m = {shown(p)}**{shown(m)} too large")
     geom = sigma_prime_power(p, m) - 1  # p + p^2 + ... + p^m, exact
     return math.log1p(1.0 / geom) / q
 
@@ -116,8 +115,7 @@ def tail_a(p, M: int):
     an array); both go through numpy's power, so a block's tail entries
     are exactly this function's values.
     """
-    if M < 1:
-        raise ParameterError(f"M must be >= 1, got {M}")
+    reject(M < 1, "M must be >= 1", M)
     try:
         p = np.asarray(p, dtype=np.float64)
         exponent = -2.0 * (M + 1)
@@ -144,8 +142,7 @@ def alpha_two_part(L: int) -> CertifiedValue:
     certificate's bits.  Every term past m = 536 underflows to zero, so
     L past 536 is a ParameterError.
     """
-    if not 1 < L <= 536:
-        raise ParameterError(f"L must exceed 1 and be at most 536, got {L}")
+    reject(not 1 < L <= 536, "L must exceed 1 and be at most 536", L)
     terms = [math.log(2.0)]
     terms += [2.0**-m * math.log1p(-(2.0 ** -(m + 1))) for m in range(1, L + 1)]
     return compensated_sum(terms)
@@ -200,8 +197,7 @@ class AlphaPass:
     limits."""
 
     def __init__(self, N: int, block_size: int):
-        if N <= 2:
-            raise ParameterError(f"N must exceed 2, got {N}")
+        reject(N <= 2, "N must exceed 2", N)
         check_range(N, block_size)
         self.N = N
         self.blocks = aligned_blocks(3, N, block_size)

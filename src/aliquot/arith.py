@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParameterError, UnresolvedCofactorError
+from .errors import ParameterError, UnresolvedCofactorError, reject, shown
 
 # Strong-pseudoprime witness set: deterministic for n < 3317044064679887385961981
 # (covers well beyond 64 bits).  Above that the test is a strong probable
@@ -92,11 +92,11 @@ class Factorization:
             if m < 1:
                 raise ParameterError(f"exponent must be >= 1 in {self.entries}")
             if not is_prime(p):
-                raise ParameterError(f"{p} is not prime")
+                raise ParameterError(f"{shown(p)} is not prime")
             prod *= p**m
             last = p
         if prod != self.n:
-            raise ParameterError(f"entries multiply to {prod}, not {self.n}")
+            raise ParameterError(f"entries multiply to {shown(prod)}, not {shown(self.n)}")
 
     def __iter__(self):
         return iter(self.entries)
@@ -188,10 +188,8 @@ def factorize(n: int, rho_budget: int = 500_000) -> Factorization:
     A factor above is_prime's deterministic bound (~3.3e24) is only a
     strong probable prime, so such a factorization is not proven.
     """
-    if n < 1:
-        raise ParameterError(f"factorize requires n >= 1, got {n}")
-    if rho_budget < 0:
-        raise ParameterError(f"rho_budget must be >= 0, got {rho_budget}")
+    reject(n < 1, "factorize requires n >= 1", n)
+    reject(rho_budget < 0, "rho_budget must be >= 0", rho_budget)
     if n == 1:
         return Factorization((), 1)
     factors: dict[int, int] = {}
@@ -249,8 +247,7 @@ def sigma(f: Factorization) -> int:
 
 def aliquot_sum(n: int, rho_budget: int = 500_000) -> int:
     """s(n) = sigma(n) - n, the sum of divisors of n below n; s(1) = 0."""
-    if n < 1:
-        raise ParameterError(f"aliquot_sum requires n >= 1, got {n}")
+    reject(n < 1, "aliquot_sum requires n >= 1", n)
     if n == 1:
         return 0
     return sigma(factorize(n, rho_budget)) - n
@@ -263,8 +260,7 @@ def nu(f: Factorization) -> int:
 
 def sigma_oracle(n: int) -> int:
     """sigma(n) by full divisor enumeration, independent of factorize."""
-    if n < 1:
-        raise ParameterError(f"sigma_oracle requires n >= 1, got {n}")
+    reject(n < 1, "sigma_oracle requires n >= 1", n)
     total = 0
     d = 1
     while d * d <= n:

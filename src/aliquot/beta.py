@@ -130,7 +130,7 @@ import numpy as np
 
 from .arith import Factorization, sigma_prime_power
 from .checkpoint import BlockRecord, CheckpointStore
-from .errors import ParameterError, ResourceError, SSetBudgetExceeded
+from .errors import ParameterError, ResourceError, SSetBudgetExceeded, reject
 from .numerics import (
     DEFAULT_BLOCK_SIZE,
     EPS,
@@ -169,15 +169,22 @@ _CAUCHY_BOUND = 0.373  # |log beta_j(u)| on |u| <= 1/(8j), see the module docstr
 EULER_KERNEL = f"euler-2 series_from={SERIES_FROM} K={SERIES_TERMS}"
 
 
-def _check_j(j: int) -> None:
-    """The domain of j for every function here that takes one."""
-    if not 1 <= j <= MAX_J:
-        raise ParameterError(f"j must be >= 1 and <= {MAX_J}, got {j}")
+def _check_j(j: int, message: str = f"j must be >= 1 and <= {MAX_J}") -> None:
+    """The domain of j, 1..MAX_J, for every function here that takes one,
+    and of beta_lower's J."""
+    reject(not 1 <= j <= MAX_J, message, j)
+
+
+def _check_p(p: int) -> None:
+    """p of a prime power: an int >= 2, Python or numpy (t_set's calls skip a primality test)."""
+    reject(not isinstance(p, (int, np.integer)) or p < 2, "p must be an integer >= 2", p)
 
 
 def g_prime_power(j: int, p: int, m: int) -> float:
-    """g_j(p^m) = p^-m (p^m/sigma(p^m))^j."""
+    """g_j(p^m) = p^-m (p^m/sigma(p^m))^j, m >= 0."""
     _check_j(j)
+    _check_p(p)
+    reject(m < 0, "m must be >= 0", m)
     pm = p**m
     ratio = pm / sigma_prime_power(p, m)
     if pm > 10**300:
@@ -186,8 +193,10 @@ def g_prime_power(j: int, p: int, m: int) -> float:
 
 
 def h_prime_power(j: int, p: int, m: int) -> float:
-    """h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1, stably via expm1/log1p."""
+    """h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1, m >= 1, stably via expm1/log1p."""
     _check_j(j)
+    _check_p(p)
+    reject(m < 1, "m must be >= 1", m)
     den = p * sigma_prime_power(p, m - 1)
     if den > 10**300:
         return 0.0
@@ -195,8 +204,10 @@ def h_prime_power(j: int, p: int, m: int) -> float:
 
 
 def h_prime_power_binomial(j: int, p: int, m: int) -> float:
-    """Reference form: sum over k = 1..j of C(j,k) / (p sigma(p^{m-1}))^k."""
+    """Reference form: sum over k = 1..j of C(j,k) / (p sigma(p^{m-1}))^k; m >= 1."""
     _check_j(j)
+    _check_p(p)
+    reject(m < 1, "m must be >= 1", m)
     den = p * sigma_prime_power(p, m - 1)
     total = Fraction(0)
     for k in range(1, j + 1):
@@ -222,8 +233,7 @@ def h(j: int, f: Factorization) -> float:
 
 def beta_signed(j: int, f: Factorization) -> float:
     """beta_j(n) = (-1)^nu(n) g_j(n) h_j(n) for odd n; beta_j(1) = 1."""
-    if f.n % 2 == 0:
-        raise ParameterError(f"beta_signed is defined on odd n, got {f.n}")
+    reject(f.n % 2 == 0, "beta_signed is defined on odd n", f.n)
     sign = -1.0 if len(f.entries) % 2 else 1.0
     return sign * g(j, f) * h(j, f)
 
@@ -244,8 +254,8 @@ def beta_prime(j: int, p: int, depth: int) -> CertifiedValue:
     Tail folded into the radius with the conservative geometric bound
     sum over m > depth of p^-m = p^-depth/(p-1).
     """
-    if depth < 4:
-        raise ParameterError(f"depth must be >= 4, got {depth}")
+    reject(depth < 4, "depth must be >= 4", depth)
+    _check_p(p)
     try:
         inverse = 1.0 / p
     except OverflowError:
@@ -272,8 +282,7 @@ def prime_tail_bound(P: int) -> float:
     factor 1 + 8 EPS lifts it above the exact T(P).  P past 2^1000 is
     evaluated at 2^1000: T falls with P, so that still bounds the sum.
     """
-    if P < 2:
-        raise ParameterError(f"P must be >= 2, got {P}")
+    reject(P < 2, "P must be >= 2", P)
     x = float(min(P, 1 << 1000))
     return 2.0 * _PI_BOUND / (x * math.log(x)) * (1.0 + 8.0 * EPS)
 
@@ -415,10 +424,8 @@ class EulerPass:
     """
 
     def __init__(self, J: int, P: int, block_size: int, checkpoint_dir: str | None = None):
-        if P < MIN_PRIME_CUTOFF:
-            raise ParameterError(f"P must be >= {MIN_PRIME_CUTOFF}, got {P}")
-        if not 1 <= J <= MAX_J:
-            raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
+        reject(P < MIN_PRIME_CUTOFF, f"P must be >= {MIN_PRIME_CUTOFF}", P)
+        _check_j(J, f"J must lie in [1, {MAX_J}]")
         check_range(P, block_size)
         self.J, self.P, self.block_size = J, P, block_size
         blocks = aligned_blocks(3, P, block_size)
@@ -496,20 +503,13 @@ class EulerPass:
 PAPER_E = (1.0, 0.75, 0.60, 0.48, 0.35, 0.28, 0.20, 0.15)
 
 
-def _check_bound_args(j: int, N: int, least_N: int, e: float | None = None) -> None:
-    """The argument checks of the bounds on sums over n > N."""
-    _check_j(j)
-    if e is not None and not 0 < e <= 1:
-        raise ParameterError(f"e must lie in (0, 1], got {e}")
-    if N < least_N:
-        raise ParameterError(f"N must be >= {least_N}, got {N}")
-
-
 def error_term(j: int, e: float, N: int) -> float:
     """Bound (2 j e N^e)^-1 (2/3)^j for the odd n > N with h_j(n) <= n^-e.
 
     N past 2^1000 is evaluated at 2^1000; the bound falls with N."""
-    _check_bound_args(j, N, 2, e)
+    _check_j(j)
+    reject(not 0 < e <= 1, "e must lie in (0, 1]", e)
+    reject(N < 2, "N must be >= 2", N)
     x = float(min(N, 1 << 1000))
     return (2.0 / 3.0) ** j / (2.0 * j * e * x**e)
 
@@ -535,10 +535,8 @@ def t_set(j: int, e: float, c: float) -> list[PrimePowerEntry]:
     qualify, so scanning prime powers up to that cutoff is exhaustive.
     """
     _check_j(j)
-    if not 0.0 < e < 1.0:
-        raise ParameterError(f"t_set requires 0 < e < 1, got {e}")
-    if c <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
+    reject(not 0.0 < e < 1.0, "t_set requires 0 < e < 1", e)
+    reject(c <= 0, "c must be positive", c)
     cutoff = (2.0 * j * c) ** (1.0 / (1.0 - e))
     if cutoff > 1e8:
         raise ResourceError(
@@ -816,9 +814,9 @@ def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
     so it covers the whole odd tail past N, exceptional set included.
     The bound falls with N, so N past 2^1000 is evaluated at 2^1000.
     """
-    _check_bound_args(j, N, 1)
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    _check_j(j)
+    reject(N < 1, "N must be >= 1", N)
+    reject(not 0.0 < delta < 1.0, "delta must lie in (0, 1)", delta)
     power_limit = 10**6
     p = _odd_primes()
     inner = np.zeros(p.size)

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import ResourceError, reject, shown
 from .numerics import (
     DEFAULT_BLOCK_SIZE,
     ZERO,
@@ -42,7 +42,7 @@ def closed_form(mean_class: MeanClass) -> float:
         return 5.0 * pi2 / 24.0 - 1.0
     if mean_class == "odd":
         return 3.0 * pi2 / 24.0 - 1.0
-    raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
+    reject(True, f"class must be one of {_CLASSES}", mean_class, form=repr)
 
 
 _EMPTY = (1, 0)  # an empty range
@@ -57,23 +57,19 @@ def _class_ranges(mean_class: MeanClass, N: int) -> tuple[int | None, tuple, tup
         return 0, (2, 2 * N), (2, N), N // 2
     if mean_class == "odd":
         return 1, (1, 2 * N - 1), (3, N), (N + 1) // 2 - 1
-    raise ParameterError(f"class must be one of {_CLASSES}, got {mean_class!r}")
-
-
-def _check_N(name: str, N: int, least: int) -> None:
-    if N < least:
-        raise ParameterError(f"{name} requires N >= {least}, got {N}")
+    reject(True, f"class must be one of {_CLASSES}", mean_class, form=repr)
 
 
 def _arithmetic_ranges(mean_class: MeanClass, N: int) -> tuple[int | None, tuple, tuple, int]:
     """_class_ranges for a pass that takes the arithmetic mean, whose range
     holds the first N class members: up to 2N for even and odd."""
-    _check_N("arithmetic_mean", N, 2)
+    reject(N < 2, "arithmetic_mean requires N >= 2", N)
     parity, ratio_range, log_range, count = _class_ranges(mean_class, N)
     if ratio_range[1] > MAX_RANGE_END:
         largest = MAX_RANGE_END // (1 if mean_class == "all" else 2)
-        raise ResourceError(f"N = {N} exceeds {largest}, the largest N for class {mean_class}: "
-                            "the arithmetic mean runs over the class's first N members")
+        raise ResourceError(f"N = {shown(N)} exceeds {largest}, the largest N for class "
+                            f"{mean_class}: the arithmetic mean runs over the class's first "
+                            "N members")
     return parity, ratio_range, log_range, count
 
 
@@ -155,7 +151,7 @@ def log_mean(
     classes all and odd (s(1) = 0 has no logarithm) and the divisor counts
     the summed terms.
     """
-    _check_N("log_mean", N, 4)
+    reject(N < 4, "log_mean requires N >= 4", N)
     parity, _, log_range, count = _class_ranges(mean_class, N)
     _, total, _ = _sum_over_ranges(parity, _EMPTY, log_range, block_size, workers)
     return certified_quotient(total, count)
@@ -206,7 +202,7 @@ def mean_report(
     """
     # The same errors, in the same order, as arithmetic_mean then log_mean.
     parity, ratio_range, log_range, count = _arithmetic_ranges(mean_class, N)
-    _check_N("log_mean", N, 4)
+    reject(N < 4, "log_mean requires N >= 4", N)
     ratio_total, log_total, processes = _sum_over_ranges(
         parity, ratio_range, log_range, block_size, workers)
     return MeanReport(

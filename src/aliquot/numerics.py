@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, reject
 
 # Machine epsilon used in all error budgets (2^-52, the spacing of doubles
 # around 1; deliberately the conservative choice, twice the unit roundoff).
@@ -67,8 +67,7 @@ class CertifiedValue:
     error_radius: float
 
     def __post_init__(self):
-        if not (self.error_radius >= 0.0):
-            raise ParameterError(f"error_radius must be >= 0, got {self.error_radius}")
+        reject(not self.error_radius >= 0.0, "error_radius must be >= 0", self.error_radius)
 
     @property
     def lower(self) -> float:
@@ -225,8 +224,7 @@ def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
     never on where a run starts or how it is split between workers.  Empty
     when hi < lo.
     """
-    if block_size <= 0:
-        raise ParameterError(f"block_size must be positive, got {block_size}")
+    reject(block_size <= 0, "block_size must be positive", block_size)
     if hi < lo:
         return []
     return [
@@ -264,8 +262,7 @@ def pass_workers(blocks: Sequence[tuple[int, int]], workers: int) -> int:
     threads, since a forked worker could inherit a lock one of them holds.
     A worker count below 1 is a ParameterError.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    reject(workers < 1, "workers must be >= 1", workers)
     count = min(workers, len(blocks), usable_cpus())
     if count <= 1 or sum(hi - lo + 1 for lo, hi in blocks) < SERIAL_INTEGERS:
         return 1

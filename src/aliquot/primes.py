@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arith import sigma_prime_power
-from .errors import ParameterError, ResourceError
+from .errors import ResourceError, reject, shown
 from .numerics import DEFAULT_BLOCK_SIZE, aligned_blocks, map_blocks
 
 MAX_SEGMENT_SIZE = 1 << 25
@@ -77,24 +77,19 @@ def base_primes(hi: int) -> np.ndarray:
     """All primes <= isqrt(hi), a prefix of the base-prime table; hi past
     MAX_RANGE_END is a ResourceError."""
     if hi > MAX_RANGE_END:
-        raise ResourceError(f"range end {hi} exceeds the supported bound {MAX_RANGE_END}")
+        raise ResourceError(f"range end {shown(hi)} exceeds the supported bound {MAX_RANGE_END}")
     table = _base_table()
     return table[: np.searchsorted(table, math.isqrt(hi), side="right")]
 
 
 def check_range(hi: int, block_size: int) -> None:
-    if block_size <= 0:
-        raise ParameterError(f"block size must be positive, got {block_size}")
+    reject(block_size <= 0, "block size must be positive", block_size)
     if block_size > MAX_SEGMENT_SIZE:
-        raise ResourceError(
-            f"block size {block_size} exceeds the {MAX_SEGMENT_SIZE} cap on a sieve segment; "
-            f"use more, smaller blocks"
-        )
+        raise ResourceError(f"block size {shown(block_size)} exceeds the {MAX_SEGMENT_SIZE} "
+                            "cap on a sieve segment; use more, smaller blocks")
     if hi > MAX_RANGE_END:
-        raise ResourceError(
-            f"range end {hi} exceeds the supported bound {MAX_RANGE_END}; "
-            f"split the computation into sub-ranges"
-        )
+        raise ResourceError(f"range end {shown(hi)} exceeds the supported bound "
+                            f"{MAX_RANGE_END}; split the computation into sub-ranges")
 
 
 def iter_prime_segments(
@@ -201,8 +196,7 @@ def iter_factor_segments(
     Segments are cut at multiples of segment_size (numerics.aligned_blocks),
     and the concatenated output is independent of the chosen segment size.
     """
-    if lo < 1:
-        raise ParameterError(f"range start must be >= 1, got {lo}")
+    reject(lo < 1, "range start must be >= 1", lo)
     if hi < lo:
         return
     check_range(hi, segment_size)
@@ -354,10 +348,8 @@ def iter_sigma_segments(
     With ``parity`` (0 or 1) the arrays hold only the n of [lo, hi] with
     n % 2 == parity, and segments without one are skipped.
     """
-    if lo < 1:
-        raise ParameterError(f"range start must be >= 1, got {lo}")
-    if parity not in (None, 0, 1):
-        raise ParameterError(f"parity must be None, 0 or 1, got {parity!r}")
+    reject(lo < 1, "range start must be >= 1", lo)
+    reject(parity not in (None, 0, 1), "parity must be None, 0 or 1", parity, form=repr)
     if hi < lo:
         return
     check_range(hi, segment_size)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .arith import aliquot_sum
-from .errors import ParameterError, UnresolvedCofactorError
+from .errors import UnresolvedCofactorError, reject
 
 TERMINATES_AT_1 = "terminates_at_1"
 CYCLE = "cycle"
@@ -90,12 +90,9 @@ def trace(start: int, max_steps: int = 1000, rho_budget: int = 500_000) -> Traje
     (classification effort_exhausted, not an error), or after max_steps
     applications of s.
     """
-    if start < 2:
-        raise ParameterError(f"trace requires start >= 2, got {start}")
-    if max_steps < 0:
-        raise ParameterError(f"max_steps must be >= 0, got {max_steps}")
-    if rho_budget < 0:
-        raise ParameterError(f"rho_budget must be >= 0, got {rho_budget}")
+    reject(start < 2, "trace requires start >= 2", start)
+    reject(max_steps < 0, "max_steps must be >= 0", max_steps)
+    reject(rho_budget < 0, "rho_budget must be >= 0", rho_budget)
     terms = [start]
     seen = {start: 0}
     parity_events = []

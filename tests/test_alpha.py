@@ -15,7 +15,7 @@ from aliquot.alpha import (
     alpha_upper_bound,
     tail_a,
 )
-from aliquot.errors import ParameterError
+from aliquot.errors import ParameterError, ResourceError
 from aliquot.numerics import EPS, block_sum_parts, parts_to_certified
 from aliquot.primes import primes_in_range
 from aliquot.selftest import full_depth_alpha_bound
@@ -95,6 +95,11 @@ class TestParams:
             alpha_two_part(10**400)
         with pytest.raises(ParameterError, match="M is past the float range"):
             tail_a(3, 10**400)
+        # Were a ValueError: str() refuses an int past 4,300 digits.
+        with pytest.raises(ParameterError, match="got a negative integer of 5001 digits$"):
+            alpha_upper_bound(-(10**5000))
+        with pytest.raises(ResourceError, match="range end an integer of 5001 digits exceeds"):
+            alpha_upper_bound(10**5000)
 
 
 class TestUpperBound:

@@ -124,6 +124,37 @@ class TestGH:
                     m += 1
 
 
+# p and m outside their domains: once a ZeroDivisionError (p = 1, p = 0, m = -1
+# for g, m = 0 for h), a value (p = 2.5) or an OverflowError (p = -10**5000).
+P_MESSAGE = "p must be an integer >= 2, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: g_prime_power(1, 1, 1), P_MESSAGE + "1", id="g-p1"),
+    pytest.param(lambda: h_prime_power(1, 1, 1), P_MESSAGE + "1", id="h-p1"),
+    pytest.param(lambda: h_prime_power_binomial(1, 1, 1), P_MESSAGE + "1", id="binomial-p1"),
+    pytest.param(lambda: beta_prime(1, 1, 4), P_MESSAGE + "1", id="beta_prime-p1"),
+    pytest.param(lambda: beta_prime(1, 0, 4), P_MESSAGE + "0", id="beta_prime-p0"),
+    pytest.param(lambda: beta_prime(1, 2.5, 4), P_MESSAGE + "2.5", id="beta_prime-p2.5"),
+    pytest.param(lambda: g_prime_power(1, 2.5, 2), P_MESSAGE + "2.5", id="g-p2.5"),
+    pytest.param(lambda: g_prime_power(1, -(10**5000), 1),
+                 P_MESSAGE + "a negative integer of 5001 digits", id="g-p-1e5000"),
+    pytest.param(lambda: g_prime_power(1, 3, -1), "m must be >= 0, got -1", id="g-m-1"),
+    pytest.param(lambda: h_prime_power(1, 3, 0), "m must be >= 1, got 0", id="h-m0"),
+    pytest.param(lambda: h_prime_power_binomial(1, 3, 0), "m must be >= 1, got 0",
+                 id="binomial-m0"),
+])
+def test_prime_power_outside_its_domain_is_a_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
+def test_prime_power_takes_a_numpy_p_and_g_takes_m_0():
+    assert g_prime_power(3, np.int64(5), 2) == g_prime_power(3, 5, 2)
+    assert h_prime_power(3, np.int64(5), 2) == h_prime_power(3, 5, 2)
+    assert g_prime_power(3, 5, 0) == 1.0
+
+
 class TestBetaSigned:
     def test_values(self):
         assert beta_signed(1, factorize(3)) == pytest.approx(-1 / 12, rel=1e-15)
@@ -780,7 +811,8 @@ class TestEulerRoute:
         assert len(beta_lower(1, MIN_PRIME_CUTOFF).reports) == 1
         assert len(beta_lower(MAX_J, MIN_PRIME_CUTOFF).reports) == MAX_J
         for J, P in ((1, MIN_PRIME_CUTOFF - 1), (MAX_J + 1, 10**4), (0, 10**4),
-                     (10**400, 10**4), (1, -(10**400)), (10**400, 10**400)):
+                     (10**400, 10**4), (1, -(10**400)), (10**400, 10**400),
+                     (10**5000, 10**4), (1, -(10**5000))):
             with pytest.raises(ParameterError):
                 beta_lower(J, P)
 
@@ -788,8 +820,9 @@ class TestEulerRoute:
         # An odd P is fine (no "even" rule); past the sieve's range it is a
         # resource error, before any work starts.
         assert beta_lower(1, 10**4 + 1).reports[0].P == 10**4 + 1
-        with pytest.raises(ResourceError):
-            beta_lower(1, 10**400)
+        for P in (10**400, 10**5000):
+            with pytest.raises(ResourceError):
+                beta_lower(1, P)
 
     def test_prime_tail_bound(self):
         # T(P) bounds the prime sum past P; sampled against the primes to 1e7.

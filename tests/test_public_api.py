@@ -68,3 +68,26 @@ def test_start_without_numpy(tmp_path, code):
 def test_numeric_verb_loads_numpy(tmp_path, argv, absent):
     code = f"from aliquot import cli; assert cli.run({argv + ['--out', 'out']!r}) == 0"
     assert numeric_modules_after(code, tmp_path) == [m for m in NUMERIC if m not in absent]
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("name, args, error", [
+    ("log_mean", ("even", HUGE), "ResourceError"),
+    ("arithmetic_mean", ("even", HUGE), "ResourceError"),
+    ("primes_in_range", (2, HUGE), "ResourceError"),
+    ("factorize", (-HUGE,), "ParameterError"),
+    ("aliquot_sum", (-HUGE,), "ParameterError"),
+    ("sigma_oracle", (-HUGE,), "ParameterError"),
+    ("trace", (-HUGE,), "ParameterError"),
+    ("trace", (2, -HUGE), "ParameterError"),
+], ids=["log_mean", "arithmetic_mean", "primes_in_range", "factorize", "aliquot_sum",
+        "sigma_oracle", "trace-start", "trace-max_steps"])
+def test_any_size_argument_is_a_typed_error(monkeypatch, name, args, error):
+    # str() refuses an int past 4,300 digits, so each message was a bare
+    # ValueError.  Each is raised before a block is cut, let alone sieved.
+    for module in ("aliquot.primes", "aliquot.means"):
+        monkeypatch.setattr(f"{module}.aligned_blocks", lambda *a: pytest.fail("a block was cut"))
+    with pytest.raises(getattr(aliquot, error), match="integer of 5001 digits"):
+        getattr(aliquot, name)(*args)

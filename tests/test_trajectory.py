@@ -4,7 +4,8 @@ import random
 import pytest
 
 from aliquot.arith import aliquot_sum, factorize, sigma
-from aliquot.errors import ParameterError
+from aliquot import trajectory
+from aliquot.errors import ParameterError, UnresolvedCofactorError
 from aliquot.trajectory import (
     Classification,
     TrajectoryRecord,
@@ -71,6 +72,22 @@ class TestContracts:
         r = trace(p * q, 10, rho_budget=0)
         assert r.classification.kind == "effort_exhausted"
         assert r.terms == [p * q]
+
+    def test_effort_exhausted_past_the_digit_limit(self, monkeypatch):
+        # str() refuses an int past 4,300 digits: the error's message was a
+        # ValueError, which ended the trace instead of classifying it.
+        n = 10**4999 + 9
+        error = UnresolvedCofactorError(n, (), n)
+        assert str(error) == ("factorization effort exhausted on an integer of 5000 digits: "
+                              "composite cofactor an integer of 5000 digits unresolved")
+
+        def exhausted(term, rho_budget):
+            raise UnresolvedCofactorError(term, (), term)
+
+        monkeypatch.setattr(trajectory, "aliquot_sum", exhausted)
+        r = trace(n, 10, rho_budget=0)
+        assert r.classification.kind == "effort_exhausted"
+        assert r.terms == [n]
 
     def test_rejects_small_start(self):
         with pytest.raises(ParameterError):
