@@ -266,17 +266,3 @@ def alpha_upper_bound(
     processes = prime_pass([alpha], block_size, workers)
     return alpha.result(time.time() - t0, processes)
 
-
-def alpha_p_product_form(p: int, depth: int) -> float:
-    """Reference evaluation of alpha(p) in its product form,
-
-        (1 - 1/p) * sum over m = 1..depth of p^-m * log(1 + 1/p + ... + 1/p^m),
-
-    used to cross-check the term-form series (they agree in the limit).
-    """
-    terms = []
-    for m in range(1, depth + 1):
-        q = p**m
-        terms.append(math.log(sigma_prime_power(p, m) / q) / q)
-    total = math.fsum(terms)
-    return (1.0 - 1.0 / p) * total

@@ -87,10 +87,8 @@ class Factorization:
         prod = 1
         last = 1
         for p, m in self.entries:
-            if p <= last:
-                raise ParameterError(f"primes not strictly increasing in {self.entries}")
-            if m < 1:
-                raise ParameterError(f"exponent must be >= 1 in {self.entries}")
+            reject(p <= last, "primes not strictly increasing", p)
+            reject(m < 1, "exponent must be >= 1", m)
             if not is_prime(p):
                 raise ParameterError(f"{shown(p)} is not prime")
             prod *= p**m

@@ -157,6 +157,7 @@ from .primes import (
 K2 = 64  # two_beta2_minus_one's truncation depth
 DEFAULT_NODE_BUDGET = 500_000
 _RANKIN_CUTOFF = 100_000  # s_tail_bound evaluates the odd primes up to this directly
+_RANKIN_DELTA = 0.8  # s_tail_bound's Rankin exponent delta
 _FLUSH_INTEGERS = 10**7  # the prime pass saves its checkpoint this often
 MIN_PRIME_CUTOFF = 1000  # the least prime cutoff P beta_lower takes
 MAX_J = 1024  # j runs over 1..MAX_J here, and beta_lower takes J up to it
@@ -175,15 +176,17 @@ def _check_j(j: int, message: str = f"j must be >= 1 and <= {MAX_J}") -> None:
     reject(not 1 <= j <= MAX_J, message, j)
 
 
-def _check_p(p: int) -> None:
-    """p of a prime power: an int >= 2, Python or numpy (t_set's calls skip a primality test)."""
+def _check_p(p: int) -> int:
+    """p of a prime power: an int >= 2, Python or numpy (t_set's calls skip a
+    primality test), handed back as a Python int, whose powers do not wrap."""
     reject(not isinstance(p, (int, np.integer)) or p < 2, "p must be an integer >= 2", p)
+    return int(p)
 
 
 def g_prime_power(j: int, p: int, m: int) -> float:
     """g_j(p^m) = p^-m (p^m/sigma(p^m))^j, m >= 0."""
     _check_j(j)
-    _check_p(p)
+    p = _check_p(p)
     reject(m < 0, "m must be >= 0", m)
     pm = p**m
     ratio = pm / sigma_prime_power(p, m)
@@ -195,7 +198,7 @@ def g_prime_power(j: int, p: int, m: int) -> float:
 def h_prime_power(j: int, p: int, m: int) -> float:
     """h_j(p^m) = (1 + 1/(p sigma(p^{m-1})))^j - 1, m >= 1, stably via expm1/log1p."""
     _check_j(j)
-    _check_p(p)
+    p = _check_p(p)
     reject(m < 1, "m must be >= 1", m)
     den = p * sigma_prime_power(p, m - 1)
     if den > 10**300:
@@ -206,7 +209,7 @@ def h_prime_power(j: int, p: int, m: int) -> float:
 def h_prime_power_binomial(j: int, p: int, m: int) -> float:
     """Reference form: sum over k = 1..j of C(j,k) / (p sigma(p^{m-1}))^k; m >= 1."""
     _check_j(j)
-    _check_p(p)
+    p = _check_p(p)
     reject(m < 1, "m must be >= 1", m)
     den = p * sigma_prime_power(p, m - 1)
     total = Fraction(0)
@@ -255,7 +258,7 @@ def beta_prime(j: int, p: int, depth: int) -> CertifiedValue:
     sum over m > depth of p^-m = p^-depth/(p-1).
     """
     reject(depth < 4, "depth must be >= 4", depth)
-    _check_p(p)
+    p = _check_p(p)
     try:
         inverse = 1.0 / p
     except OverflowError:
@@ -799,10 +802,11 @@ def _odd_primes() -> np.ndarray:
     return p
 
 
-def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
+def s_tail_bound(j: int, N: int) -> float:
     """Certified bound for sum over odd n > N of g_j(n) h_j(n).
 
-    Rankin's device: the sum is at most N^-delta times the full moment
+    Rankin's device: the sum is at most N^-delta (delta = _RANKIN_DELTA)
+    times the full moment
 
         prod over odd p of (1 + sum over m >= 1 of g_j(p^m) h_j(p^m) p^(m delta)),
 
@@ -816,7 +820,7 @@ def s_tail_bound(j: int, N: int, *, delta: float = 0.8) -> float:
     """
     _check_j(j)
     reject(N < 1, "N must be >= 1", N)
-    reject(not 0.0 < delta < 1.0, "delta must lie in (0, 1)", delta)
+    delta = _RANKIN_DELTA
     power_limit = 10**6
     p = _odd_primes()
     inner = np.zeros(p.size)

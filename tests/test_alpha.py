@@ -9,7 +9,6 @@ from aliquot.alpha import (
     M,
     _block_depth,
     _block_sums,
-    alpha_p_product_form,
     alpha_term,
     alpha_two_part,
     alpha_upper_bound,
@@ -58,26 +57,6 @@ class TestTailA:
             for M in (2, 5, 15):
                 dropped = math.fsum(alpha_term(p, m) for m in range(M + 1, 61))
                 assert dropped <= tail_a(p, M)
-
-
-class TestAlphaTwoPart:
-    def test_limit_matches_direct_series(self):
-        # At depth 60 the rearranged form equals the direct series
-        # sum of 2^-m log(1 + 1/2 + ... + 1/2^m).
-        rearranged = alpha_two_part(60).value
-        direct = math.fsum(
-            2.0**-m * math.log(2.0 - 2.0**-m) for m in range(1, 61)
-        )
-        assert abs(rearranged - direct) < 1e-15
-
-    def test_truncation_within_tail_bound(self):
-        deep = alpha_two_part(60).value
-        for L in (2, 5, 15):
-            short = alpha_two_part(L).value
-            assert abs(short - deep) <= 2 * tail_a(2, L)
-
-    def test_depth15_tail_below_2_to_minus_30(self):
-        assert abs(alpha_two_part(15).value - alpha_two_part(60).value) <= 2.0**-30
 
 
 class TestParams:
@@ -189,14 +168,6 @@ class TestBlockDepths:
         primes = primes_in_range(3, (1 << 16) - 1)
         assert _block_depth(primes, 2) == 2
         assert _block_depth(primes, M) == M == 15
-
-
-class TestTwoForms:
-    def test_product_and_term_forms_agree(self):
-        for p in primes_in_range(2, 100).tolist():
-            term_form = math.fsum(alpha_term(p, m) for m in range(1, 61))
-            product_form = alpha_p_product_form(p, 60)
-            assert abs(term_form - product_form) < 1e-14
 
 
 class TestAllPrimeConstant:

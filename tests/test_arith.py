@@ -209,3 +209,11 @@ class TestFactorizationValidate:
     def test_rejects_zero_exponent(self):
         with pytest.raises(ParameterError, match="exponent must be >= 1"):
             Factorization(((3, 0),), 1).validate()
+
+    def test_any_size_entry_is_a_typed_error(self):
+        # Were a ValueError: the message showed every entry, one past 4,300 digits.
+        big = 10**5000
+        with pytest.raises(ParameterError, match="^primes not strictly increasing, got 2$"):
+            Factorization(((3, 1), (2, 1), (big, 1)), 6 * big).validate()
+        with pytest.raises(ParameterError, match="^exponent must be >= 1, got 0$"):
+            Factorization(((big, 0),), 1).validate()

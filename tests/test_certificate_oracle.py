@@ -1,4 +1,4 @@
-"""The assembled certificate against a 40-digit recomputation of its formula.
+"""The assembled certificate against a 50-digit recomputation of its formula.
 
 At N = P <= 2000 and J = 8, `alq lambda`'s pass (cli.lambda_bounds) runs
 one block below 2^20, which keeps the full odd depth M = 15.  The formula
@@ -9,8 +9,8 @@ the code certifies is then
             + 2 A(2, L) + sum over odd p <= N of A(p, 15) + 1/N,
     beta  = sum over j = 1..8 of (z_j/j) prod over odd p <= P of beta_j(p) (1 - j T(P)),
 
-with z_j = 2 beta_j(2) - 1 and beta_j(p) taken to convergence and T(P) =
-2 * 1.25506/(P log P) exact.  The float lambda_upper must lie at or above
+with z_j = 2 beta_j(2) - 1, every term to 50 digits (exact.py gives alpha's,
+z_j and beta_j(p)).  The float lambda_upper must lie at or above
 alpha - beta, and above it by no more than SLACK: the float radii and the
 nextafters, 2.3e-13 at N = P = 2000.
 
@@ -25,7 +25,8 @@ TestTailA covers that charge.
 import math
 
 import pytest
-from mpmath import mp, mpf
+
+from exact import alpha_terms, d, mp, two_part, z
 
 from aliquot.alpha import L, M, tail_a
 from aliquot.cli import combine_lambda, lambda_bounds
@@ -33,57 +34,32 @@ from aliquot.numerics import DEFAULT_BLOCK_SIZE, EPS
 from aliquot.primes import primes_in_range
 
 J = 8
-DIGITS = 40
 SLACK = 1e-11
 CUTOFFS = (1000, 2000)  # N = P
 
 
-def _beta_factors(p: int) -> list:
-    """beta_j(p) for j = 1..J, each series run until p^-m < 10^-(DIGITS + 5)."""
-    depth = math.ceil((DIGITS + 5) / math.log10(p))
-    weights = [mpf(1) / mpf(p) ** m for m in range(depth + 1)]
-    ratios = [mpf(p**m) / (p ** (m + 1) - 1) * (p - 1) for m in range(depth + 1)]
-    powers = [mpf(1)] * (depth + 1)
-    factors = []
-    for _ in range(J):
-        powers = [x * r for x, r in zip(powers, ratios)]
-        factors.append((1 - mpf(1) / p) * mp.fsum(w * x for w, x in zip(weights, powers)))
-    return factors
-
-
 @pytest.fixture(scope="module")
 def per_prime():
-    """{p: (alpha's terms to depth M plus A(p, M), [beta_j(p)])} for the odd
-    primes up to the largest cutoff, at DIGITS digits."""
-    values = {}
-    with mp.workdps(DIGITS):
-        for p in primes_in_range(3, max(CUTOFFS)).tolist():
-            terms = mp.fsum(mp.log1p(mpf(p - 1) / (p ** (m + 1) - p)) / mpf(p) ** m
-                            for m in range(1, M + 1))
-            values[p] = (terms + mpf(p) / (p - 1) / mpf(p) ** (2 * (M + 1)), _beta_factors(p))
-    return values
+    """{p: (alpha's terms to depth M plus A(p, M), [beta_j(p) for j = 1..J])}
+    for the odd primes up to the largest cutoff."""
+    return {p: (mp.fsum(alpha_terms(p, M)) + mp.mpf(p) / ((p - 1) * p ** (2 * (M + 1))),
+                [1 - d(p, j) for j in range(1, J + 1)])
+            for p in primes_in_range(3, max(CUTOFFS)).tolist()}
 
 
 def formula(per_prime: dict, N: int, P: int):
     """The exact alpha - beta of the module docstring."""
-    with mp.workdps(DIGITS):
-        two = mp.log(2) + mp.fsum(mp.log1p(-mpf(2) ** -(m + 1)) / mpf(2) ** m
-                                  for m in range(1, L + 1))
-        odd = mp.fsum(a for p, (a, _) in per_prime.items() if p <= N)
-        two_tail = 4 * mpf(2) ** (-2 * (L + 1))  # 2 A(2, L)
-        T = 2 * mpf("1.25506") / (P * mp.log(P))
-        beta = mpf(0)
-        for j in range(1, J + 1):
-            z = mp.fsum((mpf(2**m) / (2 ** (m + 1) - 1)) ** j / mpf(2) ** m
-                        for m in range(1, 4 * DIGITS))
-            product = mp.fprod(b[j - 1] for p, (_, b) in per_prime.items() if p <= P)
-            beta += z / j * product * (1 - j * T)
-        return two + odd + two_tail + mpf(1) / N - beta
+    odd = mp.fsum(a for p, (a, _) in per_prime.items() if p <= N)
+    two_tail = mp.mpf(4) / 2 ** (2 * (L + 1))  # 2 A(2, L)
+    T = 2 * mp.mpf("1.25506") / (P * mp.log(P))
+    beta_sum = mp.fsum(
+        z(j) / j * mp.fprod(b[j - 1] for p, (_, b) in per_prime.items() if p <= P) * (1 - j * T)
+        for j in range(1, J + 1))
+    return two_part(L) + odd + two_tail + mp.mpf(1) / N - beta_sum
 
 
 def in_window(lambda_upper: float, exact) -> bool:
-    with mp.workdps(DIGITS):
-        return exact <= mpf(lambda_upper) <= exact + SLACK
+    return exact <= lambda_upper <= exact + SLACK
 
 
 @pytest.fixture(scope="module", params=CUTOFFS)
@@ -102,7 +78,7 @@ def test_one_block_at_full_depth(certificate):
 
 def test_lambda_upper_is_the_formula_within_the_float_slack(certificate):
     *_, lambda_upper, exact = certificate
-    assert in_window(lambda_upper, exact), float(mpf(lambda_upper) - exact)
+    assert in_window(lambda_upper, exact), float(lambda_upper - exact)
 
 
 # Each maps (N, beta's summary, lambda_upper) to the lambda_upper an

@@ -1,16 +1,14 @@
-"""The Euler kernel's per-prime terms against a 50-digit recomputation.
+"""The Euler kernel's per-prime terms against their 50-digit values.
 
-For a prime p and r_m = p^m / sigma(p^m) (exact integers, then mpmath),
+For a prime p and r_m = p^m / sigma(p^m), exact.py gives
 
-    d_{p,j} = 1 - beta_j(p) = (1 - 1/p) * sum over m >= 1 of p^-m (1 - r_m^j),
+    d_{p,j} = 1 - beta_j(p) = (1 - 1/p) * sum over m >= 1 of p^-m (1 - r_m^j)
 
-summed until p^-m falls below 10^-60 (the dropped tail is below
-j p^-(m+1)/(p-1), far under the precision checked).  The module
-docstring's bound 0 < d_{p,j} <= j/p^2 must hold, and each prime's term
-log1p(-d) from the kernel, evaluated over the whole aligned block of
-2^20 integers that holds the prime, must lie within the per-term
-allowance of parts_to_certified: 64 EPS of its own size.  That
-allowance is the prime's share of its block's radius
+to 50 digits.  The module docstring's bound 0 < d_{p,j} <= j/p^2 must
+hold, and each prime's term log1p(-d) from the kernel, evaluated over
+the whole aligned block of 2^20 integers that holds the prime, must lie
+within the per-term allowance of parts_to_certified: 64 EPS of its own
+size.  That allowance is the prime's share of its block's radius
 (n_terms + 64) EPS * sum |term|, beyond the summation's share.
 
 Past SERIES_FROM = 2^20 the pass takes a block's log sum from its power
@@ -28,7 +26,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from mpmath import mp, mpf
+
+from exact import d, mp
 
 from aliquot import beta as beta_module
 from aliquot.numerics import EPS, parts_to_certified
@@ -37,19 +36,6 @@ from aliquot.primes import iter_prime_segments, primes_in_range
 PRIMES = (3, 5, 7, 101, 999983, 1048573, 1048583, 29999999, 30000001)
 JS = (1, 2, 8, 32)
 BLOCK = 1 << 20
-
-
-def exact_d(p: int, j: int) -> mpf:
-    with mp.workdps(50):
-        total = mpf(0)
-        pm, sig, m = 1, 1, 0
-        while True:
-            m += 1
-            pm *= p
-            sig = sig * p + 1
-            total += (1 - (mpf(pm) / sig) ** j) / pm
-            if mpf(pm) > mpf(10) ** 60:
-                return (1 - mpf(1) / p) * total
 
 
 @pytest.fixture(scope="module")
@@ -68,19 +54,14 @@ def kernel_terms():
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("j", JS)
 def test_d_between_zero_and_j_over_p_squared(p, j):
-    d = exact_d(p, j)
-    with mp.workdps(50):
-        assert 0 < d <= mpf(j) / p**2
+    assert 0 < d(p, j) <= mp.mpf(j) / p**2
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("j", JS)
 def test_kernel_term_within_its_allowance(kernel_terms, p, j):
-    d = exact_d(p, j)
     term = kernel_terms[p][j]
-    with mp.workdps(50):
-        exact = mp.log1p(-d)
-        assert abs(mpf(term) - exact) <= 64 * EPS * abs(term)
+    assert abs(term - mp.log1p(-d(p, j))) <= 64 * EPS * abs(term)
 
 
 SERIES_JS = (1, 2, 8, 32, 1024)
@@ -94,9 +75,8 @@ SERIES_PRIMES = {
 @pytest.fixture(scope="module")
 def exact_log_sums():
     """Per region and j, the 50-digit sum of log1p(-d) over its primes."""
-    with mp.workdps(50):
-        return {(region, j): mp.fsum(mp.log1p(-exact_d(int(p), j)) for p in primes)
-                for region, primes in SERIES_PRIMES.items() for j in SERIES_JS}
+    return {(region, j): mp.fsum(mp.log1p(-d(p, j)) for p in primes.tolist())
+            for region, primes in SERIES_PRIMES.items() for j in SERIES_JS}
 
 
 def series_failures(exact_log_sums) -> list:
@@ -108,7 +88,7 @@ def series_failures(exact_log_sums) -> list:
         for K in range(1, beta_module.SERIES_TERMS + 1):
             for j in SERIES_JS:
                 got = beta_module._series_log_sum(j, sums[:K])
-                if not mpf(got.lower) <= exact_log_sums[region, j] <= mpf(got.upper):
+                if not got.lower <= exact_log_sums[region, j] <= got.upper:
                     missed.append((region, j, K))
     return missed
 

@@ -101,7 +101,9 @@ def _random_bits(rng, n, exponents):
 
 
 class TestExactSumMaskSplit:
-    """Edge cases of the split into the top 20 and the low 32 fraction bits."""
+    """Inputs that stress exact_sum's levels: low 32 fraction bits all ones or
+    all zeros, subnormals (levels down to sigma = 2^-1022), alone and beside
+    terms 2^60 larger, and one chunk of alternating terms just below 2^900."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("low_bits", ["ones", "zeros"])
@@ -117,7 +119,6 @@ class TestExactSumMaskSplit:
     def test_subnormals(self, seed):
         rng = np.random.default_rng(seed)
         values = _random_bits(rng, 5000, [0]).view(np.float64)
-        # Below 2^32 units the high piece is zero and the low piece the term.
         tiny = (rng.integers(1, 1 << 32, 500, dtype=np.int64)).view(np.float64)
         _assert_matches_fsum(values)
         _assert_matches_fsum(np.concatenate([tiny, -tiny[:250], values[:100]]))

@@ -1,6 +1,6 @@
 """s_tail_bound against an independent 80-bit upper bound of its moment.
 
-s_tail_bound(j, N, delta) charges N^-delta times the Rankin moment
+s_tail_bound(j, N) charges N^-delta, delta = 0.8, times the Rankin moment
 
     prod over odd p of (1 + sum over m >= 1 of g_j h_j(p^m) p^(m delta)),
 
@@ -34,7 +34,7 @@ import math
 import mpmath
 import pytest
 
-from aliquot.beta import s_tail_bound
+from aliquot.beta import _RANKIN_DELTA, s_tail_bound
 from aliquot.primes import primes_in_range
 
 PRIME_CUTOFF = 100_000
@@ -62,15 +62,15 @@ def _gh_terms(j):
 
 
 @functools.lru_cache(maxsize=None)
-def _prime_sum(delta):
+def _prime_sum():
     """sum of p^(delta - 2) over primes in (PRIME_CUTOFF, PRIMES_SUMMED], rounded up."""
     p = primes_in_range(PRIME_CUTOFF + 1, PRIMES_SUMMED).astype(float)
-    return mpmath.mpf(math.fsum(p ** (delta - 2.0))) * (1 + mpmath.mpf(2) ** -40)
+    return mpmath.mpf(math.fsum(p ** (_RANKIN_DELTA - 2.0))) * (1 + mpmath.mpf(2) ** -40)
 
 
-def rankin_moment_upper(j, delta):
-    """An upper bound for the moment at (j, delta); call inside workprec(80)."""
-    d = mpmath.mpf(delta)
+def rankin_moment_upper(j):
+    """An upper bound for the moment at j; call inside workprec(80)."""
+    d = mpmath.mpf(_RANKIN_DELTA)
     moment = mpmath.mpf(1)
     for p, terms in _gh_terms(j):
         rd = mpmath.mpf(p) ** d
@@ -84,14 +84,13 @@ def rankin_moment_upper(j, delta):
         moment *= 1 + x
     s = 2 - d
     far = mpmath.mpf("1.25506") * s * mpmath.e1((s - 1) * mpmath.log(PRIMES_SUMMED))
-    large = j * (_prime_sum(delta) + far) / (1 - mpmath.mpf(PRIME_CUTOFF) ** -s)
+    large = j * (_prime_sum() + far) / (1 - mpmath.mpf(PRIME_CUTOFF) ** -s)
     return moment * mpmath.exp(large)
 
 
-@pytest.mark.parametrize("delta", [0.6, 0.8])
-@pytest.mark.parametrize("j", [1, 8, 24])
-def test_s_tail_bound_not_below_the_oracle(j, delta):
+@pytest.mark.parametrize("j", [1, 8, 24], ids=lambda j: f"{j}-{_RANKIN_DELTA}")
+def test_s_tail_bound_not_below_the_oracle(j):
     N = 10**7
     with mpmath.workprec(80):
-        oracle = mpmath.mpf(N) ** -mpmath.mpf(delta) * rankin_moment_upper(j, delta)
-    assert s_tail_bound(j, N, delta=delta) >= oracle
+        oracle = mpmath.mpf(N) ** -mpmath.mpf(_RANKIN_DELTA) * rankin_moment_upper(j)
+    assert s_tail_bound(j, N) >= oracle
