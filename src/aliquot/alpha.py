@@ -1,36 +1,57 @@
 """Certified upper bound for the per-prime logarithmic constant alpha.
 
-alpha = 2*alpha(2) + sum over odd primes p of alpha(p), where
+alpha = 2*alpha(2) + sum over odd primes p of alpha(p), where, with
+r_m = p^m/sigma(p^m) and u = 1/p (p^m divides n exactly with
+probability (1 - u) u^m),
 
-    alpha(p) = sum over m >= 1 of (1/p^m) * log((1+p+...+p^m)/(p+...+p^m)).
+    alpha(p) = sum over m >= 1 of (1/p^m) * log((1+p+...+p^m)/(p+...+p^m))
+             = -(1 - u) * sum over m >= 1 of u^m log r_m.
 
-The computation truncates the p = 2 series at depth L = 15 (in a
-rearranged form whose tail is quadratically small, see alpha_two_part),
-truncates the odd primes' series at a per-block depth m_b <= M = 15,
-cuts primes at N, and adds explicit tail bounds for all three
-truncations:
+The p = 2 series is cut at depth L = 15 (rearranged so that its tail is
+quadratically small, see alpha_two_part); each odd prime p <= N below
+SERIES_FROM = 2^20 is row 0 of the walk that also gives beta's terms
+(beta._log_beta_terms), and those from 2^20 to N come from power sums:
 
-    upper bound = finite sums + float radius
-                  + 2*A(2,L) + sum over odd p <= N of A(p,m_b) + 1/N,
+    upper bound = finite sums + float radius + 2*A(2,L) + 1/N,
 
-with A(p, m) = p/(p-1) * p^(-2(m+1)) dominating the series tail of p
-past depth m (its m'-th term is below p^(-2m')), and 1/N dominating the
-dropped primes.
+with A(p, m) = p/(p-1) * p^(-2(m+1)) (tail_a) dominating the p = 2 tail
+past depth L, and 1/N the primes past N.
 
-Depth rule.  The odd primes are summed in aligned blocks, and a block
-whose primes run from p_min to p_max takes the least m_b in 1..M-1 with
+Row 0.  A prime's series stops at the least M with p^(M-1) (p-1)^2/(p+1)
+>= 2^44 (beta._ALPHA_CUT, evaluated in logs).  As 1 - u <= r_m < 1, the
+dropped tail (1 - u) sum over m > M of u^m (-log r_m) is at most
+-log(1 - u) u^(M+1) <= u^(M+2)/(1 - u) = p^-(M+1)/(p-1), which the row
+adds, so its exact value lies above alpha(p) whatever M the float rule
+picks.  At the rule's M the charge is at most 2^-44 (p-1)/(p^2 (p+1)),
+below 2^-44 alpha(p) (the m = 1 term (1 - u) u log(1 + u) is at least
+that).  In units e = EPS/2 of one rounding, log(1 - x_m) is within 5.7e
+(beta's argument) and p^-m within me, so the level-m term is within
+(6.7 + m)e.  The terms fall from m to m + 1 by at least
+q = log(3/2)/(3 log(4/3)) < 0.47 (p = 3 is the worst case), so their
+errors weigh at most 6.7 + 1/(1 - q) < 8.6e of the sum, and adding them
+deepest first, each partial sum at most 1/(1 - q) times its first term,
+costs 1.9e more.  The factor 1 - 1/p (1.5e), the product, the tail (its
+own (M + 2)e on at most 2^-44 of the term) and the last addition bring
+each prime's term within 14e, under 16e = 8 EPS, of its exact value:
+inside parts_to_certified's allowance of OPS_ALLOWANCE = 64 EPS per
+term, so each block's value +- radius encloses its exact sum.  The
+radius counts one term per prime, not one per (prime, level) as the
+term form this replaced did: a prime's levels are summed inside its
+term, whose 14e covers that sum.
 
-    A(p_min, m_b) <= EPS * log1p(1/p_max) / p_max,
+The series from 2^20.  Summing the product form's geometric series,
 
-else M.  A(p, m) covers the tail past depth m for every m >= 1, so the
-bound is valid whatever m_b the rule picks: the float evaluation of the
-rule only chooses the depth and needs no rigor of its own.  Since
-A(p, m_b) <= A(p_min, m_b) and log1p(1/p)/p, the m = 1 term, falls with
-p, each prime's charge stays below EPS times its own first term, under
-the block's float radius, which is at least (number of terms) * EPS
-times the sum of its terms.  A block holding the prime 3 keeps depth
-M = 15 (A(3, 14) is above EPS * log1p(1/3) / 3), so at the default block
-size of 2^20 every N up to 2^20 sums the same terms as a fixed depth M.
+    alpha(u) = -u log(1 - u) - sum over t >= 1 of (u^(2t+1)/t) (1 - u)/(1 - u^(t+1)),
+
+with exact rational Taylor coefficients a_k = 1, -1/2, 4/3, -5/4, ...
+(_series_coefficients).  Blocks keep the power sums S_2..S_(K+1)
+(K = SERIES_TERMS = 3) of their primes >= 2^20, certified as beta's are,
+and beta._series_sum gives sum over k of a_k S_k, the a_k rounded in its
+radius, plus a Cauchy remainder.  On |u| = 1/8, |u log(1 - u)| <= log(8/7)/8 and
+|(1 - u)/(1 - u^(t+1))| <= (9/8)/(63/64) = 8/7, so |alpha(u)| <=
+log(8/7)/8 + log(64/63)/7 < 0.019 = C_ALPHA (the sampled maximum is
+0.01697), and the terms past k = K + 1 add at most
+C_ALPHA 8^(K+2) S_(K+1)/(2^20 - 8), below 1e-22.
 """
 
 from __future__ import annotations
@@ -38,15 +59,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .arith import sigma_prime_power
-from .errors import ParameterError, reject, shown
+from .beta import SERIES_FROM, _log_beta_terms, _power_sum_parts, _series_sum
+from .errors import ParameterError, reject
 from .numerics import (
     DEFAULT_BLOCK_SIZE,
-    EPS,
     CertifiedValue,
     aligned_blocks,
     block_sum_parts,
@@ -63,7 +84,8 @@ from .primes import (
 )
 
 L = 15  # depth of the p = 2 series
-M = 15  # the odd primes' series depth, at most
+SERIES_TERMS = 3  # K: the power sums S_2..S_(K+1) a block keeps for alpha
+C_ALPHA = 0.019  # |alpha(u)| on |u| = 1/8, see the module docstring
 
 
 @dataclass
@@ -74,19 +96,17 @@ class AlphaResult:
     upper_bound: float
     n_primes: int
     elapsed_seconds: float
-    depths: dict[int, int] = field(default_factory=dict)  # depth -> odd primes summed
     workers: int = 1  # the processes the pass ran on; 1 is serial
 
     def to_json_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "params": {"N": self.N, "L": L, "M": M},
+            "params": {"N": self.N, "L": L},
             "sums_value": self.sums.value,
             "sums_error_radius": self.sums.error_radius,
             "tail_total": self.tail_total,
             "upper_bound": self.upper_bound,
             "n_odd_primes": self.n_primes,
-            "depths": {str(m): count for m, count in self.depths.items()},
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -94,36 +114,14 @@ class AlphaResult:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def alpha_term(p: int, m: int) -> float:
-    """(1/p^m) * log((1+p+...+p^m)/(p+...+p^m)), via log1p for stability.
-
-    The ratio equals 1 + 1/(p+...+p^m); the denominator is formed exactly
-    in integer arithmetic while it fits a float, else in floating point.
-    """
-    reject(m < 1, "m must be >= 1", m)
-    q = p**m
-    if q > 10**300:
-        raise ParameterError(f"p**m = {shown(p)}**{shown(m)} too large")
-    geom = sigma_prime_power(p, m) - 1  # p + p^2 + ... + p^m, exact
-    return math.log1p(1.0 / geom) / q
-
-
-def tail_a(p, M: int):
-    """A(p, M) = p/(p-1) * (p^-(M+1))^2, the depth-M series tail bound.
-
-    p is a prime or an array of primes (a float for a prime, an array for
-    an array); both go through numpy's power, so a block's tail entries
-    are exactly this function's values.
-    """
+def tail_a(p: int, M: int) -> float:
+    """A(p, M) = p/(p-1) * (p^-(M+1))^2, the depth-M tail bound of the
+    term-form series of alpha(p) (module docstring)."""
     reject(M < 1, "M must be >= 1", M)
     try:
-        p = np.asarray(p, dtype=np.float64)
-        exponent = -2.0 * (M + 1)
+        return p / (p - 1) * float(p) ** (-2.0 * (M + 1))
     except OverflowError:
         raise ParameterError("p or M is past the float range") from None
-    with np.errstate(under="ignore"):
-        a = (p / (p - 1.0)) * p**exponent
-    return a if a.ndim else float(a)
 
 
 def alpha_two_part(L: int) -> CertifiedValue:
@@ -148,99 +146,72 @@ def alpha_two_part(L: int) -> CertifiedValue:
     return compensated_sum(terms)
 
 
-def _block_depth(primes: np.ndarray, M: int) -> int:
-    """The block's series depth: the least m in 1..M-1 whose tail bound
-    A(p_min, m) is at most EPS * log1p(1/p_max) / p_max, else M (the depth
-    rule of the module docstring).  M for a block without primes."""
-    if primes.size == 0:
-        return M
-    p_min, p_max = int(primes[0]), int(primes[-1])
-    threshold = EPS * math.log1p(1.0 / p_max) / p_max
-    return next((m for m in range(1, M) if tail_a(p_min, m) <= threshold), M)
-
-
-def _block_sums(primes: np.ndarray, M: int) -> tuple[tuple, tuple]:
-    """Per-block pieces: the alpha terms for m = 1..M and the A(p, M) tails.
-
-    Vectorized over the block's primes; powers beyond the float range
-    underflow harmlessly to zero-value terms.
-
-    Rounding, in units u = EPS/2 of one rounding (numpy's log1p within
-    one ulp, 2u), to first order.  p is exact and q = p^k comes from k - 1
-    multiplies, so it is within (k - 1)u.  q*p is within ku, and taking p
-    off scales that by p^k/(p^k - 1) <= 3/2 and adds one rounding, as the
-    division by the exact p - 1 does: geom is within (1.5k + 2)u.  The
-    reciprocal adds u, log1p (condition number below 1 for x > 0) 2u, and
-    the division by q its (k - 1)u plus u: the depth-k term is within
-    (2.5k + 5)u.  At depth k <= M = 15 that is at most 42.5u = 21.25 EPS
-    of the term, inside parts_to_certified's allowance of
-    numerics.OPS_ALLOWANCE = 64 EPS per term.  A term that underflows is
-    off by less than 2^-1074, far below EPS times its block's first terms.
+def _series_coefficients(K: int) -> tuple[Fraction, ...]:
+    """a_2, ..., a_(K+1), the Taylor coefficients of alpha(u), u = 1/p:
+    sum over m >= 1 of u^m (-log r_m), with -log r_m = sum over i >= 1 of
+    u^i/i - sum over t >= 1 of u^(t(m+1))/t, to degree D = K + 1, times 1 - u.
     """
-    p = primes.astype(np.float64)
-    term_arrays = []
-    with np.errstate(over="ignore", under="ignore"):
-        q = p.copy()
-        for _ in range(M):
-            geom = (q * p - p) / (p - 1.0)
-            term_arrays.append(np.log1p(1.0 / geom) / q)
-            q = q * p
-        terms = np.concatenate(term_arrays) if term_arrays else np.empty(0)
-    return block_sum_parts(terms), block_sum_parts(tail_a(p, M))
+    D = K + 1
+    inner = [Fraction(0)] * (D + 1)
+    for m in range(1, D):
+        for i in range(1, D - m + 1):
+            inner[m + i] += Fraction(1, i)
+        for t in range(1, (D - m) // (m + 1) + 1):
+            inner[m + t * (m + 1)] -= Fraction(1, t)
+    return tuple(inner[k] - inner[k - 1] for k in range(2, D + 1))
+
+
+def _series_alpha_sum(power_sums: list[CertifiedValue]) -> CertifiedValue:
+    """sum of alpha(p) over primes p >= SERIES_FROM, certified, from their
+    power sums S_2..S_(K+1) (K = len(power_sums)): the coefficients a_k
+    and the Cauchy bound C_ALPHA of the module docstring."""
+    return _series_sum(_series_coefficients(len(power_sums)), C_ALPHA, 8, power_sums)
 
 
 class AlphaPass:
-    """alpha's kernel on the prime pass (primes.prime_pass): the aligned
-    blocks of the odd primes p <= N, each summed at its own depth
-    (_block_depth), and the assembly of the bound from their results.
-    N <= 2 is a ParameterError, as are N and block_size past the sieve's
-    limits."""
+    """alpha's kernel on the prime pass (primes.prime_pass) over the aligned
+    blocks of the odd primes p <= N, and the bound from their parts: "a",
+    row 0's sum over a block's primes below SERIES_FROM (a walk with no
+    j-rows), and "s2".."s4", the power sums of those above.  A beta pass
+    may take over the blocks it runs with the same bounds
+    (beta.EulerPass.share_walk).  N <= 2 is a ParameterError, as are N and
+    block_size past the sieve's limits."""
 
     def __init__(self, N: int, block_size: int):
         reject(N <= 2, "N must exceed 2", N)
         check_range(N, block_size)
         self.N = N
         self.blocks = aligned_blocks(3, N, block_size)
-        self.results: list[tuple] = []
-        self.keep = self.results.append
+        self.records: list[dict] = []
+        self.keep = self.records.append
 
     @staticmethod
-    def kernel(lo: int, hi: int, primes: np.ndarray) -> tuple:
-        depth = _block_depth(primes, M)
-        term_parts, tail_parts = _block_sums(primes, depth)
-        return (
-            parts_to_certified(*term_parts),
-            parts_to_certified(*tail_parts),
-            primes.size,
-            depth,
-        )
+    def kernel(lo: int, hi: int, primes: np.ndarray) -> dict:
+        split = int(np.searchsorted(primes, SERIES_FROM))
+        parts = {}
+        if lo < SERIES_FROM:
+            parts["a"] = block_sum_parts(_log_beta_terms(primes[:split], 0)[0])
+        if hi >= SERIES_FROM:
+            parts.update(_power_sum_parts(primes[split:], SERIES_TERMS))
+        return parts
 
     def result(self, elapsed_seconds: float, workers: int) -> AlphaResult:
-        """The bound from every block's result (alpha_upper_bound)."""
-        N = self.N
-        odd_sum = combine_blocks([r[0] for r in self.results])
-        tail_sum = combine_blocks([r[1] for r in self.results])
+        """The bound from every block's parts (alpha_upper_bound)."""
+        N, records = self.N, self.records
 
+        def merged(key: str) -> CertifiedValue:
+            return combine_blocks([parts_to_certified(*r[key]) for r in records if key in r])
+
+        odd_sum = merged("a")
+        if N >= SERIES_FROM:
+            power_sums = [merged(f"s{k}") for k in range(2, SERIES_TERMS + 2)]
+            odd_sum = certified_combine(odd_sum, _series_alpha_sum(power_sums))
+        n_primes = sum(r[key][2] for r in records for key in ("a", "s2") if key in r)
         sums = certified_combine(alpha_two_part(L), odd_sum)
-        # Tail pieces are upper bounds themselves; their float radius is
-        # folded into the total on the high side.
-        tail_total = 2.0 * tail_a(2, L) + tail_sum.value + tail_sum.error_radius + 1.0 / N
-
+        tail_total = 2.0 * tail_a(2, L) + 1.0 / N
         ub = sums.value + sums.error_radius + tail_total
         ub = math.nextafter(math.nextafter(ub, math.inf), math.inf)
-        depths: dict[int, int] = {}
-        for r in self.results:
-            depths[r[3]] = depths.get(r[3], 0) + r[2]
-        return AlphaResult(
-            N=N,
-            sums=sums,
-            tail_total=tail_total,
-            upper_bound=ub,
-            n_primes=sum(depths.values()),
-            elapsed_seconds=elapsed_seconds,
-            depths=depths,
-            workers=workers,
-        )
+        return AlphaResult(N, sums, tail_total, ub, n_primes, elapsed_seconds, workers)
 
 
 def alpha_upper_bound(
@@ -251,18 +222,15 @@ def alpha_upper_bound(
 ) -> AlphaResult:
     """Certified upper bound for alpha from the primes p <= N.
 
-    The odd primes p <= N are summed in aligned blocks of block_size,
-    each at its own depth m_b <= M (_block_depth, the rule and its
-    argument in the module docstring), on one prime pass (AlphaPass).
-    The finite sums are alpha_two_part(L) plus the depth-m_b terms of
-    every block, block-reduced deterministically; the tail total is
-    2*A(2,L) + sum of A(p,m_b) over the same primes + 1/N.  The bound is
-    sums value + sums radius + tails, nudged up two ulps to cover the
-    final additions.  ``depths`` counts the odd primes summed at each
-    chosen depth, and ``workers`` counts the processes the pass ran on.
+    One prime pass (AlphaPass) sums the odd primes p <= N in aligned blocks
+    of block_size: each prime's alpha(p) and tail charge below SERIES_FROM,
+    the power sums that the series weights past it (module docstring).  The
+    finite sums are alpha_two_part(L) plus those, block-reduced
+    deterministically, and the tails 2*A(2,L) + 1/N; the bound is their
+    value + radius + tails, nudged up two ulps over the final additions.
+    ``workers`` counts the processes the pass ran on.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     alpha = AlphaPass(N, block_size)
     processes = prime_pass([alpha], block_size, workers)
-    return alpha.result(time.time() - t0, processes)
-
+    return alpha.result(time.perf_counter() - t0, processes)

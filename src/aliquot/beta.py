@@ -165,6 +165,7 @@ _PI_BOUND = 1.25506  # pi(x) < 1.25506 x / log x for x > 1 (Rosser-Schoenfeld)
 SERIES_FROM = 1 << 20  # the prime pass takes p >= SERIES_FROM from power sums
 SERIES_TERMS = 8  # K: the power sums S_2..S_(K+1) a block keeps
 _CAUCHY_BOUND = 0.373  # |log beta_j(u)| on |u| <= 1/(8j), see the module docstring
+_ALPHA_CUT = 2.0**44  # row 0's series stops where p^(M-1) (p-1)^2/(p+1) reaches it
 # Names the layout and bits of the prime pass's block records; it is part
 # of the checkpoint key, so a file another kernel wrote never loads.
 EULER_KERNEL = f"euler-2 series_from={SERIES_FROM} K={SERIES_TERMS}"
@@ -247,7 +248,8 @@ def two_beta2_minus_one(j: int) -> CertifiedValue:
     The dropped tail is below (2/3)^j 2^(1-K2) (each term is at most
     (2/3)^j 2^-m) and is folded into the radius.
     """
-    terms = [g_prime_power(j, 2, m) for m in range(1, K2 + 1)]
+    _check_j(j)  # once; the terms are g_prime_power(j, 2, m)'s float operations
+    terms = [(2**m / (2 ** (m + 1) - 1)) ** j / 2**m for m in range(1, K2 + 1)]
     return compensated_sum(terms).widened((2.0 / 3.0) ** j * 2.0 ** (1 - K2))
 
 
@@ -291,22 +293,24 @@ def prime_tail_bound(P: int) -> float:
 
 
 def _log_beta_terms(primes: np.ndarray, J: int) -> np.ndarray:
-    """log beta_j(p) for each of the ascending odd primes and j = 1..J,
-    as a (J, primes) array whose row j - 1 holds j.
+    """For each of the ascending odd primes, alpha(p) plus its tail charge
+    (row 0, the alpha module docstring) and log beta_j(p) for j = 1..J
+    (row j), as a (J + 1, primes) array.
 
     The terms of the module docstring: each prime's series runs to its
     own depth, its tail tau added, and each term is within 41u of
     log beta_j(p).  G_k = k log p + log((p-1)^2/(p+1)) rises with p, so
-    the primes whose series reach level m (G_{m-2} < log(2j/EPS)) are a
-    prefix, found by one binary search per j and level; the levels x_m
-    and p^-m are shared by every j, and each row depends on its j alone.
+    the primes whose series reach level m (G_{m-2} below log _ALPHA_CUT
+    for row 0, log(2j/EPS) for row j) are a prefix, found by one binary
+    search per row and level; the levels x_m and p^-m are shared by every
+    row, and each row depends on its own limit alone.
     """
     p = primes.astype(np.float64)
     n = p.size
     log_p = np.log(p)
     g = np.log((p - 1.0) ** 2 / (p + 1.0))
-    limits = [math.log(2.0 * j / EPS) for j in range(1, J + 1)]
-    reach = [[n] for _ in limits]  # reach[j - 1][m - 1]: the primes whose series has level m
+    limits = [math.log(_ALPHA_CUT)] + [math.log(2.0 * j / EPS) for j in range(1, J + 1)]
+    reach = [[n] for _ in limits]  # reach[row][m - 1]: the primes whose series has level m
     level = 1
     while g.size and g[0] < limits[-1]:
         for counts, limit in zip(reach, limits):
@@ -327,10 +331,21 @@ def _log_beta_terms(primes: np.ndarray, J: int) -> np.ndarray:
         y = y[:c] * x
     inv_pp1 = 1.0 / (p * (p - 1.0))
     one_minus = 1.0 - 1.0 / p
-    # Two work rows and one result row per j, allocated once per block.
-    series, work = np.empty(n), np.empty(n)
-    out = np.empty((J, n))
-    for j, (counts, row) in enumerate(zip(reach, out), start=1):
+    # Two work rows and the result rows, allocated once per block.
+    series, work = np.zeros(n), np.empty(n)
+    out = np.empty((J + 1, n))
+    # Row 0: sum of p^-m (-log r_m) deepest first, times 1 - 1/p, plus the
+    # tail p^-(M+1)/(p-1) past each prime's last level M.
+    counts = reach[0] + [0]
+    for m in range(len(counts) - 1, 0, -1):
+        c, c_deeper = counts[m - 1], counts[m]
+        log1p_x, w = levels[m - 1]
+        np.multiply(w[c_deeper:c], inv_pp1[c_deeper:c], out=out[0, c_deeper:c])
+        t = work[:c]
+        np.multiply(log1p_x[:c], w[:c], out=t)
+        series[:c] -= t
+    out[0] += series * one_minus
+    for j, (counts, row) in enumerate(zip(reach[1:], out[1:]), start=1):
         counts = counts + [0]
         for m in range(len(counts) - 1, 0, -1):
             c, c_deeper = counts[m - 1], counts[m]
@@ -374,34 +389,40 @@ def _series_coefficients(j: int, K: int) -> tuple[Fraction, ...]:
     return tuple(c[2:])
 
 
-def _power_sum_parts(primes: np.ndarray) -> dict[str, tuple]:
-    """block_sum_parts of p^-k over the primes for k = 2..K+1 (K =
-    SERIES_TERMS), keyed "s<k>".
+def _power_sum_parts(primes: np.ndarray, K: int) -> dict[str, tuple]:
+    """block_sum_parts of p^-k over the primes for k = 2..K+1, keyed "s<k>".
 
     Each term is (1/p)^2 times k - 2 more factors 1/p (module docstring).
     """
     inv = 1.0 / primes.astype(np.float64)
     w = inv * inv
     parts = {"s2": block_sum_parts(w)}
-    for k in range(3, SERIES_TERMS + 2):
+    for k in range(3, K + 2):
         w *= inv
         parts[f"s{k}"] = block_sum_parts(w)
     return parts
 
 
-def _series_log_sum(j: int, power_sums: list[CertifiedValue]) -> CertifiedValue:
-    """sum of log beta_j(p) over primes p >= SERIES_FROM, certified, from
-    their power sums S_2..S_(K+1) (K = len(power_sums)): sum over k of
-    c_k(j) S_k, widened by the Cauchy remainder of the module docstring.
-    """
+def _series_sum(coefficients, bound: float, inv_rho: int,
+                power_sums: list[CertifiedValue]) -> CertifiedValue:
+    """sum of f(1/p) over primes p >= SERIES_FROM, certified, from their
+    power sums S_2..S_(K+1) (K = len(power_sums)), for f = sum over k >= 2
+    of f_k u^k (the exact coefficients) with |f| <= bound on |u| = 1/inv_rho:
+    sum over k of f_k S_k, widened by the Cauchy remainder of the module
+    docstring, bound inv_rho^(K+2) S_(K+1)/(SERIES_FROM - inv_rho)."""
     K = len(power_sums)
     terms = []
-    for c, s in zip(_series_coefficients(j, K), power_sums):
+    for c, s in zip(coefficients, power_sums):
         c = float(c)  # correctly rounded
         terms.append(certified_product(CertifiedValue(c, EPS * abs(c)), s))
-    remainder = (_CAUCHY_BOUND * float(8 * j) ** (K + 2) * power_sums[-1].upper
-                 / (SERIES_FROM - 8 * j) * (1.0 + 8.0 * EPS))
+    remainder = (bound * float(inv_rho) ** (K + 2) * power_sums[-1].upper
+                 / (SERIES_FROM - inv_rho) * (1.0 + 8.0 * EPS))
     return combine_blocks(terms).widened(remainder)
+
+
+def _series_log_sum(j: int, power_sums: list[CertifiedValue]) -> CertifiedValue:
+    """sum of log beta_j(p) over primes p >= SERIES_FROM (_series_sum)."""
+    return _series_sum(_series_coefficients(j, len(power_sums)), _CAUCHY_BOUND, 8 * j, power_sums)
 
 
 class EulerPass:
@@ -415,7 +436,8 @@ class EulerPass:
     those above as power sums (_power_sum_parts); the power sums are
     merged over the blocks before each j's coefficients apply
     (_series_log_sum), and only a pass that reaches SERIES_FROM computes
-    coefficients.
+    coefficients.  The blocks an alpha.AlphaPass shares (share_walk) also
+    give alpha's parts from the same walk and power sums.
 
     ``blocks`` are the aligned blocks the pass still has to run: all of
     them, or those after the records a checkpoint_dir holds.  Completed
@@ -434,6 +456,7 @@ class EulerPass:
         blocks = aligned_blocks(3, P, block_size)
         self.records: list[BlockRecord] = []
         self.store = None
+        self.shared: set[tuple[int, int]] = set()  # the blocks alpha shares (share_walk)
         if checkpoint_dir is not None:
             key = {"kind": "beta-euler", "kernel": EULER_KERNEL, "P": P,
                    "block_size": block_size, "j_list": list(range(1, J + 1))}
@@ -444,6 +467,13 @@ class EulerPass:
                 self.store.discard()
         self.blocks = blocks[len(self.records) :]
         self.flush_every = max(1, _FLUSH_INTEGERS // block_size)
+
+    def share_walk(self, alpha) -> None:
+        """Take over the blocks of alpha (an AlphaPass on the same prime
+        pass) with the bounds of this pass's: one walk serves both."""
+        self.shared = set(alpha.blocks) & set(self.blocks)
+        alpha.blocks = [b for b in alpha.blocks if b not in self.shared]
+        self.alpha = alpha
 
     def _layout(self, lo: int, hi: int) -> set[str]:
         """The parts a block's record holds."""
@@ -456,7 +486,7 @@ class EulerPass:
 
         def recomputed(k: int) -> BlockRecord:
             (primes,) = iter_prime_segments(*blocks[k], segment_size=self.block_size)
-            return self.kernel(*blocks[k], primes)
+            return self.kernel(*blocks[k], primes)[0]
 
         return (
             len(records) <= len(blocks)
@@ -465,19 +495,25 @@ class EulerPass:
             and all(records[k] == recomputed(k) for k in sorted({0, len(records) - 1}))
         )
 
-    def kernel(self, lo: int, hi: int, primes: np.ndarray) -> BlockRecord:
+    def kernel(self, lo: int, hi: int, primes: np.ndarray) -> tuple[BlockRecord, dict | None]:
         """The block's record: per-j log sums of its primes below
-        SERIES_FROM, power sums of those above."""
+        SERIES_FROM, power sums of those above; and alpha's parts of a
+        shared block (its record's parts and "a", row 0's sum), else None."""
         split = int(np.searchsorted(primes, SERIES_FROM))
-        parts = {}
+        shared = (lo, hi) in self.shared
+        parts, alpha = {}, {}
         if lo < SERIES_FROM:
             rows = _log_beta_terms(primes[:split], self.J)
-            parts = {str(j): block_sum_parts(row) for j, row in enumerate(rows, start=1)}
+            parts = {str(j): block_sum_parts(rows[j]) for j in range(1, self.J + 1)}
+            alpha = {"a": block_sum_parts(rows[0])} if shared else {}
         if hi >= SERIES_FROM:
-            parts.update(_power_sum_parts(primes[split:]))
-        return BlockRecord(lo, hi, parts)
+            parts.update(_power_sum_parts(primes[split:], SERIES_TERMS))
+        return BlockRecord(lo, hi, parts), alpha | parts if shared else None
 
-    def keep(self, rec: BlockRecord) -> None:
+    def keep(self, result: tuple[BlockRecord, dict | None]) -> None:
+        rec, alpha = result
+        if alpha is not None:
+            self.alpha.keep(alpha)
         self.records.append(rec)
         if self.store is not None and (len(self.records) % self.flush_every == 0
                                        or rec.hi == self.P):
@@ -942,10 +978,10 @@ def beta_lower(
     checkpoint_dir, a killed run resumes its prime pass when called again
     with the same J, P and block_size.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     euler = EulerPass(J, P, block_size, checkpoint_dir)
     processes = prime_pass([euler], block_size, workers)
-    return beta_summary(euler.log_sums(), P, time.time() - t0, processes)
+    return beta_summary(euler.log_sums(), P, time.perf_counter() - t0, processes)
 
 
 def beta_summary(

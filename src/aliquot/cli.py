@@ -118,19 +118,21 @@ def lambda_bounds(
 
     alpha's arguments are checked first.  beta's checkpoint works as
     beta_lower's, and beta's and lambda's runs resume each other's files;
-    alpha is recomputed on the blocks a resumed run skips.  Both results
-    carry the pass's process count and time.
+    alpha is recomputed on the blocks a resumed run skips; one walk serves
+    both on the blocks they take with the same bounds (share_walk).  Both
+    results carry the pass's process count and time.
     """
     from .alpha import AlphaPass
     from .beta import EulerPass, beta_summary
     from .primes import prime_pass
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     alpha = AlphaPass(N, block_size)
     euler = EulerPass(J, P, block_size, checkpoint_dir)
+    euler.share_walk(alpha)
     processes = prime_pass([alpha, euler], block_size, workers)
     log_sums = euler.log_sums()
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return alpha.result(elapsed, processes), beta_summary(log_sums, P, elapsed, processes)
 
 

@@ -6,11 +6,10 @@ segment sigma kernel's ratios (all, even and odd n), sieve counts against
 known prime counts, the closed-form h values against their binomial sums,
 the exceptional-set fixture, the trajectory fixtures, the vectorized block
 sum against math.fsum, worker-count bit-identity for alpha's block sums
-and beta's prime pass (the one the certificate runs), alpha's per-block
-depths against a full-depth oracle, and beta's Euler route against the
-Euler-factor series per prime, its power-sum series past 2^20 against
-the per-prime kernel, and the route against the odd-sum route (with its
-Rankin charge) at j = 1.
+and beta's prime pass (the one the certificate runs), alpha's and beta's
+power-sum series past 2^20 against the per-prime walk, beta's Euler route
+against the Euler-factor series per prime, and the route against the
+odd-sum route (with its Rankin charge) at j = 1.
 
 ``checks()`` yields the suite, which ``alq selftest`` prints and acceptance
 criterion 7 runs; the unit tests call its oracles at larger sizes.
@@ -23,7 +22,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .alpha import M, AlphaPass, _block_sums, alpha_upper_bound
+from .alpha import SERIES_TERMS as ALPHA_TERMS, _series_alpha_sum, alpha_upper_bound
 from .arith import factorize, sigma, sigma_oracle
 from .beta import (
     SERIES_FROM,
@@ -44,25 +43,20 @@ from .beta import (
     two_beta2_minus_one,
 )
 from .means import log_mean
-from .numerics import EPS, block_sum_parts, exact_sum, parts_to_certified
-from .primes import iter_prime_segments, iter_sigma_segments, primes_in_range
+from .numerics import EPS, CertifiedValue, block_sum_parts, exact_sum, parts_to_certified
+from .primes import iter_sigma_segments, primes_in_range
 from .trajectory import trace
 
 
-def full_depth_alpha_bound(N: int, block_size: int) -> tuple[float, int]:
-    """Oracle for alpha_upper_bound's per-block depths: its bound with every
-    aligned block summed at the full depth M, and the odd primes counted.
-
-    The blocks go through AlphaPass's own assembly, so the two agree bit
-    for bit where every block keeps depth M.
-    """
-    alpha = AlphaPass(N, block_size)
-    for lo, hi in alpha.blocks:
-        (primes,) = iter_prime_segments(lo, hi, block_size)
-        terms, tails = _block_sums(primes, M)
-        alpha.keep((parts_to_certified(*terms), parts_to_certified(*tails), primes.size, M))
-    result = alpha.result(0.0, 1)
-    return result.upper_bound, result.n_primes
+def alpha_two_routes(primes: np.ndarray) -> tuple[CertifiedValue, CertifiedValue]:
+    """The certified sum of alpha(p) over primes p >= SERIES_FROM by the
+    two routes of the alpha module: its power-sum series (remainder
+    included) and row 0 of the per-prime walk with no j-rows.  Each
+    encloses the exact sum, so the two must meet."""
+    parts = _power_sum_parts(primes, ALPHA_TERMS)
+    series = _series_alpha_sum([parts_to_certified(*parts[f"s{k}"])
+                                for k in range(2, ALPHA_TERMS + 2)])
+    return series, parts_to_certified(*block_sum_parts(_log_beta_terms(primes, 0)[0]))
 
 
 def kernel_vs_beta_prime(js=(1, 8, 32), ps=(3, 7, 101, 10007)) -> list[tuple[int, int]]:
@@ -72,7 +66,7 @@ def kernel_vs_beta_prime(js=(1, 8, 32), ps=(3, 7, 101, 10007)) -> list[tuple[int
     apart = []
     for j in js:
         for p in ps:
-            t = _log_beta_terms(np.array([p]), j)[j - 1][0]
+            t = _log_beta_terms(np.array([p]), j)[j][0]
             kernel = parts_to_certified(t, abs(t), 1)
             bp = beta_prime(j, p, 60)
             lo = max(math.exp(kernel.lower), bp.lower)
@@ -174,11 +168,11 @@ def checks() -> Iterator[tuple[str, bool, str]]:
            (a1.sums.value, a1.upper_bound) == (a2.sums.value, a2.upper_bound),
            f"{a2.workers} processes")
 
-    short = alpha_upper_bound(3 * 10**6, block_size=1 << 16)
-    oracle, n_primes = full_depth_alpha_bound(3 * 10**6, 1 << 16)
-    yield ("alpha per-block depth never loosens the bound",
-           short.upper_bound <= oracle and short.n_primes == n_primes,
-           f"depths {short.depths}")
+    # Past 2^20 alpha comes from power sums: on the primes of
+    # [2^20, 2^20 + 2^14] the series and the walk must meet.
+    series, walk = alpha_two_routes(primes_in_range(SERIES_FROM, SERIES_FROM + (1 << 14)))
+    yield ("alpha series vs the walk on the primes of [2^20, 2^20 + 2^14]",
+           max(series.lower, walk.lower) <= min(series.upper, walk.upper), "")
 
     b1 = beta_lower(8, 10**7, workers=1).reports
     b2 = beta_lower(8, 10**7, workers=2).reports
@@ -190,10 +184,10 @@ def checks() -> Iterator[tuple[str, bool, str]]:
     # Past 2^20 the pass takes log sums from power sums: on the primes of
     # [2^20, 2^20 + 2^14] both kernels' certified sums must meet.
     primes = primes_in_range(SERIES_FROM, SERIES_FROM + (1 << 14))
-    parts = _power_sum_parts(primes)
+    parts = _power_sum_parts(primes, SERIES_TERMS)
     power_sums = [parts_to_certified(*parts[f"s{k}"]) for k in range(2, SERIES_TERMS + 2)]
     apart = []
-    for j, row in enumerate(_log_beta_terms(primes, 32), start=1):
+    for j, row in enumerate(_log_beta_terms(primes, 32)[1:], start=1):
         direct = parts_to_certified(*block_sum_parts(row))
         series = _series_log_sum(j, power_sums)
         if max(direct.lower, series.lower) > min(direct.upper, series.upper):

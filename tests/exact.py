@@ -34,6 +34,27 @@ def alpha(p: int) -> mpmath.mpf:
     return mp.fsum(alpha_terms(p, depth))
 
 
+def alpha_row(p: int) -> mpmath.mpf:
+    """Row 0 of the per-prime walk, exactly: (1 - 1/p) sum over m = 1..M of
+    p^-m (-log r_m), plus the tail charge p^-(M+1)/(p - 1), at the least M
+    with p^(M-1) (p-1)^2 >= cut (p+1)."""
+    cut = 2**44  # the walk's beta._ALPHA_CUT
+    M = 1
+    while p ** (M - 1) * (p - 1) ** 2 < cut * (p + 1):
+        M += 1
+    terms, pm, sigma = [], 1, 1
+    for _ in range(M):
+        pm *= p
+        sigma += pm
+        terms.append(mp.log(mp.mpf(sigma) / pm) / pm)
+    return (1 - mp.mpf(1) / p) * mp.fsum(terms) + mp.mpf(1) / (pm * p * (p - 1))
+
+
+# alpha(p) summed over the 56,856 odd primes of [95 * 2^20, 96 * 2^20),
+# each from alpha(p) above; the recomputation takes 7 s, so it is kept here.
+ALPHA_BLOCK_95 = mp.mpf("5.6700200485951821810118415028873355420814582537636e-12")
+
+
 def two_part(L: int) -> mpmath.mpf:
     """log 2 + sum over m = 1..L of 2^-m log(1 - 2^-(m+1)): the p = 2 part of
     alpha's finite sums, 2 alpha(2) rearranged and cut at L."""

@@ -14,16 +14,34 @@ itself comes from the unrearranged series, whose value must also equal
 the product form (1 - 1/p) sum over m >= 1 of p^-m log(sigma(p^m)/p^m).
 Each bound check has a mutation that must make it fail: the exponent
 -2(m+1) moved to -2(m+2), and the sign inside log1p flipped.
+
+Below 2^20 each odd prime's alpha(p) is row 0 of beta._log_beta_terms:
+its term must lie within 16e = 8 EPS of exact.alpha_row(p), the row's
+exact value at the depth rule's M, which lies between alpha(p) and
+alpha(p) (1 + 2^-44); one level too few at p = 3 must fail.  From 2^20
+alpha comes from power sums: the series +- radius must enclose the exact
+sum over the primes of [2^20, 2^20 + 2^16] and of the block at 95 * 2^20
+at every truncation K = 1..3 (dropping one series term must fail), and
+meet the walk's sum over the same primes.  Its coefficients must equal a
+symbolic expansion's, the closed form its Cauchy bound rests on must
+equal the product form, and C_ALPHA must cover |alpha(u)| on |u| = 1/8.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
 
-from exact import alpha, alpha_terms, mp, two_part
+from exact import ALPHA_BLOCK_95, alpha, alpha_row, alpha_terms, encloses, mp, two_part
 
-from aliquot.alpha import alpha_two_part, tail_a
-from aliquot.numerics import compensated_sum
+from aliquot import alpha as alpha_module
+from aliquot import beta as beta_module
+from aliquot.alpha import C_ALPHA, SERIES_TERMS, alpha_two_part, tail_a
+from aliquot.numerics import EPS, compensated_sum, parts_to_certified
+from aliquot.primes import iter_prime_segments, primes_in_range
+from aliquot.selftest import alpha_two_routes
 
 TAIL_PRIMES = (3, 5, 1009, 1048583)  # the last is the first prime past 2^20
 DEPTHS = range(1, 16)
@@ -110,3 +128,120 @@ def test_alpha_equals_its_product_form():
         terms = (mp.log(mp.mpf((p ** (m + 1) - 1) // (p - 1)) / p**m) / p**m
                  for m in range(1, int(55 / math.log10(p)) + 2))
         assert abs(alpha(p) - (1 - mp.mpf(1) / p) * mp.fsum(terms)) < mp.mpf(10) ** -45, p
+
+
+ROW_PRIMES = (3, 5, 7, 1009, (1 << 20) - 3)
+
+
+def row_failures() -> list:
+    """The primes of ROW_PRIMES whose row 0 term, from the walk over block
+    0's primes, misses alpha(p) beyond its allowance."""
+    (primes,) = iter_prime_segments(3, (1 << 20) - 1, 1 << 20)
+    row = beta_module._log_beta_terms(primes, 0)[0]
+    missed = []
+    for p in ROW_PRIMES:
+        (at,) = np.flatnonzero(primes == p)
+        term, exact = float(row[at]), alpha_row(p)
+        if not (abs(term - exact) <= 8 * EPS * term
+                and alpha(p) <= exact <= alpha(p) * (1 + mp.mpf(2) ** -44)):
+            missed.append(p)
+    return missed
+
+
+def test_row_zero_within_its_allowance():
+    assert row_failures() == []
+
+
+def test_one_level_too_few_fails_the_row_oracle(monkeypatch):
+    # A third of the cut takes the deepest level off p = 3's series.
+    monkeypatch.setattr(beta_module, "_ALPHA_CUT", beta_module._ALPHA_CUT / 3)
+    assert 3 in row_failures()
+
+
+SERIES_REGIONS = {
+    "above 2^20": (primes_in_range(1 << 20, (1 << 20) + (1 << 16)), None),
+    "block 95": (primes_in_range(95 << 20, (96 << 20) - 1), ALPHA_BLOCK_95),
+}
+
+
+@pytest.fixture(scope="module")
+def exact_alpha_sums():
+    """Per region, the 50-digit sum of alpha(p) over its primes."""
+    return {region: mp.fsum(alpha(p) for p in primes.tolist()) if total is None else total
+            for region, (primes, total) in SERIES_REGIONS.items()}
+
+
+def alpha_series_failures(exact_alpha_sums) -> list:
+    """(region, K) wherever the certified series sum misses the exact one."""
+    missed = []
+    for region, (primes, _) in SERIES_REGIONS.items():
+        parts = beta_module._power_sum_parts(primes, SERIES_TERMS)
+        sums = [parts_to_certified(*parts[f"s{k}"]) for k in range(2, SERIES_TERMS + 2)]
+        for K in range(1, SERIES_TERMS + 1):
+            if not encloses(alpha_module._series_alpha_sum(sums[:K]), exact_alpha_sums[region]):
+                missed.append((region, K))
+    return missed
+
+
+def test_regions_lie_past_the_series_start():
+    assert SERIES_REGIONS["block 95"][0].size == 56856
+    for primes, _ in SERIES_REGIONS.values():
+        assert primes[0] >= beta_module.SERIES_FROM
+
+
+def test_alpha_series_encloses_the_exact_sum(exact_alpha_sums):
+    assert alpha_series_failures(exact_alpha_sums) == []
+
+
+def test_dropping_a_series_term_fails_the_oracle(exact_alpha_sums, monkeypatch):
+    exact = alpha_module._series_coefficients
+    monkeypatch.setattr(alpha_module, "_series_coefficients", lambda K: exact(K)[:-1])
+    assert alpha_series_failures(exact_alpha_sums)
+
+
+@pytest.mark.parametrize("region", SERIES_REGIONS)
+def test_series_meets_the_walk(region):
+    series, walk = alpha_two_routes(SERIES_REGIONS[region][0])
+    assert max(series.lower, walk.lower) <= min(series.upper, walk.upper)
+
+
+def test_series_coefficients_match_a_symbolic_expansion():
+    # alpha(u) = -(1 - u) sum over m >= 1 of u^m log((1 - u)/(1 - u^(m+1))),
+    # through degree 6; the terms m > 6 start at u^7.
+    u = sympy.symbols("u")
+    D = 6
+    f = -(1 - u) * sum(u**m * sympy.log((1 - u) / (1 - u ** (m + 1))) for m in range(1, D + 1))
+    series = sympy.expand(sympy.series(f, u, 0, D + 1).removeO())
+    expected = [Fraction(int(c.p), int(c.q)) for c in (series.coeff(u, k) for k in range(D + 1))]
+    assert expected[:2] == [0, 0]
+    assert list(alpha_module._series_coefficients(D - 1)) == expected[2:]
+
+
+def product_form(x, terms: int):
+    """alpha(u) = -(1 - u) sum over m >= 1 of u^m log((1 - u)/(1 - u^(m+1)))
+    at u = x, from its terms m < terms."""
+    return -(1 - x) * mp.fsum(x**m * mp.log((1 - x) / (1 - x ** (m + 1))) for m in range(1, terms))
+
+
+def test_closed_form_equals_the_product_form():
+    # The module docstring's alpha(u) = -u log(1 - u) - sum over t >= 1 of
+    # (u^(2t+1)/t) (1 - u)/(1 - u^(t+1)), on which C_ALPHA's bound rests,
+    # against the product form, at real u = 1/p and on |u| = 1/8.
+    def closed(x):
+        return -x * mp.log(1 - x) - mp.fsum(x ** (2 * t + 1) / t * (1 - x) / (1 - x ** (t + 1))
+                                            for t in range(1, 60))
+
+    points = [mp.mpf(1) / p for p in (3, 5, 1009)] + [mp.expjpi(mp.mpf(k) / 5) / 8 for k in range(10)]
+    for x in points:
+        assert abs(product_form(x, 120) - closed(x)) < mp.mpf(10) ** -45, x
+
+
+def test_cauchy_bound_covers_alpha_on_the_circle():
+    # |alpha(u)| at 256 points of |u| = 1/8, from 30 terms of the product
+    # form (the rest is below 8^-30).  Its derivative along the circle,
+    # |u alpha'(u)|, stays below 0.036, so between points 2 pi/256 apart
+    # |alpha| rises less than 4.5e-4 over the sampled maximum, 0.01697; a
+    # bound of 0.0169 would fail.
+    n = 256
+    biggest = max(abs(product_form(mp.expjpi(mp.mpf(2 * k) / n) / 8, 31)) for k in range(n))
+    assert 0.0169 < biggest and biggest + 4.5e-4 <= C_ALPHA

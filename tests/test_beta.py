@@ -44,6 +44,7 @@ from aliquot.numerics import (
     certified_product,
     certified_quotient,
     combine_blocks,
+    compensated_sum,
     parts_to_certified,
 )
 from aliquot.primes import primes_in_range
@@ -150,6 +151,13 @@ class TestDyadicFactor:
     @pytest.mark.parametrize("j", ORACLE_JS)
     def test_encloses_the_50_digit_value(self, j):
         assert exact.encloses(two_beta2_minus_one(j), exact.z(j))
+
+    def test_bits_of_the_g_prime_power_terms(self):
+        # The one loop does g_prime_power(j, 2, m)'s float operations.
+        for j in range(1, MAX_J + 1):
+            terms = [g_prime_power(j, 2, m) for m in range(1, 65)]
+            assert two_beta2_minus_one(j) == compensated_sum(terms).widened(
+                (2.0 / 3.0) ** j * 2.0**-63), j
 
     def test_consistent_with_euler_factor(self):
         # 2 beta_j(2) - 1 recomputed through the Euler-factor series.
@@ -793,14 +801,16 @@ class TestEulerRoute:
             prime_tail_bound(1)
 
     def test_terms_independent_of_the_other_js(self):
-        # Row j - 1 holds j's terms, the bits of the pass to J = j alone.
+        # Row j holds j's terms, the bits of the pass to J = j alone, and
+        # row 0 alpha's, the bits of the walk with no j-rows.
         primes = primes_in_range(3, 3 * 10**5)
         every = beta_module._log_beta_terms(primes, 32)
-        assert every.shape == (32, primes.size)
-        for j in (1, 8, 32):
+        assert every.shape == (33, primes.size)
+        for j in (0, 1, 8, 32):
             alone = beta_module._log_beta_terms(primes, j)
-            assert alone.shape == (j, primes.size)
-            assert alone[j - 1].tobytes() == every[j - 1].tobytes()
+            assert alone.shape == (j + 1, primes.size)
+            assert alone[j].tobytes() == every[j].tobytes()
+            assert alone[0].tobytes() == every[0].tobytes()
 
     def test_j_list_and_block_sizes(self):
         a = beta_lower(8, 2 * 10**5, block_size=1 << 14).reports
@@ -811,7 +821,7 @@ class TestEulerRoute:
             assert abs(sa.value - sb.value) <= sa.error_radius + sb.error_radius
 
     def test_no_primes_sum_to_zero(self):
-        assert beta_module._log_beta_terms(np.empty(0, dtype=np.int64), 2).shape == (2, 0)
+        assert beta_module._log_beta_terms(np.empty(0, dtype=np.int64), 2).shape == (3, 0)
 
     def test_checkpoint_resume_reproduces_one_shot(self, tmp_path):
         store = _euler_store(tmp_path, 2, 10**5, 4096)

@@ -1,15 +1,15 @@
 """Block sums pinned to the bits recorded from the per-(p, m) scatter kernel
-summed with math.fsum over Python lists.
+summed with math.fsum over Python lists (beta's odd sums and the means),
+and from alpha's walk and power sums.
 
 Each tuple is (value, abs_sum, n_terms) for one aligned block of 2^20
 integers.  Checkpoints store these tuples and compare them bit for bit on
 resume, so any kernel or summation change must reproduce them exactly.
 """
 
-import numpy as np
 import pytest
 
-from aliquot.alpha import _block_sums
+from aliquot.alpha import AlphaPass
 from aliquot.beta import _block_odd_signed
 from aliquot.means import _sum_over_ranges
 from aliquot.numerics import combine_blocks, parts_to_certified
@@ -50,11 +50,16 @@ BETA_BLOCKS = {
     },
 }
 
-# Odd primes of [95 * 2^20, 96 * 2^20) at depth M = 15: term and tail parts.
-ALPHA_BLOCK = (
-    (5.6700200485951825e-12, 5.670020048595182e-12, 852840),
-    (5.465229526498804e-252, 5.465229526498804e-252, 56856),
-)
+# alpha's parts of the odd primes of [3, 2^20), the walk's row 0, and of
+# [95 * 2^20, 96 * 2^20), their power sums.
+ALPHA_BLOCKS = {
+    (3, B - 1): {"a": (0.19310073153784973, 0.1931007315378498, 82024)},
+    (95 * B, 96 * B - 1): {
+        "s2": (5.670020076906799e-12, 5.670020076906799e-12, 56856),
+        "s3": (5.662323591604614e-20, 5.662323591604614e-20, 56856),
+        "s4": (5.6546891221045505e-28, 5.654689122104551e-28, 56856),
+    },
+}
 
 # Even n of [9 * 2^20, 10 * 2^20): s(n)/n and log(s(n)/n).
 MEANS_BLOCK = {
@@ -89,9 +94,8 @@ def test_beta_block_with_gaps_in_j():
 
 
 def test_alpha_block():
-    primes = primes_in_range(95 * B, 96 * B - 1)
-    assert primes.size == 56856
-    assert _block_sums(primes.astype(np.int64), 15) == ALPHA_BLOCK
+    for (lo, hi), parts in ALPHA_BLOCKS.items():
+        assert AlphaPass.kernel(lo, hi, primes_in_range(lo, hi)) == parts
 
 
 def _means_block(parity, kind):

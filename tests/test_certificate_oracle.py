@@ -1,34 +1,35 @@
 """The assembled certificate against a 50-digit recomputation of its formula.
 
 At N = P <= 2000 and J = 8, `alq lambda`'s pass (cli.lambda_bounds) runs
-one block below 2^20, which keeps the full odd depth M = 15.  The formula
-the code certifies is then
+one block below 2^20, where one walk per prime gives alpha(p) (row 0)
+and every log beta_j(p).  The formula the code certifies is then
 
     alpha = log 2 + sum over m = 1..L of 2^-m log(1 - 2^-(m+1))
-            + sum over odd p <= N, m = 1..15 of p^-m log(1 + 1/(p + ... + p^m))
-            + 2 A(2, L) + sum over odd p <= N of A(p, 15) + 1/N,
+            + sum over odd p <= N of row_p + 2 A(2, L) + 1/N,
     beta  = sum over j = 1..8 of (z_j/j) prod over odd p <= P of beta_j(p) (1 - j T(P)),
 
-with z_j = 2 beta_j(2) - 1, every term to 50 digits (exact.py gives alpha's,
-z_j and beta_j(p)).  The float lambda_upper must lie at or above
+with row_p = (1 - 1/p) sum over m = 1..M_p of p^-m (-log r_m) plus the
+tail charge p^-(M_p+1)/(p - 1) at the depth rule's M_p, z_j =
+2 beta_j(2) - 1, and every term to 50 digits (exact.py gives row_p, z_j
+and beta_j(p)).  The float lambda_upper must lie at or above
 alpha - beta, and above it by no more than SLACK: the float radii and the
-nextafters, 2.3e-13 at N = P = 2000.
+nextafters, 4.7e-14 at N = P = 2000.
 
 Each mutation of the assembly must leave that window: dropping 1/N
 (5e-4), the 1 - j T(P) factor (1.8e-4) or 2 A(2, L) (9.3e-10), and a bound
-1e-10 looser.  Dropping the odd tails sum of A(p, 15) cannot be caught
-here: the depth rule keeps each prime's charge below EPS times its first
-term, and together they come to 8.1e-16, below the float gap; test_alpha's
-TestTailA covers that charge.
+1e-10 looser.  Dropping the tail charges inside the rows cannot be caught
+here: the depth rule keeps each below 2^-44 alpha(p), and they come to
+6.0e-16 at N = 2000, below the float gap; test_alpha_oracle's row test
+covers them.
 """
 
 import math
 
 import pytest
 
-from exact import alpha_terms, d, mp, two_part, z
+from exact import alpha_row, d, mp, two_part, z
 
-from aliquot.alpha import L, M, tail_a
+from aliquot.alpha import L, tail_a
 from aliquot.cli import combine_lambda, lambda_bounds
 from aliquot.numerics import DEFAULT_BLOCK_SIZE, EPS
 from aliquot.primes import primes_in_range
@@ -40,10 +41,9 @@ CUTOFFS = (1000, 2000)  # N = P
 
 @pytest.fixture(scope="module")
 def per_prime():
-    """{p: (alpha's terms to depth M plus A(p, M), [beta_j(p) for j = 1..J])}
-    for the odd primes up to the largest cutoff."""
-    return {p: (mp.fsum(alpha_terms(p, M)) + mp.mpf(p) / ((p - 1) * p ** (2 * (M + 1))),
-                [1 - d(p, j) for j in range(1, J + 1)])
+    """{p: (row_p, [beta_j(p) for j = 1..J])} for the odd primes up to the
+    largest cutoff."""
+    return {p: (alpha_row(p), [1 - d(p, j) for j in range(1, J + 1)])
             for p in primes_in_range(3, max(CUTOFFS)).tolist()}
 
 
@@ -69,11 +69,6 @@ def certificate(request, per_prime):
     alpha, beta = lambda_bounds(N, J, N, block_size=DEFAULT_BLOCK_SIZE)
     lambda_upper = combine_lambda(alpha, beta).lambda_upper
     return N, alpha, beta, lambda_upper, formula(per_prime, N, N)
-
-
-def test_one_block_at_full_depth(certificate):
-    N, alpha, *_ = certificate
-    assert alpha.depths == {M: primes_in_range(3, N).size}
 
 
 def test_lambda_upper_is_the_formula_within_the_float_slack(certificate):

@@ -1,11 +1,14 @@
+import itertools
 import json
 import math
 import sys
+import time
 
 import pytest
 
-from aliquot.beta import EULER_KERNEL
-from aliquot.cli import build_parser, combine_lambda, run
+from aliquot.alpha import alpha_upper_bound
+from aliquot.beta import EULER_KERNEL, beta_lower
+from aliquot.cli import build_parser, combine_lambda, lambda_bounds, run
 
 # The dest of beta's removed early-stop flag, spelled in parts so that the
 # removed name itself appears nowhere in the tree.
@@ -23,7 +26,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["alpha", "--frobs", "3"],
-        ["alpha", "--L", "15"],  # L = M = 15 are constants of the alpha module
+        ["alpha", "--L", "15"],  # L = 15 is a constant of the alpha module
         # A prime pass ends complete or killed; there is no partial report.
         ["beta", "--J", "1", "--Nj", "2e5", "--" + EARLY_STOP.replace("_", "-"), "3"],
         ["beta", "--J", "2", "--Nj", "1e4", "--e", "1,0.75"],
@@ -161,7 +164,7 @@ class TestAlphaVerb:
         assert run(["alpha", "--N", "1e4", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "alpha.json")
         assert abs(doc["sums_value"] - 0.6983072233) < 1e-9
-        assert doc["params"] == {"N": 10000, "L": 15, "M": 15}
+        assert doc["params"] == {"N": 10000, "L": 15}
 
 
 
@@ -241,7 +244,7 @@ class TestLambdaVerb:
         for key in ("version", "python", "numpy", "cpu_count", "workers", "block_size"):
             assert key in provenance
         assert provenance["python"].count(".") == 2
-        assert provenance["params"] == {"alpha": {"N": 10000, "L": 15, "M": 15},
+        assert provenance["params"] == {"alpha": {"N": 10000, "L": 15},
                                         "beta": {"J": 2, "P": 10000}}
         # The engine the pass ran on, and beta's kernel where it ran.
         assert provenance["engine"] == "serial"
@@ -331,6 +334,31 @@ class TestLambdaVerb:
         monkeypatch.setattr(beta, "EulerPass", no_beta)
         assert run(["lambda", *flags, "--J", "2", "--Nj", "1e4", "--out", str(tmp_path)]) == code
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("N, P, walks", [
+        # Blocks of 2^14: seven, each the same for both passes; or a first
+        # that is, and a second that alpha runs to N and beta to P, so
+        # each walks its own.
+        (10**5, 10**5, [2] * 7),
+        (3 * 10**4, 2 * 10**4, [2, 0, 2]),
+    ])
+    def test_one_walk_per_shared_block(self, monkeypatch, N, P, walks):
+        from aliquot import alpha, beta
+
+        kernel, calls = beta._log_beta_terms, []
+
+        def counting(primes, J):
+            calls.append(J)
+            return kernel(primes, J)
+
+        monkeypatch.setattr(beta, "_log_beta_terms", counting)
+        monkeypatch.setattr(alpha, "_log_beta_terms", counting)
+        shared, _ = lambda_bounds(N, 2, P, block_size=1 << 14)
+        assert calls == walks
+        monkeypatch.undo()
+        alone = alpha_upper_bound(N, block_size=1 << 14)
+        assert shared.to_json_dict() | {"elapsed_seconds": 0} == \
+            alone.to_json_dict() | {"elapsed_seconds": 0}
 
 
 class TestConfigFile:
@@ -434,3 +462,15 @@ class TestCombineLambda:
         from aliquot.numerics import DEFAULT_BLOCK_SIZE
 
         assert build_parser().parse_args([verb]).block_size == DEFAULT_BLOCK_SIZE
+
+
+@pytest.mark.parametrize("run_pass", [
+    lambda: [alpha_upper_bound(10**4)],
+    lambda: [beta_lower(2, 10**4)],
+    lambda: lambda_bounds(10**4, 2, 10**4, block_size=1 << 20),
+], ids=["alpha", "beta", "lambda"])
+def test_elapsed_survives_a_wall_clock_step(monkeypatch, run_pass):
+    # The wall clock steps back 1000 s at every read, as an NTP step may.
+    clock = itertools.count(0.0, -1000.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    assert all(result.elapsed_seconds >= 0 for result in run_pass())

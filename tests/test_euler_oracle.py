@@ -47,7 +47,7 @@ def kernel_terms():
         (primes,) = iter_prime_segments(max(lo, 3), lo + BLOCK - 1, BLOCK)
         terms = beta_module._log_beta_terms(primes, 32)
         (at,) = np.flatnonzero(primes == p)
-        found[p] = {j: float(terms[j - 1][at]) for j in JS}
+        found[p] = {j: float(terms[j][at]) for j in JS}
     return found
 
 
@@ -83,7 +83,7 @@ def series_failures(exact_log_sums) -> list:
     """(region, j, K) wherever the certified series sum misses the exact one."""
     missed = []
     for region, primes in SERIES_PRIMES.items():
-        parts = beta_module._power_sum_parts(primes)
+        parts = beta_module._power_sum_parts(primes, beta_module.SERIES_TERMS)
         sums = [parts_to_certified(*parts[f"s{k}"]) for k in range(2, beta_module.SERIES_TERMS + 2)]
         for K in range(1, beta_module.SERIES_TERMS + 1):
             for j in SERIES_JS:
@@ -107,7 +107,7 @@ def test_series_radius_stays_near_the_float_noise(exact_log_sums):
     # radius, remainder included, stays within 1e-12 of the value for
     # j <= 32.
     for region, primes in SERIES_PRIMES.items():
-        parts = beta_module._power_sum_parts(primes)
+        parts = beta_module._power_sum_parts(primes, beta_module.SERIES_TERMS)
         sums = [parts_to_certified(*parts[f"s{k}"]) for k in range(2, beta_module.SERIES_TERMS + 2)]
         for j in (1, 2, 8, 32):
             got = beta_module._series_log_sum(j, sums)
