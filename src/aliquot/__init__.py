@@ -37,7 +37,6 @@ _EXPORTS = {
     "closed_form": "means",
     "log_mean": "means",
     "CertifiedValue": "numerics",
-    "certified_combine": "numerics",
     "compensated_sum": "numerics",
     "primes_in_range": "primes",
     "TrajectoryRecord": "trajectory",

@@ -71,7 +71,6 @@ from .numerics import (
     CertifiedValue,
     aligned_blocks,
     block_sum_parts,
-    certified_combine,
     combine_blocks,
     compensated_sum,
     map_blocks,  # read by nothing; kept while alqbench/spans.py wraps it
@@ -93,10 +92,14 @@ class AlphaResult:
     N: int
     sums: CertifiedValue
     tail_total: float
-    upper_bound: float
+    enclosure: CertifiedValue  # sums + the tails; its upper end bounds alpha
     n_primes: int
     elapsed_seconds: float
     workers: int = 1  # the processes the pass ran on; 1 is serial
+
+    @property
+    def upper_bound(self) -> float:
+        return self.enclosure.upper
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,13 +208,12 @@ class AlphaPass:
         odd_sum = merged("a")
         if N >= SERIES_FROM:
             power_sums = [merged(f"s{k}") for k in range(2, SERIES_TERMS + 2)]
-            odd_sum = certified_combine(odd_sum, _series_alpha_sum(power_sums))
+            odd_sum = odd_sum + _series_alpha_sum(power_sums)
         n_primes = sum(r[key][2] for r in records for key in ("a", "s2") if key in r)
-        sums = certified_combine(alpha_two_part(L), odd_sum)
+        sums = alpha_two_part(L) + odd_sum
+        enclosure = sums + 2.0 * tail_a(2, L) + Fraction(1, N)
         tail_total = 2.0 * tail_a(2, L) + 1.0 / N
-        ub = sums.value + sums.error_radius + tail_total
-        ub = math.nextafter(math.nextafter(ub, math.inf), math.inf)
-        return AlphaResult(N, sums, tail_total, ub, n_primes, elapsed_seconds, workers)
+        return AlphaResult(N, sums, tail_total, enclosure, n_primes, elapsed_seconds, workers)
 
 
 def alpha_upper_bound(
@@ -226,8 +228,8 @@ def alpha_upper_bound(
     of block_size: each prime's alpha(p) and tail charge below SERIES_FROM,
     the power sums that the series weights past it (module docstring).  The
     finite sums are alpha_two_part(L) plus those, block-reduced
-    deterministically, and the tails 2*A(2,L) + 1/N; the bound is their
-    value + radius + tails, nudged up two ulps over the final additions.
+    deterministically, and the tails 2*A(2,L) + 1/N; the bound is the upper
+    end of their sum as certified values (1/N taken as a Fraction).
     ``workers`` counts the processes the pass ran on.
     """
     t0 = time.perf_counter()

@@ -51,11 +51,8 @@ log beta_j(p) = log1p(-d_{p,j}) for every j at once:
   Schoenfeld's pi(x) < 1.25506 x/log x for x > 1 (prime_tail_bound).
   P >= MIN_PRIME_CUTOFF and j <= MAX_J keep j T(P) <= 0.38.
 * The j-term.  With z = 2 beta_j(2) - 1 (two_beta2_minus_one) and S the
-  certified log sum, t_j >= (z_lower/j) exp(S_lower) (1 - j T(P)).  The
-  float ends (z_lower/j) exp(S_lower) and (z_upper/j) exp(S_upper) are
-  each within (5 + |S|)u of their exact values, the radius adds
-  8 EPS (1 + |S|) times the upper end, and the product with 1 - j T(P)
-  (T rounded up) is multiplied by 1 - 4 EPS, which rounds it down.
+  certified log sum, t_j is at least the lower end of (z/j) exp(S)
+  (1 - j T(P)) on certified values (numerics), T rounded up taken as exact.
 
 The series for large primes.  Write u = 1/p.  Then
 r_m = (1 - u)/(1 - u^(m+1)) and beta_j(p) = (1 - u) (1 + sum over m >= 1
@@ -84,9 +81,8 @@ their primes' log sum is sum over k of c_k(j) S_k plus a remainder
   S_(K+1)'s upper end and raised by 1 + 8 EPS over its few roundings.
 * Float radius.  p^-k is (1/p)^2 times k - 2 more factors 1/p, within
   (2k - 1)u <= 17u, inside OPS_ALLOWANCE = 64 EPS per term, so each
-  certified S_k encloses its exact sum.  Each c_k(j) is rounded to the
-  nearest double (radius EPS |c_k|), and certified_product and
-  certified_combine carry the products and their sum.
+  certified S_k encloses its exact sum.  Each exact c_k(j) times S_k, and
+  their sum, are operations on certified values.
 
 A block that straddles 2^20 splits its primes between the two paths; its
 record holds per-j parts for the primes below and per-k parts for those
@@ -134,12 +130,10 @@ from .errors import ParameterError, ResourceError, SSetBudgetExceeded, reject
 from .numerics import (
     DEFAULT_BLOCK_SIZE,
     EPS,
+    ZERO,
     CertifiedValue,
     aligned_blocks,
     block_sum_parts,
-    certified_combine,
-    certified_product,
-    certified_quotient,
     combine_blocks,
     compensated_sum,
     map_blocks,
@@ -262,16 +256,12 @@ def beta_prime(j: int, p: int, depth: int) -> CertifiedValue:
     reject(depth < 4, "depth must be >= 4", depth)
     p = _check_p(p)
     try:
-        inverse = 1.0 / p
+        tail = float(p) ** (-depth) / (p - 1)
     except OverflowError:
         raise ParameterError("p is past the float range") from None
     # Stop at the first p^m past 10^300: the radius counts every term, zeros too.
     value = compensated_sum([g_prime_power(j, p, m) for m in range(depth + 1) if p**m <= 10**300])
-    scaled = CertifiedValue(
-        (1.0 - inverse) * value.value,
-        value.error_radius + EPS * abs(value.value),
-    )
-    return scaled.widened(float(p) ** (-depth) / (p - 1))
+    return (value * (1 - Fraction(1, p))).widened(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +400,9 @@ def _series_sum(coefficients, bound: float, inv_rho: int,
     of f_k u^k (the exact coefficients) with |f| <= bound on |u| = 1/inv_rho:
     sum over k of f_k S_k, widened by the Cauchy remainder of the module
     docstring, bound inv_rho^(K+2) S_(K+1)/(SERIES_FROM - inv_rho)."""
-    K = len(power_sums)
-    terms = []
-    for c, s in zip(coefficients, power_sums):
-        c = float(c)  # correctly rounded
-        terms.append(certified_product(CertifiedValue(c, EPS * abs(c)), s))
-    remainder = (bound * float(inv_rho) ** (K + 2) * power_sums[-1].upper
+    remainder = (bound * float(inv_rho) ** (len(power_sums) + 2) * power_sums[-1].upper
                  / (SERIES_FROM - inv_rho) * (1.0 + 8.0 * EPS))
-    return combine_blocks(terms).widened(remainder)
+    return sum((c * s for c, s in zip(coefficients, power_sums)), ZERO).widened(remainder)
 
 
 def _series_log_sum(j: int, power_sums: list[CertifiedValue]) -> CertifiedValue:
@@ -534,7 +519,7 @@ class EulerPass:
                 for k in range(2, SERIES_TERMS + 2)
             ]
             for j in sums:
-                sums[j] = certified_combine(sums[j], _series_log_sum(j, power_sums))
+                sums[j] += _series_log_sum(j, power_sums)
         return sums
 
 
@@ -825,8 +810,7 @@ def main_term(j: int, odd_sum: CertifiedValue) -> CertifiedValue:
     covers every even integer whose odd part is at most N (for all powers
     of two at once).
     """
-    z = two_beta2_minus_one(j)
-    return certified_quotient(certified_product(z, odd_sum), j)
+    return two_beta2_minus_one(j) * odd_sum / j
 
 
 @lru_cache(maxsize=1)
@@ -944,19 +928,8 @@ class BetaSummary:
 
 
 def euler_term(j: int, log_product: CertifiedValue) -> CertifiedValue:
-    """(z/j) exp(log_product) with z = 2 beta_j(2) - 1 (two_beta2_minus_one).
-
-    The float ends (z_lower/j) exp(S_lower) and (z_upper/j) exp(S_upper)
-    enclose the exact value up to (5 + |S|)u each; the radius adds
-    8 EPS (1 + |S|) times the upper end, which also covers the rounding
-    of value - radius.
-    """
-    z = two_beta2_minus_one(j)
-    value = z.value / j * math.exp(log_product.value)
-    lower = z.lower / j * math.exp(log_product.lower)
-    upper = z.upper / j * math.exp(log_product.upper)
-    slack = 8.0 * EPS * (1.0 + abs(log_product.value)) * upper
-    return CertifiedValue(value, max(upper - value, value - lower) + slack)
+    """(z/j) exp(log_product) with z = 2 beta_j(2) - 1 (two_beta2_minus_one)."""
+    return two_beta2_minus_one(j) / j * log_product.exp()
 
 
 def beta_lower(
@@ -990,22 +963,16 @@ def beta_summary(
     """The lower bound from each j's log sum S over the odd primes p <= P.
 
     euler_term turns S into (z/j) exp(S), and the primes past P are
-    charged j T(P): the j-term's lower end is that term's lower end times
-    1 - j T(P), times 1 - 4 EPS to round it down.  The rigor argument is
-    in the module docstring.  The terms with j > J are all positive, so
-    dropping them keeps the bound valid.
+    charged j T(P): the j-term is that term times 1 - j T(P) as certified
+    values, and beta's bound is the lower end of the j-terms' sum.  The
+    rigor argument is in the module docstring.  The terms with j > J are
+    all positive, so dropping them keeps the bound valid.
     """
-    T = prime_tail_bound(P)
-    reports = []
+    T = CertifiedValue(prime_tail_bound(P), 0.0)
+    reports, terms = [], []
     for j, log_product in log_sums.items():
         main = euler_term(j, log_product)
         charge = j * T
-        contribution = main.lower * (1.0 - charge) * (1.0 - 4.0 * EPS)
-        reports.append(BetaJReport(j, P, log_product, main, charge, contribution))
-
-    # fsum is correctly rounded; one step down makes it a lower bound.
-    # value - (value - lower) gives lower back exactly (Sterbenz).
-    total_value = math.fsum(r.main.value for r in reports)
-    total_lower = math.nextafter(math.fsum(r.contribution_lower for r in reports), -math.inf)
-    certified = CertifiedValue(total_value, max(0.0, total_value - total_lower))
-    return BetaSummary(certified, reports, elapsed_seconds, workers)
+        terms.append(main * (1 - charge))
+        reports.append(BetaJReport(j, P, log_product, main, charge.value, terms[-1].lower))
+    return BetaSummary(sum(terms, ZERO), reports, elapsed_seconds, workers)

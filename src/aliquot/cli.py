@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -158,16 +157,16 @@ class LambdaReport:
 def combine_lambda(
     alpha_result: AlphaResult, beta_result: BetaSummary, provenance: dict | None = None
 ) -> LambdaReport:
-    """lambda <= alpha upper bound - beta lower bound, rounded pessimistically.
+    """lambda = alpha - beta as certified values (alpha's enclosure, beta's
+    certified sum): lambda_upper is its upper end, mu_upper the upper end
+    of its exp.
 
-    mu = e^lambda is rounded upward as well; mu_upper < 1 exactly when
-    lambda_upper < 0.
+    mu_upper < 1 proves mu < 1, so lambda < 0.  The converse fails just
+    below 0: at lambda_upper = -1e-17, e^lambda rounds to 1.0 and mu_upper
+    is at least 1.
     """
-    lam = alpha_result.upper_bound - beta_result.lower_bound
-    lam = math.nextafter(lam, math.inf)
-    mu = math.exp(lam)
-    mu = math.nextafter(math.nextafter(mu, math.inf), math.inf)
-    return LambdaReport(alpha_result, beta_result, lam, mu, provenance or {})
+    lam = alpha_result.enclosure - beta_result.certified
+    return LambdaReport(alpha_result, beta_result, lam.upper, lam.exp().upper, provenance or {})
 
 
 def _check_writable(flag: str, directory: Path) -> None:

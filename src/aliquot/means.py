@@ -21,7 +21,6 @@ from .numerics import (
     CertifiedValue,
     aligned_blocks,
     block_sum_parts,
-    certified_quotient,
     combine_blocks,
     map_blocks,
     parts_to_certified,
@@ -134,7 +133,7 @@ def arithmetic_mean(
     """(1/N) * sum over n = 1..N of s(n)/n, s(2n)/(2n), or s(2n-1)/(2n-1)."""
     parity, ratio_range, _, _ = _arithmetic_ranges(mean_class, N)
     total, _, _ = _sum_over_ranges(parity, ratio_range, _EMPTY, block_size, workers)
-    return certified_quotient(total, N)
+    return total / N
 
 
 def log_mean(
@@ -154,7 +153,7 @@ def log_mean(
     reject(N < 4, "log_mean requires N >= 4", N)
     parity, _, log_range, count = _class_ranges(mean_class, N)
     _, total, _ = _sum_over_ranges(parity, _EMPTY, log_range, block_size, workers)
-    return certified_quotient(total, count)
+    return total / count
 
 
 @dataclass
@@ -208,8 +207,8 @@ def mean_report(
     return MeanReport(
         mean_class,
         N,
-        certified_quotient(ratio_total, N),
-        certified_quotient(log_total, count),
+        ratio_total / N,
+        log_total / count,
         closed_form(mean_class),
         processes,
     )

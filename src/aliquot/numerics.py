@@ -26,6 +26,8 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Integral
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -53,35 +55,96 @@ _FALLBACK_ABS = 2.0**900
 # by at least 53 - _SIGMA_BITS = 38 per level, so after 51 levels it is
 # clamped at -1022, where one more level leaves no residual.
 _MAX_LEVELS = 52
+_UNDERFLOW = 2.0**-1070  # see CertifiedValue
 
 
 @dataclass(frozen=True)
 class CertifiedValue:
-    """A computed real number with a rigorous absolute error radius.
+    """A real number in [value - error_radius, value + error_radius], taken
+    exactly: the package's one interval type, in midpoint-radius form (S. M.
+    Rump, "Fast and parallel interval arithmetic", BIT 39, 1999).  ``lower``
+    and ``upper`` are its ends rounded outward.
 
-    The true quantity lies in [value - error_radius, value + error_radius].
-    Arithmetic on certified values only ever grows the radius.
+    +, - and * take a certified value, a float, an int (exact where a float
+    holds it) or a Fraction (rounded, radius EPS |c|); / an int in [1, 2^53];
+    exp() is e to the interval.  A result's value is rounded to nearest,
+    within u |value| (u = EPS/2); its radius, the operands' radii carried in
+    at most three roundings per term, gains EPS |value|, whose spare half
+    covers those roundings while the radius is at most |value|/8 (in all of
+    the certificate's sums and products); a larger one is raised by 8 EPS of
+    itself.  _UNDERFLOW covers the at most six roundings below 2^-1022.  A
+    result past the float range is a ParameterError.
     """
 
     value: float
     error_radius: float
 
     def __post_init__(self):
-        reject(not self.error_radius >= 0.0, "error_radius must be >= 0", self.error_radius)
+        reject(not (math.isfinite(self.value) and 0.0 <= self.error_radius < math.inf),
+               "a certified value must be finite, with a radius >= 0", self)
 
     @property
     def lower(self) -> float:
-        return self.value - self.error_radius
+        return math.nextafter(self.value - self.error_radius, -math.inf)
 
     @property
     def upper(self) -> float:
-        return self.value + self.error_radius
+        return math.nextafter(self.value + self.error_radius, math.inf)
 
-    def widened(self, extra: float) -> "CertifiedValue":
+    def widened(self, extra: float) -> CertifiedValue:
         """Same value with ``extra`` (>= 0) added to the radius."""
-        if extra < 0:
-            raise ParameterError("widening amount must be >= 0")
+        reject(extra < 0, "widening amount must be >= 0", extra)
         return CertifiedValue(self.value, self.error_radius + extra)
+
+    def __add__(self, other) -> CertifiedValue:
+        b = _certified(other)
+        return _rounded(self.value + b.value, self.error_radius + b.error_radius)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> CertifiedValue:
+        b = _certified(other)
+        return _rounded(self.value - b.value, self.error_radius + b.error_radius)
+
+    def __rsub__(self, other) -> CertifiedValue:
+        return _certified(other) - self
+
+    def __mul__(self, other) -> CertifiedValue:
+        a, b = self, _certified(other)
+        return _rounded(a.value * b.value, abs(a.value) * b.error_radius
+                        + abs(b.value) * a.error_radius + a.error_radius * b.error_radius)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: int) -> CertifiedValue:
+        reject(not (isinstance(k, Integral) and 0 < k <= 2**53),
+               "a certified value divides by an int in [1, 2^53]", k)
+        return _rounded(self.value / k, self.error_radius / k)
+
+    def exp(self) -> CertifiedValue:
+        """e^x over the interval: the radius reaches the exps of the outward
+        ends, each within one ulp (libm), so 2 EPS of the upper one covers both."""
+        value = math.exp(self.value)
+        lo, hi = math.exp(self.lower), math.exp(self.upper)
+        return _rounded(value, max(hi - value, value - lo) + 2.0 * EPS * hi)
+
+
+def _certified(x) -> CertifiedValue:
+    """An operand as a certified value (the class docstring)."""
+    if isinstance(x, CertifiedValue):
+        return x
+    if not isinstance(x, (float, Integral, Fraction)):
+        raise TypeError(f"a certified value does not take a {type(x).__name__}")
+    exact = isinstance(x, float) or isinstance(x, Integral) and float(x) == x
+    return CertifiedValue(float(x), 0.0 if exact else EPS * abs(float(x)) + _UNDERFLOW)
+
+
+def _rounded(value: float, radius: float) -> CertifiedValue:
+    """A result with the allowances of the CertifiedValue docstring."""
+    out = radius + EPS * abs(value)
+    if not 8.0 * radius <= abs(value):
+        out += 8.0 * EPS * out
+    return CertifiedValue(value, out + _UNDERFLOW)
 
 
 ZERO = CertifiedValue(0.0, 0.0)
@@ -175,40 +238,9 @@ def compensated_sum(terms) -> CertifiedValue:
     return CertifiedValue(value, n * EPS * abs_sum)
 
 
-def certified_combine(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    """The sum of two certified values.
-
-    Radii add, plus a rounding allowance EPS * |result| for the one
-    floating-point operation performed.
-    """
-    value = a.value + b.value
-    return CertifiedValue(value, a.error_radius + b.error_radius + EPS * abs(value))
-
-
-def certified_product(a: CertifiedValue, b: CertifiedValue) -> CertifiedValue:
-    """Product of two certified values, radius by the bilinear expansion."""
-    value = a.value * b.value
-    radius = (
-        abs(a.value) * b.error_radius
-        + abs(b.value) * a.error_radius
-        + a.error_radius * b.error_radius
-        + EPS * abs(value)
-    )
-    return CertifiedValue(value, radius)
-
-
-def certified_quotient(cv: CertifiedValue, k: int) -> CertifiedValue:
-    """cv / k for a positive integer k, plus one rounding of the quotient."""
-    value = cv.value / k
-    return CertifiedValue(value, cv.error_radius / k + EPS * abs(value))
-
-
 def combine_blocks(block_values: Sequence[CertifiedValue]) -> CertifiedValue:
     """Merge per-block certified sums in the given (ascending) order."""
-    acc = ZERO
-    for cv in block_values:
-        acc = certified_combine(acc, cv)
-    return acc
+    return sum(block_values, ZERO)
 
 
 # The block size of every pass (alpha, beta, the means) unless a caller

@@ -43,7 +43,7 @@ from .beta import (
     two_beta2_minus_one,
 )
 from .means import log_mean
-from .numerics import EPS, CertifiedValue, block_sum_parts, exact_sum, parts_to_certified
+from .numerics import CertifiedValue, block_sum_parts, exact_sum, parts_to_certified
 from .primes import iter_sigma_segments, primes_in_range
 from .trajectory import trace
 
@@ -67,10 +67,9 @@ def kernel_vs_beta_prime(js=(1, 8, 32), ps=(3, 7, 101, 10007)) -> list[tuple[int
     for j in js:
         for p in ps:
             t = _log_beta_terms(np.array([p]), j)[j][0]
-            kernel = parts_to_certified(t, abs(t), 1)
+            kernel = parts_to_certified(t, abs(t), 1).exp()
             bp = beta_prime(j, p, 60)
-            lo = max(math.exp(kernel.lower), bp.lower)
-            if lo > min(math.exp(kernel.upper), bp.upper) * (1 + 4 * EPS):
+            if max(kernel.lower, bp.lower) > min(kernel.upper, bp.upper):
                 apart.append((j, p))
     return apart
 

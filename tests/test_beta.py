@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +42,6 @@ from aliquot.numerics import (
     EPS,
     CertifiedValue,
     aligned_blocks,
-    certified_product,
-    certified_quotient,
     combine_blocks,
     compensated_sum,
     parts_to_certified,
@@ -394,14 +393,9 @@ class TestMainTerm:
                 weight[(N // f.n).bit_length() - 1] * beta_signed(j, f)
                 for f in factored
             ) / j
-            expected = certified_quotient(
-                combine_blocks([
-                    certified_product(CertifiedValue(g_prime_power(j, 2, k), 0.0), sums[j])
-                    for k, sums in odd.items()
-                ]),
-                j,
-            )
-            assert abs(direct - expected.value) <= expected.error_radius + 1e-12
+            expected = combine_blocks([g_prime_power(j, 2, k) * sums[j]
+                                       for k, sums in odd.items()]) / j
+            assert expected.lower - 1e-12 <= direct <= expected.upper + 1e-12
 
 
 class TestOddSignedSums:
@@ -692,14 +686,18 @@ class TestBetaLower:
 
     def test_each_j_charges_j_times_the_prime_tail(self):
         # Every j, j = 1 included, pays exactly j T(P) for the primes past
-        # P, on the lower end of its Euler term over the primes up to P.
+        # P, on the lower end of its Euler term over the primes up to P:
+        # its lower end lies below that end times 1 - j T(P), exactly, and
+        # within a few roundings of it.
         P = 10**4
+        T = Fraction(prime_tail_bound(P))
         for r in beta_lower(32, P).reports:
             j = r.j
             assert r.P == P
             assert r.tail_charge == j * prime_tail_bound(P)
             assert r.main == euler_term(j, r.log_product)
-            assert r.contribution_lower == r.main.lower * (1.0 - r.tail_charge) * (1.0 - 4 * EPS)
+            charged = Fraction(r.main.lower) * (1 - j * T)
+            assert charged * (1 - 8 * Fraction(EPS)) <= r.contribution_lower <= charged, j
 
     def test_lower_bound_improves_with_N(self):
         values = []

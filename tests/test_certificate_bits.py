@@ -18,15 +18,15 @@ def _report(tmp_path, argv, name):
 
 def test_lambda_bits(tmp_path):
     doc = _report(tmp_path, ["lambda", "--N", "1e5", "--Nj", "4e5"], "lambda")
-    assert doc["alpha"]["upper_bound"].hex() == "0x1.658b04442eb31p-1"
-    assert doc["beta"]["lower_bound"].hex() == "0x1.769126681c417p-1"
-    assert doc["lambda_upper"].hex() == "-0x1.1062223ed8e5fp-5"
+    assert doc["alpha"]["upper_bound"].hex() == "0x1.658b04442eb33p-1"
+    assert doc["beta"]["lower_bound"].hex() == "0x1.769126681c3f4p-1"
+    assert doc["lambda_upper"].hex() == "-0x1.1062223ed8c3dp-5"
 
 
 def test_beta_series_bits(tmp_path):
     # P = 5e6 runs the power-series pass for the primes past 2^20.
     doc = _report(tmp_path, ["beta", "--J", "32", "--Nj", "5e6"], "beta")
-    assert doc["lower_bound"].hex() == "0x1.76913134d34fap-1"
+    assert doc["lower_bound"].hex() == "0x1.76913134d34d6p-1"
 
 
 def test_even_means_bits(tmp_path):
@@ -39,6 +39,6 @@ def test_default_lambda_bits(tmp_path):
     # alq lambda at its defaults: alpha at N = 1e6, beta's J = 32 j-terms
     # over the odd primes to P = 1e6.
     doc = _report(tmp_path, ["lambda"], "lambda")
-    assert doc["alpha"]["upper_bound"].hex() == "0x1.6589eeebdb466p-1"
-    assert doc["beta"]["lower_bound"].hex() == "0x1.76912dab006c8p-1"
-    assert doc["lambda_upper"].hex() == "-0x1.1073ebf25261fp-5"
+    assert doc["alpha"]["upper_bound"].hex() == "0x1.6589eeebdb468p-1"
+    assert doc["beta"]["lower_bound"].hex() == "0x1.76912dab006a3p-1"
+    assert doc["lambda_upper"].hex() == "-0x1.1073ebf2523cdp-5"

@@ -12,8 +12,8 @@ with row_p = (1 - 1/p) sum over m = 1..M_p of p^-m (-log r_m) plus the
 tail charge p^-(M_p+1)/(p - 1) at the depth rule's M_p, z_j =
 2 beta_j(2) - 1, and every term to 50 digits (exact.py gives row_p, z_j
 and beta_j(p)).  The float lambda_upper must lie at or above
-alpha - beta, and above it by no more than SLACK: the float radii and the
-nextafters, 4.7e-14 at N = P = 2000.
+alpha - beta, and above it by no more than SLACK: the float radii,
+4.7e-14 at N = P = 2000.
 
 Each mutation of the assembly must leave that window: dropping 1/N
 (5e-4), the 1 - j T(P) factor (1.8e-4) or 2 A(2, L) (9.3e-10), and a bound
@@ -23,15 +23,13 @@ here: the depth rule keeps each below 2^-44 alpha(p), and they come to
 covers them.
 """
 
-import math
-
 import pytest
 
 from exact import alpha_row, d, mp, two_part, z
 
 from aliquot.alpha import L, tail_a
 from aliquot.cli import combine_lambda, lambda_bounds
-from aliquot.numerics import DEFAULT_BLOCK_SIZE, EPS
+from aliquot.numerics import DEFAULT_BLOCK_SIZE, combine_blocks
 from aliquot.primes import primes_in_range
 
 J = 8
@@ -80,8 +78,8 @@ def test_lambda_upper_is_the_formula_within_the_float_slack(certificate):
 # assembly with that fault would give.
 MUTATIONS = {
     "drop 1/N": lambda N, beta, lam: lam - 1.0 / N,
-    "drop 1 - jT": lambda N, beta, lam: lam + beta.lower_bound - math.fsum(
-        r.main.lower * (1.0 - 4.0 * EPS) for r in beta.reports),
+    "drop 1 - jT": lambda N, beta, lam: lam + beta.lower_bound - combine_blocks(
+        [r.main for r in beta.reports]).lower,
     "drop 2A(2, L)": lambda N, beta, lam: lam - 2.0 * tail_a(2, L),
     "looser by 1e-10": lambda N, beta, lam: lam + 1e-10,
 }

@@ -235,7 +235,8 @@ class TestLambdaVerb:
         expected = alpha_doc["upper_bound"] - beta_doc["lower_bound"]
         assert abs(lam_doc["lambda_upper"] - expected) < 1e-14
         assert lam_doc["mu_upper"] >= math.exp(lam_doc["lambda_upper"])
-        assert (lam_doc["mu_upper"] < 1.0) == (lam_doc["lambda_upper"] < 0.0)
+        # mu_upper < 1 proves lambda < 0; the converse fails just below 0.
+        assert lam_doc["mu_upper"] >= 1.0 or lam_doc["lambda_upper"] < 0.0
 
     def test_provenance_keys(self, tmp_path):
         assert run(["lambda", "--N", "1e4", "--J", "2", "--Nj", "1e4",
@@ -446,11 +447,16 @@ class TestCombineLambda:
         from aliquot.beta import BetaSummary
         from aliquot.numerics import CertifiedValue
 
-        alpha_result = AlphaResult(10, CertifiedValue(0.7, 0.0), 0.0, 0.7, 0, 0.0)
-        beta_result = BetaSummary(CertifiedValue(0.7, 0.0), [], 0.0)
-        report = combine_lambda(alpha_result, beta_result)
-        assert abs(report.lambda_upper) < 1e-15
-        assert report.mu_upper >= 1.0
+        # alpha - beta = 0, and -1e-17, where a negative lambda_upper still
+        # gives mu_upper >= 1: e^-1e-17 rounds to 1.0.
+        for alpha, beta in ((0.7, 0.7), (0.0, 1e-17)):
+            alpha_result = AlphaResult(10, CertifiedValue(alpha, 0.0), 0.0,
+                                       CertifiedValue(alpha, 0.0), 0, 0.0)
+            beta_result = BetaSummary(CertifiedValue(beta, 0.0), [], 0.0)
+            report = combine_lambda(alpha_result, beta_result)
+            assert abs(report.lambda_upper) < 1e-15
+            assert report.mu_upper >= 1.0
+        assert report.lambda_upper < 0.0
 
     def test_parser_builds(self):
         parser = build_parser()

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import encloses, mp
+
 from aliquot import numerics
 from aliquot.errors import ParameterError
 from aliquot.numerics import (
     EPS,
     CertifiedValue,
     aligned_blocks,
-    certified_combine,
-    certified_product,
     combine_blocks,
     compensated_sum,
     exact_sum,
@@ -270,22 +270,83 @@ class TestCompensatedSum:
         assert math.isclose(cv.value, 500.5, rel_tol=1e-15)
 
 
+# Values and radii whose sums and products stay far inside the float range,
+# subnormals and zero included.
+_VALUE = st.floats(-(2.0**500), 2.0**500)
+_CERTIFIED = st.builds(CertifiedValue, _VALUE, st.floats(0.0, 2.0**500))
+# What an operation takes besides a certified value: a float or an int
+# (exact where a float holds it) and a Fraction.
+_OPERAND = st.one_of(_CERTIFIED, _VALUE, st.integers(-(2**60), 2**60),
+                     st.fractions(-(10**6), 10**6, max_denominator=10**6))
+_OPERATIONS = {
+    "add": (lambda a, b: a + b, lambda x, y: mp.fadd(x, y, exact=True)),
+    "sub": (lambda a, b: a - b, lambda x, y: mp.fsub(x, y, exact=True)),
+    "mul": (lambda a, b: a * b, lambda x, y: mp.fmul(x, y, exact=True)),
+}
+
+
+def _ends(x) -> tuple:
+    """The exact ends of an operand: a certified value's value -+ radius,
+    a number itself (a Fraction to mp's 50 digits)."""
+    if isinstance(x, CertifiedValue):
+        return (mp.fsub(x.value, x.error_radius, exact=True),
+                mp.fadd(x.value, x.error_radius, exact=True))
+    if isinstance(x, Fraction):
+        return (mp.mpf(x.numerator) / x.denominator,) * 2
+    return (mp.mpf(x),) * 2
+
+
+def _holds(cv, exact) -> bool:
+    """cv encloses exact, both as value -+ radius and between its ends."""
+    return encloses(cv, exact) and cv.lower <= exact <= cv.upper
+
+
 class TestCertifiedValue:
     def test_radius_nonnegative(self):
         with pytest.raises(ParameterError):
             CertifiedValue(1.0, -1e-30)
 
-    def test_combine_add(self):
-        cv = certified_combine(CertifiedValue(1.0, 0.0), CertifiedValue(2.0, 0.0))
-        assert cv.value == 3.0
-        assert 0 < cv.error_radius <= 4 * EPS * 3
+    @pytest.mark.parametrize("name", _OPERATIONS)
+    @given(a=_CERTIFIED, b=_OPERAND)
+    def test_operation_encloses_the_exact_set(self, name, a, b):
+        # +, - and * are monotone in each operand, so the exact results at
+        # the operands' ends bound every result; both orders of the operands.
+        op, exact = _OPERATIONS[name]
+        for left, right in ((a, b), (b, a)):
+            result = op(left, right)
+            for x in _ends(left):
+                for y in _ends(right):
+                    assert _holds(result, exact(x, y)), (left, right)
 
-    def test_product_radius(self):
-        a = CertifiedValue(2.0, 1e-10)
-        b = CertifiedValue(3.0, 1e-12)
-        cv = certified_product(a, b)
-        assert cv.value == 6.0
-        assert cv.error_radius >= 3 * 1e-10 + 2 * 1e-12
+    @given(a=_CERTIFIED, k=st.integers(1, 2**53))
+    def test_division_encloses_the_exact_quotients(self, a, k):
+        # Compared times k, so every product is exact.
+        q = a / k
+        for x in _ends(a):
+            assert mp.fmul(q.lower, k, exact=True) <= x <= mp.fmul(q.upper, k, exact=True)
+            low, high = _ends(q)
+            assert mp.fmul(low, k, exact=True) <= x <= mp.fmul(high, k, exact=True)
+
+    @given(a=st.builds(CertifiedValue, st.floats(-740.0, 700.0), st.floats(0.0, 8.0)))
+    def test_exp_encloses_the_exact_exps(self, a):
+        e = a.exp()
+        for x in _ends(a):
+            assert _holds(e, mp.exp(x))
+
+    @given(a=st.builds(CertifiedValue, st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(0.0, allow_infinity=False)))
+    def test_outward_ends(self, a):
+        low, high = _ends(a)
+        assert a.lower <= low and high <= a.upper
+
+    def test_division_takes_a_positive_int(self):
+        for k in (0, -3, 2.0, 2**53 + 1):
+            with pytest.raises(ParameterError):
+                CertifiedValue(1.0, 0.0) / k
+
+    def test_an_overflowing_result_is_rejected(self):
+        with pytest.raises(ParameterError):
+            CertifiedValue(2.0**1000, 0.0) * 2.0**100
 
     def test_widened(self):
         cv = CertifiedValue(1.0, 1e-12).widened(1e-9)
