@@ -25,7 +25,7 @@ from .numerics import (
     map_blocks,
     parts_to_certified,
 )
-from .primes import MAX_RANGE_END, check_range, iter_sigma_segments
+from .primes import MAX_RANGE_END, SigmaWorkspace, check_range, iter_sigma_segments
 
 MeanClass = Literal["all", "even", "odd"]
 
@@ -90,7 +90,8 @@ def _sum_over_ranges(
     to a sum exactly when it meets that sum's range, summing its members
     in that range, so each sum is the one that sum alone over
     aligned_blocks(range) gives: it depends only on block_size, never on
-    the other range or the worker count.
+    the other range or the worker count.  Each pass fills a SigmaWorkspace
+    of its own, ratios and logarithms, which each forked worker copies.
     """
     ranges = [r for r in (ratio_range, log_range) if r[0] <= r[1]]
     if not ranges:
@@ -98,11 +99,12 @@ def _sum_over_ranges(
     lo = min(r_lo for r_lo, _ in ranges)
     hi = max(r_hi for _, r_hi in ranges)
     check_range(hi, block_size)
+    work = SigmaWorkspace()
 
     def eval_block(b_lo: int, b_hi: int) -> tuple[CertifiedValue | None, ...]:
         # An aligned block is exactly one segment, or none when it holds no
         # integer of the wanted parity.
-        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity), None)
+        segment = next(iter_sigma_segments(b_lo, b_hi, block_size, parity, work), None)
         n_vals, ratios = segment if segment is not None else (np.empty(0, np.int64), np.empty(0))
         sums = []
         for kind, (r_lo, r_hi) in (("ratio", ratio_range), ("log", log_range)):
@@ -114,7 +116,7 @@ def _sum_over_ranges(
                 np.searchsorted(n_vals, max(r_lo, 2)) : np.searchsorted(n_vals, r_hi, side="right")
             ]
             if kind == "log":
-                values = np.log(values)
+                values = np.log(values, out=work.array("log", values.size, np.float64))
             sums.append(parts_to_certified(*block_sum_parts(values)))
         return tuple(sums)
 

@@ -271,9 +271,10 @@ def aligned_blocks(lo: int, hi: int, block_size: int) -> list[tuple[int, int]]:
 # took 50-69 ms against 51-70 ms serial and beta's prime pass (J = 32)
 # 109-117 ms against 80-99 ms; at 8e6 to 2^23 = 8.4e6, 58-68 against
 # 62-80 ms and 89-107 against 88-126 ms; from 1e7 on, processes win.  The
-# even log mean wins on processes from 4.2e6 on.  A block runs up to 1.6
-# times slower in a forked worker than in the caller (alpha's block 0 at
-# N = 4.2e6: 67-73 ms against 40-46 ms).
+# even log mean wins on processes from 4.2e6 on (medians of 7: 86 ms serial
+# against 119 ms at 3.6e6, 76 against 65 ms at 4.2e6).  A block runs up to
+# 1.6 times slower in a forked worker than in the caller (alpha's block 0
+# at N = 4.2e6: 67-73 ms against 40-46 ms).
 SERIAL_INTEGERS = 1 << 23
 
 

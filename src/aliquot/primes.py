@@ -11,11 +11,13 @@ prime p, the start of the multiples of p, p^2, ... as strided views
 strided operations and no per-(p, m) scatter.  Beta's odd-sum oracle
 consumes it through strided_prime_powers (the exponents of p as one
 array per prime); the exact sigma kernel (_sigma_ratios, under
-iter_sigma_segments) consumes the starts directly.  2-adic parts and the
-large cofactor are left to them.  The sigma kernel accumulates in uint32
-where that is provably exact and in int64 past it, and finishes each tile
-of SIGMA_TILE integers, up to the means' (sigma(n) - n) / n, while the
-tile is in cache.
+iter_sigma_segments) consumes the starts of the primes below
+SIGMA_SCATTER_FROM and scatters the rest in one vectorized step.  2-adic
+parts and the large cofactor are left to them.  The sigma kernel
+accumulates in uint32 where that is provably exact and in int64 past it,
+and finishes each tile of SIGMA_TILE integers, up to the means'
+(sigma(n) - n) / n, while the tile is in cache, in the arrays of a
+SigmaWorkspace that a pass allocates once.
 
 The events path (iter_factor_segments, stride 1 only) is the walk's
 independent oracle: it divides out exact prime powers, listing one
@@ -47,8 +49,10 @@ from .numerics import DEFAULT_BLOCK_SIZE, aligned_blocks, map_blocks
 MAX_SEGMENT_SIZE = 1 << 25
 MAX_RANGE_END = 10**10
 # Integers per tile of the sigma kernel: on a Xeon with 2 MB of L2 per core,
-# 1 << 14 to 1 << 16 ran alike on the means and 1 << 17 and up ran slower.
+# 1 << 13 to 1 << 16 ran alike on the even means at N = 1e7; 1 << 17 on, slower.
 SIGMA_TILE = 1 << 16
+# The sigma kernel walks the odd base primes below this and scatters the rest.
+SIGMA_SCATTER_FROM = 1 << 10
 # The largest n_max for uint32 sigma accumulators: n (1 + ln n) < 2^32 there.
 UINT32_N_MAX = 210_000_000
 
@@ -275,17 +279,41 @@ def strided_prime_powers(
         yield p, i0, exps
 
 
-def _sigma_ratios(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+class SigmaWorkspace:
+    """Named arrays that _sigma_ratios fills in place; each name's buffer grows
+    to the most bytes asked of it.  One thread's: a forked worker grows a copy."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, size: int, dtype) -> np.ndarray:
+        """``size`` items of ``dtype``, valid until ``name`` is asked for again."""
+        nbytes = size * np.dtype(dtype).itemsize
+        if name not in self._buffers or self._buffers[name].size < nbytes:
+            self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return self._buffers[name][:nbytes].view(dtype)
+
+
+def _sigma_ratios(n0: int, size: int, stride: int,
+                  work: SigmaWorkspace) -> tuple[np.ndarray, np.ndarray]:
     """(n, (sigma(n) - n) / n) for n = n0 + stride * i, 0 <= i < size; stride 1 or 2.
 
-    Two accumulators hold the sigma part and the smooth part of every
-    integer.  Along the strided walk, each odd base prime p multiplies
-    its multiples by p + 1 and p; at each multiple of p^m, m >= 2, the
-    sigma part's factor sigma(p^(m-1)) becomes sigma(p^m) (an exact
-    division, then a multiply) and the smooth part gains one more p.
-    The walk runs once over the whole range: per tile it would repeat the
-    Python loop over the primes, which costs more than the cache misses it
-    saves.  The rest runs tile by tile of SIGMA_TILE integers, in cache.
+    The arrays are read-only views into ``work``, which its next use
+    overwrites.  Two accumulators hold the sigma part and the smooth part
+    of every integer.  Each odd base prime p multiplies its multiples by
+    p + 1 and p; at each multiple of p^m, m >= 2, the sigma part's factor
+    sigma(p^(m-1)) becomes sigma(p^m) (an exact division, then a multiply)
+    and the smooth part gains one more p.  The primes below
+    SIGMA_SCATTER_FROM do so along the strided walk, once over the whole
+    range: per tile it would repeat the Python loop over the primes, which
+    costs more than the cache misses it saves.  The others do so in one
+    vectorized step, np.multiply.at over the hits of all of them (an n may
+    have two).  The j-th hit of p is n = p (q0 + stride j), so it is a
+    multiple of p^2 when j = -q0 stride^-1 mod p (products below 2^40;
+    -n0 stride^-1 mod p^2 would overflow int64).  p^2 > 2^20, so a block of
+    2^20 integers holds at most one per prime; after the first power, a
+    Python loop raises each to its full power of p.
+    The rest runs tile by tile of SIGMA_TILE integers, in cache.
     Where n can be even, its 2-adic part is low = n & -n, with
     sigma(low) = 2 low - 1.  What is left, q = n / smooth, is 1 or one
     prime above sqrt(n), which adds the factor q + 1 (the factor is 1
@@ -303,9 +331,12 @@ def _sigma_ratios(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarr
     """
     n_max = n0 + stride * (size - 1)
     dtype = np.uint32 if n_max <= UINT32_N_MAX else np.int64
-    sig = np.ones(size, dtype=dtype)
-    smooth = np.ones(size, dtype=dtype)
+    sig, smooth = (work.array(name, size, dtype) for name in ("sig", "smooth"))
+    sig.fill(1)
+    smooth.fill(1)
     for p, (i0, *deeper) in _prime_power_starts(n0, size, stride):
+        if p >= SIGMA_SCATTER_FROM:
+            break
         sig[i0::p] *= p + 1
         smooth[i0::p] *= p
         pm, sigma_pm = p, p + 1
@@ -317,11 +348,33 @@ def _sigma_ratios(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarr
             sigma_pm = sigma_pm * p + 1
             view *= sigma_pm
             smooth[i::pm] *= p
+    ps = base_primes(n_max)[np.searchsorted(_base_table(), SIGMA_SCATTER_FROM) :]
+    inverse = (ps + 1) // 2 if stride == 2 else 1  # stride^-1 mod p
+    starts = (-n0 * inverse) % ps
+    counts = np.maximum((size - 1 - starts) // ps + 1, 0)
+    # Hit k, the j-th of its prime p, is starts + p j = p k + (starts - p (k - j)).
+    p_hit = np.repeat(ps.astype(dtype), counts)
+    hits = np.arange(p_hit.size)
+    hits *= p_hit
+    hits += np.repeat(starts - ps * (np.cumsum(counts) - counts), counts)
+    np.multiply.at(smooth, hits, p_hit)
+    p_hit += 1
+    np.multiply.at(sig, hits, p_hit)
+    deep = (-((n0 + stride * starts) // ps) * inverse) % ps  # q0 < 2^24
+    for p, i0, j in zip(*(a[deep < counts].tolist() for a in (ps, starts, deep))):
+        for i in range(i0 + p * j, size, p * p):
+            q, pm, sigma_pm = (n0 + stride * i) // p, 1, p + 1
+            while q % p == 0:
+                q, pm, sigma_pm = q // p, pm * p, sigma_pm * p + 1
+            sig[i] = int(sig[i]) // (p + 1) * sigma_pm
+            smooth[i] = int(smooth[i]) * pm
     has_two = stride == 1 or n0 % 2 == 0
-    ratios = np.empty(size, dtype=np.float64)
+    n_values = work.array("n", size, np.int64)
+    ratios = work.array("ratios", size, np.float64)
     for start in range(0, size, SIGMA_TILE):
         stop = min(start + SIGMA_TILE, size)
         n = np.arange(n0 + stride * start, n0 + stride * stop, stride, dtype=dtype)
+        n_values[start:stop] = n
         tile_sig, tile_smooth = sig[start:stop], smooth[start:stop]
         if has_two:
             low = n & -n
@@ -336,17 +389,21 @@ def _sigma_ratios(n0: int, size: int, stride: int) -> tuple[np.ndarray, np.ndarr
         q *= tile_sig
         q -= n_float
         np.divide(q, n_float, out=ratios[start:stop])
-    return np.arange(n0, n0 + stride * size, stride, dtype=np.int64), ratios
+    n_values.flags.writeable = ratios.flags.writeable = False
+    return n_values, ratios
 
 
 def iter_sigma_segments(
-    lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE, parity: int | None = None
+    lo: int, hi: int, segment_size: int = DEFAULT_BLOCK_SIZE, parity: int | None = None,
+    work: SigmaWorkspace | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (n_values, ratios) per segment over [lo, hi], ratios[i] being
     (sigma(n) - n) / n for n = n_values[i] (_sigma_ratios).
 
     With ``parity`` (0 or 1) the arrays hold only the n of [lo, hi] with
-    n % 2 == parity, and segments without one are skipped.
+    n % 2 == parity, and segments without one are skipped.  The arrays are
+    read-only: views into ``work`` valid until its next segment, or, with
+    no ``work``, each segment's own.
     """
     reject(lo < 1, "range start must be >= 1", lo)
     reject(parity not in (None, 0, 1), "parity must be None, 0 or 1", parity, form=repr)
@@ -355,8 +412,8 @@ def iter_sigma_segments(
     check_range(hi, segment_size)
     for seg_lo, seg_hi in aligned_blocks(lo, hi, segment_size):
         if parity is None:
-            yield _sigma_ratios(seg_lo, seg_hi - seg_lo + 1, 1)
+            yield _sigma_ratios(seg_lo, seg_hi - seg_lo + 1, 1, work or SigmaWorkspace())
         else:
             n0 = seg_lo + (seg_lo - parity) % 2
             if n0 <= seg_hi:
-                yield _sigma_ratios(n0, (seg_hi - n0) // 2 + 1, 2)
+                yield _sigma_ratios(n0, (seg_hi - n0) // 2 + 1, 2, work or SigmaWorkspace())

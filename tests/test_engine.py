@@ -178,8 +178,10 @@ class TestSameBitsOnProcesses:
 
     @pytest.mark.parametrize("mean_class", ["all", "even", "odd"])  # stride 1, parity 0, 1
     def test_means(self, mean_class):
-        one = mean_report(mean_class, 10**5, block_size=1 << 13)
-        two = mean_report(mean_class, 10**5, block_size=1 << 13, workers=2)
+        # Blocks past 1031^2 hold base primes past primes.SIGMA_SCATTER_FROM,
+        # and each worker grows its own copy of the pass's sigma workspace.
+        one = mean_report(mean_class, 2 * 10**6, block_size=1 << 16)
+        two = mean_report(mean_class, 2 * 10**6, block_size=1 << 16, workers=2)
         assert two.workers == 2
         assert one.to_json_dict() == two.to_json_dict()
 

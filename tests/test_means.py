@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 
@@ -128,6 +130,30 @@ class TestReport:
         assert doc["closed_form"] == closed_form("even")
         row = rep.csv_row()
         assert len(row) == len(CSV_HEADER)
+
+    def test_passes_on_two_threads_keep_their_serial_bits(self):
+        # Each pass fills a sigma workspace of its own, so two passes at once
+        # on two threads (each serial, as a threaded caller's passes are)
+        # give the bits each gives alone.
+        args = [("even", 2 * 10**6), ("odd", 10**6)]
+        serial = [mean_report(*a, block_size=1 << 16).to_json_dict() for a in args]
+        got = [None, None]
+
+        def run(k):
+            got[k] = mean_report(*args[k], block_size=1 << 16).to_json_dict()
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == serial
 
     def test_largest_N_by_class(self, monkeypatch):
         # The arithmetic mean runs over the first N class members, to 2N for

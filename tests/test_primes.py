@@ -14,6 +14,7 @@ from aliquot.primes import (
     MAX_RANGE_END,
     SIGMA_TILE,
     UINT32_N_MAX,
+    SigmaWorkspace,
     _dense_primes,
     iter_factor_segments,
     iter_prime_segments,
@@ -98,21 +99,23 @@ def _sigma_oracles(lo, hi, parity):
     return n_vals[keep], (sig[keep] - n_vals[keep]).astype(np.float64) / n_vals[keep]
 
 
-def _check_sigma_kernel(lo, length, parity, samples, segment_size=1024):
+def _check_sigma_kernel(lo, length, parity, samples, segment_sizes=(1024,)):
     # For n <= 10^10 two sigma differ in the ratio by at least 1/n, far above
     # its ulp, so equal ratio bits mean equal sigma.
     hi = lo + length - 1
-    got = list(iter_sigma_segments(lo, hi, segment_size, parity))
-    n_got = np.concatenate([n for n, _ in got]) if got else np.empty(0, np.int64)
-    ratio_got = np.concatenate([r for _, r in got]) if got else np.empty(0)
-    n_ref, ratio_ref = _sigma_oracles(lo, hi, parity) if hi >= lo else (n_got, ratio_got)
-    assert np.array_equal(n_got, n_ref)
-    assert ratio_got.tobytes() == ratio_ref.tobytes()
-    for k in samples:
-        if n_got.size:
-            i = k % n_got.size
-            n = int(n_got[i])
-            assert float(ratio_got[i]) == (sigma_oracle(n) - n) / n
+    reference = _sigma_oracles(lo, hi, parity) if hi >= lo else None
+    for segment_size in segment_sizes:
+        got = list(iter_sigma_segments(lo, hi, segment_size, parity))
+        n_got = np.concatenate([n for n, _ in got]) if got else np.empty(0, np.int64)
+        ratio_got = np.concatenate([r for _, r in got]) if got else np.empty(0)
+        n_ref, ratio_ref = reference or (n_got, ratio_got)
+        assert np.array_equal(n_got, n_ref)
+        assert ratio_got.tobytes() == ratio_ref.tobytes()
+        for k in samples:
+            if n_got.size:
+                i = k % n_got.size
+                n = int(n_got[i])
+                assert float(ratio_got[i]) == (sigma_oracle(n) - n) / n
 
 
 class TestSigmaKernel:
@@ -149,13 +152,20 @@ class TestSigmaKernel:
             (UINT32_N_MAX - 5 * SIGMA_TILE - 5, UINT32_N_MAX),
             # The segment that holds UINT32_N_MAX + 1 is int64, those below uint32.
             (UINT32_N_MAX - 3 * SIGMA_TILE + 3, UINT32_N_MAX + 3 * SIGMA_TILE + 7),
+            # 1031 is the first base prime past SIGMA_SCATTER_FROM = 2^10:
+            # 1031^2 * 1030 (even) and 1031^3 = 1,095,912,791 (odd), and the
+            # other multiples of a scattered prime's square among a million.
+            (1031**3 - 1031**2 - 7, 1031**3 + 7),
+            # 99991^2 = 9,998,200,081, the square of the largest base prime.
+            (99991**2 - 2 * SIGMA_TILE - 3, 99991**2 + 2 * SIGMA_TILE + 5),
         ],
     )
     def test_tile_edges_and_the_uint32_bound(self, lo, hi, parity):
-        # Segments of 4 SIGMA_TILE integers: whole ones hold four tiles of
-        # stride 1 and two of stride 2, and the ranges stop inside tiles.
+        # Segments of 4 SIGMA_TILE integers, whose whole ones hold four tiles
+        # of stride 1 and two of stride 2, and of 2^20 integers; the ranges
+        # stop inside tiles.
         samples = [0, 1, SIGMA_TILE - 1, SIGMA_TILE, 3 * SIGMA_TILE + 17]
-        _check_sigma_kernel(lo, hi - lo + 1, parity, samples, 4 * SIGMA_TILE)
+        _check_sigma_kernel(lo, hi - lo + 1, parity, samples, (4 * SIGMA_TILE, 1 << 20))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -179,6 +189,19 @@ class TestSigmaKernel:
         a = np.concatenate([s for _, s in iter_sigma_segments(3, 10**5, 1 << 20, parity)])
         b = np.concatenate([s for _, s in iter_sigma_segments(3, 10**5, 977, parity)])
         assert np.array_equal(a, b)
+
+    def test_kept_segments_stay_unchanged(self):
+        # Without a workspace every segment has arrays of its own; with one,
+        # they are read-only views that the next segment overwrites.
+        segments = iter_sigma_segments(1, 5000, 1024, 1)
+        first = next(segments)
+        kept = [a.copy() for a in first]
+        rest = list(segments)
+        assert len(rest) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+        work = SigmaWorkspace()
+        for n_vals, ratios in iter_sigma_segments(3, 5000, 1024, 1, work):
+            assert not n_vals.flags.writeable and not ratios.flags.writeable
 
     def test_rejects_bad_parity(self):
         with pytest.raises(ParameterError):
